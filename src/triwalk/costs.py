@@ -59,8 +59,8 @@ class CostConfig:
     leading_constant: float = 1.0
 
     def __post_init__(self):
-        if self.leading_constant <= 0:
-            raise ValueError("leading_constant must be positive")
+        if not (math.isfinite(self.leading_constant) and self.leading_constant > 0):
+            raise ValueError("leading_constant must be positive and finite")
 
 
 DEFAULT_CONFIG = CostConfig()

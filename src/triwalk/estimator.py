@@ -20,17 +20,28 @@ all apexes simultaneously for most plans" a meaningful, testable event.
 Guarantee over the plan draw: with probability at least 1 - 3/n, for every
 apex w the output lies in
     [count(w) / 3,  1.5 * max(|A|(|A|-1)/(2m), count(w))].
+
+Since the plan is shared, one pass over the packed adjacency rows scores
+every apex: a drawn pair (u, v) qualifies exactly at the set bits of
+rows[u] & rows[v]. c1 counts, per column, the rounds whose OR of those
+ANDs (over the round's surviving draws) has the bit; c2 counts, per
+column, the ANDs of surviving refinement draws. Adjacency probes short-
+circuit, which gives the closed form
+    probes(w) = S1 + F1(w) + [2 c1(w) > rounds] * (S3 + F3(w)),
+with S1, S3 the surviving screen / refinement draws and F1(w), F3(w)
+those of them whose first endpoint neighbours w (summed over w, F1 is
+the total degree of their first endpoints).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .graph import Graph, QueryLedger
+from .graph import _CHUNK, Graph, QueryLedger
 from .pairs import PairSet
 
 __all__ = [
@@ -121,13 +132,67 @@ class EstimatorRun:
     charged: int
 
 
-def _stage_masks(g: Graph, surviving: PairSet, plan: SamplePlan, apex: int):
+class _ApexCounts(NamedTuple):
+    """Every apex's estimator counters against one plan, indexed by apex."""
+
+    c1: np.ndarray
+    refined: np.ndarray
+    c2: np.ndarray
+    outputs: np.ndarray
+    probes: np.ndarray
+
+
+def _bits(words: np.ndarray, n: int) -> np.ndarray:
+    """Unpack (rows, words) packed rows into a (rows, n) 0/1 uint8 matrix."""
+    return np.unpackbits(words.view(np.uint8), axis=1, count=n, bitorder="little")
+
+
+def _apex_counts(g: Graph, surviving: PairSet, m: int, plan: SamplePlan) -> _ApexCounts:
+    """Run the estimator for every apex at once over the packed rows."""
+    if surviving.verts.size < 2:
+        raise ValueError("estimator needs a block with at least 2 vertices")
+    if plan.m != m or plan.pair_universe != surviving.universe_size:
+        raise ValueError("plan was materialized for a different block or m")
+    n, rows = g.n, g._rows
     pu, pv = surviving.endpoint_arrays()
-    adj = g.bool_row(apex)
+    universe = surviving.universe_size
     member1 = surviving.mask[plan.screen_draws]
-    first_ok1 = member1 & adj[pu[plan.screen_draws]]
-    qual1 = first_ok1 & adj[pv[plan.screen_draws]]
-    return member1, first_ok1, qual1
+    zeros = np.zeros(n, dtype=np.int64)
+    if not member1.any():
+        # No draw lands in the surviving set: every apex screens to the
+        # floor without a single adjacency probe.
+        return _ApexCounts(zeros, zeros.astype(bool), zeros, np.full(n, universe / m), zeros)
+
+    # Draws per chunk, so no (draws, words) temporary exceeds _CHUNK words.
+    step = max(1, _CHUNK // rows.shape[1])
+    c1 = zeros.copy()
+    per_chunk = max(1, step // m)
+    for r0 in range(0, plan.rounds, per_chunk):
+        rnd, col = np.nonzero(member1[r0 : r0 + per_chunk])
+        if rnd.size == 0:
+            continue
+        slots = plan.screen_draws[r0 + rnd, col]
+        both = rows[pu[slots]] & rows[pv[slots]]
+        starts = np.flatnonzero(np.diff(rnd, prepend=-1))
+        c1 += _bits(np.bitwise_or.reduceat(both, starts, axis=0), n).sum(axis=0, dtype=np.int64)
+    refined = 2 * c1 > plan.rounds
+
+    member3 = surviving.mask[plan.refine_draws]
+    c2 = zeros.copy()
+    if refined.any():
+        slots = plan.refine_draws[member3]
+        for start in range(0, slots.size, step):
+            chunk = slots[start : start + step]
+            c2 += _bits(rows[pu[chunk]] & rows[pv[chunk]], n).sum(axis=0, dtype=np.int64)
+    outputs = np.where(refined, c2 * universe / plan.refine, universe / m)
+
+    # F1, F3: how often each block vertex is a surviving draw's first
+    # endpoint, weighted by its adjacency row.
+    first1 = np.bincount(pu[plan.screen_draws[member1]], minlength=n)[surviving.verts]
+    first3 = np.bincount(pu[plan.refine_draws[member3]], minlength=n)[surviving.verts]
+    hits1, hits3 = np.stack([first1, first3]) @ _bits(rows[surviving.verts], n)
+    probes = int(member1.sum()) + hits1 + refined * (int(member3.sum()) + hits3)
+    return _ApexCounts(c1, refined, c2, outputs, probes)
 
 
 def estimate_apex_pairs(
@@ -145,38 +210,21 @@ def estimate_apex_pairs(
     adjacency checks against the apex cost one raw probe each and short-
     circuit, so a draw outside the surviving set probes nothing and a draw
     whose first endpoint misses the apex probes once. The ledger, when
-    given, receives the raw probes and one charged estimator run.
+    given, receives the raw probes and one charged estimator run. The
+    counters are read from the same all-apex kernel estimate_all_apexes runs.
     """
-    if surviving.verts.size < 2:
-        raise ValueError("estimator needs a block with at least 2 vertices")
-    if plan.m != m or plan.pair_universe != surviving.universe_size:
-        raise ValueError("plan was materialized for a different block or m")
-
-    member1, first_ok1, qual1 = _stage_masks(g, surviving, plan, apex)
-    c1 = int(qual1.any(axis=1).sum())
-    probes = int(member1.sum()) + int(first_ok1.sum())
-
-    c2: Optional[int] = None
-    if 2 * c1 <= plan.rounds:
-        output = surviving.universe_size / m
-    else:
-        pu, pv = surviving.endpoint_arrays()
-        adj = g.bool_row(apex)
-        member3 = surviving.mask[plan.refine_draws]
-        first_ok3 = member3 & adj[pu[plan.refine_draws]]
-        qual3 = first_ok3 & adj[pv[plan.refine_draws]]
-        c2 = int(qual3.sum())
-        probes += int(member3.sum()) + int(first_ok3.sum())
-        output = c2 * surviving.universe_size / plan.refine
-
+    if not 0 <= apex < g.n:
+        raise ValueError(f"apex {apex} out of range for n={g.n}")
+    counts = _apex_counts(g, surviving, m, plan)
+    probes = int(counts.probes[apex])
     charged = estimator_charge(g.n, m, charge_constant)
     if ledger is not None:
         ledger.add_raw(probes)
         ledger.charge("estimator", charged)
     return EstimatorRun(
-        output=output,
-        c1=c1,
-        c2=c2,
+        output=float(counts.outputs[apex]),
+        c1=int(counts.c1[apex]),
+        c2=int(counts.c2[apex]) if counts.refined[apex] else None,
         m=m,
         rounds=plan.rounds,
         refine=plan.refine,
@@ -200,47 +248,8 @@ def estimate_all_apexes(
     the caller owns the charged model (one estimator charge per apex
     enters the per-apex dispatch cost).
     """
-    if surviving.verts.size < 2:
-        raise ValueError("estimator needs a block with at least 2 vertices")
-    if plan.m != m or plan.pair_universe != surviving.universe_size:
-        raise ValueError("plan was materialized for a different block or m")
-
-    pu, pv = surviving.endpoint_arrays()
-    adj_all = g.bool_matrix
-    s_u = pu[plan.screen_draws]
-    s_v = pv[plan.screen_draws]
-    member1 = surviving.mask[plan.screen_draws]
-    r_u = pu[plan.refine_draws]
-    r_v = pv[plan.refine_draws]
-    member3 = surviving.mask[plan.refine_draws]
-    member1_total = int(member1.sum())
-    member3_total = int(member3.sum())
-
-    outputs = np.empty(g.n, dtype=float)
-    probes = 0
-    floor_value = surviving.universe_size / m
-    if member1_total == 0:
-        # No draw ever lands in the surviving set: every apex screens to
-        # the floor without a single adjacency probe.
-        outputs.fill(floor_value)
-        if ledger is not None:
-            ledger.add_raw(0)
-        return outputs, 0
-    for apex in range(g.n):
-        adj = adj_all[apex]
-        first_ok1 = member1 & adj[s_u]
-        qual1 = first_ok1 & adj[s_v]
-        c1 = int(qual1.any(axis=1).sum())
-        probes += member1_total + int(first_ok1.sum())
-        if 2 * c1 <= plan.rounds:
-            outputs[apex] = floor_value
-        else:
-            first_ok3 = member3 & adj[r_u]
-            qual3 = first_ok3 & adj[r_v]
-            c2 = int(qual3.sum())
-            probes += member3_total + int(first_ok3.sum())
-            outputs[apex] = c2 * surviving.universe_size / plan.refine
-
+    counts = _apex_counts(g, surviving, m, plan)
+    probes = int(counts.probes.sum())
     if ledger is not None:
         ledger.add_raw(probes)
-    return outputs, probes
+    return counts.outputs, probes

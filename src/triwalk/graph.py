@@ -43,6 +43,9 @@ _TAG_PLANT = 0x50
 
 _PACKED_MAGIC = b"TWGB"
 
+# Rows per chunk in bulk scans over packed rows.
+_CHUNK = 1 << 16
+
 
 class Triangle(NamedTuple):
     """Three mutually adjacent vertices, stored in ascending order."""
@@ -137,6 +140,8 @@ class Graph:
         for u, v in edges:
             if u == v:
                 raise ValueError("self loops are not representable")
+            if not (0 <= u < n and 0 <= v < n):
+                raise ValueError(f"vertex id out of range for n={n}")
             dense[u, v] = True
             dense[v, u] = True
         return cls(dense)
@@ -234,10 +239,9 @@ def brute_force_triangle(g: Graph) -> Optional[Triangle]:
     Classical reference oracle: nothing is charged to any ledger.
     """
     eu, ev = g.edges()
-    chunk = 1 << 16
-    for start in range(0, eu.shape[0], chunk):
-        u = eu[start : start + chunk]
-        v = ev[start : start + chunk]
+    for start in range(0, eu.shape[0], _CHUNK):
+        u = eu[start : start + _CHUNK]
+        v = ev[start : start + _CHUNK]
         common = g._rows[u] & g._rows[v] & g._gt_rows[v]
         hit = common.any(axis=1)
         if hit.any():
@@ -323,14 +327,7 @@ def read_edge_list(path) -> Graph:
         if len(header) != 2 or header[0] != "n":
             raise ValueError("expected header line 'n <count>'")
         n = int(header[1])
-        dense = np.zeros((n, n), dtype=bool)
-        for line in fh:
-            if not line.strip():
-                continue
-            u, v = map(int, line.split())
-            dense[u, v] = True
-            dense[v, u] = True
-    return Graph(dense)
+        return Graph.from_edges(n, (map(int, line.split()) for line in fh if line.strip()))
 
 
 def write_packed(g: Graph, path) -> None:
@@ -347,8 +344,14 @@ def read_packed(path) -> Graph:
         magic = fh.read(4)
         if magic != _PACKED_MAGIC:
             raise ValueError("not a packed graph file")
-        (n,) = struct.unpack("<Q", fh.read(8))
-        row_bytes = (n + 7) // 8
-        raw = np.frombuffer(fh.read(n * row_bytes), dtype=np.uint8)
+        header = fh.read(8)
+        if len(header) != 8:
+            raise ValueError("packed graph header is truncated")
+        (n,) = struct.unpack("<Q", header)
+        payload = fh.read()
+    row_bytes = (n + 7) // 8
+    if len(payload) != n * row_bytes:
+        raise ValueError(f"packed payload does not match the header's n={n}")
+    raw = np.frombuffer(payload, dtype=np.uint8)
     bits = np.unpackbits(raw.reshape(n, row_bytes), axis=1, bitorder="little")
     return Graph(bits[:, :n].astype(bool))

@@ -21,7 +21,7 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .graph import Graph
+from .graph import _CHUNK, Graph
 
 __all__ = [
     "PairSet",
@@ -38,8 +38,6 @@ __all__ = [
 
 # Draw count for the sampled cover: ceil(3 * n^k * ln n), with replacement.
 COVER_DRAW_FACTOR = 3.0
-
-_CHUNK = 1 << 16
 
 
 @lru_cache(maxsize=64)

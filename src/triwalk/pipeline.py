@@ -56,7 +56,9 @@ from .estimator import (
     estimate_all_apexes,
     estimator_charge,
 )
-from .graph import Graph, QueryLedger, Triangle, brute_force_triangle, is_triangle
+from .graph import (
+    _CHUNK, Graph, QueryLedger, Triangle, _first_bit, brute_force_triangle, is_triangle
+)
 from .pairs import PairSet, sample_cover, subset_pair_cap, uncovered_pairs, uncovered_pairs_at
 
 __all__ = [
@@ -167,44 +169,45 @@ def _estimator_charge_each(n: int, m: int, cfg: CostConfig) -> float:
     return cfg.leading_constant * base
 
 
-def _first_bit(row_words: np.ndarray) -> Optional[int]:
-    for wi in range(row_words.shape[0]):
-        word = int(row_words[wi])
-        if word:
-            return wi * 64 + (word & -word).bit_length() - 1
-    return None
+def _first_common_apex(
+    g: Graph, eu: np.ndarray, ev: np.ndarray, within: Optional[np.ndarray] = None
+) -> Optional[tuple[int, int]]:
+    """Smallest vertex (of the packed set ``within``, if given) adjacent to
+    both endpoints of some pair (eu[i], ev[i]), with the first such i.
 
-
-_CHUNK = 1 << 16
-
-
-def _first_cover_triangle(g: Graph, cover) -> Optional[Triangle]:
-    """Smallest (cover vertex, pair) completing a triangle, as a triple.
-
-    Pass one finds the smallest cover vertex adjacent to both endpoints of
-    some edge; pass two finds the first edge (canonical order) it closes.
+    Pass one ORs the pairs' common neighbourhoods and takes the lowest bit;
+    pass two finds the first pair that has that bit.
     """
-    cover_words = g.pack_set(cover)
-    eu, ev = g.edges()
-    acc = np.zeros_like(cover_words)
+    acc = np.zeros(g._rows.shape[1], dtype=np.uint64)
     for start in range(0, eu.shape[0], _CHUNK):
         sl = slice(start, start + _CHUNK)
-        common = g._rows[eu[sl]] & g._rows[ev[sl]] & cover_words
+        common = g._rows[eu[sl]] & g._rows[ev[sl]]
+        if within is not None:
+            common &= within
         if common.shape[0]:
             acc |= np.bitwise_or.reduce(common, axis=0)
-    u_star = _first_bit(acc)
-    if u_star is None:
+    apex = _first_bit(acc)
+    if apex is None:
         return None
-    word, bit = u_star >> 6, u_star & 63
+    word, bit = apex >> 6, apex & 63
     for start in range(0, eu.shape[0], _CHUNK):
         sl = slice(start, start + _CHUNK)
         flag = (g._rows[eu[sl], word] & g._rows[ev[sl], word]) >> np.uint64(bit) & np.uint64(1)
         hit = np.nonzero(flag)[0]
         if hit.size:
-            i = start + int(hit[0])
-            a, b, c = sorted((u_star, int(eu[i]), int(ev[i])))
-            return Triangle(a, b, c)
+            return apex, start + int(hit[0])
     return None  # pragma: no cover - pass two must find what pass one saw
+
+
+def _first_cover_triangle(g: Graph, cover) -> Optional[Triangle]:
+    """Smallest (cover vertex, edge) completing a triangle, as a triple."""
+    eu, ev = g.edges()
+    hit = _first_common_apex(g, eu, ev, g.pack_set(cover))
+    if hit is None:
+        return None
+    u_star, i = hit
+    a, b, c = sorted((u_star, int(eu[i]), int(ev[i])))
+    return Triangle(a, b, c)
 
 
 def _first_surviving_triangle_edge(g: Graph, cover) -> Optional[tuple[int, int, int]]:
@@ -378,27 +381,13 @@ def find_apex_witness(
 def _smallest_apex_edge(g: Graph, surviving: PairSet) -> Optional[tuple[int, tuple[int, int]]]:
     """Smallest apex w with a surviving edge pair at w, then smallest pair."""
     pu, pv = surviving.selected_endpoints()
-    if pu.size == 0:
+    is_edge = ((g._rows[pu, pv >> 6] >> (pv & 63).astype(np.uint64)) & np.uint64(1)).astype(bool)
+    cu, cv = pu[is_edge], pv[is_edge]
+    hit = _first_common_apex(g, cu, cv)
+    if hit is None:
         return None
-    edge_flag = g.bool_matrix[pu, pv]
-    cu, cv = pu[edge_flag], pv[edge_flag]
-    if cu.size == 0:
-        return None
-    best_apex: Optional[int] = None
-    commons = []
-    for u, v in zip(cu.tolist(), cv.tolist()):
-        common = g._rows[u] & g._rows[v]
-        commons.append(common)
-        apex = _first_bit(common)
-        if apex is not None and (best_apex is None or apex < best_apex):
-            best_apex = apex
-    if best_apex is None:
-        return None
-    word, bit = best_apex >> 6, best_apex & 63
-    for (u, v), common in zip(zip(cu.tolist(), cv.tolist()), commons):
-        if (int(common[word]) >> bit) & 1:
-            return best_apex, (u, v)
-    return None  # pragma: no cover - the best apex came from some pair
+    apex, i = hit
+    return apex, (int(cu[i]), int(cv[i]))
 
 
 def search_blocks(

@@ -46,6 +46,11 @@ class TestGroverCost:
         cfg = CostConfig(leading_constant=2.5)
         assert grover_cost(16, 1.0, cfg) == pytest.approx(10.0)
 
+    @pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf])
+    def test_leading_constant_must_be_positive_and_finite(self, value):
+        with pytest.raises(ValueError):
+            CostConfig(leading_constant=value)
+
     def test_contract(self):
         with pytest.raises(ValueError):
             grover_cost(0, 1.0)

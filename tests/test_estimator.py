@@ -4,8 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from triwalk import Graph, QueryLedger, erdos_renyi
+from triwalk import Graph, PairSet, QueryLedger, erdos_renyi
 from triwalk.estimator import (
     SamplePlan,
     estimate_all_apexes,
@@ -21,6 +23,40 @@ def make_case(n, p, seed, block):
     g = erdos_renyi(n, p, seed)
     surv = uncovered_pairs(g, EMPTY, block)
     return g, surv
+
+
+def reference_apex(g, surv, plan, apex):
+    """Per-apex estimator with explicit short-circuit probe counting.
+
+    A draw outside the surviving set probes nothing; a surviving draw
+    probes its first endpoint against the apex, and its second endpoint
+    only when the first is adjacent. Returns (output, c1, c2, probes).
+    """
+    pu, pv = surv.endpoint_arrays()
+    adj = g.bool_row(apex)
+    member1 = surv.mask[plan.screen_draws]
+    first_ok1 = member1 & adj[pu[plan.screen_draws]]
+    qual1 = first_ok1 & adj[pv[plan.screen_draws]]
+    c1 = int(qual1.any(axis=1).sum())
+    probes = int(member1.sum()) + int(first_ok1.sum())
+    if 2 * c1 <= plan.rounds:
+        return surv.universe_size / plan.m, c1, None, probes
+    member3 = surv.mask[plan.refine_draws]
+    first_ok3 = member3 & adj[pu[plan.refine_draws]]
+    c2 = int((first_ok3 & adj[pv[plan.refine_draws]]).sum())
+    probes += int(member3.sum()) + int(first_ok3.sum())
+    return c2 * surv.universe_size / plan.refine, c1, c2, probes
+
+
+def assert_matches_reference(g, surv, plan):
+    outputs, probes = estimate_all_apexes(g, surv, plan.m, plan)
+    ref = [reference_apex(g, surv, plan, apex) for apex in range(g.n)]
+    assert np.array_equal(outputs, [r[0] for r in ref])
+    assert probes == sum(r[3] for r in ref)
+    for apex in {0, g.n // 2, g.n - 1}:
+        run = estimate_apex_pairs(g, surv, plan.m, apex, plan)
+        assert (run.output, run.c1, run.c2, run.probes_used) == ref[apex]
+    return ref
 
 
 class TestPlan:
@@ -142,6 +178,56 @@ class TestEstimator:
         true_count = 28  # all pairs of the block neighbor every apex in K16
         assert run.c2 is not None
         assert 0.5 * true_count <= run.output <= 1.5 * true_count
+
+
+class TestKernelMatchesReference:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(4, 40),
+        p=st.sampled_from([0.0, 0.2, 0.5, 0.8, 1.0]),
+        graph_seed=st.integers(0, 2**16),
+        plan_seed=st.integers(0, 2**16),
+        data=st.data(),
+    )
+    def test_random_cases(self, n, p, graph_seed, plan_seed, data):
+        g = erdos_renyi(n, p, graph_seed)
+        block = data.draw(st.sets(st.integers(0, n - 1), min_size=2, max_size=n))
+        cover = data.draw(st.sets(st.integers(0, n - 1), max_size=n // 2))
+        surv = uncovered_pairs(g, sorted(cover), sorted(block))
+        m = data.draw(st.integers(1, 2 * surv.universe_size + 3))
+        assert_matches_reference(g, surv, SamplePlan(n, m, surv.universe_size, seed=plan_seed))
+
+    @pytest.mark.parametrize("m", [1, 5, 40])
+    def test_complete_graph_refines_every_apex(self, m):
+        g = erdos_renyi(24, 1.0, seed=0)
+        surv = uncovered_pairs(g, EMPTY, np.arange(8))  # 28 pairs
+        ref = assert_matches_reference(g, surv, SamplePlan(24, m, 28, seed=m))
+        assert all(c2 is not None for _, _, c2, _ in ref)
+
+    def test_tie_at_half_the_rounds_stays_at_floor(self):
+        # Apex 6 closes pair slot 0 = (0, 1) but not slot 1 = (0, 2). Half
+        # the rounds draw slot 0, so 2 * c1 == rounds: no majority, no refine.
+        g = Graph.from_edges(7, [(0, 1), (0, 6), (1, 6)])
+        surv = uncovered_pairs(g, EMPTY, np.arange(6))
+        plan = SamplePlan(7, 1, surv.universe_size, seed=0)
+        assert plan.rounds % 2 == 0
+        plan.screen_draws[:] = 1
+        plan.screen_draws[: plan.rounds // 2] = 0
+        ref = assert_matches_reference(g, surv, plan)
+        assert ref[6][1:3] == (plan.rounds // 2, None)
+
+    def test_empty_surviving_set_exits_without_probes(self):
+        g = erdos_renyi(30, 0.5, seed=2)
+        surv = PairSet.empty(np.arange(12))
+        ref = assert_matches_reference(g, surv, SamplePlan(30, 6, surv.universe_size, seed=1))
+        assert all(r == (surv.universe_size / 6, 0, None, 0) for r in ref)
+
+    def test_apex_out_of_range_rejected(self):
+        g, surv = make_case(20, 0.6, 3, np.arange(10))
+        plan = SamplePlan(20, 5, surv.universe_size, seed=9)
+        for apex in (-1, 20):
+            with pytest.raises(ValueError):
+                estimate_apex_pairs(g, surv, 5, apex, plan)
 
 
 class TestEstimatorGuarantee:

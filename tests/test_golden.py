@@ -9,23 +9,16 @@ kernel that changes a charge, a probe count or an outcome fails here.
 import hashlib
 
 import pytest
+from test_pipeline import WALK_PATH_SEED, plant_only_graph
 
 from triwalk import (
     AlgoParams,
     CostConfig,
     FailureInjection,
-    Graph,
     find_triangle,
     random_bipartite,
     verify_estimator_bounds,
 )
-
-# Seed whose cover at n=64 misses {61, 62, 63} (see test_pipeline.py).
-WALK_PATH_SEED = 91
-
-
-def _plant_only():
-    return Graph.from_edges(64, [(61, 62), (61, 63), (62, 63)])
 
 
 def _bipartite_run(n, seed, **kw):
@@ -39,12 +32,14 @@ CASES = {
     "bipartite-448-s0": _bipartite_run(448, 0),
     "bipartite-448-s1": _bipartite_run(448, 1),
     "bipartite-448-s2": _bipartite_run(448, 2),
-    "walk-path": lambda: find_triangle(_plant_only(), AlgoParams(seed=WALK_PATH_SEED)).to_json(),
+    "walk-path": lambda: find_triangle(
+        plant_only_graph(), AlgoParams(seed=WALK_PATH_SEED)
+    ).to_json(),
     "bipartite-256-log-factors": _bipartite_run(
         256, 4, cost_cfg=CostConfig(log_factors=True)
     ),
     "walk-path-check-gate": lambda: find_triangle(
-        _plant_only(),
+        plant_only_graph(),
         AlgoParams(
             seed=WALK_PATH_SEED,
             failure_injection=FailureInjection(walk_success=0.75, check_success=2.0 / 3.0),

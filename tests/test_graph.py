@@ -222,3 +222,32 @@ class TestSerialization:
         path.write_bytes(b"nope")
         with pytest.raises(ValueError):
             read_packed(path)
+
+
+class TestBoundaryRejection:
+    def test_negative_vertex_id_does_not_wrap(self):
+        with pytest.raises(ValueError, match="out of range"):
+            Graph.from_edges(4, [(0, -1)])
+
+    def test_out_of_range_id_from_edges(self):
+        with pytest.raises(ValueError, match="out of range"):
+            Graph.from_edges(4, [(0, 4)])
+
+    def test_out_of_range_id_in_edge_list(self, tmp_path):
+        path = tmp_path / "g.txt"
+        path.write_text("n 4\n0 1\n2 7\n")
+        with pytest.raises(ValueError, match="out of range"):
+            read_edge_list(path)
+
+    def test_packed_rejects_trailing_bytes(self, tmp_path):
+        path = tmp_path / "g.bin"
+        write_packed(erdos_renyi(20, 0.5, seed=1), path)
+        path.write_bytes(path.read_bytes() + b"\0")
+        with pytest.raises(ValueError, match="payload"):
+            read_packed(path)
+
+    def test_packed_rejects_huge_header_n(self, tmp_path):
+        path = tmp_path / "g.bin"
+        path.write_bytes(b"TWGB" + (2**62).to_bytes(8, "little") + b"\0" * 16)
+        with pytest.raises(ValueError, match="payload"):
+            read_packed(path)
