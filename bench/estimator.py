@@ -1,82 +1,77 @@
-"""Time the all-apex estimator on the finder's own inputs.
+"""Time the all-apex estimator inside the finder's own trials.
 
-For each n, builds the inputs ``find_triangle`` hands the estimator on a
-triangle-free ``random_bipartite(n, seed)`` graph (same cover, block and
-draw plan, from the same seed substreams), then times
-``estimate_all_apexes`` and, separately, one whole trial (generation plus
-``find_triangle``). Prints one JSON object: per n, the median milliseconds
-and a digest of the estimator's (outputs, probes), so two versions can be
+For each n in SIZES and each seed in SEEDS, runs one whole trial
+(``random_bipartite(n, seed)``, triangle-free so every level runs, then
+``find_triangle``) REPEATS times. During each trial,
+``triwalk.pipeline.estimate_all_apexes`` is wrapped to time every call
+and keep its (outputs, probes), so the estimator is timed on exactly the
+inputs the finder hands it. Per input the fastest repeat counts, for the
+trial and for the estimator's summed call time. Prints one JSON object
+per n: the median milliseconds over seeds, the estimator call count, and
+a digest of every call's (outputs, probes), so two versions can be
 checked for identical results as well as compared for speed.
 
-    PYTHONPATH=src python bench/estimator.py --n 448,768,2048
+    PYTHONPATH=src python bench/estimator.py
 """
 
 from __future__ import annotations
 
-import argparse
 import hashlib
 import json
 import statistics
 import time
 
-import numpy as np
-
 import triwalk as tw
-from triwalk.estimator import SamplePlan, estimate_all_apexes
-from triwalk.pipeline import block_size, sample_size
+from triwalk import pipeline
+
+SIZES = (448, 768, 2048)
+SEEDS = range(5)
+REPEATS = 3
 
 
-def _estimator_inputs(n: int, seed: int):
-    params = tw.AlgoParams(seed=seed)
-    g = tw.random_bipartite(n, seed)
-    rng_cover, rng_plan, rng_block, _ = (
-        np.random.default_rng(s) for s in np.random.SeedSequence([seed]).spawn(4)
-    )
-    cover = tw.sample_cover(n, params.k, rng=rng_cover)
-    block = np.sort(rng_block.choice(n, size=block_size(n, params.a), replace=False))
-    surviving = tw.uncovered_pairs(g, cover, block)
-    m = sample_size(n, params.k)
-    plan = SamplePlan(n, m, surviving.universe_size, rng=rng_plan)
-    return g, surviving, m, plan
+def _trial(n: int, seed: int) -> tuple[float, list]:
+    """Run one trial; return its ms and (ms, outputs, probes) per estimator call."""
+    calls = []
+    real = pipeline.estimate_all_apexes
+
+    def timed(*args, **kwargs):
+        t0 = time.perf_counter()
+        outputs, probes = real(*args, **kwargs)
+        calls.append(((time.perf_counter() - t0) * 1000.0, outputs, probes))
+        return outputs, probes
+
+    pipeline.estimate_all_apexes = timed
+    try:
+        t0 = time.perf_counter()
+        tw.find_triangle(tw.random_bipartite(n, seed), tw.AlgoParams(seed=seed))
+        trial_ms = (time.perf_counter() - t0) * 1000.0
+    finally:
+        pipeline.estimate_all_apexes = real
+    return trial_ms, calls
 
 
-def _ms(call, *args) -> float:
-    t0 = time.perf_counter()
-    call(*args)
-    return (time.perf_counter() - t0) * 1000.0
-
-
-def _trial(n: int, seed: int):
-    return tw.find_triangle(tw.random_bipartite(n, seed), tw.AlgoParams(seed=seed))
-
-
-def measure(n: int, seeds: range, repeats: int) -> dict:
+def measure(n: int) -> dict:
     est_ms, trial_ms = [], []
     digest = hashlib.sha256()
-    for seed in seeds:
-        g, surviving, m, plan = _estimator_inputs(n, seed)
-        outputs, probes = estimate_all_apexes(g, surviving, m, plan)
-        digest.update(outputs.tobytes() + str(probes).encode())
-        est_ms.append(min(_ms(estimate_all_apexes, g, surviving, m, plan) for _ in range(repeats)))
-        trial_ms.append(min(_ms(_trial, n, seed) for _ in range(repeats)))
+    calls = 0
+    for seed in SEEDS:
+        runs = [_trial(n, seed) for _ in range(REPEATS)]
+        trial_ms.append(min(ms for ms, _ in runs))
+        est_ms.append(min(sum(ms for ms, _, _ in rec) for _, rec in runs))
+        for _, outputs, probes in runs[0][1]:
+            digest.update(outputs.tobytes() + str(probes).encode())
+        calls += len(runs[0][1])
     return {
         "n": n,
         "estimator_ms": round(statistics.median(est_ms), 2),
         "trial_ms": round(statistics.median(trial_ms), 2),
+        "estimator_calls": calls,
         "digest": digest.hexdigest()[:16],
     }
 
 
 def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--n", default="448,768,2048", help="comma-separated sizes")
-    parser.add_argument("--seeds", type=int, default=5, help="inputs per size (seeds 0..k-1)")
-    parser.add_argument(
-        "--repeats", type=int, default=3, help="timed runs per input; the fastest counts"
-    )
-    args = parser.parse_args()
-    rows = [measure(int(tok), range(args.seeds), args.repeats) for tok in args.n.split(",")]
-    print(json.dumps(rows))
+    print(json.dumps([measure(n) for n in SIZES]))
 
 
 if __name__ == "__main__":

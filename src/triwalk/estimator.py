@@ -163,7 +163,7 @@ def _apex_counts(g: Graph, surviving: PairSet, m: int, plan: SamplePlan) -> _Ape
         # floor without a single adjacency probe.
         return _ApexCounts(zeros, zeros.astype(bool), zeros, np.full(n, universe / m), zeros)
 
-    # Draws per chunk, so no (draws, words) temporary exceeds _CHUNK words.
+    # About _CHUNK words of ANDed rows per chunk; a round is never split.
     step = max(1, _CHUNK // rows.shape[1])
     c1 = zeros.copy()
     per_chunk = max(1, step // m)
@@ -210,8 +210,9 @@ def estimate_apex_pairs(
     adjacency checks against the apex cost one raw probe each and short-
     circuit, so a draw outside the surviving set probes nothing and a draw
     whose first endpoint misses the apex probes once. The ledger, when
-    given, receives the raw probes and one charged estimator run. The
-    counters are read from the same all-apex kernel estimate_all_apexes runs.
+    given, receives the raw probes and one charged estimator run. Each
+    call runs the whole all-apex kernel of estimate_all_apexes, which is
+    the one to call when scoring many apexes.
     """
     if not 0 <= apex < g.n:
         raise ValueError(f"apex {apex} out of range for n={g.n}")
