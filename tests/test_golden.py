@@ -1,9 +1,12 @@
 """Golden report bytes: a kernel rewrite must not move a single byte.
 
-Each case's sha256 digest was recorded from the per-apex reference
-estimator. Criterion 8 only compares two runs of the same code; these
+Each case's sha256 digest was recorded before the code it guards was
+rewritten: the first ten from the per-apex reference estimator, the stage
+gate and baseline cases from the inline gates and the ledger-threaded
+baselines. Criterion 8 only compares two runs of the same code; these
 digests compare the current code with that reference, so an emulation
-kernel that changes a charge, a probe count or an outcome fails here.
+kernel or gate that changes a charge, a probe count, a draw or an outcome
+fails here.
 """
 
 import hashlib
@@ -15,8 +18,12 @@ from triwalk import (
     AlgoParams,
     CostConfig,
     FailureInjection,
+    correctness_suite,
     find_triangle,
+    naive_triples_baseline,
+    planted_instance,
     random_bipartite,
+    sparse_edges_baseline,
     verify_estimator_bounds,
 )
 
@@ -48,6 +55,27 @@ CASES = {
     "estimator-bounds-256": lambda: verify_estimator_bounds(
         256, 0.75, 0.5, 4, family="bipartite", seed=3
     ).to_json(),
+    # One case per stage gate not pinned above: the final search gate on the
+    # walk path, and the cover search gate on positives.
+    "walk-path-search-gate": lambda: find_triangle(
+        plant_only_graph(),
+        AlgoParams(seed=WALK_PATH_SEED, failure_injection=FailureInjection(search_success=0.5)),
+    ).to_json(),
+    # The gate's draw for this seed is about 0.029, so here it suppresses.
+    "walk-path-search-gate-suppressed": lambda: find_triangle(
+        plant_only_graph(),
+        AlgoParams(seed=WALK_PATH_SEED, failure_injection=FailureInjection(search_success=0.02)),
+    ).to_json(),
+    "suite-all-gates": lambda: correctness_suite(
+        32,
+        10,
+        seed=5,
+        injection=FailureInjection(0.75, 2.0 / 3.0, 0.9),
+        planted_cases=4,
+        planted_n=64,
+    ).to_json(),
+    "naive-baseline-96": lambda: naive_triples_baseline(planted_instance(96, 2)).to_json(),
+    "edges-baseline-96": lambda: sparse_edges_baseline(random_bipartite(96, 2)).to_json(),
 }
 
 GOLDEN = {
@@ -58,9 +86,14 @@ GOLDEN = {
     "bipartite-448-s0": "5754945cbda7f7181095a3d216d1461dee3f311a83fb5cd95171e5a71b686fa9",
     "bipartite-448-s1": "8dc6cdf0b8431920a32b78f821900921c514c1e675f47d1379c5348490d2cc5b",
     "bipartite-448-s2": "2bc903c3e8a084b2ff28ad2a0acd7dbd6e4e123868e9d9d911e98d1531f3ef09",
+    "edges-baseline-96": "56e38db0d86ead856da101044fab162fdac55be22a093702e0cef4cb5c8a7cb7",
     "estimator-bounds-256": "44884c36636e5336ad39fa3f39e521fd2a48dd296ae072a91ad4691577a8cbe8",
+    "naive-baseline-96": "15f920ab330aef15ae498e9ccdab5db197b8fc3b3ad5bbbaf84f935d77f35307",
+    "suite-all-gates": "3aa80b1a6b1e33c6df57bd1773d46522b19ebd3e0d1586ae7855f35d7d66e524",
     "walk-path": "dfc9fc5930b9026d1f6bb08efcc18982cd2f71aba921342be267e5dd43dbbae2",
     "walk-path-check-gate": "88a9f2fadaaeca981974af5100aed950b67ebfe5cc4321c44e309ef7fa2851d1",
+    "walk-path-search-gate": "dfc9fc5930b9026d1f6bb08efcc18982cd2f71aba921342be267e5dd43dbbae2",
+    "walk-path-search-gate-suppressed": "249415ec520dee6b16705d5cac1f28a17723c4f0a6a5acea2fbf40b3efe16016",
 }
 
 
