@@ -11,8 +11,6 @@ exponents against baselines.
 from .costs import (
     CostConfig,
     WalkCharge,
-    charged_grover,
-    charged_walk_decide,
     grover_cost,
     variable_search_cost,
     walk_cost,

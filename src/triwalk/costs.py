@@ -1,7 +1,8 @@
-"""Charged quantum cost algebra and emulated search combinators.
+"""Charged quantum cost algebra.
 
 The emulator computes exact classical answers while charging a ledger the
-query budget the corresponding quantum routine is granted:
+query budget the corresponding quantum routine is granted. These are the
+three formulas it charges through:
 
 * plain search over m items, t oracle queries per evaluation:  t * sqrt(m)
 * search with heterogeneous per-item costs t_s:                sqrt(sum t_s^2)
@@ -14,20 +15,14 @@ Each formula optionally carries a ceil(ln ...) repetition factor
 the power law directly; flipping the toggle restores them for sensitivity
 studies. Charged values are real-valued throughout: square roots are never
 rounded, which keeps scaling fits free of staircase artifacts.
-
-Emulation is deterministic and exact by default. Failure injection is
-opt-in and only ever *suppresses* a true witness; it never fabricates one.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, TypeVar
 
 import numpy as np
-
-from .graph import QueryLedger
 
 __all__ = [
     "CostConfig",
@@ -37,11 +32,7 @@ __all__ = [
     "variable_search_cost",
     "walk_cost",
     "walk_cost_terms",
-    "charged_grover",
-    "charged_walk_decide",
 ]
-
-T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -73,18 +64,19 @@ class WalkCharge:
     setup/update/check are per-operation query costs; r is the walked
     subset size; eps is an a priori lower bound on the marked fraction
     whenever any marked state exists. The label names the ground set for
-    reports.
+    reports. check may be an array of checking costs, one per walk, which
+    makes the check term and walk_cost elementwise.
     """
 
     setup: float
     update: float
-    check: float
+    check: float | np.ndarray
     r: int
     eps: float
     label: str = ""
 
     def __post_init__(self):
-        if self.setup < 0 or self.update < 0 or self.check < 0:
+        if self.setup < 0 or self.update < 0 or np.any(np.asarray(self.check) < 0):
             raise ValueError("walk costs must be nonnegative")
         if self.r < 1:
             raise ValueError("subset size r must be a positive integer")
@@ -124,7 +116,7 @@ def variable_search_cost(costs, cfg: CostConfig = DEFAULT_CONFIG) -> float:
 
 def walk_cost_terms(
     charge: WalkCharge, cfg: CostConfig = DEFAULT_CONFIG
-) -> tuple[float, float, float]:
+) -> tuple[float, float, float | np.ndarray]:
     """Setup / update / check contributions whose sum is walk_cost.
 
     Exposed separately so pipelines can attribute each term to its own
@@ -139,62 +131,7 @@ def walk_cost_terms(
     )
 
 
-def walk_cost(charge: WalkCharge, cfg: CostConfig = DEFAULT_CONFIG) -> float:
+def walk_cost(charge: WalkCharge, cfg: CostConfig = DEFAULT_CONFIG) -> float | np.ndarray:
     """Charged cost of a subset walk: S + (1/sqrt(eps)) (sqrt(r) U + C)."""
     t_setup, t_update, t_check = walk_cost_terms(charge, cfg)
     return t_setup + t_update + t_check
-
-
-def charged_grover(
-    domain: Sequence[T],
-    predicate: Callable[[T], bool],
-    t_per_eval: float,
-    ledger: QueryLedger,
-    phase: str,
-    cfg: CostConfig = DEFAULT_CONFIG,
-) -> Optional[T]:
-    """Emulated search: exact classical scan, quantum-style charge.
-
-    Returns the first item of ``domain`` (in its given order, which callers
-    keep canonical) satisfying the predicate, or None. The ledger is
-    charged grover_cost(len(domain), t_per_eval) regardless of outcome;
-    predicate evaluations are free on the charged side.
-    """
-    items = list(domain)
-    if not items:
-        raise ValueError("search domain must be nonempty")
-    ledger.charge(phase, grover_cost(len(items), t_per_eval, cfg))
-    for item in items:
-        if predicate(item):
-            return item
-    return None
-
-
-def charged_walk_decide(
-    charge: WalkCharge,
-    marked_exists: bool,
-    witness: Optional[T],
-    ledger: QueryLedger,
-    phase: str,
-    cfg: CostConfig = DEFAULT_CONFIG,
-    failure_prob: Optional[float] = None,
-    rng: Optional[np.random.Generator] = None,
-) -> Optional[T]:
-    """Emulated subset-walk decision: charge the walk, hand back the witness.
-
-    The caller has already decided (exactly, on the emulation side) whether
-    a marked state exists. With failure injection enabled, a true witness
-    is suppressed with probability ``failure_prob``, modelling the walk's
-    bounded success probability; a missing witness is never fabricated.
-    """
-    if marked_exists and witness is None:
-        raise ValueError("marked_exists requires a witness payload")
-    ledger.charge(phase, walk_cost(charge, cfg))
-    if not marked_exists:
-        return None
-    if failure_prob is not None:
-        if rng is None:
-            raise ValueError("failure injection needs an rng")
-        if rng.random() < failure_prob:
-            return None
-    return witness

@@ -56,8 +56,6 @@ __all__ = [
 SCREEN_ROUNDS_FACTOR = 240.0
 # Draw count of the refinement stage: ceil(72 m ln n).
 REFINE_DRAWS_FACTOR = 72.0
-# Default constant in the charged estimator cost ceil(c * m * ln n).
-DEFAULT_CHARGE_CONSTANT = 1.0
 
 
 def screen_rounds(n: int) -> int:
@@ -68,9 +66,9 @@ def refine_draws(n: int, m: int) -> int:
     return math.ceil(REFINE_DRAWS_FACTOR * m * math.log(n))
 
 
-def estimator_charge(n: int, m: int, constant: float = DEFAULT_CHARGE_CONSTANT) -> int:
-    """Charged query cost of one estimator run."""
-    return math.ceil(constant * m * math.log(n))
+def estimator_charge(n: int, m: int) -> int:
+    """Charged query cost of one estimator run: ceil(m ln n)."""
+    return math.ceil(m * math.log(n))
 
 
 class SamplePlan:
@@ -202,7 +200,6 @@ def estimate_apex_pairs(
     apex: int,
     plan: SamplePlan,
     ledger: Optional[QueryLedger] = None,
-    charge_constant: float = DEFAULT_CHARGE_CONSTANT,
 ) -> EstimatorRun:
     """Run the estimator for one apex against a shared plan.
 
@@ -218,7 +215,7 @@ def estimate_apex_pairs(
         raise ValueError(f"apex {apex} out of range for n={g.n}")
     counts = _apex_counts(g, surviving, m, plan)
     probes = int(counts.probes[apex])
-    charged = estimator_charge(g.n, m, charge_constant)
+    charged = estimator_charge(g.n, m)
     if ledger is not None:
         ledger.add_raw(probes)
         ledger.charge("estimator", charged)

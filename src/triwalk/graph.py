@@ -177,9 +177,6 @@ class Graph:
     def neighbors(self, u: int) -> np.ndarray:
         return np.nonzero(self.bool_row(u))[0]
 
-    def degree(self, u: int) -> int:
-        return int(np.bitwise_count(self._rows[u]).sum())
-
     @property
     def edge_count(self) -> int:
         return int(np.bitwise_count(self._rows).sum()) // 2
@@ -190,10 +187,6 @@ class Graph:
             eu, ev = np.nonzero(np.triu(self.bool_matrix, 1))
             self._edges = (eu.astype(np.int64), ev.astype(np.int64))
         return self._edges
-
-    def common_count(self, u: int, v: int) -> int:
-        """Number of vertices adjacent to both u and v."""
-        return int(np.bitwise_count(self._rows[u] & self._rows[v]).sum())
 
     def pack_set(self, vertices) -> np.ndarray:
         """Bitmask of a vertex subset in the row word layout."""

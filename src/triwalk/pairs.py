@@ -27,7 +27,6 @@ __all__ = [
     "PairSet",
     "cover_draw_count",
     "sample_cover",
-    "all_pairs",
     "uncovered_pairs",
     "uncovered_pairs_at",
     "apex_restrict",
@@ -139,11 +138,6 @@ class PairSet:
 
     def __repr__(self) -> str:
         return f"PairSet(|universe|={self.verts.size}, pairs={len(self)})"
-
-
-def all_pairs(verts) -> PairSet:
-    """The complete pair set of a vertex subset."""
-    return PairSet.full(verts)
 
 
 def cover_draw_count(n: int, k: float) -> int:

@@ -48,14 +48,10 @@ from .costs import (
     grover_cost,
     log_multiplier,
     variable_search_cost,
+    walk_cost,
     walk_cost_terms,
 )
-from .estimator import (
-    DEFAULT_CHARGE_CONSTANT,
-    SamplePlan,
-    estimate_all_apexes,
-    estimator_charge,
-)
+from .estimator import SamplePlan, estimate_all_apexes, estimator_charge
 from .graph import (
     _CHUNK, Graph, QueryLedger, Triangle, _first_bit, brute_force_triangle, is_triangle
 )
@@ -103,6 +99,9 @@ class FailureInjection:
             p = getattr(self, name)
             if p is not None and not 0.0 <= p <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1]")
+
+
+_NO_INJECTION = FailureInjection()
 
 
 @dataclass(frozen=True)
@@ -161,12 +160,20 @@ def _cover_charge_size(n: int, k: float, cover, cfg: CostConfig) -> int:
 
 
 def _estimator_charge_each(n: int, m: int, cfg: CostConfig) -> float:
-    base = (
-        estimator_charge(n, m, DEFAULT_CHARGE_CONSTANT)
-        if cfg.log_factors
-        else math.ceil(DEFAULT_CHARGE_CONSTANT * m)
-    )
-    return cfg.leading_constant * base
+    return cfg.leading_constant * (estimator_charge(n, m) if cfg.log_factors else m)
+
+
+def _suppressed(p: Optional[float], rng: Optional[np.random.Generator], gate: str) -> bool:
+    """True when a stage gate suppresses the witness a caller has found.
+
+    p is the gate's success probability; None means no gate and no draw.
+    A configured gate draws once from rng and suppresses with chance 1 - p.
+    """
+    if p is None:
+        return False
+    if rng is None:
+        raise ValueError(f"{gate} gate needs an rng")
+    return rng.random() >= p
 
 
 def _first_common_apex(
@@ -258,12 +265,9 @@ def search_cover_triangles(
     domain = _cover_charge_size(g.n, params.k, cover, cfg) * comb(g.n, 2)
     ledger.charge("cover_search", grover_cost(domain, 1.0, cfg))
     found = _first_cover_triangle(g, cover)
-    inj = params.failure_injection
-    if found is not None and inj is not None and inj.search_success is not None:
-        if rng is None:
-            raise ValueError("search gate needs an rng")
-        if rng.random() >= inj.search_success:
-            return None
+    inj = params.failure_injection or _NO_INJECTION
+    if found is not None and _suppressed(inj.search_success, rng, "search"):
+        return None
     return found
 
 
@@ -292,7 +296,6 @@ class CheckCharge:
 
 def find_apex_witness(
     g: Graph,
-    cover,
     block: np.ndarray,
     surviving: PairSet,
     params: AlgoParams,
@@ -300,8 +303,6 @@ def find_apex_witness(
     rng: Optional[np.random.Generator] = None,
     inj_rng: Optional[np.random.Generator] = None,
     charge_scale: float = 1.0,
-    estimator_phase: str = "estimator",
-    walk_phase: str = "inner_walk",
 ) -> tuple[Optional[tuple[int, tuple[int, int]]], CheckCharge]:
     """Decide whether the block's surviving pairs contain a triangle edge.
 
@@ -312,9 +313,9 @@ def find_apex_witness(
              cost sqrt(cap(w)) where cap(w) is the subset pair cap with
              the estimate standing in for a third of the true count.
     The dispatch over apexes is charged sqrt(sum_w Q(w)^2); its estimator
-    and walk shares go to separate ledger phases, scaled by charge_scale
-    (callers embedding this as a walk's checking step pass their
-    amplification factor).
+    and walk shares go to the outer_check_estimator and inner_walk ledger
+    phases, scaled by charge_scale (callers embedding this as a walk's
+    checking step pass their amplification factor).
 
     Emulation returns the smallest apex w together with the smallest
     surviving pair at w that is an edge, or None. Estimator runs for every
@@ -343,18 +344,12 @@ def find_apex_witness(
     est_each = _estimator_charge_each(n, m, cfg)
     caps = subset_pair_cap(r, bsize, 3.0 * estimates)
     eps = (r - 1) ** 2 / (2.0 * bsize**2)
-    scale = cfg.leading_constant * log_multiplier(r, cfg)
-    amplify = 1.0 / math.sqrt(eps)
-    # Mirrors walk_cost_terms(WalkCharge(r, 2, sqrt(cap), r, eps)) term by
-    # term so scalar and vector paths agree bit for bit.
-    walk_fixed = scale * r + scale * amplify * math.sqrt(r) * 2.0
-    walk_vec = walk_fixed + scale * amplify * np.sqrt(caps)
-    per_apex = est_each + walk_vec
+    per_apex = est_each + walk_cost(WalkCharge(r, 2.0, np.sqrt(caps), r, eps), cfg)
     total = variable_search_cost(per_apex, cfg)
     est_share = total * (n * est_each / float(per_apex.sum()))
     walk_share = total - est_share
-    ledger.charge(estimator_phase, charge_scale * est_share)
-    ledger.charge(walk_phase, charge_scale * walk_share)
+    ledger.charge("outer_check_estimator", charge_scale * est_share)
+    ledger.charge("inner_walk", charge_scale * walk_share)
     charge = CheckCharge(
         per_apex=per_apex,
         estimates=estimates,
@@ -369,12 +364,9 @@ def find_apex_witness(
     )
 
     witness = _smallest_apex_edge(g, surviving)
-    inj = params.failure_injection
-    if witness is not None and inj is not None and inj.check_success is not None:
-        if inj_rng is None:
-            raise ValueError("checker gate needs an rng")
-        if inj_rng.random() >= inj.check_success:
-            witness = None
+    inj = params.failure_injection or _NO_INJECTION
+    if witness is not None and _suppressed(inj.check_success, inj_rng, "checker"):
+        witness = None
     return witness, charge
 
 
@@ -432,7 +424,6 @@ def search_blocks(
     )
     chk_witness, check_charge = find_apex_witness(
         g,
-        cover,
         block,
         surviving,
         params,
@@ -440,8 +431,6 @@ def search_blocks(
         rng=plan_rng,
         inj_rng=inj_rng,
         charge_scale=check_scale,
-        estimator_phase="outer_check_estimator",
-        walk_phase="inner_walk",
     )
 
     x_charge = _cover_charge_size(n, params.k, cover, cfg)
@@ -475,13 +464,10 @@ def search_blocks(
 
     if hit is None:
         return None, log
-    inj = params.failure_injection
-    if inj is not None and inj.walk_success is not None:
-        if inj_rng is None:
-            raise ValueError("walk gate needs an rng")
-        if inj_rng.random() >= inj.walk_success:
-            log["suppressed"] = True
-            return None, log
+    inj = params.failure_injection or _NO_INJECTION
+    if _suppressed(inj.walk_success, inj_rng, "walk"):
+        log["suppressed"] = True
+        return None, log
     u, v, apex = hit
     return (block, apex, (u, v)), log
 
@@ -615,13 +601,9 @@ def find_triangle(g: Graph, params: AlgoParams) -> RunReport:
             if ledger.total > budget:
                 stopped = True
             else:
-                candidate = Triangle(*sorted((pair[0], pair[1], apex)))
-                inj = params.failure_injection
-                suppressed = False
-                if inj is not None and inj.search_success is not None:
-                    suppressed = rng_inj.random() >= inj.search_success
-                if not suppressed:
-                    outcome = candidate
+                inj = params.failure_injection or _NO_INJECTION
+                if not _suppressed(inj.search_success, rng_inj, "search"):
+                    outcome = Triangle(*sorted((pair[0], pair[1], apex)))
 
     if stopped:
         outcome = None
@@ -643,40 +625,29 @@ def find_triangle(g: Graph, params: AlgoParams) -> RunReport:
     )
 
 
-def naive_triples_baseline(
-    g: Graph,
-    cfg: Optional[CostConfig] = None,
-    ledger: Optional[QueryLedger] = None,
-) -> RunReport:
+def naive_triples_baseline(g: Graph, cfg: Optional[CostConfig] = None) -> RunReport:
     """Plain search over all vertex triples: charge sqrt(C(n,3))."""
     if g.n < 3:
         raise ValueError("triple search needs at least 3 vertices")
     cfg = cfg or CostConfig()
-    ledger = ledger if ledger is not None else QueryLedger()
     t0 = time.perf_counter()
     domain = comb(g.n, 3)
-    ledger.charge("triples_search", grover_cost(domain, 1.0, cfg))
     outcome = brute_force_triangle(g)
     return RunReport(
         n=g.n,
         algo="naive",
         outcome=outcome,
-        charges={"triples_search": ledger.charged["triples_search"]},
-        raw_probes=ledger.raw_probes,
+        charges={"triples_search": grover_cost(domain, 1.0, cfg)},
+        raw_probes=0,
         params={"a": None, "k": None, "log_factors": cfg.log_factors, "seed": None},
         charge_log={"triples_search": {"domain": domain, "t": 1.0}},
         wall_ms=(time.perf_counter() - t0) * 1000.0,
     )
 
 
-def sparse_edges_baseline(
-    g: Graph,
-    cfg: Optional[CostConfig] = None,
-    ledger: Optional[QueryLedger] = None,
-) -> RunReport:
+def sparse_edges_baseline(g: Graph, cfg: Optional[CostConfig] = None) -> RunReport:
     """Edge-count-aware baseline: charge n + sqrt(n m) for m true edges."""
     cfg = cfg or CostConfig()
-    ledger = ledger if ledger is not None else QueryLedger()
     t0 = time.perf_counter()
     m_edges = g.edge_count
     charge = (
@@ -684,14 +655,13 @@ def sparse_edges_baseline(
         * (g.n + math.sqrt(g.n * m_edges))
         * log_multiplier(g.n, cfg)
     )
-    ledger.charge("edge_search", charge)
     outcome = brute_force_triangle(g)
     return RunReport(
         n=g.n,
         algo="edges",
         outcome=outcome,
-        charges={"edge_search": ledger.charged["edge_search"]},
-        raw_probes=ledger.raw_probes,
+        charges={"edge_search": charge},
+        raw_probes=0,
         params={"a": None, "k": None, "log_factors": cfg.log_factors, "seed": None},
         charge_log={"edge_search": {"edges": int(m_edges)}},
         wall_ms=(time.perf_counter() - t0) * 1000.0,

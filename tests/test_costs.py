@@ -1,18 +1,13 @@
-"""Cost algebra identities and the emulated search combinators."""
+"""Cost algebra identities."""
 
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from triwalk import (
     CostConfig,
-    QueryLedger,
     WalkCharge,
-    charged_grover,
-    charged_walk_decide,
     grover_cost,
     variable_search_cost,
     walk_cost,
@@ -110,88 +105,14 @@ class TestWalkCost:
         with pytest.raises(ValueError):
             WalkCharge(-1.0, 1.0, 1.0, r=4, eps=0.5)
 
+    @pytest.mark.parametrize("cfg", [CostConfig(), LOG_ON, CostConfig(leading_constant=1.7)])
+    def test_array_check_is_elementwise_scalar_cost(self, cfg):
+        checks = np.sqrt(np.array([0.0, 1.0, 2.5, 17.0, 1e6]))
+        vec = walk_cost(WalkCharge(11, 2.0, checks, r=11, eps=0.37), cfg)
+        scalar = [walk_cost(WalkCharge(11, 2.0, float(c), r=11, eps=0.37), cfg) for c in checks]
+        assert vec.shape == checks.shape
+        assert all(v == s for v, s in zip(vec, scalar))
 
-class TestChargedGrover:
-    def test_finds_unique_item(self):
-        ledger = QueryLedger()
-        item = charged_grover(range(100), lambda x: x == 37, 1.0, ledger, "p")
-        assert item == 37
-        assert ledger.charged["p"] == grover_cost(100, 1.0)
-
-    def test_single_failing_item_charges_t(self):
-        ledger = QueryLedger()
-        assert charged_grover([4], lambda x: False, 2.5, ledger, "p") is None
-        assert ledger.charged["p"] == 2.5
-
-    def test_all_satisfying_returns_first(self):
-        ledger = QueryLedger()
-        assert charged_grover(range(10, 20), lambda x: True, 1.0, ledger, "p") == 10
-
-    def test_empty_domain_rejected(self):
-        with pytest.raises(ValueError):
-            charged_grover([], lambda x: True, 1.0, QueryLedger(), "p")
-
-    @settings(max_examples=50)
-    @given(
-        st.lists(st.integers(0, 50), min_size=1, max_size=30, unique=True),
-        st.sets(st.integers(0, 50)),
-    )
-    def test_emulation_exact(self, domain, good):
-        ledger = QueryLedger()
-        domain = sorted(domain)
-        found = charged_grover(domain, lambda x: x in good, 1.0, ledger, "p")
-        matches = [x for x in domain if x in good]
-        assert found == (matches[0] if matches else None)
-
-
-class TestChargedWalkDecide:
-    def test_no_marked_state(self):
-        ledger = QueryLedger()
-        charge = WalkCharge(5.0, 1.0, 2.0, r=4, eps=0.5)
-        assert charged_walk_decide(charge, False, None, ledger, "w") is None
-        assert ledger.charged["w"] == walk_cost(charge)
-
-    def test_witness_passes_through(self):
-        ledger = QueryLedger()
-        charge = WalkCharge(5.0, 1.0, 2.0, r=4, eps=0.5)
-        assert charged_walk_decide(charge, True, ("x",), ledger, "w") == ("x",)
-
-    def test_missing_witness_rejected(self):
-        with pytest.raises(ValueError):
-            charged_walk_decide(
-                WalkCharge(1.0, 1.0, 1.0, r=4, eps=0.5), True, None, QueryLedger(), "w"
-            )
-
-    def test_ledger_matches_formula_bit_for_bit(self):
-        charge = WalkCharge(3.7, 1.2, 9.4, r=11, eps=0.37)
-        ledger = QueryLedger()
-        charged_walk_decide(charge, False, None, ledger, "w")
-        assert ledger.charged["w"] == walk_cost(charge)
-
-    def test_injection_suppression_rate(self):
-        # Suppression probability 1/4 over 10^4 trials: 2500 +/- 5 sigma.
-        charge = WalkCharge(1.0, 1.0, 1.0, r=4, eps=0.5)
-        rng = np.random.default_rng(123)
-        suppressed = 0
-        trials = 10_000
-        for _ in range(trials):
-            out = charged_walk_decide(
-                charge, True, "tri", QueryLedger(), "w", failure_prob=0.25, rng=rng
-            )
-            suppressed += out is None
-        sigma = math.sqrt(trials * 0.25 * 0.75)
-        assert abs(suppressed - 2500) <= 5 * sigma
-
-    def test_injection_never_fabricates(self):
-        rng = np.random.default_rng(5)
-        for _ in range(100):
-            out = charged_walk_decide(
-                WalkCharge(1.0, 1.0, 1.0, r=4, eps=0.5),
-                False,
-                None,
-                QueryLedger(),
-                "w",
-                failure_prob=0.9,
-                rng=rng,
-            )
-            assert out is None
+    def test_array_check_with_a_negative_entry_rejected(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            WalkCharge(1.0, 1.0, np.array([1.0, -0.5, 2.0]), r=4, eps=0.5)

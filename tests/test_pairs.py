@@ -19,7 +19,7 @@ from triwalk import (
     uncovered_pairs,
     uncovered_pairs_at,
 )
-from triwalk.pairs import all_pairs, cover_draw_count
+from triwalk.pairs import cover_draw_count
 
 
 def uncovered_by_double_loop(g, cover, within):
@@ -59,12 +59,12 @@ class TestCoverSampling:
 
 class TestPairSet:
     def test_canonical_enumeration(self):
-        ps = all_pairs([3, 1, 7])
+        ps = PairSet.full([3, 1, 7])
         assert list(ps.pairs()) == [(1, 3), (1, 7), (3, 7)]
         assert ps.universe_size == 3 and len(ps) == 3
 
     def test_membership_and_slots(self):
-        ps = all_pairs(range(5))
+        ps = PairSet.full(range(5))
         assert (2, 4) in ps and (4, 2) in ps
         with pytest.raises(ValueError):
             (2, 2) in ps
@@ -78,7 +78,7 @@ class TestPairSet:
             PairSet(np.array([1, 2, 3]), np.zeros(5, dtype=bool))
 
     def test_singleton_universe_is_empty(self):
-        ps = all_pairs([4])
+        ps = PairSet.full([4])
         assert ps.universe_size == 0 and len(ps) == 0
 
 
@@ -124,7 +124,7 @@ class TestUncoveredPairs:
     def test_nesting_invariants(self, seed, apex):
         g = small_graph(seed, 16, 0.5)
         within = range(2, 14)
-        base = all_pairs(within)
+        base = PairSet.full(within)
         surv = uncovered_pairs(g, [0, 1], within)
         at = uncovered_pairs_at(g, [0, 1], within, apex)
         assert at.issubset(surv)

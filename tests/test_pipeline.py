@@ -137,16 +137,16 @@ class TestApexWitness:
     def test_no_survivors_still_charges_floor(self):
         g, params, cover, block, surviving = self.make(64, 0.0, 1)
         ledger = QueryLedger()
-        witness, charge = find_apex_witness(g, cover, block, surviving, params, ledger)
+        witness, charge = find_apex_witness(g, block, surviving, params, ledger)
         assert witness is None
         assert charge.total > 0
-        assert ledger.charged["estimator"] == pytest.approx(charge.estimator_share)
+        assert ledger.charged["outer_check_estimator"] == pytest.approx(charge.estimator_share)
         assert ledger.charged["inner_walk"] == pytest.approx(charge.walk_share)
 
     def test_share_split_is_additive(self):
         g, params, cover, block, surviving = self.make(64, 0.5, 2, cover_seed=3)
         witness, charge = find_apex_witness(
-            g, cover, block, surviving, params, QueryLedger()
+            g, block, surviving, params, QueryLedger()
         )
         assert charge.estimator_share + charge.walk_share == charge.total
 
@@ -154,7 +154,7 @@ class TestApexWitness:
         # Q(w) must equal one estimator charge plus the subset-walk formula
         # with checking cost sqrt(cap(w)), bit for bit.
         g, params, cover, block, surviving = self.make(64, 0.5, 4, cover_seed=5)
-        _, charge = find_apex_witness(g, cover, block, surviving, params, QueryLedger())
+        _, charge = find_apex_witness(g, block, surviving, params, QueryLedger())
         r = charge.subset_size
         for w in (0, 17, 63):
             cap = subset_pair_cap(r, block.size, 3.0 * charge.estimates[w])
@@ -169,7 +169,7 @@ class TestApexWitness:
         for seed in range(8):
             g, params, cover, block, surviving = self.make(64, 0.25, seed)
             witness, _ = find_apex_witness(
-                g, cover, block, surviving, params, QueryLedger()
+                g, block, surviving, params, QueryLedger()
             )
             assert witness == apex_witness_oracle(g, surviving)
             found_any += witness is not None
@@ -180,7 +180,7 @@ class TestApexWitness:
         params = AlgoParams()
         block = np.arange(block_size(64, params.a))  # 23 vertices: all three in
         surviving = uncovered_pairs(g, EMPTY, block)
-        witness, _ = find_apex_witness(g, EMPTY, block, surviving, params, QueryLedger())
+        witness, _ = find_apex_witness(g, block, surviving, params, QueryLedger())
         assert witness == (5, (10, 20))  # smallest apex, then smallest pair
 
     def test_apex_outside_block_found(self):
@@ -189,7 +189,7 @@ class TestApexWitness:
         params = AlgoParams()
         block = np.arange(block_size(64, params.a))
         surviving = uncovered_pairs(g, EMPTY, block)
-        witness, _ = find_apex_witness(g, EMPTY, block, surviving, params, QueryLedger())
+        witness, _ = find_apex_witness(g, block, surviving, params, QueryLedger())
         assert witness == (30, (10, 20))
 
     def test_charge_ratio_across_sizes(self):
@@ -203,7 +203,7 @@ class TestApexWitness:
             block = np.arange(block_size(n, params.a))
             surviving = uncovered_pairs(g, cover, block)
             _, charge = find_apex_witness(
-                g, cover, block, surviving, params, QueryLedger()
+                g, block, surviving, params, QueryLedger()
             )
             totals[n] = charge.total
         assert 3.5 <= totals[1024] / totals[256] <= 7.5
@@ -212,7 +212,7 @@ class TestApexWitness:
         g, params, cover, block, surviving = self.make(64, 0.5, 6)
         with pytest.raises(ValueError):
             find_apex_witness(
-                g, cover, block[:-1], surviving, params, QueryLedger()
+                g, block[:-1], surviving, params, QueryLedger()
             )
 
     def test_checker_gate(self):
@@ -222,7 +222,6 @@ class TestApexWitness:
         surviving = uncovered_pairs(g, EMPTY, block)
         witness, _ = find_apex_witness(
             g,
-            EMPTY,
             block,
             surviving,
             params,
@@ -307,6 +306,29 @@ class TestBlockWalk:
         )
         sigma = math.sqrt(400 * 0.25 * 0.75)
         assert abs(suppressed - 100) <= 5 * sigma
+
+
+def _gate_call_without_rng(gate):
+    """A stage call that finds a witness, has its gate set and gets no rng."""
+    ledger = QueryLedger()
+    if gate == "search":
+        params = AlgoParams(failure_injection=FailureInjection(search_success=0.5))
+        return lambda: search_cover_triangles(erdos_renyi(16, 1.0, seed=0), [0], params, ledger)
+    if gate == "checker":
+        g = plant_only_graph(64, (10, 20, 30))
+        params = AlgoParams(failure_injection=FailureInjection(check_success=0.5))
+        block = np.arange(block_size(64, params.a))
+        surviving = uncovered_pairs(g, EMPTY, block)
+        return lambda: find_apex_witness(g, block, surviving, params, ledger)
+    params = AlgoParams(seed=1, failure_injection=FailureInjection(walk_success=0.5))
+    return lambda: search_blocks(plant_only_graph(), np.array([0]), params, ledger)
+
+
+@pytest.mark.parametrize("gate", ["search", "checker", "walk"])
+def test_configured_gate_without_rng_rejected(gate):
+    call = _gate_call_without_rng(gate)
+    with pytest.raises(ValueError, match=f"{gate} gate needs an rng"):
+        call()
 
 
 class TestFindTriangle:
