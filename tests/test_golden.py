@@ -3,7 +3,8 @@
 Each case's sha256 digest was recorded before the code it guards was
 rewritten: the first ten from the per-apex reference estimator, the stage
 gate and baseline cases from the inline gates and the ledger-threaded
-baselines. Criterion 8 only compares two runs of the same code; these
+baselines, the dense, covered-edge and cover-avoiding cases from the
+full-edge triangle scans. Criterion 8 only compares two runs of the same code; these
 digests compare the current code with that reference, so an emulation
 kernel or gate that changes a charge, a probe count, a draw or an outcome
 fails here.
@@ -19,6 +20,7 @@ from triwalk import (
     CostConfig,
     FailureInjection,
     correctness_suite,
+    erdos_renyi,
     find_triangle,
     naive_triples_baseline,
     planted_instance,
@@ -75,6 +77,20 @@ CASES = {
         planted_n=64,
     ).to_json(),
     "naive-baseline-96": lambda: naive_triples_baseline(planted_instance(96, 2)).to_json(),
+    # Triangle scans. Dense inputs exit at cover search; the gated sparse run
+    # reaches the block walk with covered triangle edges ahead of the first
+    # surviving one; the n=448 triangle avoids seed 91's cover, so only the
+    # walk finds it; the baseline runs brute force on a positive.
+    "er-1024-s0": lambda: find_triangle(erdos_renyi(1024, 0.5, 0), AlgoParams(seed=0)).to_json(),
+    "er-1024-s1": lambda: find_triangle(erdos_renyi(1024, 0.5, 1), AlgoParams(seed=1)).to_json(),
+    "er-128-covered-edges": lambda: find_triangle(
+        erdos_renyi(128, 0.1, 0),
+        AlgoParams(seed=0, failure_injection=FailureInjection(search_success=0.02)),
+    ).to_json(),
+    "walk-path-448": lambda: find_triangle(
+        plant_only_graph(448, (226, 227, 233)), AlgoParams(seed=WALK_PATH_SEED)
+    ).to_json(),
+    "naive-baseline-er-256": lambda: naive_triples_baseline(erdos_renyi(256, 0.5, 1)).to_json(),
     "edges-baseline-96": lambda: sparse_edges_baseline(random_bipartite(96, 2)).to_json(),
 }
 
@@ -87,10 +103,15 @@ GOLDEN = {
     "bipartite-448-s1": "8dc6cdf0b8431920a32b78f821900921c514c1e675f47d1379c5348490d2cc5b",
     "bipartite-448-s2": "2bc903c3e8a084b2ff28ad2a0acd7dbd6e4e123868e9d9d911e98d1531f3ef09",
     "edges-baseline-96": "56e38db0d86ead856da101044fab162fdac55be22a093702e0cef4cb5c8a7cb7",
+    "er-1024-s0": "eee10256120d03c4445b4bbfac6a7f7102017d100357ca7adee6ce4a47ad14fa",
+    "er-1024-s1": "c0cc7da5e8132a408a969657a7ebd1e80b51f68f52320ec0717337238c6ab3ed",
+    "er-128-covered-edges": "82758d593421557839258ea8553aa3c4214d595609f5f6701807bb889181a631",
     "estimator-bounds-256": "44884c36636e5336ad39fa3f39e521fd2a48dd296ae072a91ad4691577a8cbe8",
     "naive-baseline-96": "15f920ab330aef15ae498e9ccdab5db197b8fc3b3ad5bbbaf84f935d77f35307",
+    "naive-baseline-er-256": "0292dda6e7e24c1f3b777261cab398a416196abba2b78fa57aa30d42c215627d",
     "suite-all-gates": "3aa80b1a6b1e33c6df57bd1773d46522b19ebd3e0d1586ae7855f35d7d66e524",
     "walk-path": "dfc9fc5930b9026d1f6bb08efcc18982cd2f71aba921342be267e5dd43dbbae2",
+    "walk-path-448": "0ebd3c8c0f8369283b89acc60317b66e99f928b9a9b4a3eeb46c2025bc1bdd72",
     "walk-path-check-gate": "88a9f2fadaaeca981974af5100aed950b67ebfe5cc4321c44e309ef7fa2851d1",
     "walk-path-search-gate": "dfc9fc5930b9026d1f6bb08efcc18982cd2f71aba921342be267e5dd43dbbae2",
     "walk-path-search-gate-suppressed": "249415ec520dee6b16705d5cac1f28a17723c4f0a6a5acea2fbf40b3efe16016",
