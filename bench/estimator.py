@@ -19,9 +19,9 @@ from __future__ import annotations
 import hashlib
 import json
 import statistics
-import time
 
 import triwalk as tw
+from timing import timed_calls
 from triwalk import pipeline
 
 SIZES = (448, 768, 2048)
@@ -30,24 +30,13 @@ REPEATS = 3
 
 
 def _trial(n: int, seed: int) -> tuple[float, list]:
-    """Run one trial; return its ms and (ms, outputs, probes) per estimator call."""
-    calls = []
-    real = pipeline.estimate_all_apexes
-
-    def timed(*args, **kwargs):
-        t0 = time.perf_counter()
-        outputs, probes = real(*args, **kwargs)
-        calls.append(((time.perf_counter() - t0) * 1000.0, outputs, probes))
-        return outputs, probes
-
-    pipeline.estimate_all_apexes = timed
-    try:
-        t0 = time.perf_counter()
-        tw.find_triangle(tw.random_bipartite(n, seed), tw.AlgoParams(seed=seed))
-        trial_ms = (time.perf_counter() - t0) * 1000.0
-    finally:
-        pipeline.estimate_all_apexes = real
-    return trial_ms, calls
+    """Run one trial; return its ms and (ms, (outputs, probes)) per estimator call."""
+    trial_ms, calls = timed_calls(
+        lambda: tw.find_triangle(tw.random_bipartite(n, seed), tw.AlgoParams(seed=seed)),
+        pipeline,
+        ["estimate_all_apexes"],
+    )
+    return trial_ms, calls["estimate_all_apexes"]
 
 
 def measure(n: int) -> dict:
@@ -57,8 +46,8 @@ def measure(n: int) -> dict:
     for seed in SEEDS:
         runs = [_trial(n, seed) for _ in range(REPEATS)]
         trial_ms.append(min(ms for ms, _ in runs))
-        est_ms.append(min(sum(ms for ms, _, _ in rec) for _, rec in runs))
-        for _, outputs, probes in runs[0][1]:
+        est_ms.append(min(sum(ms for ms, _ in rec) for _, rec in runs))
+        for _, (outputs, probes) in runs[0][1]:
             digest.update(outputs.tobytes() + str(probes).encode())
         calls += len(runs[0][1])
     return {

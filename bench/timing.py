@@ -1,0 +1,42 @@
+"""Time library functions inside one whole call by wrapping them.
+
+Shared by the bench scripts in this directory, which import it as
+``timing`` (a script's own directory is first on ``sys.path``).
+"""
+
+from __future__ import annotations
+
+import time
+from typing import Callable
+
+
+def timed_calls(call: Callable[[], object], module, names) -> tuple[float, dict[str, list]]:
+    """Run ``call()`` with each ``module.<name>`` wrapped, then restore them.
+
+    Returns the call's milliseconds and, per name, one (ms, result) pair
+    for every call the wrapped function received, in call order. The
+    wrappers look like the originals to their callers, so the functions
+    are timed on exactly the inputs the library hands them.
+    """
+    real = {name: getattr(module, name) for name in names}
+    calls: dict[str, list] = {name: [] for name in names}
+
+    def wrap(name):
+        def timed(*args, **kwargs):
+            t0 = time.perf_counter()
+            result = real[name](*args, **kwargs)
+            calls[name].append(((time.perf_counter() - t0) * 1000.0, result))
+            return result
+
+        return timed
+
+    for name in names:
+        setattr(module, name, wrap(name))
+    try:
+        t0 = time.perf_counter()
+        call()
+        call_ms = (time.perf_counter() - t0) * 1000.0
+    finally:
+        for name, fn in real.items():
+            setattr(module, name, fn)
+    return call_ms, calls

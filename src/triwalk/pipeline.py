@@ -53,7 +53,8 @@ from .costs import (
 )
 from .estimator import SamplePlan, estimate_all_apexes, estimator_charge
 from .graph import (
-    _CHUNK, Graph, QueryLedger, Triangle, _first_bit, brute_force_triangle, is_triangle
+    _CHUNK, _SCAN_CAP, Graph, QueryLedger, Triangle, _first_bit, _first_closed_edge,
+    _growing_slices, brute_force_triangle, is_triangle,
 )
 from .pairs import PairSet, sample_cover, subset_pair_cap, uncovered_pairs, uncovered_pairs_at
 
@@ -177,10 +178,10 @@ def _suppressed(p: Optional[float], rng: Optional[np.random.Generator], gate: st
 
 
 def _first_common_apex(
-    g: Graph, eu: np.ndarray, ev: np.ndarray, within: Optional[np.ndarray] = None
+    g: Graph, eu: np.ndarray, ev: np.ndarray
 ) -> Optional[tuple[int, int]]:
-    """Smallest vertex (of the packed set ``within``, if given) adjacent to
-    both endpoints of some pair (eu[i], ev[i]), with the first such i.
+    """Smallest vertex adjacent to both endpoints of some pair (eu[i], ev[i]),
+    with the first such i.
 
     Pass one ORs the pairs' common neighbourhoods and takes the lowest bit;
     pass two finds the first pair that has that bit.
@@ -189,8 +190,6 @@ def _first_common_apex(
     for start in range(0, eu.shape[0], _CHUNK):
         sl = slice(start, start + _CHUNK)
         common = g._rows[eu[sl]] & g._rows[ev[sl]]
-        if within is not None:
-            common &= within
         if common.shape[0]:
             acc |= np.bitwise_or.reduce(common, axis=0)
     apex = _first_bit(acc)
@@ -207,31 +206,42 @@ def _first_common_apex(
 
 
 def _first_cover_triangle(g: Graph, cover) -> Optional[Triangle]:
-    """Smallest (cover vertex, edge) completing a triangle, as a triple."""
-    eu, ev = g.edges()
-    hit = _first_common_apex(g, eu, ev, g.pack_set(cover))
-    if hit is None:
-        return None
-    u_star, i = hit
-    a, b, c = sorted((u_star, int(eu[i]), int(ev[i])))
-    return Triangle(a, b, c)
+    """Smallest cover vertex c in a triangle, closed by the smallest edge in N(c).
+
+    Scans the sorted cover in batches of 1, 2, 4, ... heads and stops at
+    the first batch with a hit. For each head c it ANDs N(c) with N(x) for
+    every neighbour x of c, in ascending x. The first nonempty result gives
+    the smallest x of N(c) with a neighbour in N(c), and its lowest bit y
+    lies above x (a smaller y would itself be such a vertex), so (x, y) is
+    the smallest edge inside N(c). No edge list is built.
+    """
+    heads = np.unique(np.asarray(cover, dtype=np.int64))
+    # A negative ANDs every head's neighbourhood; at density 1/4 (a random
+    # bipartite graph) a full batch is about _SCAN_CAP rows.
+    for sl in _growing_slices(heads.size, 1, max(1, 4 * _SCAN_CAP // g.n)):
+        batch = np.take(g._rows, heads[sl], axis=0)
+        bits = np.unpackbits(batch.view(np.uint8), axis=1, count=g.n, bitorder="little")
+        # (head, x) for every neighbour x of every head, head-major, x ascending.
+        degree = np.bitwise_count(batch).sum(axis=1, dtype=np.int64)
+        head = np.repeat(np.arange(batch.shape[0]), degree)
+        x = np.flatnonzero(bits.view(bool)) - head * g.n
+        common = np.take(g._rows, x, axis=0)
+        common &= np.take(batch, head, axis=0)
+        hit = np.flatnonzero(common.any(axis=1))
+        if hit.size:
+            i = int(hit[0])
+            c = int(heads[sl][head[i]])
+            return Triangle(*sorted((c, int(x[i]), _first_bit(common[i]))))
+    return None
 
 
 def _first_surviving_triangle_edge(g: Graph, cover) -> Optional[tuple[int, int, int]]:
-    """Smallest uncovered triangle edge plus its smallest apex."""
-    cover_words = g.pack_set(cover)
-    eu, ev = g.edges()
-    for start in range(0, eu.shape[0], _CHUNK):
-        sl = slice(start, start + _CHUNK)
-        common = g._rows[eu[sl]] & g._rows[ev[sl]]
-        has_apex = common.any(axis=1)
-        covered = (common & cover_words).any(axis=1)
-        cand = np.nonzero(has_apex & ~covered)[0]
-        if cand.size:
-            i = int(cand[0])
-            apex = _first_bit(common[i])
-            return int(eu[sl][i]), int(ev[sl][i]), int(apex)
-    return None
+    """Smallest uncovered triangle edge plus its smallest apex.
+
+    The first edge, in canonical edge order, that has a common neighbour
+    and none in the cover; found by an early-exit scan in growing chunks.
+    """
+    return _first_closed_edge(g, g.pack_set(cover))
 
 
 def _fill_vertices(candidates: np.ndarray, required: tuple[int, ...], size: int) -> np.ndarray:

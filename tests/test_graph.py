@@ -239,6 +239,18 @@ class TestBoundaryRejection:
         with pytest.raises(ValueError, match="out of range"):
             read_edge_list(path)
 
+    # 10^16 bytes of adjacency: more than the address space, so the
+    # allocation fails at once under any overcommit policy.
+    def test_huge_n_from_edges(self):
+        with pytest.raises(ValueError, match="too large"):
+            Graph.from_edges(100_000_000, [(0, 1)])
+
+    def test_huge_header_n_in_edge_list(self, tmp_path):
+        path = tmp_path / "g.txt"
+        path.write_text("n 100000000\n0 1\n")
+        with pytest.raises(ValueError, match="too large"):
+            read_edge_list(path)
+
     def test_packed_rejects_trailing_bytes(self, tmp_path):
         path = tmp_path / "g.bin"
         write_packed(erdos_renyi(20, 0.5, seed=1), path)

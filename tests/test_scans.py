@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from triwalk import Triangle, brute_force_triangle, erdos_renyi, planted_instance, random_bipartite
-from triwalk.graph import _first_bit
+from triwalk.graph import _first_bit, _pack_bool_rows
 from triwalk.pipeline import _first_cover_triangle, _first_surviving_triangle_edge
 
 CHUNK = 1 << 16
@@ -55,10 +55,12 @@ def reference_surviving_edge(g, cover):
 def reference_brute_force(g):
     """First edge with a common neighbour above it, completed by the smallest one."""
     eu, ev = g.edges()
+    idx = np.arange(g.n)
+    gt_rows = _pack_bool_rows(idx[None, :] > idx[:, None])
     for start in range(0, eu.shape[0], CHUNK):
         u = eu[start : start + CHUNK]
         v = ev[start : start + CHUNK]
-        common = g._rows[u] & g._rows[v] & g._gt_rows[v]
+        common = g._rows[u] & g._rows[v] & gt_rows[v]
         hit = common.any(axis=1)
         if hit.any():
             i = int(np.argmax(hit))
