@@ -41,7 +41,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .graph import _CHUNK, Graph, QueryLedger
+from .graph import _SCAN_CAP, Graph, QueryLedger, _anded_rows
 from .pairs import PairSet
 
 __all__ = [
@@ -154,42 +154,41 @@ def _apex_counts(g: Graph, surviving: PairSet, m: int, plan: SamplePlan) -> _Ape
     n, rows = g.n, g._rows
     pu, pv = surviving.endpoint_arrays()
     universe = surviving.universe_size
-    member1 = surviving.mask[plan.screen_draws]
+    # Flat plan positions (round * m + column) of the surviving screen draws.
+    draws1 = plan.screen_draws.ravel()
+    kept1 = np.flatnonzero(surviving.mask[draws1])
     zeros = np.zeros(n, dtype=np.int64)
-    if not member1.any():
+    if kept1.size == 0:
         # No draw lands in the surviving set: every apex screens to the
         # floor without a single adjacency probe.
         return _ApexCounts(zeros, zeros.astype(bool), zeros, np.full(n, universe / m), zeros)
 
-    # About _CHUNK words of ANDed rows per chunk; a round is never split.
-    step = max(1, _CHUNK // rows.shape[1])
+    slots1 = draws1[kept1]
+    first1, round1 = pu[slots1], kept1 // m
+    # Gather slices of about _SCAN_CAP draws, each cut at the start of a
+    # round, so a round's OR never spans two slices (one round of more than
+    # _SCAN_CAP surviving draws makes one larger slice).
+    stops = np.searchsorted(round1, round1[_SCAN_CAP::_SCAN_CAP])
     c1 = zeros.copy()
-    per_chunk = max(1, step // m)
-    for r0 in range(0, plan.rounds, per_chunk):
-        rnd, col = np.nonzero(member1[r0 : r0 + per_chunk])
-        if rnd.size == 0:
-            continue
-        slots = plan.screen_draws[r0 + rnd, col]
-        both = rows[pu[slots]] & rows[pv[slots]]
-        starts = np.flatnonzero(np.diff(rnd, prepend=-1))
+    for sl, both in _anded_rows(rows, first1, pv[slots1], stops):
+        starts = np.flatnonzero(np.diff(round1[sl], prepend=-1))
         c1 += _bits(np.bitwise_or.reduceat(both, starts, axis=0), n).sum(axis=0, dtype=np.int64)
     refined = 2 * c1 > plan.rounds
 
-    member3 = surviving.mask[plan.refine_draws]
+    slots3 = plan.refine_draws[surviving.mask[plan.refine_draws]]
+    first3 = pu[slots3]
     c2 = zeros.copy()
     if refined.any():
-        slots = plan.refine_draws[member3]
-        for start in range(0, slots.size, step):
-            chunk = slots[start : start + step]
-            c2 += _bits(rows[pu[chunk]] & rows[pv[chunk]], n).sum(axis=0, dtype=np.int64)
+        for _, both in _anded_rows(rows, first3, pv[slots3]):
+            c2 += _bits(both, n).sum(axis=0, dtype=np.int64)
     outputs = np.where(refined, c2 * universe / plan.refine, universe / m)
 
     # F1, F3: how often each block vertex is a surviving draw's first
     # endpoint, weighted by its adjacency row.
-    first1 = np.bincount(pu[plan.screen_draws[member1]], minlength=n)[surviving.verts]
-    first3 = np.bincount(pu[plan.refine_draws[member3]], minlength=n)[surviving.verts]
-    hits1, hits3 = np.stack([first1, first3]) @ _bits(rows[surviving.verts], n)
-    probes = int(member1.sum()) + hits1 + refined * (int(member3.sum()) + hits3)
+    verts = surviving.verts
+    counts = np.stack([np.bincount(first1, minlength=n), np.bincount(first3, minlength=n)])
+    hits1, hits3 = counts[:, verts] @ _bits(np.take(rows, verts, axis=0), n)
+    probes = slots1.size + hits1 + refined * (slots3.size + hits3)
     return _ApexCounts(c1, refined, c2, outputs, probes)
 
 

@@ -43,13 +43,14 @@ _TAG_PLANT = 0x50
 
 _PACKED_MAGIC = b"TWGB"
 
-# Rows per chunk in bulk scans over packed rows.
-_CHUNK = 1 << 16
-# Rows in the first and in the largest chunk of an early-exit edge scan:
-# a positive stops within its first small chunks, and a negative keeps its
-# temporaries cache-sized (4096 rows scan faster than _CHUNK rows).
-_SCAN_FIRST = 64
+# Packed rows in the largest temporary of a gather or a scan: 4096 rows
+# stay cache-sized and run about twice as fast as 65,536.
 _SCAN_CAP = 4096
+# Adjacency bits in the first and in the largest row block that an edge
+# enumeration unpacks: a positive stops within its first blocks, and a
+# negative pays the per-block overhead only a few times.
+_BLOCK_FIRST_BITS = 1 << 14
+_BLOCK_CAP_BITS = 1 << 18
 
 
 class Triangle(NamedTuple):
@@ -117,6 +118,26 @@ def _first_bit(row_words: np.ndarray) -> Optional[int]:
         if word:
             return wi * 64 + (word & -word).bit_length() - 1
     return None
+
+
+def _anded_rows(rows: np.ndarray, iu: np.ndarray, iv: np.ndarray, stops=None):
+    """Yield (sl, rows[iu[sl]] & rows[iv[sl]]) over consecutive slices sl.
+
+    The one gather of the packed-row kernels: rows are taken with np.take,
+    3-4x faster than fancy indexing, and ANDed in place. Slices end at the
+    increasing offsets ``stops`` when given (so a caller can align them with
+    its own groups; empty slices are skipped), else every _SCAN_CAP pairs.
+    """
+    total = iu.shape[0]
+    if stops is None:
+        stops = range(_SCAN_CAP, total, _SCAN_CAP)
+    start = 0
+    for stop in [*stops, total]:
+        if stop > start:
+            common = np.take(rows, iu[start:stop], axis=0)
+            common &= np.take(rows, iv[start:stop], axis=0)
+            yield slice(start, stop), common
+            start = stop
 
 
 class Graph:
@@ -200,10 +221,8 @@ class Graph:
     def edges(self) -> tuple[np.ndarray, np.ndarray]:
         """Canonically ordered edge endpoints (u < v, lexicographic)."""
         if self._edges is None:
-            # Split flat indices into (row, column) without a division.
-            upper = np.triu(self.bool_matrix, 1)
-            eu = np.repeat(np.arange(self.n, dtype=np.int64), np.count_nonzero(upper, axis=1))
-            self._edges = (eu, np.flatnonzero(upper) - eu * self.n)
+            eu, ev = map(np.concatenate, zip(*_edge_blocks(self)))
+            self._edges = (eu, ev)
         return self._edges
 
     def pack_set(self, vertices) -> np.ndarray:
@@ -234,25 +253,55 @@ def is_triangle(g: Graph, tri: Triangle) -> bool:
     return g.has_edge(a, b) and g.has_edge(a, c) and g.has_edge(b, c)
 
 
-def _first_closed_edge(
-    g: Graph, exclude: Optional[np.ndarray] = None
-) -> Optional[tuple[int, int, int]]:
-    """First edge (u, v) in canonical order with a common neighbour, none of
-    them in the packed set ``exclude`` if given, plus its smallest one.
+def _edge_blocks(g: Graph, within: Optional[np.ndarray] = None):
+    """Canonically ordered edges (u < v) with both ends in ``within``.
 
-    Scans ``g.edges()`` in growing chunks and stops in the first chunk with
-    a hit, so positives touch few rows and negatives keep temporaries small.
+    ``within`` is a sorted, duplicate-free vertex array (default: every
+    vertex). Yields (eu, ev) for blocks of growing row counts of ``within``,
+    read straight from the packed rows, so a caller that stops early never
+    touches the later rows. No edge list or dense matrix is built.
     """
-    eu, ev = g.edges()
-    for sl in _growing_slices(eu.shape[0], _SCAN_FIRST, _SCAN_CAP):
-        common = np.take(g._rows, eu[sl], axis=0)
-        common &= np.take(g._rows, ev[sl], axis=0)
-        hit = np.flatnonzero(common.any(axis=1))
-        if exclude is not None and hit.size:
-            hit = hit[~(common[hit] & exclude).any(axis=1)]
-        if hit.size:
-            i = int(hit[0])
-            return int(eu[sl][i]), int(ev[sl][i]), _first_bit(common[i])
+    n = g.n
+    verts = np.arange(n) if within is None else within
+    mask = None if within is None else g.pack_set(within)
+    word = np.arange(g._rows.shape[1])
+    first, cap = max(1, _BLOCK_FIRST_BITS // n), max(1, _BLOCK_CAP_BITS // n)
+    for sl in _growing_slices(verts.size, first, cap):
+        u = verts[sl]
+        block = np.take(g._rows, u, axis=0)
+        if mask is not None:
+            block &= mask
+        # Keep the bits above u: every word past u's, and the high bits of u's.
+        row = np.arange(u.size)
+        above = np.where(word > (u >> 6)[:, None], ~np.uint64(0), np.uint64(0))
+        above[row, u >> 6] = ~((np.uint64(2) << (u & 63).astype(np.uint64)) - np.uint64(1))
+        block &= above
+        bits = np.unpackbits(block.view(np.uint8), axis=1, count=n, bitorder="little").view(bool)
+        # Split flat indices into (row, column) without a division.
+        count = np.bitwise_count(block).sum(axis=1, dtype=np.int64)
+        yield np.repeat(u, count), np.flatnonzero(bits) - np.repeat(row * n, count)
+
+
+def _first_closed_edge(
+    g: Graph, within: Optional[np.ndarray] = None, exclude: Optional[np.ndarray] = None
+) -> Optional[tuple[int, int, int]]:
+    """First edge (u, v) in canonical order with both ends in ``within`` (a
+    sorted vertex array) and a common neighbour, none of them in the packed
+    set ``exclude`` if given, plus its smallest common neighbour.
+
+    Reads edges block by block and stops at the first hit, so positives
+    touch few rows and negatives keep temporaries small.
+    """
+    for eu, ev in _edge_blocks(g, within):
+        for sl, common in _anded_rows(g._rows, eu, ev):
+            if not common.any():  # a whole-array test is ~10x faster than per row
+                continue
+            hit = np.flatnonzero(common.any(axis=1))
+            if exclude is not None and hit.size:
+                hit = hit[~(common[hit] & exclude).any(axis=1)]
+            if hit.size:
+                i = int(hit[0])
+                return int(eu[sl.start + i]), int(ev[sl.start + i]), _first_bit(common[i])
     return None
 
 

@@ -21,7 +21,7 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .graph import _CHUNK, Graph
+from .graph import Graph, _anded_rows
 
 __all__ = [
     "PairSet",
@@ -169,9 +169,8 @@ def sample_cover(
 def _covered_mask(g: Graph, cover_words: np.ndarray, pu: np.ndarray, pv: np.ndarray) -> np.ndarray:
     """True where some cover vertex is adjacent to both endpoints."""
     out = np.empty(pu.shape[0], dtype=bool)
-    for start in range(0, pu.shape[0], _CHUNK):
-        sl = slice(start, start + _CHUNK)
-        common = g._rows[pu[sl]] & g._rows[pv[sl]] & cover_words
+    for sl, common in _anded_rows(g._rows, pu, pv):
+        common &= cover_words
         out[sl] = common.any(axis=1)
     return out
 
@@ -211,9 +210,7 @@ def common_neighbor_counts(g: Graph, pairs: PairSet) -> np.ndarray:
     """For each selected pair, the number of vertices adjacent to both ends."""
     pu, pv = pairs.selected_endpoints()
     counts = np.empty(pu.shape[0], dtype=np.int64)
-    for start in range(0, pu.shape[0], _CHUNK):
-        sl = slice(start, start + _CHUNK)
-        common = g._rows[pu[sl]] & g._rows[pv[sl]]
+    for sl, common in _anded_rows(g._rows, pu, pv):
         counts[sl] = np.bitwise_count(common).sum(axis=1)
     return counts
 

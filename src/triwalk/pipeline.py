@@ -11,6 +11,10 @@ budget while computing exact answers classically:
 2. Walk over the blocks (subsets of size ceil(n^a)) of the vertex set,
    looking for a block whose surviving pairs contain a triangle edge,
    while carrying the block's surviving pairs in the walk data structure.
+   When the cover search found nothing, no cover vertex lies in a
+   triangle, so neither an edge at the cover nor a covered edge (whose
+   cover neighbour would close it) is a triangle edge (Le Gall, §3): the
+   emulation then scans only the edges of G[V - C].
 3. Per apex vertex w, estimate the block's surviving pairs at w, then walk
    over inner subsets of size ceil(n^(2a/3)) of the block; dispatch over
    apexes with variable-cost search.
@@ -53,7 +57,7 @@ from .costs import (
 )
 from .estimator import SamplePlan, estimate_all_apexes, estimator_charge
 from .graph import (
-    _CHUNK, _SCAN_CAP, Graph, QueryLedger, Triangle, _first_bit, _first_closed_edge,
+    _SCAN_CAP, Graph, QueryLedger, Triangle, _anded_rows, _first_bit, _first_closed_edge,
     _growing_slices, brute_force_triangle, is_triangle,
 )
 from .pairs import PairSet, sample_cover, subset_pair_cap, uncovered_pairs, uncovered_pairs_at
@@ -183,26 +187,17 @@ def _first_common_apex(
     """Smallest vertex adjacent to both endpoints of some pair (eu[i], ev[i]),
     with the first such i.
 
-    Pass one ORs the pairs' common neighbourhoods and takes the lowest bit;
-    pass two finds the first pair that has that bit.
+    Each gathered slice ORs its pairs' common neighbourhoods; a slice whose
+    lowest bit beats the best so far gives the new apex and its first pair
+    there. An earlier slice with the same apex already won, so ties keep it.
     """
-    acc = np.zeros(g._rows.shape[1], dtype=np.uint64)
-    for start in range(0, eu.shape[0], _CHUNK):
-        sl = slice(start, start + _CHUNK)
-        common = g._rows[eu[sl]] & g._rows[ev[sl]]
-        if common.shape[0]:
-            acc |= np.bitwise_or.reduce(common, axis=0)
-    apex = _first_bit(acc)
-    if apex is None:
-        return None
-    word, bit = apex >> 6, apex & 63
-    for start in range(0, eu.shape[0], _CHUNK):
-        sl = slice(start, start + _CHUNK)
-        flag = (g._rows[eu[sl], word] & g._rows[ev[sl], word]) >> np.uint64(bit) & np.uint64(1)
-        hit = np.nonzero(flag)[0]
-        if hit.size:
-            return apex, start + int(hit[0])
-    return None  # pragma: no cover - pass two must find what pass one saw
+    best = None
+    for sl, common in _anded_rows(g._rows, eu, ev):
+        apex = _first_bit(np.bitwise_or.reduce(common, axis=0))
+        if apex is not None and (best is None or apex < best[0]):
+            flag = common[:, apex >> 6] >> np.uint64(apex & 63) & np.uint64(1)
+            best = apex, sl.start + int(np.flatnonzero(flag)[0])
+    return best
 
 
 def _first_cover_triangle(g: Graph, cover) -> Optional[Triangle]:
@@ -227,6 +222,8 @@ def _first_cover_triangle(g: Graph, cover) -> Optional[Triangle]:
         x = np.flatnonzero(bits.view(bool)) - head * g.n
         common = np.take(g._rows, x, axis=0)
         common &= np.take(batch, head, axis=0)
+        if not common.any():  # a whole-array test is ~10x faster than per row
+            continue
         hit = np.flatnonzero(common.any(axis=1))
         if hit.size:
             i = int(hit[0])
@@ -235,13 +232,21 @@ def _first_cover_triangle(g: Graph, cover) -> Optional[Triangle]:
     return None
 
 
-def _first_surviving_triangle_edge(g: Graph, cover) -> Optional[tuple[int, int, int]]:
+def _first_surviving_triangle_edge(
+    g: Graph, cover, cover_negative: bool = False
+) -> Optional[tuple[int, int, int]]:
     """Smallest uncovered triangle edge plus its smallest apex.
 
     The first edge, in canonical edge order, that has a common neighbour
-    and none in the cover; found by an early-exit scan in growing chunks.
+    and none in the cover; found by an early-exit scan. With
+    ``cover_negative`` (no cover vertex lies in a triangle) that is the
+    first triangle edge of G[V - C], so only those edges are scanned.
     """
-    return _first_closed_edge(g, g.pack_set(cover))
+    if cover_negative:
+        keep = np.ones(g.n, dtype=bool)
+        keep[np.asarray(cover, dtype=np.int64)] = False
+        return _first_closed_edge(g, within=np.flatnonzero(keep))
+    return _first_closed_edge(g, exclude=g.pack_set(cover))
 
 
 def _fill_vertices(candidates: np.ndarray, required: tuple[int, ...], size: int) -> np.ndarray:
@@ -400,6 +405,7 @@ def search_blocks(
     plan_rng: Optional[np.random.Generator] = None,
     block_rng: Optional[np.random.Generator] = None,
     inj_rng: Optional[np.random.Generator] = None,
+    cover_negative: bool = False,
 ) -> tuple[Optional[tuple[np.ndarray, int, tuple[int, int]]], dict]:
     """Walk over blocks of size ceil(n^a), looking for a surviving triangle edge.
 
@@ -411,7 +417,9 @@ def search_blocks(
     a triangle edge" and returns the smallest such edge, its smallest
     apex, and the witness block (edge endpoints plus smallest-index fill).
     A configured walk gate suppresses the witness with the complementary
-    probability; charges are unaffected.
+    probability; charges are unaffected. Pass cover_negative=True only when
+    no cover vertex lies in a triangle (the cover scan found nothing); the
+    edge scan then skips every edge that touches the cover.
     """
     n = g.n
     cfg = params.cost_cfg
@@ -419,7 +427,7 @@ def search_blocks(
     bsize = block_size(n, params.a)
     eps_outer = bsize * (bsize - 1) / (n * (n - 1))
 
-    hit = _first_surviving_triangle_edge(g, cover)
+    hit = _first_surviving_triangle_edge(g, cover, cover_negative)
     if hit is not None:
         u, v, apex = hit
         block = _fill_vertices(np.arange(n), (u, v), bsize)
@@ -575,6 +583,7 @@ def find_triangle(g: Graph, params: AlgoParams) -> RunReport:
     charge_log["cover_size"] = int(cover.size)
     outcome: Optional[Triangle] = None
     stopped = False
+    inj = params.failure_injection or _NO_INJECTION
 
     found = search_cover_triangles(g, cover, params, ledger, rng=rng_inj)
     charge_log["cover_search"] = {
@@ -594,6 +603,8 @@ def find_triangle(g: Graph, params: AlgoParams) -> RunReport:
             plan_rng=rng_plan,
             block_rng=rng_block,
             inj_rng=rng_inj,
+            # A configured search gate may have hidden a real cover hit.
+            cover_negative=inj.search_success is None,
         )
         charge_log["outer"] = outer_log
         if ledger.total > budget:
@@ -610,10 +621,8 @@ def find_triangle(g: Graph, params: AlgoParams) -> RunReport:
             charge_log["final_search"] = {"domain": completion_domain, "t": 1.0}
             if ledger.total > budget:
                 stopped = True
-            else:
-                inj = params.failure_injection or _NO_INJECTION
-                if not _suppressed(inj.search_success, rng_inj, "search"):
-                    outcome = Triangle(*sorted((pair[0], pair[1], apex)))
+            elif not _suppressed(inj.search_success, rng_inj, "search"):
+                outcome = Triangle(*sorted((pair[0], pair[1], apex)))
 
     if stopped:
         outcome = None

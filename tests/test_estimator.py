@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from triwalk import Graph, PairSet, QueryLedger, erdos_renyi
+from triwalk.graph import _SCAN_CAP, _anded_rows
 from triwalk.estimator import (
     SamplePlan,
     estimate_all_apexes,
@@ -222,6 +223,31 @@ class TestKernelMatchesReference:
         ref = assert_matches_reference(g, surv, SamplePlan(30, 6, surv.universe_size, seed=1))
         assert all(r == (surv.universe_size / 6, 0, None, 0) for r in ref)
 
+    def test_rounds_without_a_surviving_draw(self):
+        # Whole runs of rounds that draw only a covered slot, at the start,
+        # in the middle and at the end, give no draw to gather.
+        g = erdos_renyi(40, 0.5, seed=3)
+        surv = uncovered_pairs(g, [25, 30, 35], np.arange(20))
+        covered = np.flatnonzero(~surv.mask)
+        assert covered.size and surv.mask.any()
+        plan = SamplePlan(40, 48, surv.universe_size, seed=4)
+        rounds = plan.rounds
+        # The first run alone holds more draws than two gather slices.
+        assert rounds // 3 * 48 > 2 * _SCAN_CAP
+        for lo, hi in ((0, rounds // 3), (rounds // 2, rounds // 2 + 80), (rounds - 5, rounds)):
+            plan.screen_draws[lo:hi] = covered[0]
+        assert np.count_nonzero(surv.mask[plan.screen_draws]) > 2 * _SCAN_CAP
+        assert_matches_reference(g, surv, plan)
+
+    def test_round_longer_than_a_gather_slice(self):
+        # With m above _SCAN_CAP one round's surviving draws exceed a gather
+        # slice; the round is gathered whole, never split across slices.
+        g = erdos_renyi(8, 0.7, seed=1)
+        surv = uncovered_pairs(g, EMPTY, np.arange(7))
+        plan = SamplePlan(8, _SCAN_CAP + 37, surv.universe_size, seed=5)
+        assert surv.mask[plan.screen_draws].sum(axis=1).min() > _SCAN_CAP
+        assert_matches_reference(g, surv, plan)
+
     def test_apex_out_of_range_rejected(self):
         g, surv = make_case(20, 0.6, 3, np.arange(10))
         plan = SamplePlan(20, 5, surv.universe_size, seed=9)
@@ -257,3 +283,59 @@ class TestEstimatorGuarantee:
         bound = 1 - 3.0 / n
         sigma = math.sqrt(bound * (1 - bound) / trials)
         assert hits / trials >= bound - 5 * sigma
+
+
+class TestGather:
+    """The packed-row gather every kernel shares."""
+
+    def _rows(self, n=200, seed=7):
+        return erdos_renyi(n, 0.3, seed)._rows
+
+    def _joined(self, rows, iu, iv, stops=None):
+        parts = list(_anded_rows(rows, iu, iv, stops))
+        starts = [sl.start for sl, _ in parts]
+        assert starts == sorted(starts)
+        # The slices are consecutive and cover every pair once.
+        assert [sl.stop for sl, _ in parts[:-1]] == starts[1:]
+        return parts
+
+    @pytest.mark.parametrize("size", [0, 1, 2, _SCAN_CAP, _SCAN_CAP + 1, 3 * _SCAN_CAP - 5])
+    def test_matches_fancy_indexing(self, size):
+        rows = self._rows()
+        rng = np.random.default_rng(size)
+        iu = rng.integers(0, rows.shape[0], size)
+        iv = rng.integers(0, rows.shape[0], size)
+        parts = self._joined(rows, iu, iv)
+        assert len(parts) == -(-size // _SCAN_CAP)
+        assert all(common.shape[0] <= _SCAN_CAP for _, common in parts)
+        got = [c for _, c in parts] or [np.empty((0, rows.shape[1]), np.uint64)]
+        assert np.array_equal(np.concatenate(got), rows[iu] & rows[iv])
+
+    def test_single_pair(self):
+        rows = self._rows()
+        ((sl, common),) = _anded_rows(rows, np.array([3]), np.array([5]))
+        assert sl == slice(0, 1)
+        assert np.array_equal(common, rows[[3]] & rows[[5]])
+
+    def test_empty_input_yields_nothing(self):
+        rows = self._rows()
+        empty = np.array([], dtype=np.int64)
+        assert list(_anded_rows(rows, empty, empty)) == []
+        assert list(_anded_rows(rows, empty, empty, [0, 0])) == []
+
+    def test_stops_cut_the_slices(self):
+        rows = self._rows()
+        rng = np.random.default_rng(1)
+        iu, iv = rng.integers(0, rows.shape[0], (2, 50))
+        # Repeated and zero stops give empty slices, which are skipped.
+        parts = self._joined(rows, iu, iv, [0, 7, 7, 20, 49])
+        assert [sl for sl, _ in parts] == [slice(0, 7), slice(7, 20), slice(20, 49), slice(49, 50)]
+        for sl, common in parts:
+            assert np.array_equal(common, rows[iu[sl]] & rows[iv[sl]])
+
+    def test_does_not_modify_the_rows(self):
+        rows = self._rows()
+        before = rows.copy()
+        for _ in _anded_rows(rows, np.arange(10), np.arange(10, 20)):
+            pass
+        assert np.array_equal(rows, before)
