@@ -40,7 +40,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from math import comb
 from typing import Optional
 
@@ -536,12 +536,16 @@ class RunReport:
 
 
 def _params_dict(params: AlgoParams) -> dict:
-    return {
+    out = {
         "a": params.a,
         "k": params.k,
         "log_factors": params.cost_cfg.log_factors,
         "seed": params.seed,
     }
+    # Recorded only when configured, so uninjected reports keep their bytes.
+    if params.failure_injection is not None:
+        out["failure_injection"] = asdict(params.failure_injection)
+    return out
 
 
 def find_triangle(g: Graph, params: AlgoParams) -> RunReport:

@@ -4,10 +4,12 @@ Each case's sha256 digest was recorded before the code it guards was
 rewritten: the first ten from the per-apex reference estimator, the stage
 gate and baseline cases from the inline gates and the ledger-threaded
 baselines, the dense, covered-edge and cover-avoiding cases from the
-full-edge triangle scans. Criterion 8 only compares two runs of the same code; these
-digests compare the current code with that reference, so an emulation
-kernel or gate that changes a charge, a probe count, a draw or an outcome
-fails here.
+full-edge triangle scans. The four injected runs were re-recorded with
+``record_golden.py`` when reports began to record their failure
+injection in ``params``. Criterion 8 only compares two runs of the same
+code; these digests compare the current code with that reference, so an
+emulation kernel or gate that changes a charge, a probe count, a draw or
+an outcome fails here.
 """
 
 import hashlib
@@ -105,16 +107,16 @@ GOLDEN = {
     "edges-baseline-96": "56e38db0d86ead856da101044fab162fdac55be22a093702e0cef4cb5c8a7cb7",
     "er-1024-s0": "eee10256120d03c4445b4bbfac6a7f7102017d100357ca7adee6ce4a47ad14fa",
     "er-1024-s1": "c0cc7da5e8132a408a969657a7ebd1e80b51f68f52320ec0717337238c6ab3ed",
-    "er-128-covered-edges": "82758d593421557839258ea8553aa3c4214d595609f5f6701807bb889181a631",
+    "er-128-covered-edges": "b02c635027900164709bb8fbc13ad515522a92604225779d21d46e99be598436",
     "estimator-bounds-256": "44884c36636e5336ad39fa3f39e521fd2a48dd296ae072a91ad4691577a8cbe8",
     "naive-baseline-96": "15f920ab330aef15ae498e9ccdab5db197b8fc3b3ad5bbbaf84f935d77f35307",
     "naive-baseline-er-256": "0292dda6e7e24c1f3b777261cab398a416196abba2b78fa57aa30d42c215627d",
     "suite-all-gates": "3aa80b1a6b1e33c6df57bd1773d46522b19ebd3e0d1586ae7855f35d7d66e524",
     "walk-path": "dfc9fc5930b9026d1f6bb08efcc18982cd2f71aba921342be267e5dd43dbbae2",
     "walk-path-448": "0ebd3c8c0f8369283b89acc60317b66e99f928b9a9b4a3eeb46c2025bc1bdd72",
-    "walk-path-check-gate": "88a9f2fadaaeca981974af5100aed950b67ebfe5cc4321c44e309ef7fa2851d1",
-    "walk-path-search-gate": "dfc9fc5930b9026d1f6bb08efcc18982cd2f71aba921342be267e5dd43dbbae2",
-    "walk-path-search-gate-suppressed": "249415ec520dee6b16705d5cac1f28a17723c4f0a6a5acea2fbf40b3efe16016",
+    "walk-path-check-gate": "ddd3c5438e5c60135eaf94a2a811234c2407c91c7f334a71f4abbe775e33eac3",
+    "walk-path-search-gate": "9bf1ce20c5325adfb45a083d78205c73cfda951893049f26eb20a99df0545b8d",
+    "walk-path-search-gate-suppressed": "f8c6fd0987097c7207ee84771622c6fe0dff3595acb87b0dc69e335fd42418e1",
 }
 
 

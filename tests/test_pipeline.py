@@ -421,6 +421,22 @@ class TestFindTriangle:
         assert set(blob["outcome"]) == {"found", "vertices"}
         assert blob["total_charge"] == pytest.approx(sum(blob["charges"].values()))
 
+    def test_report_records_configured_gates_only(self):
+        g = plant_only_graph()
+        plain = find_triangle(g, AlgoParams(seed=WALK_PATH_SEED))
+        assert "failure_injection" not in plain.params
+        inj = FailureInjection(search_success=0.5)
+        gated = find_triangle(g, AlgoParams(seed=WALK_PATH_SEED, failure_injection=inj))
+        # This gate passes, so only the params block tells the runs apart.
+        assert gated.outcome == plain.outcome and gated.charges == plain.charges
+        blob = json.loads(gated.to_json())
+        assert blob["params"]["failure_injection"] == {
+            "walk_success": None,
+            "check_success": None,
+            "search_success": 0.5,
+        }
+        assert gated.to_json() != plain.to_json()
+
     def test_walk_path_extraction(self):
         g = plant_only_graph()
         report = find_triangle(g, AlgoParams(seed=WALK_PATH_SEED))
