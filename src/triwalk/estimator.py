@@ -145,6 +145,18 @@ def _bits(words: np.ndarray, n: int) -> np.ndarray:
     return np.unpackbits(words.view(np.uint8), axis=1, count=n, bitorder="little")
 
 
+def _column_counts(words: np.ndarray, n: int) -> np.ndarray:
+    """Per column, how many of the (rows, words) packed rows have that bit.
+
+    Summed in uint16, about 3x faster than in int64, while that is exact:
+    below 65,536 rows. Larger inputs sum in int64; today none arise, as a
+    screen slice passes one row per round and a refinement slice at most
+    _SCAN_CAP rows.
+    """
+    dtype = np.uint16 if words.shape[0] < 1 << 16 else np.int64
+    return np.add.reduce(_bits(words, n), axis=0, dtype=dtype)
+
+
 def _apex_counts(g: Graph, surviving: PairSet, m: int, plan: SamplePlan) -> _ApexCounts:
     """Run the estimator for every apex at once over the packed rows."""
     if surviving.verts.size < 2:
@@ -172,7 +184,7 @@ def _apex_counts(g: Graph, surviving: PairSet, m: int, plan: SamplePlan) -> _Ape
     c1 = zeros.copy()
     for sl, both in _anded_rows(rows, first1, pv[slots1], stops):
         starts = np.flatnonzero(np.diff(round1[sl], prepend=-1))
-        c1 += _bits(np.bitwise_or.reduceat(both, starts, axis=0), n).sum(axis=0, dtype=np.int64)
+        c1 += _column_counts(np.bitwise_or.reduceat(both, starts, axis=0), n)
     refined = 2 * c1 > plan.rounds
 
     slots3 = plan.refine_draws[surviving.mask[plan.refine_draws]]
@@ -180,7 +192,7 @@ def _apex_counts(g: Graph, surviving: PairSet, m: int, plan: SamplePlan) -> _Ape
     c2 = zeros.copy()
     if refined.any():
         for _, both in _anded_rows(rows, first3, pv[slots3]):
-            c2 += _bits(both, n).sum(axis=0, dtype=np.int64)
+            c2 += _column_counts(both, n)
     outputs = np.where(refined, c2 * universe / plan.refine, universe / m)
 
     # F1, F3: how often each block vertex is a surviving draw's first

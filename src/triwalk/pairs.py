@@ -21,7 +21,7 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .graph import Graph, _anded_rows
+from .graph import Graph, _anded_rows, _fold_words
 
 __all__ = [
     "PairSet",
@@ -171,7 +171,7 @@ def _covered_mask(g: Graph, cover_words: np.ndarray, pu: np.ndarray, pv: np.ndar
     out = np.empty(pu.shape[0], dtype=bool)
     for sl, common in _anded_rows(g._rows, pu, pv):
         common &= cover_words
-        out[sl] = common.any(axis=1)
+        out[sl] = _fold_words(np.bitwise_or, common) != 0
     return out
 
 
@@ -196,7 +196,7 @@ def apex_restrict(g: Graph, pairs: PairSet, apex: int) -> PairSet:
     """The subset of ``pairs`` whose both endpoints are adjacent to ``apex``."""
     if pairs.universe_size == 0:
         return pairs
-    adj = g.bool_row(apex)
+    adj = g.bool_row(apex)  # unpacked from the apex's packed row alone
     pu, pv = pairs.endpoint_arrays()
     return PairSet(pairs.verts, pairs.mask & adj[pu] & adj[pv])
 
@@ -211,7 +211,7 @@ def common_neighbor_counts(g: Graph, pairs: PairSet) -> np.ndarray:
     pu, pv = pairs.selected_endpoints()
     counts = np.empty(pu.shape[0], dtype=np.int64)
     for sl, common in _anded_rows(g._rows, pu, pv):
-        counts[sl] = np.bitwise_count(common).sum(axis=1)
+        counts[sl] = _fold_words(np.add, np.bitwise_count(common), np.int64)
     return counts
 
 

@@ -58,7 +58,7 @@ from .costs import (
 from .estimator import SamplePlan, estimate_all_apexes, estimator_charge
 from .graph import (
     _SCAN_CAP, Graph, QueryLedger, Triangle, _anded_rows, _first_bit, _first_closed_edge,
-    _growing_slices, brute_force_triangle, is_triangle,
+    _fold_words, _growing_slices, brute_force_triangle, is_triangle,
 )
 from .pairs import PairSet, sample_cover, subset_pair_cap, uncovered_pairs, uncovered_pairs_at
 
@@ -217,14 +217,14 @@ def _first_cover_triangle(g: Graph, cover) -> Optional[Triangle]:
         batch = np.take(g._rows, heads[sl], axis=0)
         bits = np.unpackbits(batch.view(np.uint8), axis=1, count=g.n, bitorder="little")
         # (head, x) for every neighbour x of every head, head-major, x ascending.
-        degree = np.bitwise_count(batch).sum(axis=1, dtype=np.int64)
+        degree = _fold_words(np.add, np.bitwise_count(batch), np.int64)
         head = np.repeat(np.arange(batch.shape[0]), degree)
         x = np.flatnonzero(bits.view(bool)) - head * g.n
         common = np.take(g._rows, x, axis=0)
         common &= np.take(batch, head, axis=0)
         if not common.any():  # a whole-array test is ~10x faster than per row
             continue
-        hit = np.flatnonzero(common.any(axis=1))
+        hit = np.flatnonzero(_fold_words(np.bitwise_or, common))
         if hit.size:
             i = int(hit[0])
             c = int(heads[sl][head[i]])

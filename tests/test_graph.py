@@ -5,11 +5,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from triwalk import (
     Graph,
     QueryLedger,
     Triangle,
+    apex_restrict,
     brute_force_triangle,
     erdos_renyi,
     is_triangle,
@@ -18,8 +21,16 @@ from triwalk import (
     random_bipartite,
     read_edge_list,
     read_packed,
+    uncovered_pairs,
     write_edge_list,
     write_packed,
+)
+from triwalk.graph import (
+    _FOLD_WORDS,
+    _TAG_BIPARTITE,
+    _TAG_ER,
+    _fold_words,
+    _pack_bool_rows,
 )
 
 
@@ -30,6 +41,38 @@ def triangles_by_enumeration(g):
         if g.has_edge(a, b) and g.has_edge(a, c) and g.has_edge(b, c):
             found.append(Triangle(a, b, c))
     return found
+
+
+def reference_er(n, p, seed):
+    """erdos_renyi as a dense matrix: one (n, n) draw, its strict upper triangle."""
+    rng = np.random.default_rng([seed, _TAG_ER])
+    upper = np.triu(rng.random((n, n)) < p, 1)
+    return upper | upper.T
+
+
+def reference_bipartite(n, seed):
+    """random_bipartite as a dense matrix: one left x right draw of cross edges."""
+    left = (n + 1) // 2
+    rng = np.random.default_rng([seed, _TAG_BIPARTITE])
+    cross = rng.random((left, n - left)) < 0.5
+    dense = np.zeros((n, n), dtype=bool)
+    dense[:left, left:] = cross
+    dense[left:, :left] = cross.T
+    return dense
+
+
+def reference_planted(n, seed):
+    dense = reference_bipartite(n, seed)
+    a, b, c = planted_triple(n, seed)
+    for x, y in ((a, b), (a, c), (b, c)):
+        dense[x, y] = dense[y, x] = True
+    return dense
+
+
+# Word and chunk edges: 64-bit words, 128-row generator chunks.
+EDGE_SIZES = [1, 2, 3, 63, 64, 65, 127, 128, 129, 255, 256, 257]
+sizes = st.one_of(st.sampled_from(EDGE_SIZES), st.integers(1, 600))
+probabilities = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
 
 
 class TestQueryOracle:
@@ -146,6 +189,79 @@ class TestGenerators:
         for seed in range(10):
             g = planted_instance(16, seed)
             assert planted_triple(16, seed) in triangles_by_enumeration(g)
+
+
+class TestPackedGenerators:
+    """The generators write packed rows in row chunks; the result must be
+    bit for bit the dense construction of the same random stream."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=sizes, p=probabilities, seed=st.integers(0, 2**32 - 1))
+    def test_rows_equal_dense_references(self, n, p, seed):
+        assert np.array_equal(erdos_renyi(n, p, seed)._rows, _pack_bool_rows(reference_er(n, p, seed)))
+        if n >= 2:
+            rows = random_bipartite(n, seed)._rows
+            assert np.array_equal(rows, _pack_bool_rows(reference_bipartite(n, seed)))
+        if n >= 3:
+            rows = planted_instance(n, seed)._rows
+            assert np.array_equal(rows, _pack_bool_rows(reference_planted(n, seed)))
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=sizes, p=probabilities, seed=st.integers(0, 2**32 - 1))
+    def test_every_trusted_graph_is_valid(self, n, p, seed):
+        # Record every graph built through the unchecked constructor.
+        built = []
+        trusted = Graph._from_rows.__func__
+
+        def recording(cls, n, rows):
+            built.append(trusted(cls, n, rows))
+            return built[-1]
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(Graph, "_from_rows", classmethod(recording))
+            erdos_renyi(n, p, seed)
+            if n >= 2:
+                random_bipartite(n, seed)
+            if n >= 3:
+                planted_instance(n, seed)
+        assert len(built) == 1 + (n >= 2) + (n >= 3)
+        for g in built:
+            full = np.unpackbits(g._rows.view(np.uint8), axis=1, bitorder="little").view(bool)
+            assert g._rows.shape == (n, (n + 63) // 64)
+            assert not full[:, n:].any()  # pad bits past column n
+            dense = full[:, :n]
+            assert not np.diag(dense).any()
+            assert np.array_equal(dense, dense.T)
+
+    def test_write_packed_bytes_equal_bool_matrix_reference(self, tmp_path):
+        path = tmp_path / "g.bin"
+        graphs = [erdos_renyi(n, 0.5, seed=n) for n in (1, 7, 8, 64, 65, 120, 130)]
+        graphs.append(Graph.from_edges(9, [(0, 8), (3, 4)]))
+        for g in graphs:
+            write_packed(g, path)
+            payload = np.packbits(g.bool_matrix, axis=1, bitorder="little").tobytes()
+            assert path.read_bytes() == b"TWGB" + g.n.to_bytes(8, "little") + payload
+
+    def test_apex_restrict_equals_bool_matrix_reference(self):
+        for n, seed in ((40, 1), (129, 2)):
+            g = planted_instance(n, seed)
+            pairs = uncovered_pairs(g, [0, n // 2], np.arange(0, n, 3))
+            pu, pv = pairs.endpoint_arrays()
+            adj = g.bool_matrix
+            for apex in range(n):
+                expected = pairs.mask & adj[apex, pu] & adj[apex, pv]
+                assert np.array_equal(apex_restrict(g, pairs, apex).mask, expected)
+                assert np.array_equal(g.neighbors(apex), np.flatnonzero(adj[apex]))
+
+    @pytest.mark.parametrize("words", [1, 7, _FOLD_WORDS, _FOLD_WORDS + 1, 40])
+    def test_fold_words_equals_row_reductions(self, words):
+        rng = np.random.default_rng(words)
+        rows = rng.integers(0, 2**64, size=(300, words), dtype=np.uint64, endpoint=False)
+        rows[::3] = 0
+        rows[1::3] &= rng.integers(0, 2**64, size=(100, words), dtype=np.uint64) & (rows[1::3] >> 7)
+        counts = np.bitwise_count(rows)
+        assert np.array_equal(_fold_words(np.bitwise_or, rows) != 0, rows.any(axis=1))
+        assert np.array_equal(_fold_words(np.add, counts, np.int64), counts.sum(axis=1, dtype=np.int64))
 
 
 class TestBruteForce:
