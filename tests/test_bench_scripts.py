@@ -35,3 +35,12 @@ def test_scans_bench_times_every_scan(monkeypatch, capsys):
         "er": (64, {"cover": 1, "surviving": 0, "brute": 1}),
         "isolated": (64, {"cover": 1, "surviving": 1, "brute": 1}),
     }
+
+
+def test_graph_bench_times_every_generator(monkeypatch, capsys):
+    rows = run_tiny("graph", monkeypatch, capsys)
+    assert [(row["generator"], row["n"]) for row in rows] == [
+        ("rng", 64), ("er", 64), ("bipartite", 64), ("planted", 64)
+    ]
+    assert rows[0]["digest"] is None
+    assert all(len(row["digest"]) == 16 for row in rows[1:])
