@@ -195,9 +195,8 @@ class TestPackedGenerators:
     """The generators write packed rows in row chunks; the result must be
     bit for bit the dense construction of the same random stream."""
 
-    @settings(max_examples=60, deadline=None)
-    @given(n=sizes, p=probabilities, seed=st.integers(0, 2**32 - 1))
-    def test_rows_equal_dense_references(self, n, p, seed):
+    @staticmethod
+    def assert_rows_equal_references(n, p, seed):
         assert np.array_equal(erdos_renyi(n, p, seed)._rows, _pack_bool_rows(reference_er(n, p, seed)))
         if n >= 2:
             rows = random_bipartite(n, seed)._rows
@@ -205,6 +204,16 @@ class TestPackedGenerators:
         if n >= 3:
             rows = planted_instance(n, seed)._rows
             assert np.array_equal(rows, _pack_bool_rows(reference_planted(n, seed)))
+
+    @pytest.mark.parametrize("n", EDGE_SIZES)
+    def test_rows_equal_dense_references_at_word_and_chunk_edges(self, n):
+        for p in (0.0, 0.3, 1.0):
+            self.assert_rows_equal_references(n, p, seed=n)
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=sizes, p=probabilities, seed=st.integers(0, 2**32 - 1))
+    def test_rows_equal_dense_references(self, n, p, seed):
+        self.assert_rows_equal_references(n, p, seed)
 
     @settings(max_examples=40, deadline=None)
     @given(n=sizes, p=probabilities, seed=st.integers(0, 2**32 - 1))
