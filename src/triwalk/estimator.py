@@ -44,6 +44,11 @@ import numpy as np
 from .graph import _SCAN_CAP, Graph, QueryLedger, _anded_rows
 from .pairs import PairSet
 
+# _column_counts sums in uint16. It sees at most _SCAN_CAP rows at a time:
+# a refinement slice holds at most _SCAN_CAP draws, and a screen slice
+# passes one row per round for at most _SCAN_CAP rounds.
+assert _SCAN_CAP < 1 << 16
+
 __all__ = [
     "SamplePlan",
     "EstimatorRun",
@@ -148,13 +153,9 @@ def _bits(words: np.ndarray, n: int) -> np.ndarray:
 def _column_counts(words: np.ndarray, n: int) -> np.ndarray:
     """Per column, how many of the (rows, words) packed rows have that bit.
 
-    Summed in uint16, about 3x faster than in int64, while that is exact:
-    below 65,536 rows. Larger inputs sum in int64; today none arise, as a
-    screen slice passes one row per round and a refinement slice at most
-    _SCAN_CAP rows.
+    Summed in uint16, about 3x faster than in int64; exact below 65,536 rows.
     """
-    dtype = np.uint16 if words.shape[0] < 1 << 16 else np.int64
-    return np.add.reduce(_bits(words, n), axis=0, dtype=dtype)
+    return np.add.reduce(_bits(words, n), axis=0, dtype=np.uint16)
 
 
 def _apex_counts(g: Graph, surviving: PairSet, m: int, plan: SamplePlan) -> _ApexCounts:

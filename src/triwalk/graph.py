@@ -56,8 +56,6 @@ _SCAN_CAP = 4096
 # negative pays the per-block overhead only a few times.
 _BLOCK_FIRST_BITS = 1 << 14
 _BLOCK_CAP_BITS = 1 << 18
-# Widest rows (in words) that _fold_words reduces through a transposed copy.
-_FOLD_WORDS = 16
 # Rows of the random matrix a generator draws and packs at a time; a
 # multiple of 64, so each chunk's transpose fills whole words.
 _GEN_ROWS = 128
@@ -118,8 +116,9 @@ def _pack_bool_rows(dense: np.ndarray) -> np.ndarray:
 def _pack_bool_columns(bits: np.ndarray) -> np.ndarray:
     """Pack the columns of a (rows, bits) boolean matrix: _pack_bool_rows(bits.T).
 
-    Weighting each octet of rows with einsum is ~15x faster than packbits
-    along axis 0 or of the transposed view.
+    Weighting each octet of rows with einsum packs a (128, 1024) chunk 16x
+    faster than packbits of the transposed view, and makes the generators
+    1.5-2x faster at n=768-2048 (BENCH_graph.json, "column_packer").
     """
     h, w = bits.shape
     if h % 64:
@@ -142,14 +141,10 @@ def _or_block(rows: np.ndarray, r0: int, c0: int, bits: np.ndarray) -> None:
 def _fold_words(op, words: np.ndarray, dtype=None) -> np.ndarray:
     """``op.reduce`` over the word axis of (rows, words): one value a row.
 
-    numpy's reductions along a short last axis are slow: for up to
-    _FOLD_WORDS words a row, reducing a transposed copy along its first
-    axis is up to 3x faster. For wider rows the copy costs more than it
-    saves, so they reduce in place.
+    numpy's reductions along a short last axis are slow: at 7 to 16 words a
+    row, reducing a transposed copy along its first axis is up to 3x faster.
     """
-    if words.shape[1] <= _FOLD_WORDS:
-        return op.reduce(np.ascontiguousarray(words.T), axis=0, dtype=dtype)
-    return op.reduce(words, axis=1, dtype=dtype)
+    return op.reduce(np.ascontiguousarray(words.T), axis=0, dtype=dtype)
 
 
 def _growing_slices(total: int, first: int, cap: int):

@@ -196,7 +196,7 @@ def apex_restrict(g: Graph, pairs: PairSet, apex: int) -> PairSet:
     """The subset of ``pairs`` whose both endpoints are adjacent to ``apex``."""
     if pairs.universe_size == 0:
         return pairs
-    adj = g.bool_row(apex)  # unpacked from the apex's packed row alone
+    adj = g.bool_row(apex)
     pu, pv = pairs.endpoint_arrays()
     return PairSet(pairs.verts, pairs.mask & adj[pu] & adj[pv])
 

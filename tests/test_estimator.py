@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from triwalk import Graph, PairSet, QueryLedger, erdos_renyi
-from triwalk import graph as graph_module
+from triwalk import estimator as estimator_module
 from triwalk.graph import _SCAN_CAP, _anded_rows
 from triwalk.estimator import (
     SamplePlan,
@@ -249,17 +249,27 @@ class TestKernelMatchesReference:
         assert surv.mask[plan.screen_draws].sum(axis=1).min() > _SCAN_CAP
         assert_matches_reference(g, surv, plan)
 
-    def test_gather_slice_of_65536_rows_counts_exactly(self, monkeypatch):
-        # Column counts sum in uint16 only below 65,536 rows. Widen the
-        # gather slices so all refinement draws form one slice, on K16,
-        # where every apex's count c2 exceeds 65,535.
-        monkeypatch.setattr(graph_module, "_SCAN_CAP", 1 << 17)
+    def test_column_counts_stay_exact_past_65535(self, monkeypatch):
+        # Column counts sum in uint16 per gather slice, exact below 65,536
+        # rows. On K16 every apex's count c2 exceeds 65,535 across the
+        # refinement slices, and with m above _SCAN_CAP each screen slice
+        # holds one round; no slice reaches _SCAN_CAP + 1 rows.
+        seen = []
+        count = estimator_module._column_counts
+
+        def recording(words, n):
+            seen.append(words.shape[0])
+            return count(words, n)
+
+        monkeypatch.setattr(estimator_module, "_column_counts", recording)
         g = erdos_renyi(16, 1.0, seed=0)
         surv = uncovered_pairs(g, EMPTY, np.arange(16))
         plan = SamplePlan(16, 500, surv.universe_size, seed=3)
-        assert 1 << 16 <= plan.refine <= graph_module._SCAN_CAP
+        assert plan.refine >= 1 << 16
         ref = assert_matches_reference(g, surv, plan)
         assert min(r[2] for r in ref) >= 1 << 16
+        assert_matches_reference(g, surv, SamplePlan(16, _SCAN_CAP + 37, surv.universe_size, seed=5))
+        assert 1 in seen and max(seen) == _SCAN_CAP
 
     def test_apex_out_of_range_rejected(self):
         g, surv = make_case(20, 0.6, 3, np.arange(10))
