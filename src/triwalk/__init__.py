@@ -15,7 +15,7 @@ from .costs import (
     variable_search_cost,
     walk_cost,
 )
-from .estimator import EstimatorRun, SamplePlan, estimate_all_apexes, estimate_apex_pairs
+from .estimator import SamplePlan, estimate_all_apexes
 from .graph import (
     Graph,
     QueryLedger,
@@ -43,10 +43,8 @@ from .harness import (
 )
 from .pairs import (
     PairSet,
-    apex_restrict,
     cover_is_sparsifying,
     sample_cover,
-    sparsity_budget_holds,
     subset_pair_cap,
     uncovered_pairs,
     uncovered_pairs_at,

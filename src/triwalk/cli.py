@@ -46,17 +46,34 @@ def _bool_flag(value: str) -> bool:
     return value == "on"
 
 
+def _numbers(kind, count: Optional[int] = None):
+    """argparse type: comma-separated values of kind, exactly count if given."""
+
+    def parse(value: str) -> list:
+        try:
+            out = [kind(tok) for tok in value.split(",")]
+        except ValueError:
+            out = None
+        if out is None or count not in (None, len(out)):
+            what = f"{count} comma-separated" if count else "comma-separated"
+            raise argparse.ArgumentTypeError(f"expected {what} {kind.__name__}s, got {value!r}")
+        return out
+
+    return parse
+
+
+def _check_out(out: Optional[str], has_csv: bool) -> None:
+    if out is not None and Path(out).suffix == ".csv" and not has_csv:
+        raise ValueError("this report has no CSV form; write it to a .json path")
+
+
 def _write_report(text_json: str, text_csv: Optional[str], out: Optional[str]) -> None:
+    _check_out(out, text_csv is not None)
     if out is None:
         sys.stdout.write(text_json)
         return
     path = Path(out)
-    if path.suffix == ".csv":
-        if text_csv is None:
-            raise SystemExit("this report has no CSV form")
-        path.write_text(text_csv)
-    else:
-        path.write_text(text_json)
+    path.write_text(text_csv if path.suffix == ".csv" else text_json)
 
 
 def _params_from_args(args) -> AlgoParams:
@@ -73,6 +90,7 @@ def _params_from_args(args) -> AlgoParams:
 
 
 def _cmd_run(args) -> int:
+    _check_out(args.out, has_csv=False)
     _, fam = parse_family(args.family)
     g = fam(args.n, args.seed)
     report = find_triangle(g, _params_from_args(args))
@@ -115,14 +133,13 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_fit(args) -> int:
-    grid = [int(tok) for tok in args.grid.split(",")]
     params = _params_from_args(args)
     result = scaling_fit(
-        grid, args.algo, args.trials, family=args.family, params=params, seed=args.seed
+        args.grid, args.algo, args.trials, family=args.family, params=params, seed=args.seed
     )
     _write_report(result.to_json(), result.to_csv(), args.out)
     if args.band:
-        lo, hi = (float(tok) for tok in args.band.split(","))
+        lo, hi = args.band
         return 0 if lo <= result.slope <= hi else 1
     return 0
 
@@ -188,10 +205,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_fit = sub.add_parser("fit", help="scaling-exponent fit")
     common(p_fit)
-    p_fit.add_argument("--grid", default="128,256,512,1024,2048")
+    p_fit.add_argument("--grid", type=_numbers(int), default="128,256,512,1024,2048")
     p_fit.add_argument("--algo", choices=["walk", "naive", "edges"], default="walk")
     p_fit.add_argument("--trials", type=int, default=20)
-    p_fit.add_argument("--band", default=None, help="pass band 'lo,hi' for the slope")
+    p_fit.add_argument(
+        "--band", type=_numbers(float, 2), default=None, help="pass band 'lo,hi' for the slope"
+    )
     p_fit.set_defaults(func=_cmd_fit)
 
     p_corr = sub.add_parser("correctness", help="finder vs ground truth")

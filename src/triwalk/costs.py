@@ -63,9 +63,9 @@ class WalkCharge:
 
     setup/update/check are per-operation query costs; r is the walked
     subset size; eps is an a priori lower bound on the marked fraction
-    whenever any marked state exists. The label names the ground set for
-    reports. check may be an array of checking costs, one per walk, which
-    makes the check term and walk_cost elementwise.
+    whenever any marked state exists. check may be an array of checking
+    costs, one per walk, which makes the check term and walk_cost
+    elementwise.
     """
 
     setup: float
@@ -73,7 +73,6 @@ class WalkCharge:
     check: float | np.ndarray
     r: int
     eps: float
-    label: str = ""
 
     def __post_init__(self):
         if self.setup < 0 or self.update < 0 or np.any(np.asarray(self.check) < 0):

@@ -36,7 +36,6 @@ the total degree of their first endpoints).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -51,9 +50,7 @@ assert _SCAN_CAP < 1 << 16
 
 __all__ = [
     "SamplePlan",
-    "EstimatorRun",
     "estimator_charge",
-    "estimate_apex_pairs",
     "estimate_all_apexes",
 ]
 
@@ -113,26 +110,6 @@ class SamplePlan:
         self.refine = refine_draws(n, m)
         self.screen_draws = rng.integers(0, pair_universe, size=(self.rounds, m))
         self.refine_draws = rng.integers(0, pair_universe, size=self.refine)
-
-
-@dataclass(frozen=True)
-class EstimatorRun:
-    """One estimator evaluation: output plus its internal counters.
-
-    The output is always one of the two closed forms:
-    pair_universe / m (stage-2 floor) or c2 * pair_universe / refine
-    (stage-3 refinement), so it is reconstructible from the counters.
-    """
-
-    output: float
-    c1: int
-    c2: Optional[int]
-    m: int
-    rounds: int
-    refine: int
-    pair_universe: int
-    probes_used: int
-    charged: int
 
 
 class _ApexCounts(NamedTuple):
@@ -203,45 +180,6 @@ def _apex_counts(g: Graph, surviving: PairSet, m: int, plan: SamplePlan) -> _Ape
     hits1, hits3 = counts[:, verts] @ _bits(np.take(rows, verts, axis=0), n)
     probes = slots1.size + hits1 + refined * (slots3.size + hits3)
     return _ApexCounts(c1, refined, c2, outputs, probes)
-
-
-def estimate_apex_pairs(
-    g: Graph,
-    surviving: PairSet,
-    m: int,
-    apex: int,
-    plan: SamplePlan,
-    ledger: Optional[QueryLedger] = None,
-) -> EstimatorRun:
-    """Run the estimator for one apex against a shared plan.
-
-    Surviving-pair membership is tested for free (the set is known);
-    adjacency checks against the apex cost one raw probe each and short-
-    circuit, so a draw outside the surviving set probes nothing and a draw
-    whose first endpoint misses the apex probes once. The ledger, when
-    given, receives the raw probes and one charged estimator run. Each
-    call runs the whole all-apex kernel of estimate_all_apexes, which is
-    the one to call when scoring many apexes.
-    """
-    if not 0 <= apex < g.n:
-        raise ValueError(f"apex {apex} out of range for n={g.n}")
-    counts = _apex_counts(g, surviving, m, plan)
-    probes = int(counts.probes[apex])
-    charged = estimator_charge(g.n, m)
-    if ledger is not None:
-        ledger.add_raw(probes)
-        ledger.charge("estimator", charged)
-    return EstimatorRun(
-        output=float(counts.outputs[apex]),
-        c1=int(counts.c1[apex]),
-        c2=int(counts.c2[apex]) if counts.refined[apex] else None,
-        m=m,
-        rounds=plan.rounds,
-        refine=plan.refine,
-        pair_universe=surviving.universe_size,
-        probes_used=probes,
-        charged=charged,
-    )
 
 
 def estimate_all_apexes(

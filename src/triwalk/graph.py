@@ -8,7 +8,8 @@ randomness flows through explicit integer seeds.
 The generators write packed rows directly, 128 drawn rows at a time, and
 build no n x n matrix; their output is symmetric by construction, so it
 skips validation. Only user input (``Graph(dense)``, ``from_edges`` and
-the readers) is checked for symmetry and self loops.
+the readers) is checked: for symmetry, self loops and, in packed files,
+bits past column n.
 
 Classical probes of the adjacency relation go through ``Graph.query`` and
 are tallied as ``raw_probes`` on a :class:`QueryLedger`. Charged quantum
@@ -194,7 +195,7 @@ class Graph:
     emulation-side bulk scans.
     """
 
-    __slots__ = ("n", "_rows", "_edges")
+    __slots__ = ("n", "_rows")
 
     def __init__(self, dense: np.ndarray):
         dense = np.asarray(dense, dtype=bool)
@@ -208,7 +209,6 @@ class Graph:
             raise ValueError("adjacency must be symmetric")
         self.n: int = int(dense.shape[0])
         self._rows: np.ndarray = _pack_bool_rows(dense)
-        self._edges: Optional[tuple[np.ndarray, np.ndarray]] = None
 
     # -- construction -------------------------------------------------
 
@@ -220,11 +220,13 @@ class Graph:
         diagonal and zero bits past column n.
         """
         g = cls.__new__(cls)
-        g.n, g._rows, g._edges = n, rows, None
+        g.n, g._rows = n, rows
         return g
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "Graph":
+        if n < 1:
+            raise ValueError(f"n must be at least 1, got {n}")
         try:
             dense = np.zeros((n, n), dtype=bool)
         except MemoryError:
@@ -274,10 +276,8 @@ class Graph:
 
     def edges(self) -> tuple[np.ndarray, np.ndarray]:
         """Canonically ordered edge endpoints (u < v, lexicographic)."""
-        if self._edges is None:
-            eu, ev = map(np.concatenate, zip(*_edge_blocks(self)))
-            self._edges = (eu, ev)
-        return self._edges
+        eu, ev = map(np.concatenate, zip(*_edge_blocks(self)))
+        return eu, ev
 
     def pack_set(self, vertices) -> np.ndarray:
         """Bitmask of a vertex subset in the row word layout."""
@@ -294,7 +294,7 @@ class Graph:
             and np.array_equal(self._rows, other._rows)
         )
 
-    __hash__ = None  # mutable caches; identity comparisons are never wanted
+    __hash__ = None  # __eq__ compares the adjacency by value; rows are not hashed
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, edges={self.edge_count})"
@@ -497,4 +497,6 @@ def read_packed(path) -> Graph:
         raise ValueError(f"packed payload does not match the header's n={n}")
     raw = np.frombuffer(payload, dtype=np.uint8)
     bits = np.unpackbits(raw.reshape(n, row_bytes), axis=1, bitorder="little")
+    if bits[:, n:].any():
+        raise ValueError(f"packed rows have bits set past column n={n}")
     return Graph(bits[:, :n].astype(bool))

@@ -14,7 +14,7 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -147,20 +147,7 @@ class CampaignReport:
         )
 
     def to_dict(self) -> dict:
-        return {
-            "campaign": self.campaign,
-            "config": self.config,
-            "trials": self.trials,
-            "successes": self.successes,
-            "frequency": self.frequency,
-            "bound": self.bound,
-            "pass_line": self.pass_line,
-            "wilson_low": self.wilson_low,
-            "wilson_high": self.wilson_high,
-            "verdict": self.verdict,
-            "per_trial": self.per_trial,
-            "extras": self.extras,
-        }
+        return asdict(self)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
@@ -324,15 +311,15 @@ def verify_subset_cap(
     if trials < 1:
         raise ValueError("trials must be positive")
     g, cover, block, apex = _subset_cap_setup(config, size_a, seed)
-    at_apex = uncovered_pairs_at(g, cover, block, apex)
-    apex_count = len(at_apex)
+    # With no cover every pair survives, so the apex pairs of a subset B are
+    # the pairs of B's apex neighbours: C(d, 2) of them, d = |B & N(apex)|.
+    assert cover.size == 0
+    apex_count = len(uncovered_pairs_at(g, cover, block, apex))
+    nbrs = np.flatnonzero(g.bool_row(apex)[block])  # positions in the block
+    assert apex_count == math.comb(nbrs.size, 2)
     cap = subset_pair_cap(r, size_a, apex_count)
 
     rng = np.random.default_rng([seed, 0x4])
-    pu, pv = at_apex.selected_endpoints()
-    pos = {int(v): i for i, v in enumerate(block)}
-    pair_i = np.array([pos[int(u)] for u in pu], dtype=np.int64)
-    pair_j = np.array([pos[int(v)] for v in pv], dtype=np.int64)
     probe = rng.choice(size_a, size=2, replace=False)
     v1, v2 = int(probe[0]), int(probe[1])
 
@@ -346,10 +333,8 @@ def verify_subset_cap(
         in_b = np.zeros((batch, size_a), dtype=bool)
         np.put_along_axis(in_b, order, True, axis=1)
         keeps_pair = in_b[:, v1] & in_b[:, v2]
-        if pair_i.size:
-            apex_pairs = (in_b[:, pair_i] & in_b[:, pair_j]).sum(axis=1)
-        else:
-            apex_pairs = np.zeros(batch, dtype=np.int64)
+        d = in_b[:, nbrs].sum(axis=1)
+        apex_pairs = d * (d - 1) // 2
         hits += int((keeps_pair & (apex_pairs <= cap)).sum())
         done += batch
 
@@ -530,13 +515,7 @@ def correctness_suite(
         "planted_cases": planted_cases,
         "planted_n": planted_n,
         "seed": seed,
-        "injection": None
-        if injection is None
-        else {
-            "walk_success": injection.walk_success,
-            "check_success": injection.check_success,
-            "search_success": injection.search_success,
-        },
+        "injection": None if injection is None else asdict(injection),
     }
     extras = {
         "agreement": agree,

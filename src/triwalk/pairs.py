@@ -9,15 +9,16 @@ survive pruning are the working set of everything downstream.
 The headline property of a random cover of ~n^k log n draws is that, with
 probability at least 1 - 1/n, every surviving pair has at most n^(1-k)
 common neighbors, which caps the per-apex surviving-pair counts summed
-over all apexes by |Y|^2 n^(1-k) for every Y. Both the pointwise surrogate
-and the summed budget are checkable here.
+over all apexes by |Y|^2 n^(1-k) for every Y. The pointwise property is
+checked here (cover_is_sparsifying); the summed budget follows from it and
+is not checked separately.
 """
 
 from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import Iterator, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -29,9 +30,7 @@ __all__ = [
     "sample_cover",
     "uncovered_pairs",
     "uncovered_pairs_at",
-    "apex_restrict",
     "cover_is_sparsifying",
-    "sparsity_budget_holds",
     "subset_pair_cap",
 ]
 
@@ -55,10 +54,10 @@ class PairSet:
     The universe is a sorted vertex array; its pairs are enumerated
     canonically (lexicographically, row-major over the upper triangle) and
     the set is a boolean mask over that enumeration. The fixed indexing
-    makes membership tests and uniform pair sampling O(1) per operation.
+    makes uniform pair sampling O(1) per draw.
     """
 
-    __slots__ = ("verts", "mask", "_pos")
+    __slots__ = ("verts", "mask")
 
     def __init__(self, verts: np.ndarray, mask: np.ndarray):
         verts = np.asarray(verts, dtype=np.int64)
@@ -70,7 +69,6 @@ class PairSet:
             raise ValueError("mask does not match the pair universe size")
         self.verts = verts
         self.mask = mask
-        self._pos: Optional[dict[int, int]] = None
 
     # -- constructors ---------------------------------------------------
 
@@ -79,12 +77,6 @@ class PairSet:
         verts = np.unique(np.asarray(verts, dtype=np.int64))
         size = verts.size * (verts.size - 1) // 2
         return cls(verts, np.ones(size, dtype=bool))
-
-    @classmethod
-    def empty(cls, verts) -> "PairSet":
-        verts = np.unique(np.asarray(verts, dtype=np.int64))
-        size = verts.size * (verts.size - 1) // 2
-        return cls(verts, np.zeros(size, dtype=bool))
 
     # -- universe geometry ----------------------------------------------
 
@@ -98,43 +90,14 @@ class PairSet:
         iu, jv = _tri_indices(self.verts.size)
         return self.verts[iu], self.verts[jv]
 
-    def _slot(self, u: int, v: int) -> int:
-        if self._pos is None:
-            self._pos = {int(x): i for i, x in enumerate(self.verts)}
-        if u == v:
-            raise ValueError("pairs need distinct endpoints")
-        try:
-            i, j = self._pos[u], self._pos[v]
-        except KeyError as exc:
-            raise KeyError(f"vertex {exc.args[0]} not in pair universe") from exc
-        if i > j:
-            i, j = j, i
-        size = self.verts.size
-        return i * (2 * size - i - 1) // 2 + (j - i - 1)
-
     # -- set behaviour ----------------------------------------------------
-
-    def __contains__(self, pair) -> bool:
-        u, v = pair
-        return bool(self.mask[self._slot(int(u), int(v))])
 
     def __len__(self) -> int:
         return int(self.mask.sum())
 
-    def pairs(self) -> Iterator[tuple[int, int]]:
-        """Selected pairs in canonical order."""
-        pu, pv = self.endpoint_arrays()
-        for slot in np.nonzero(self.mask)[0]:
-            yield int(pu[slot]), int(pv[slot])
-
     def selected_endpoints(self) -> tuple[np.ndarray, np.ndarray]:
         pu, pv = self.endpoint_arrays()
         return pu[self.mask], pv[self.mask]
-
-    def issubset(self, other: "PairSet") -> bool:
-        return np.array_equal(self.verts, other.verts) and bool(
-            np.all(~self.mask | other.mask)
-        )
 
     def __repr__(self) -> str:
         return f"PairSet(|universe|={self.verts.size}, pairs={len(self)})"
@@ -192,18 +155,12 @@ def uncovered_pairs(g: Graph, cover, within) -> PairSet:
     return PairSet(base.verts, ~covered)
 
 
-def apex_restrict(g: Graph, pairs: PairSet, apex: int) -> PairSet:
-    """The subset of ``pairs`` whose both endpoints are adjacent to ``apex``."""
-    if pairs.universe_size == 0:
-        return pairs
-    adj = g.bool_row(apex)
-    pu, pv = pairs.endpoint_arrays()
-    return PairSet(pairs.verts, pairs.mask & adj[pu] & adj[pv])
-
-
 def uncovered_pairs_at(g: Graph, cover, within, apex: int) -> PairSet:
     """Surviving pairs of ``within`` whose endpoints both neighbor ``apex``."""
-    return apex_restrict(g, uncovered_pairs(g, cover, within), apex)
+    surviving = uncovered_pairs(g, cover, within)
+    adj = g.bool_row(apex)
+    pu, pv = surviving.endpoint_arrays()
+    return PairSet(surviving.verts, surviving.mask & adj[pu] & adj[pv])
 
 
 def common_neighbor_counts(g: Graph, pairs: PairSet) -> np.ndarray:
@@ -228,23 +185,6 @@ def cover_is_sparsifying(g: Graph, cover, k: float) -> bool:
         return True
     counts = common_neighbor_counts(g, surv)
     return bool(np.max(counts) <= g.n ** (1.0 - k))
-
-
-def sparsity_budget_holds(g: Graph, cover, subset, k: float) -> bool:
-    """Exact summed-budget check for one subset Y.
-
-    Evaluates sum_w |surviving pairs of Y at apex w| <= |Y|^2 n^(1-k),
-    using the identity that the left side equals the total common-neighbor
-    count over surviving pairs of Y.
-    """
-    subset = np.asarray(subset, dtype=np.int64)
-    if subset.size < 2:
-        return True
-    surv = uncovered_pairs(g, cover, subset)
-    if len(surv) == 0:
-        return True
-    lhs = int(common_neighbor_counts(g, surv).sum())
-    return lhs <= subset.size**2 * g.n ** (1.0 - k)
 
 
 def subset_pair_cap(r: int, parent_size: int, parent_apex_pairs):

@@ -305,8 +305,6 @@ class CheckCharge:
     estimator_each: float
     subset_size: int
     eps: float
-    block_vertices: int
-    m: int
 
 
 def find_apex_witness(
@@ -374,8 +372,6 @@ def find_apex_witness(
         estimator_each=est_each,
         subset_size=r,
         eps=eps,
-        block_vertices=bsize,
-        m=m,
     )
 
     witness = _smallest_apex_edge(g, surviving)
@@ -458,7 +454,6 @@ def search_blocks(
         check=check_charge.total,
         r=bsize,
         eps=eps_outer,
-        label="blocks",
     )
     term_setup, term_update, _ = walk_cost_terms(outer, cfg)
     ledger.charge("outer_setup", term_setup)

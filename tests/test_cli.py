@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+import triwalk.cli
 from triwalk.cli import main
 from triwalk.graph import read_edge_list, read_packed
 
@@ -103,6 +104,44 @@ def test_fit_usage_error_for_bad_grid():
     with pytest.raises(SystemExit) as info:
         main(["fit", "--grid", "128,256", "--algo", "naive", "--out", "/dev/null"])
     assert info.value.code == 2
+
+
+@pytest.fixture
+def no_work(monkeypatch):
+    """Fail the test if a command starts its finder run or its fit."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("work ran before the usage error")
+
+    monkeypatch.setattr(triwalk.cli, "find_triangle", refuse)
+    monkeypatch.setattr(triwalk.cli, "scaling_fit", refuse)
+
+
+def test_run_csv_out_is_usage_error_before_the_run(tmp_path, capsys, no_work):
+    out = tmp_path / "r.csv"
+    with pytest.raises(SystemExit) as info:
+        main(["run", "--n", "64", "--out", str(out)])
+    assert info.value.code == 2
+    assert "no CSV form" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("band", ["1.2", "1.2,1.3,1.4", "low,high"])
+def test_fit_bad_band_is_usage_error_before_the_fit(capsys, no_work, band):
+    with pytest.raises(SystemExit) as info:
+        main(["fit", "--grid", "128,256,512", "--band", band])
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert "--band" in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize("grid", ["128,256,x", "128;256;512", ""])
+def test_fit_bad_grid_is_usage_error_before_the_fit(capsys, no_work, grid):
+    with pytest.raises(SystemExit) as info:
+        main(["fit", "--grid", grid])
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert "--grid" in captured.err and captured.out == ""
 
 
 def test_unknown_choice_is_usage_error():

@@ -12,8 +12,8 @@ from triwalk import estimator as estimator_module
 from triwalk.graph import _SCAN_CAP, _anded_rows
 from triwalk.estimator import (
     SamplePlan,
+    _apex_counts,
     estimate_all_apexes,
-    estimate_apex_pairs,
     estimator_charge,
 )
 from triwalk.pairs import uncovered_pairs
@@ -50,14 +50,30 @@ def reference_apex(g, surv, plan, apex):
     return c2 * surv.universe_size / plan.refine, c1, c2, probes
 
 
+def kernel_runs(g, surv, plan):
+    """Every apex's (output, c1, c2, probes) from the all-apex kernel.
+
+    c2 is None where the apex stays at the screen's floor, as in
+    reference_apex.
+    """
+    counts = _apex_counts(g, surv, plan.m, plan)
+    return [
+        (
+            float(counts.outputs[w]),
+            int(counts.c1[w]),
+            int(counts.c2[w]) if counts.refined[w] else None,
+            int(counts.probes[w]),
+        )
+        for w in range(g.n)
+    ]
+
+
 def assert_matches_reference(g, surv, plan):
-    outputs, probes = estimate_all_apexes(g, surv, plan.m, plan)
     ref = [reference_apex(g, surv, plan, apex) for apex in range(g.n)]
+    assert kernel_runs(g, surv, plan) == ref
+    outputs, probes = estimate_all_apexes(g, surv, plan.m, plan)
     assert np.array_equal(outputs, [r[0] for r in ref])
     assert probes == sum(r[3] for r in ref)
-    for apex in {0, g.n // 2, g.n - 1}:
-        run = estimate_apex_pairs(g, surv, plan.m, apex, plan)
-        assert (run.output, run.c1, run.c2, run.probes_used) == ref[apex]
     return ref
 
 
@@ -92,10 +108,10 @@ class TestEstimator:
         g = Graph.from_edges(10, [(0, 1), (1, 2), (2, 3)])
         surv = uncovered_pairs(g, EMPTY, np.arange(8))
         plan = SamplePlan(10, 3, surv.universe_size, seed=2)
-        run = estimate_apex_pairs(g, surv, 3, 9, plan)
-        assert run.c1 == 0 and run.c2 is None
-        assert run.output == surv.universe_size / 3
-        assert run.probes_used == run.rounds * 3
+        output, c1, c2, probes = kernel_runs(g, surv, plan)[9]
+        assert c1 == 0 and c2 is None
+        assert output == surv.universe_size / 3
+        assert probes == plan.rounds * 3
 
     def test_all_qualifying_is_exact(self):
         # Complete graph: every draw survives and neighbors the apex, so the
@@ -104,69 +120,57 @@ class TestEstimator:
         g = erdos_renyi(9, 1.0, seed=0)
         surv = uncovered_pairs(g, EMPTY, np.arange(8))
         plan = SamplePlan(9, 4, surv.universe_size, seed=11)
-        run = estimate_apex_pairs(g, surv, 4, 8, plan)
-        assert run.c1 == run.rounds
-        assert run.c2 == run.refine
-        assert run.output == 28.0
+        output, c1, c2, probes = kernel_runs(g, surv, plan)[8]
+        assert c1 == plan.rounds
+        assert c2 == plan.refine
+        assert output == 28.0
         # Short-circuit accounting: two probes per drawn pair in each stage.
-        assert run.probes_used == 2 * run.rounds * 4 + 2 * run.refine
+        assert probes == 2 * plan.rounds * 4 + 2 * plan.refine
 
     def test_output_closed_forms(self):
         for seed in range(6):
             g, surv = make_case(24, 0.5, seed, np.arange(12))
             plan = SamplePlan(24, 4, surv.universe_size, seed=seed)
-            for apex in (0, 13, 23):
-                run = estimate_apex_pairs(g, surv, 4, apex, plan)
-                if run.c2 is None:
-                    assert run.output == surv.universe_size / 4
+            for output, _, c2, _ in kernel_runs(g, surv, plan):
+                if c2 is None:
+                    assert output == surv.universe_size / 4
                 else:
-                    assert run.output == run.c2 * surv.universe_size / run.refine
-                assert run.output >= 0
-
-    def test_single_matches_all_apex_path(self):
-        g, surv = make_case(20, 0.6, 3, np.arange(10))
-        plan = SamplePlan(20, 5, surv.universe_size, seed=9)
-        outputs, probes = estimate_all_apexes(g, surv, 5, plan)
-        singles = [
-            estimate_apex_pairs(g, surv, 5, apex, plan) for apex in range(20)
-        ]
-        assert np.array_equal(outputs, [run.output for run in singles])
-        assert probes == sum(run.probes_used for run in singles)
+                    assert output == c2 * surv.universe_size / plan.refine
+                assert output >= 0
 
     def test_plan_shared_draws_across_apexes(self):
-        # Two apexes against the same plan see identical stage-1 draws, so
-        # a deterministic function of (plan, apex) is what gets evaluated.
+        # Every apex is scored against the same plan's draws, so two runs
+        # off one plan are the same deterministic function of (plan, apex).
         g, surv = make_case(20, 0.6, 4, np.arange(10))
         plan = SamplePlan(20, 5, surv.universe_size, seed=1)
-        r1 = estimate_apex_pairs(g, surv, 5, 3, plan)
-        r2 = estimate_apex_pairs(g, surv, 5, 3, plan)
-        assert r1 == r2
+        assert kernel_runs(g, surv, plan) == kernel_runs(g, surv, plan)
 
     def test_ledger_accounting(self):
+        # The raw probes land on the ledger; the charge is the caller's.
         g, surv = make_case(20, 0.6, 5, np.arange(10))
         plan = SamplePlan(20, 5, surv.universe_size, seed=1)
         ledger = QueryLedger()
-        run = estimate_apex_pairs(g, surv, 5, 2, plan, ledger=ledger)
-        assert ledger.raw_probes == run.probes_used
-        assert ledger.charged["estimator"] == run.charged
-        assert run.charged == estimator_charge(20, 5) == math.ceil(5 * math.log(20))
+        _, probes = estimate_all_apexes(g, surv, 5, plan, ledger=ledger)
+        assert ledger.raw_probes == probes == sum(r[3] for r in kernel_runs(g, surv, plan))
+        assert ledger.charged == {}
+        assert estimator_charge(20, 5) == math.ceil(5 * math.log(20))
 
     def test_plan_mismatch_rejected(self):
         g, surv = make_case(20, 0.6, 6, np.arange(10))
         plan = SamplePlan(20, 5, surv.universe_size, seed=1)
         with pytest.raises(ValueError):
-            estimate_apex_pairs(g, surv, 4, 0, plan)
+            estimate_all_apexes(g, surv, 4, plan)
         other = uncovered_pairs(g, EMPTY, np.arange(9))
         with pytest.raises(ValueError):
-            estimate_apex_pairs(g, other, 5, 0, plan)
+            estimate_all_apexes(g, other, 5, plan)
 
     def test_m_beyond_pair_universe_is_fine(self):
         # Draws are with replacement, so m may exceed the pair universe.
         g = erdos_renyi(12, 0.7, seed=1)
         surv = uncovered_pairs(g, EMPTY, np.arange(5))  # 10 pairs
         plan = SamplePlan(12, 25, surv.universe_size, seed=2)
-        run = estimate_apex_pairs(g, surv, 25, 11, plan)
-        assert run.output >= 0
+        outputs, _ = estimate_all_apexes(g, surv, 25, plan)
+        assert np.all(outputs >= 0)
 
     def test_saturated_m_refines_near_exactly(self):
         # m as large as the pair universe: qualifying fractions concentrate
@@ -176,10 +180,10 @@ class TestEstimator:
         surv = uncovered_pairs(g, EMPTY, block)
         m = surv.universe_size
         plan = SamplePlan(16, m, surv.universe_size, seed=3)
-        run = estimate_apex_pairs(g, surv, m, 12, plan)
+        output, _, c2, _ = kernel_runs(g, surv, plan)[12]
         true_count = 28  # all pairs of the block neighbor every apex in K16
-        assert run.c2 is not None
-        assert 0.5 * true_count <= run.output <= 1.5 * true_count
+        assert c2 is not None
+        assert 0.5 * true_count <= output <= 1.5 * true_count
 
 
 class TestKernelMatchesReference:
@@ -220,7 +224,7 @@ class TestKernelMatchesReference:
 
     def test_empty_surviving_set_exits_without_probes(self):
         g = erdos_renyi(30, 0.5, seed=2)
-        surv = PairSet.empty(np.arange(12))
+        surv = PairSet(np.arange(12), np.zeros(66, dtype=bool))
         ref = assert_matches_reference(g, surv, SamplePlan(30, 6, surv.universe_size, seed=1))
         assert all(r == (surv.universe_size / 6, 0, None, 0) for r in ref)
 
@@ -270,13 +274,6 @@ class TestKernelMatchesReference:
         assert min(r[2] for r in ref) >= 1 << 16
         assert_matches_reference(g, surv, SamplePlan(16, _SCAN_CAP + 37, surv.universe_size, seed=5))
         assert 1 in seen and max(seen) == _SCAN_CAP
-
-    def test_apex_out_of_range_rejected(self):
-        g, surv = make_case(20, 0.6, 3, np.arange(10))
-        plan = SamplePlan(20, 5, surv.universe_size, seed=9)
-        for apex in (-1, 20):
-            with pytest.raises(ValueError):
-                estimate_apex_pairs(g, surv, 5, apex, plan)
 
 
 class TestEstimatorGuarantee:

@@ -4,7 +4,9 @@ Each case's sha256 digest was recorded before the code it guards was
 rewritten: the first ten from the per-apex reference estimator, the stage
 gate and baseline cases from the inline gates and the ledger-threaded
 baselines, the dense, covered-edge and cover-avoiding cases from the
-full-edge triangle scans. The four injected runs were re-recorded with
+full-edge triangle scans, and the three subset-cap campaigns from the
+pair-gather count of each subset's apex pairs, before it became a degree
+count. The four injected runs were re-recorded with
 ``record_golden.py`` when reports began to record their failure
 injection in ``params``. Criterion 8 only compares two runs of the same
 code; these digests compare the current code with that reference, so an
@@ -29,6 +31,7 @@ from triwalk import (
     random_bipartite,
     sparse_edges_baseline,
     verify_estimator_bounds,
+    verify_subset_cap,
 )
 
 
@@ -94,6 +97,12 @@ CASES = {
     ).to_json(),
     "naive-baseline-er-256": lambda: naive_triples_baseline(erdos_renyi(256, 0.5, 1)).to_json(),
     "edges-baseline-96": lambda: sparse_edges_baseline(random_bipartite(96, 2)).to_json(),
+    **{
+        f"subset-cap-{config}": (
+            lambda config=config: verify_subset_cap(128, 16, 4000, config=config, seed=404).to_json()
+        )
+        for config in ("er-half", "er-dense", "edgeless")
+    },
 }
 
 GOLDEN = {
@@ -117,6 +126,9 @@ GOLDEN = {
     "walk-path-check-gate": "ddd3c5438e5c60135eaf94a2a811234c2407c91c7f334a71f4abbe775e33eac3",
     "walk-path-search-gate": "9bf1ce20c5325adfb45a083d78205c73cfda951893049f26eb20a99df0545b8d",
     "walk-path-search-gate-suppressed": "f8c6fd0987097c7207ee84771622c6fe0dff3595acb87b0dc69e335fd42418e1",
+    "subset-cap-edgeless": "b4a8eac673c1e87168d6f58164a34819e14594ace3749c49ddb5ed451841f014",
+    "subset-cap-er-dense": "e4780447fdd039d54fc52d92479636d378ff471d072aa13d0b8fd5075cc69e9b",
+    "subset-cap-er-half": "b089c8bfab4ac9bfe512287cb487b4090eecf909a5479631027040e43e09ea0f",
 }
 
 

@@ -12,7 +12,6 @@ from triwalk import (
     Graph,
     QueryLedger,
     Triangle,
-    apex_restrict,
     brute_force_triangle,
     erdos_renyi,
     is_triangle,
@@ -22,6 +21,7 @@ from triwalk import (
     read_edge_list,
     read_packed,
     uncovered_pairs,
+    uncovered_pairs_at,
     write_edge_list,
     write_packed,
 )
@@ -66,6 +66,17 @@ def reference_planted(n, seed):
     for x, y in ((a, b), (a, c), (b, c)):
         dense[x, y] = dense[y, x] = True
     return dense
+
+
+def assert_valid_rows(g):
+    """g's packed rows are symmetric, loop-free and zero past column n."""
+    n = g.n
+    full = np.unpackbits(g._rows.view(np.uint8), axis=1, bitorder="little").view(bool)
+    assert g._rows.shape == (n, (n + 63) // 64)
+    assert not full[:, n:].any()  # pad bits past column n
+    dense = full[:, :n]
+    assert not np.diag(dense).any()
+    assert np.array_equal(dense, dense.T)
 
 
 # Word and chunk edges: 64-bit words, 128-row generator chunks.
@@ -234,12 +245,8 @@ class TestPackedGenerators:
                 planted_instance(n, seed)
         assert len(built) == 1 + (n >= 2) + (n >= 3)
         for g in built:
-            full = np.unpackbits(g._rows.view(np.uint8), axis=1, bitorder="little").view(bool)
-            assert g._rows.shape == (n, (n + 63) // 64)
-            assert not full[:, n:].any()  # pad bits past column n
-            dense = full[:, :n]
-            assert not np.diag(dense).any()
-            assert np.array_equal(dense, dense.T)
+            assert g.n == n
+            assert_valid_rows(g)
 
     def test_write_packed_bytes_equal_bool_matrix_reference(self, tmp_path):
         path = tmp_path / "g.bin"
@@ -250,15 +257,17 @@ class TestPackedGenerators:
             payload = np.packbits(g.bool_matrix, axis=1, bitorder="little").tobytes()
             assert path.read_bytes() == b"TWGB" + g.n.to_bytes(8, "little") + payload
 
-    def test_apex_restrict_equals_bool_matrix_reference(self):
+    def test_uncovered_pairs_at_equals_bool_matrix_reference(self):
         for n, seed in ((40, 1), (129, 2)):
             g = planted_instance(n, seed)
-            pairs = uncovered_pairs(g, [0, n // 2], np.arange(0, n, 3))
+            cover, within = [0, n // 2], np.arange(0, n, 3)
+            pairs = uncovered_pairs(g, cover, within)
             pu, pv = pairs.endpoint_arrays()
             adj = g.bool_matrix
             for apex in range(n):
                 expected = pairs.mask & adj[apex, pu] & adj[apex, pv]
-                assert np.array_equal(apex_restrict(g, pairs, apex).mask, expected)
+                at = uncovered_pairs_at(g, cover, within, apex)
+                assert np.array_equal(at.mask, expected)
                 assert np.array_equal(g.neighbors(apex), np.flatnonzero(adj[apex]))
 
     @pytest.mark.parametrize("words", [1, 7, 16, 17, 40])
@@ -387,3 +396,93 @@ class TestBoundaryRejection:
         path.write_bytes(b"TWGB" + (2**62).to_bytes(8, "little") + b"\0" * 16)
         with pytest.raises(ValueError, match="payload"):
             read_packed(path)
+
+    def test_packed_rejects_bits_past_column_n(self, tmp_path):
+        # A triangle on 3 vertices, plus bit 5 of row 0: no vertex 5 exists.
+        path = tmp_path / "g.bin"
+        path.write_bytes(b"TWGB" + (3).to_bytes(8, "little") + bytes([0b00100110, 0b101, 0b011]))
+        with pytest.raises(ValueError, match="past column n=3"):
+            read_packed(path)
+        path.write_bytes(b"TWGB" + (3).to_bytes(8, "little") + bytes([0b110, 0b101, 0b011]))
+        assert read_packed(path) == erdos_renyi(3, 1.0, seed=0)
+
+    @pytest.mark.parametrize("n", [-3, 0])
+    def test_nonpositive_n_from_edges(self, n):
+        with pytest.raises(ValueError, match="at least 1"):
+            Graph.from_edges(n, [])
+
+    def test_negative_header_n_in_edge_list(self, tmp_path):
+        path = tmp_path / "g.txt"
+        path.write_text("n -3\n")
+        with pytest.raises(ValueError, match="at least 1"):
+            read_edge_list(path)
+
+
+# Bytes for mutants of an edge list: mostly its own characters, so that
+# many mutants still parse.
+TEXT_BYTES = st.one_of(st.sampled_from(b"0123456789 n\n"), st.sampled_from(b"-+_\t\r\x00\xff"))
+ANY_BYTE = st.integers(0, 255)
+
+
+def mutate(data, blob, byte=ANY_BYTE, max_ops=4):
+    """blob after up to max_ops drawn edits: flip a bit, overwrite a byte,
+    truncate or append."""
+    out = bytearray(blob)
+    for op in data.draw(st.lists(st.sampled_from("fota"), max_size=max_ops)):
+        if op == "f" and out:
+            out[data.draw(st.integers(0, len(out) - 1))] ^= 1 << data.draw(st.integers(0, 7))
+        elif op == "o" and out:
+            out[data.draw(st.integers(0, len(out) - 1))] = data.draw(byte)
+        elif op == "t":
+            del out[data.draw(st.integers(0, len(out))) :]
+        elif op == "a":
+            out += bytes(data.draw(st.lists(byte, min_size=1, max_size=8)))
+    return bytes(out)
+
+
+def read_or_reject(read, path):
+    """read(path) as a valid graph, or None when it raises ValueError."""
+    try:
+        g = read(path)
+    except ValueError:
+        return None
+    assert_valid_rows(g)
+    return g
+
+
+class TestReaderFuzz:
+    """Malformed graph files either read as a valid graph or raise ValueError."""
+
+    graphs = st.builds(
+        erdos_renyi,
+        n=st.integers(1, 40),
+        p=st.sampled_from([0.0, 0.1, 0.5, 1.0]),
+        seed=st.integers(0, 2**16),
+    )
+
+    @settings(max_examples=150, deadline=None)
+    @given(g=graphs, data=st.data())
+    def test_edge_list(self, tmp_path_factory, g, data):
+        path = tmp_path_factory.getbasetemp() / "fuzz.txt"
+        write_edge_list(g, path)
+        head, body = path.read_bytes().split(b"\n", 1)
+        # The header line "n <count>" never grows and keeps its newline, so a
+        # mutant's n stays below 100 and asks for no large adjacency.
+        head = mutate(data, head, TEXT_BYTES, max_ops=1)[: len(head)]
+        path.write_bytes(head + b"\n" + mutate(data, body, TEXT_BYTES))
+        read_or_reject(read_edge_list, path)
+
+    @settings(max_examples=150, deadline=None)
+    @given(g=graphs, data=st.data())
+    def test_packed(self, tmp_path_factory, g, data):
+        path = tmp_path_factory.getbasetemp() / "fuzz.bin"
+        write_packed(g, path)
+        blob = path.read_bytes()
+        # Edit the 12 header bytes (magic and n) and the rows apart, so that
+        # most edits land in the rows.
+        blob = mutate(data, blob[:12], max_ops=1) + mutate(data, blob[12:])
+        path.write_bytes(blob)
+        g = read_or_reject(read_packed, path)
+        if g is not None:  # accepted files hold exactly the graph they load as
+            write_packed(g, path)
+            assert path.read_bytes() == blob

@@ -3,6 +3,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from triwalk import (
@@ -14,7 +15,29 @@ from triwalk import (
     verify_subset_cap,
     wilson_interval,
 )
-from triwalk.harness import fit_loglog, parse_family, sigma_pass_line
+from triwalk import harness
+from triwalk.harness import SUBSET_CAP_CONFIGS, fit_loglog, parse_family, sigma_pass_line
+from triwalk.pairs import uncovered_pairs_at
+
+
+def subset_cap_reference(size_a, r, trials, config, seed):
+    """Per trial of verify_subset_cap: does B keep the probe pair, and how
+    many apex pairs does B hold, counted by gathering both ends of every
+    apex pair. Draws the campaign's random stream in its order and chunks.
+    """
+    g, cover, block, apex = harness._subset_cap_setup(config, size_a, seed)
+    pu, pv = uncovered_pairs_at(g, cover, block, apex).selected_endpoints()
+    rng = np.random.default_rng([seed, 0x4])
+    v1, v2 = rng.choice(size_a, size=2, replace=False)
+    keeps, counts = [], []
+    for start in range(0, trials, 1 << 14):
+        batch = min(1 << 14, trials - start)
+        keys = rng.random((batch, size_a))
+        in_b = np.zeros((batch, size_a), dtype=bool)
+        np.put_along_axis(in_b, np.argpartition(keys, r - 1, axis=1)[:, :r], True, axis=1)
+        keeps.append(in_b[:, v1] & in_b[:, v2])
+        counts.append((in_b[:, block[pu]] & in_b[:, block[pv]]).sum(axis=1))
+    return np.concatenate(keeps), np.concatenate(counts)
 
 
 class TestStats:
@@ -120,6 +143,17 @@ class TestSubsetCapCampaign:
         for config in ("er-half", "er-dense", "edgeless"):
             report = verify_subset_cap(128, 16, 5000, config=config, seed=8)
             assert report.verdict, config
+
+    @pytest.mark.parametrize("config", SUBSET_CAP_CONFIGS)
+    def test_degree_count_equals_pair_gather_reference(self, monkeypatch, config):
+        # The real cap never binds on these configs, so force caps that do:
+        # at each one the hits equal the reference's, subset by subset count.
+        size_a, r, trials, seed = 64, 16, 20_000, 9
+        keeps, counts = subset_cap_reference(size_a, r, trials, config, seed)
+        for cap in sorted({*np.quantile(counts[keeps], [0.1, 0.5, 0.9]).astype(int), -1}):
+            monkeypatch.setattr(harness, "subset_pair_cap", lambda *_: cap)
+            report = verify_subset_cap(size_a, r, trials, config=config, seed=seed)
+            assert report.successes == int((keeps & (counts <= cap)).sum())
 
     def test_contract(self):
         with pytest.raises(ValueError):

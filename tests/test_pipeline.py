@@ -53,7 +53,8 @@ def plant_only_graph(n=64, triple=(61, 62, 63)):
 def apex_witness_oracle(g, surviving):
     """Independent scan: smallest apex with a surviving edge pair at it."""
     best = None
-    pairs = list(surviving.pairs())
+    pu, pv = surviving.selected_endpoints()
+    pairs = list(zip(pu.tolist(), pv.tolist()))
     for w in range(g.n):
         for u, v in pairs:
             if g.has_edge(u, v) and g.has_edge(u, w) and g.has_edge(v, w):
