@@ -1,7 +1,7 @@
 """Command-line interface.
 
 Subcommands:
-    run          one charged finder run on a generated instance
+    run          one charged finder run on a generated instance or a graph file
     verify       Monte Carlo campaigns (cover-sparsity, estimator, subset-cap)
     fit          scaling-exponent fit over an n grid
     correctness  finder-versus-ground-truth campaign
@@ -22,7 +22,7 @@ from pathlib import Path
 from typing import Optional
 
 from .costs import CostConfig
-from .graph import write_edge_list, write_packed
+from .graph import Graph, read_edge_list, read_packed, write_edge_list, write_packed
 from .harness import (
     SUBSET_CAP_CONFIGS,
     CampaignReport,
@@ -89,10 +89,23 @@ def _params_from_args(args) -> AlgoParams:
     )
 
 
+def _run_graph(args) -> Graph:
+    """The graph file --graph names, or the --family instance on --n vertices."""
+    if args.graph is None:
+        _, fam = parse_family("er:0.5" if args.family is None else args.family)
+        return fam(512 if args.n is None else args.n, args.seed)
+    if args.n is not None or args.family is not None:
+        raise ValueError("--graph cannot be combined with --n or --family")
+    path = Path(args.graph)
+    try:
+        return read_packed(path) if path.suffix == ".bin" else read_edge_list(path)
+    except OSError as exc:
+        raise ValueError(f"cannot read {path}: {exc.strerror or exc}") from None
+
+
 def _cmd_run(args) -> int:
     _check_out(args.out, has_csv=False)
-    _, fam = parse_family(args.family)
-    g = fam(args.n, args.seed)
+    g = _run_graph(args)
     report = find_triangle(g, _params_from_args(args))
     print(f"wall_ms={report.wall_ms:.1f}", file=sys.stderr)
     _write_report(report.to_json(), None, args.out)
@@ -175,17 +188,23 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, n_default=512):
+    def common(p, n_default=512, family_default="er:0.5"):
         p.add_argument("--n", type=int, default=n_default)
         p.add_argument("--a", type=float, default=0.75)
         p.add_argument("--k", type=float, default=0.5)
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--family", default="er:0.5")
+        p.add_argument("--family", default=family_default)
         p.add_argument("--log-factors", dest="log_factors", type=_bool_flag, default=False)
         p.add_argument("--out", default=None)
 
     p_run = sub.add_parser("run", help="single charged finder run")
-    common(p_run)
+    # None stands for 512 and er:0.5, so that --graph can refuse both flags.
+    common(p_run, n_default=None, family_default=None)
+    p_run.add_argument(
+        "--graph",
+        default=None,
+        help="run on this graph file (.bin: packed, else edge list), not --n/--family",
+    )
     p_run.add_argument("--inject", type=_bool_flag, default=False)
     p_run.add_argument("--guard", type=int, default=64)
     p_run.set_defaults(func=_cmd_run)

@@ -5,11 +5,15 @@ common-neighbor counts and lexicographic scans run word-parallel. Graphs
 are immutable after construction and safe for concurrent readers; all
 randomness flows through explicit integer seeds.
 
-The generators write packed rows directly, 128 drawn rows at a time, and
-build no n x n matrix; their output is symmetric by construction, so it
-skips validation. Only user input (``Graph(dense)``, ``from_edges`` and
-the readers) is checked: for symmetry, self loops and, in packed files,
-bits past column n.
+No constructor builds an n x n matrix beyond the one a caller passes to
+``Graph(dense)``. The generators write packed rows directly, 128 drawn
+rows at a time; their output is symmetric by construction, so it skips
+validation. ``from_edges`` and ``read_edge_list`` OR both orientations
+of every edge into packed rows, so they check only self loops and vertex
+ranges. ``Graph(dense)`` (after packing) and ``read_packed`` hand their
+rows to one validator, which rejects bits past column n, set diagonal
+bits and asymmetry, comparing each 128-row chunk's column pack with the
+matching word columns of the rows.
 
 Classical probes of the adjacency relation go through ``Graph.query`` and
 are tallied as ``raw_probes`` on a :class:`QueryLedger`. Charged quantum
@@ -19,6 +23,7 @@ the cost-model layer, under per-phase labels.
 
 from __future__ import annotations
 
+import itertools
 import struct
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
@@ -63,6 +68,9 @@ _GEN_ROWS = 128
 # The strict upper triangle of a chunk's diagonal block.
 _ABOVE = np.triu(np.ones((_GEN_ROWS, _GEN_ROWS), dtype=bool), 1)
 _OCTET_WEIGHTS = np.uint8(1) << np.arange(8, dtype=np.uint8)
+# Edges that from_edges converts and ORs into the rows at a time, which
+# bounds its memory, and read_edge_list's, apart from the rows themselves.
+_EDGE_BATCH = 1 << 14
 
 
 class Triangle(NamedTuple):
@@ -139,6 +147,57 @@ def _or_block(rows: np.ndarray, r0: int, c0: int, bits: np.ndarray) -> None:
     rows[c0 : c0 + w, r0 >> 6 : (r0 + h + 63) >> 6] |= _pack_bool_columns(bits)
 
 
+def _zero_rows(n: int) -> np.ndarray:
+    """All-zero packed rows for n vertices; ValueError if n < 1 or too large."""
+    if n < 1:
+        raise ValueError(f"n must be at least 1, got {n}")
+    try:
+        return np.zeros((n, (n + 63) // 64), dtype=np.uint64)
+    except (MemoryError, ValueError):
+        raise ValueError(f"n={n} is too large: its adjacency cannot be allocated") from None
+
+
+def _check_rows(n: int, rows: np.ndarray) -> None:
+    """Raise ValueError unless packed rows hold a valid adjacency on n vertices.
+
+    Rejects bits past column n, set diagonal bits and asymmetry. Row i must
+    equal column i: for each _GEN_ROWS chunk starting at r0, the column pack
+    of the chunk's columns from r0 on must equal the chunk's word columns of
+    rows r0 and later, so each pair is compared once, at its lower end.
+    """
+    if n % 64 and (rows[:, -1] >> np.uint64(n % 64)).any():
+        raise ValueError(f"packed rows have bits set past column n={n}")
+    v = np.arange(n)
+    if ((rows[v, v >> 6] >> (v & 63).astype(np.uint64)) & np.uint64(1)).any():
+        raise ValueError("self loops are not representable")
+    for r0 in range(0, n, _GEN_ROWS):
+        chunk = rows[r0 : r0 + _GEN_ROWS]
+        bits = np.unpackbits(
+            chunk.view(np.uint8)[:, r0 >> 3 :], axis=1, count=n - r0, bitorder="little"
+        ).view(bool)
+        words = rows[r0:, r0 >> 6 : (r0 + chunk.shape[0] + 63) >> 6]
+        if not np.array_equal(_pack_bool_columns(bits), words):
+            raise ValueError("adjacency must be symmetric")
+
+
+def _or_edges(rows: np.ndarray, n: int, pairs: list) -> None:
+    """OR a list of (u, v) vertex pairs into packed rows, both ways."""
+    try:
+        ends = np.array(pairs)
+    except ValueError:  # pairs of unequal lengths
+        ends = np.zeros(0)
+    if ends.ndim != 2 or ends.shape[1] != 2 or ends.dtype.kind not in "iu":
+        raise ValueError("edges must be (u, v) pairs of integer vertex ids")
+    if (ends[:, 0] == ends[:, 1]).any():
+        raise ValueError("self loops are not representable")
+    if ((ends < 0) | (ends >= n)).any():
+        raise ValueError(f"vertex id out of range for n={n}")
+    ends = ends.astype(np.int64, copy=False)
+    flat, words = rows.reshape(-1), rows.shape[1]
+    for u, v in ((ends[:, 0], ends[:, 1]), (ends[:, 1], ends[:, 0])):
+        np.bitwise_or.at(flat, u * words + (v >> 6), np.uint64(1) << (v & 63).astype(np.uint64))
+
+
 def _fold_words(op, words: np.ndarray, dtype=None) -> np.ndarray:
     """``op.reduce`` over the word axis of (rows, words): one value a row.
 
@@ -189,10 +248,12 @@ def _anded_rows(rows: np.ndarray, iu: np.ndarray, iv: np.ndarray, stops=None):
 class Graph:
     """Undirected unweighted graph over vertices 0..n-1.
 
-    The adjacency relation is symmetric with no self loops; both are
-    enforced at construction. Use :meth:`query` for oracle-style access
-    that tallies raw probes on a ledger, and the ``_rows`` bitset view for
-    emulation-side bulk scans.
+    The adjacency relation is symmetric with no self loops. ``Graph(dense)``
+    packs a square boolean matrix into 64-bit rows and checks the packed
+    rows (see ``_check_rows``); ``from_edges`` and the readers build packed
+    rows without any n x n matrix. Use :meth:`query` for oracle-style
+    access that tallies raw probes on a ledger, and the ``_rows`` bitset
+    view for emulation-side bulk scans.
     """
 
     __slots__ = ("n", "_rows")
@@ -203,21 +264,18 @@ class Graph:
             raise ValueError("adjacency must be a square matrix")
         if dense.shape[0] < 1:
             raise ValueError("graph needs at least one vertex")
-        if np.any(np.diag(dense)):
-            raise ValueError("self loops are not representable")
-        if not np.array_equal(dense, dense.T):
-            raise ValueError("adjacency must be symmetric")
         self.n: int = int(dense.shape[0])
         self._rows: np.ndarray = _pack_bool_rows(dense)
+        _check_rows(self.n, self._rows)
 
     # -- construction -------------------------------------------------
 
     @classmethod
     def _from_rows(cls, n: int, rows: np.ndarray) -> "Graph":
-        """Wrap packed rows that are symmetric by construction, unchecked.
+        """Wrap packed rows unchecked: generator output, or rows already checked.
 
-        For generator output only: the rows must be symmetric, with a zero
-        diagonal and zero bits past column n.
+        The rows must be symmetric, with a zero diagonal and zero bits past
+        column n.
         """
         g = cls.__new__(cls)
         g.n, g._rows = n, rows
@@ -225,20 +283,16 @@ class Graph:
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "Graph":
-        if n < 1:
-            raise ValueError(f"n must be at least 1, got {n}")
-        try:
-            dense = np.zeros((n, n), dtype=bool)
-        except MemoryError:
-            raise ValueError(f"n={n} is too large: its adjacency cannot be allocated") from None
-        for u, v in edges:
-            if u == v:
-                raise ValueError("self loops are not representable")
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"vertex id out of range for n={n}")
-            dense[u, v] = True
-            dense[v, u] = True
-        return cls(dense)
+        """Graph on n vertices from (u, v) pairs; repeats and order are free.
+
+        Pairs are converted _EDGE_BATCH at a time, so no n x n matrix and no
+        whole edge array is built.
+        """
+        rows = _zero_rows(n)
+        pairs = iter(edges)
+        while batch := list(itertools.islice(pairs, _EDGE_BATCH)):
+            _or_edges(rows, n, batch)
+        return cls._from_rows(n, rows)
 
     # -- core access ---------------------------------------------------
 
@@ -465,12 +519,33 @@ def write_edge_list(g: Graph, path) -> None:
 
 
 def read_edge_list(path) -> Graph:
+    """Read write_edge_list's form; blank lines are skipped."""
     with open(path) as fh:
-        header = fh.readline().split()
-        if len(header) != 2 or header[0] != "n":
-            raise ValueError("expected header line 'n <count>'")
-        n = int(header[1])
-        return Graph.from_edges(n, (map(int, line.split()) for line in fh if line.strip()))
+        header = fh.readline()
+        try:
+            tag, count = header.split()
+            if tag != "n":
+                raise ValueError
+            n = int(count)
+        except ValueError:
+            got = header.rstrip()
+            raise ValueError(f"line 1: expected header 'n <count>', got {got!r}") from None
+        return Graph.from_edges(n, _edge_lines(fh))
+
+
+def _edge_lines(lines):
+    """Yield (u, v) from each nonblank line after the header, numbered from 2."""
+    for lineno, line in enumerate(lines, 2):
+        tokens = line.split()
+        if tokens:
+            try:
+                u, v = tokens
+                pair = int(u), int(v)
+            except ValueError:
+                got = line.rstrip()
+                message = f"line {lineno}: expected 'u v', two integer ids, got {got!r}"
+                raise ValueError(message) from None
+            yield pair
 
 
 def write_packed(g: Graph, path) -> None:
@@ -495,8 +570,8 @@ def read_packed(path) -> Graph:
     row_bytes = (n + 7) // 8
     if len(payload) != n * row_bytes:
         raise ValueError(f"packed payload does not match the header's n={n}")
+    rows = _zero_rows(n)
     raw = np.frombuffer(payload, dtype=np.uint8)
-    bits = np.unpackbits(raw.reshape(n, row_bytes), axis=1, bitorder="little")
-    if bits[:, n:].any():
-        raise ValueError(f"packed rows have bits set past column n={n}")
-    return Graph(bits[:, :n].astype(bool))
+    rows.view(np.uint8)[:, :row_bytes] = raw.reshape(n, row_bytes)
+    _check_rows(n, rows)
+    return Graph._from_rows(n, rows)

@@ -9,13 +9,16 @@ import importlib
 import json
 from pathlib import Path
 
+import pytest
+
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
-def run_tiny(script, monkeypatch, capsys):
+def run_tiny(script, monkeypatch, capsys, **sizes):
     monkeypatch.syspath_prepend(str(BENCH))
     module = importlib.import_module(script)
-    monkeypatch.setattr(module, "SIZES", (64,))
+    for name, value in {"SIZES": (64,), **sizes}.items():
+        monkeypatch.setattr(module, name, value)
     monkeypatch.setattr(module, "SEEDS", range(1))
     monkeypatch.setattr(module, "REPEATS", 1)
     module.main()
@@ -37,10 +40,33 @@ def test_scans_bench_times_every_scan(monkeypatch, capsys):
     }
 
 
-def test_graph_bench_times_every_generator(monkeypatch, capsys):
-    rows = run_tiny("graph", monkeypatch, capsys)
+@pytest.fixture
+def graph_rows(monkeypatch, capsys):
+    return run_tiny("graph", monkeypatch, capsys, USER_SIZES=(64,))
+
+
+def test_graph_bench_times_every_generator(graph_rows):
+    rows = [row for row in graph_rows if "generator" in row]
     assert [(row["generator"], row["n"]) for row in rows] == [
         ("rng", 64), ("er", 64), ("bipartite", 64), ("planted", 64)
     ]
     assert rows[0]["digest"] is None
     assert all(len(row["digest"]) == 16 for row in rows[1:])
+
+
+def test_graph_bench_times_every_user_input_constructor(graph_rows):
+    rows = [row for row in graph_rows if "constructor" in row]
+    assert [(row["constructor"], row["n"]) for row in rows] == [
+        ("Graph(dense)", 64), ("from_edges", 64), ("read_edge_list", 64), ("read_packed", 64)
+    ]
+    # Each constructor loads random_bipartite's own graph.
+    (bipartite,) = [row for row in graph_rows if row.get("generator") == "bipartite"]
+    assert {row["digest"] for row in rows} == {bipartite["digest"]}
+
+
+def test_graph_bench_large_run_reads_back_in_a_capped_child(monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))
+    row = importlib.import_module("graph").large_run(64, limit_gib=3.0)
+    assert row["graph"] == "random_bipartite(64, 0)"
+    assert row["outcome"] is None  # bipartite graphs are triangle-free
+    assert row["edges"] > 0 and row["peak_rss_mib"] > 0

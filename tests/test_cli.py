@@ -180,3 +180,42 @@ def test_run_below_guard_is_usage_error():
     with pytest.raises(SystemExit) as info:
         main(["run", "--n", "32", "--seed", "0"])
     assert info.value.code == 2
+
+
+@pytest.mark.parametrize("suffix", [".txt", ".bin"])
+def test_run_graph_file_gives_the_generated_graphs_report(tmp_path, suffix):
+    graph = tmp_path / f"g{suffix}"
+    family = ["--family", "planted", "--seed", "5"]
+    assert main(["gen", "--n", "96", *family, "--out", str(graph)]) == 0
+    generated, from_file = tmp_path / "generated.json", tmp_path / "from_file.json"
+    assert main(["run", "--n", "96", *family, "--out", str(generated)]) == 0
+    assert main(["run", "--graph", str(graph), "--seed", "5", "--out", str(from_file)]) == 0
+    assert from_file.read_bytes() == generated.read_bytes()
+
+
+def test_run_malformed_graph_file_is_usage_error(tmp_path, capsys):
+    graph = tmp_path / "g.txt"
+    graph.write_text("n 64\n0 1\n2 x\n")
+    with pytest.raises(SystemExit) as info:
+        main(["run", "--graph", str(graph)])
+    assert info.value.code == 2
+    assert capsys.readouterr().err == (
+        "error: line 3: expected 'u v', two integer ids, got '2 x'\n"
+    )
+
+
+def test_run_missing_graph_file_is_usage_error(tmp_path, capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["run", "--graph", str(tmp_path / "absent.bin")])
+    assert info.value.code == 2
+    assert "cannot read" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", [["--n", "64"], ["--family", "bipartite"]])
+def test_run_graph_with_n_or_family_is_usage_error(tmp_path, capsys, no_work, flag):
+    graph = tmp_path / "g.bin"
+    assert main(["gen", "--n", "64", "--out", str(graph)]) == 0
+    with pytest.raises(SystemExit) as info:
+        main(["run", "--graph", str(graph), *flag])
+    assert info.value.code == 2
+    assert "cannot be combined" in capsys.readouterr().err

@@ -25,6 +25,7 @@ from triwalk import (
     write_edge_list,
     write_packed,
 )
+import triwalk.graph
 from triwalk.graph import (
     _TAG_BIPARTITE,
     _TAG_ER,
@@ -416,6 +417,149 @@ class TestBoundaryRejection:
         path.write_text("n -3\n")
         with pytest.raises(ValueError, match="at least 1"):
             read_edge_list(path)
+
+
+def packed_file(path, dense):
+    """Write a square bool matrix in write_packed's format, valid or not."""
+    n = dense.shape[0]
+    payload = np.packbits(dense, axis=1, bitorder="little").tobytes()
+    path.write_bytes(b"TWGB" + n.to_bytes(8, "little") + payload)
+    return path
+
+
+def random_symmetric(n, seed, p=0.5):
+    """A symmetric, loop-free n x n bool matrix drawn at edge probability p."""
+    upper = np.triu(np.random.default_rng(seed).random((n, n)) < p, 1)
+    return upper | upper.T
+
+
+# Rows and columns at the 64-bit word and 128-row chunk edges of n=200.
+VALIDATOR_N = 200
+FLIPS = [
+    (r, c)
+    for r in (0, 63, 64, 127, 128, 129, VALIDATOR_N - 1)
+    for c in (0, 63, 64, 127, 128, 129, VALIDATOR_N - 1)
+    if r != c
+]
+
+
+class TestUserInputValidation:
+    """Graph(dense) and read_packed validate packed rows; from_edges and
+    read_edge_list build rows that are symmetric by construction."""
+
+    def assert_both_reject(self, path, dense, message):
+        with pytest.raises(ValueError, match=message):
+            Graph(dense)
+        with pytest.raises(ValueError, match=message):
+            read_packed(packed_file(path, dense))
+
+    @pytest.mark.parametrize("r, c", FLIPS)
+    def test_one_flipped_bit_is_rejected_at_word_and_chunk_edges(self, tmp_path, r, c):
+        for p in (0.0, 0.5, 1.0):
+            dense = random_symmetric(VALIDATOR_N, seed=r * 1000 + c, p=p)
+            dense[r, c] = not dense[r, c]
+            self.assert_both_reject(tmp_path / "g.bin", dense, "must be symmetric")
+
+    @pytest.mark.parametrize("v", [0, 63, 64, 127, 128, 129, VALIDATOR_N - 1])
+    def test_one_diagonal_bit_is_rejected(self, tmp_path, v):
+        dense = random_symmetric(VALIDATOR_N, seed=v)
+        dense[v, v] = True
+        self.assert_both_reject(tmp_path / "g.bin", dense, "self loops")
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=sizes.filter(lambda n: n >= 2), p=probabilities, seed=st.integers(0, 2**32 - 1),
+           data=st.data())
+    def test_any_flipped_bit_is_rejected(self, tmp_path_factory, n, p, seed, data):
+        dense = random_symmetric(n, seed, p)
+        r = data.draw(st.integers(0, n - 1))
+        c = data.draw(st.integers(0, n - 2))
+        c += c >= r  # any column but r
+        dense[r, c] = not dense[r, c]
+        self.assert_both_reject(tmp_path_factory.getbasetemp() / "flip.bin", dense, "symmetric")
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=sizes, p=probabilities, seed=st.integers(0, 2**32 - 1))
+    def test_every_constructor_equals_the_packed_matrix(self, tmp_path_factory, n, p, seed):
+        dense = random_symmetric(n, seed, p)
+        expected = _pack_bool_rows(dense)
+        # Each edge once in a random orientation, a third of them repeated
+        # in the other orientation, in random order.
+        rng = np.random.default_rng(seed)
+        u, v = np.nonzero(np.triu(dense))
+        swap = rng.random(u.size) < 0.5
+        pairs = np.stack([np.where(swap, v, u), np.where(swap, u, v)], axis=1)
+        pairs = np.concatenate([pairs, pairs[rng.random(u.size) < 0.3][:, ::-1]])
+        edges = [tuple(e) for e in pairs[rng.permutation(len(pairs))].tolist()]
+        path = tmp_path_factory.getbasetemp() / "same"
+        path.with_suffix(".txt").write_text(f"n {n}\n" + "".join(f"{a} {b}\n" for a, b in edges))
+        for g in (
+            Graph(dense),
+            Graph.from_edges(n, edges),
+            read_edge_list(path.with_suffix(".txt")),
+            read_packed(packed_file(path.with_suffix(".bin"), dense)),
+        ):
+            assert g.n == n
+            assert np.array_equal(g._rows, expected)
+
+    def test_self_loops_are_rejected_by_the_edge_paths(self, tmp_path):
+        with pytest.raises(ValueError, match="self loops"):
+            Graph.from_edges(4, [(0, 1), (2, 2)])
+        path = tmp_path / "g.txt"
+        path.write_text("n 4\n0 1\n3 3\n")
+        with pytest.raises(ValueError, match="self loops"):
+            read_edge_list(path)
+
+    def test_from_edges_without_edges_is_edgeless(self):
+        for edges in ([], (), iter([]), np.zeros((0, 2), dtype=np.int64)):
+            g = Graph.from_edges(70, edges)
+            assert np.array_equal(g._rows, np.zeros((70, 2), dtype=np.uint64))
+
+    @pytest.mark.parametrize("edges", [[(0, 1, 2)], [(0,)], [(0, 1), (2,)], [(0, 0.5)], [(0, 2**70)]])
+    def test_from_edges_rejects_what_is_not_integer_pairs(self, edges):
+        with pytest.raises(ValueError, match="pairs of integer vertex ids"):
+            Graph.from_edges(4, edges)
+
+    def test_edge_list_batches_equal_one_pass(self, tmp_path, monkeypatch):
+        g = erdos_renyi(90, 0.3, seed=4)
+        path = tmp_path / "g.txt"
+        write_edge_list(g, path)
+        batches = []
+        real = triwalk.graph._or_edges
+
+        def recording(rows, n, pairs):
+            batches.append(len(pairs))
+            real(rows, n, pairs)
+
+        monkeypatch.setattr(triwalk.graph, "_EDGE_BATCH", 7)
+        monkeypatch.setattr(triwalk.graph, "_or_edges", recording)
+        assert read_edge_list(path) == g
+        # The reader holds at most one batch of parsed edges at a time.
+        assert sum(batches) == g.edge_count
+        assert max(batches) == 7 and len(batches) == math.ceil(g.edge_count / 7)
+        # A bad id in a later batch is still caught.
+        path.write_text(path.read_text() + "3 90\n")
+        with pytest.raises(ValueError, match="out of range"):
+            read_edge_list(path)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("n 4\n0 1\n2\n", "line 3: expected 'u v', two integer ids, got '2'"),
+            ("n 4\n0 1 2\n", "line 2: expected 'u v', two integer ids, got '0 1 2'"),
+            ("n 4\n\n0 1\n1 two\n", "line 4: expected 'u v', two integer ids, got '1 two'"),
+            ("n 4\n0 1.5\n", "line 2: expected 'u v', two integer ids, got '0 1.5'"),
+            ("vertices 4\n0 1\n", "line 1: expected header 'n <count>', got 'vertices 4'"),
+            ("n four\n0 1\n", "line 1: expected header 'n <count>', got 'n four'"),
+            ("n\n0 1\n", "line 1: expected header 'n <count>', got 'n'"),
+            ("", "line 1: expected header 'n <count>', got ''"),
+        ],
+    )
+    def test_malformed_edge_list_lines_are_named(self, tmp_path, text, message):
+        path = tmp_path / "g.txt"
+        path.write_text(text)
+        with pytest.raises(ValueError) as info:
+            read_edge_list(path)
+        assert str(info.value) == message
 
 
 # Bytes for mutants of an edge list: mostly its own characters, so that
