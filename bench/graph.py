@@ -23,8 +23,8 @@ graphs as well as compared for speed.
 
 ``--large N`` instead writes ``random_bipartite(N, 0)`` with
 ``write_packed`` and, in a child process whose address space is capped
-with ``resource.setrlimit`` (``--limit-gib``, default 3), reads it back
-with ``read_packed`` and runs one ``find_triangle``. Prints the child's
+with ``resource.setrlimit`` to LARGE_LIMIT_GIB, reads it back with
+``read_packed`` and runs one ``find_triangle``. Prints the child's
 timings and its peak RSS (``ru_maxrss``) as one JSON object.
 
     PYTHONPATH=src python bench/graph.py --large 16384
@@ -55,6 +55,8 @@ SIZES = (448, 768, 1024, 2048, 4096)
 USER_SIZES = (768, 2048, 4096)
 SEEDS = range(3)
 REPEATS = 3
+# The address-space cap of --large's child process.
+LARGE_LIMIT_GIB = 3
 
 GENERATORS = {
     "rng": lambda n, seed: np.random.default_rng([seed, graph._TAG_ER]).random((n, n)),
@@ -139,8 +141,9 @@ def measure_user(n: int) -> list[dict]:
     return [_row("constructor", name, n, ms[name], peak[name], digest[name]) for name in USER_INPUTS]
 
 
-def _child_find(path: str, limit_bytes: int) -> dict:
+def _child_find(path: str) -> dict:
     """In the child: cap the address space, read the graph, run the finder."""
+    limit_bytes = LARGE_LIMIT_GIB * 2**30
     resource.setrlimit(resource.RLIMIT_AS, (limit_bytes, limit_bytes))
     t0 = time.perf_counter()
     g = tw.read_packed(path)
@@ -156,20 +159,19 @@ def _child_find(path: str, limit_bytes: int) -> dict:
     }
 
 
-def large_run(n: int, limit_gib: float) -> dict:
+def large_run(n: int) -> dict:
     """find_triangle on random_bipartite(n, 0), read back from a packed file in a child."""
-    limit_bytes = int(limit_gib * 2**30)
     with tempfile.TemporaryDirectory() as tmp:
         path = str(Path(tmp) / "g.bin")
         t0 = time.perf_counter()
         tw.write_packed(tw.random_bipartite(n, 0), path)
         write_ms = (time.perf_counter() - t0) * 1000.0
         with ProcessPoolExecutor(1, mp_context=get_context("spawn")) as pool:
-            child = pool.submit(_child_find, path, limit_bytes).result()
+            child = pool.submit(_child_find, path).result()
     return {
         "graph": f"random_bipartite({n}, 0)",
         "generate_and_write_packed_ms": round(write_ms, 1),
-        "rlimit_as_gib": limit_gib,
+        "rlimit_as_gib": LARGE_LIMIT_GIB,
         **child,
     }
 
@@ -177,10 +179,9 @@ def large_run(n: int, limit_gib: float) -> dict:
 def main(argv=()) -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--large", type=int, default=None, metavar="N")
-    parser.add_argument("--limit-gib", dest="limit_gib", type=float, default=3.0)
     args = parser.parse_args(argv)
     if args.large is not None:
-        print(json.dumps(large_run(args.large, args.limit_gib)))
+        print(json.dumps(large_run(args.large)))
         return
     rows = [measure(name, n) for n in SIZES for name in GENERATORS]
     rows += [row for n in USER_SIZES for row in measure_user(n)]

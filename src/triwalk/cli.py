@@ -38,6 +38,9 @@ from .pipeline import AlgoParams, FailureInjection, find_triangle
 # Stage gates used by --inject on: walk 3/4 and checker 2/3, the success
 # floors of the corresponding routines.
 DEFAULT_INJECTION = FailureInjection(walk_success=0.75, check_success=2.0 / 3.0)
+# The instance that run, fit and verify build when --n or --family is not given.
+DEFAULT_N = 512
+DEFAULT_FAMILY = "er:0.5"
 
 
 def _bool_flag(value: str) -> bool:
@@ -92,8 +95,8 @@ def _params_from_args(args) -> AlgoParams:
 def _run_graph(args) -> Graph:
     """The graph file --graph names, or the --family instance on --n vertices."""
     if args.graph is None:
-        _, fam = parse_family("er:0.5" if args.family is None else args.family)
-        return fam(512 if args.n is None else args.n, args.seed)
+        _, fam = parse_family(DEFAULT_FAMILY if args.family is None else args.family)
+        return fam(DEFAULT_N if args.n is None else args.n, args.seed)
     if args.n is not None or args.family is not None:
         raise ValueError("--graph cannot be combined with --n or --family")
     path = Path(args.graph)
@@ -188,18 +191,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, n_default=512, family_default="er:0.5"):
+    def common(p, n_default=DEFAULT_N):
         p.add_argument("--n", type=int, default=n_default)
         p.add_argument("--a", type=float, default=0.75)
         p.add_argument("--k", type=float, default=0.5)
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--family", default=family_default)
+        p.add_argument("--family", default=DEFAULT_FAMILY)
         p.add_argument("--log-factors", dest="log_factors", type=_bool_flag, default=False)
         p.add_argument("--out", default=None)
 
     p_run = sub.add_parser("run", help="single charged finder run")
-    # None stands for 512 and er:0.5, so that --graph can refuse both flags.
-    common(p_run, n_default=None, family_default=None)
+    common(p_run)
+    # None stands for DEFAULT_N and DEFAULT_FAMILY, so that --graph can refuse both flags.
+    p_run.set_defaults(n=None, family=None)
     p_run.add_argument(
         "--graph",
         default=None,

@@ -70,7 +70,10 @@ _ABOVE = np.triu(np.ones((_GEN_ROWS, _GEN_ROWS), dtype=bool), 1)
 _OCTET_WEIGHTS = np.uint8(1) << np.arange(8, dtype=np.uint8)
 # Edges that from_edges converts and ORs into the rows at a time, which
 # bounds its memory, and read_edge_list's, apart from the rows themselves.
-_EDGE_BATCH = 1 << 14
+# A batch costs about 35 us of fixed numpy calls and holds about 250 bytes
+# a pair: 4096 pairs keep the fixed cost near 2% of the conversion and the
+# batch under 1 MiB (BENCH_graph.json, "edge_batch").
+_EDGE_BATCH = 1 << 12
 
 
 class Triangle(NamedTuple):

@@ -66,7 +66,7 @@ def test_graph_bench_times_every_user_input_constructor(graph_rows):
 
 def test_graph_bench_large_run_reads_back_in_a_capped_child(monkeypatch):
     monkeypatch.syspath_prepend(str(BENCH))
-    row = importlib.import_module("graph").large_run(64, limit_gib=3.0)
+    row = importlib.import_module("graph").large_run(64)
     assert row["graph"] == "random_bipartite(64, 0)"
     assert row["outcome"] is None  # bipartite graphs are triangle-free
     assert row["edges"] > 0 and row["peak_rss_mib"] > 0
