@@ -30,7 +30,11 @@ circuit, which gives the closed form
     probes(w) = S1 + F1(w) + [2 c1(w) > rounds] * (S3 + F3(w)),
 with S1, S3 the surviving screen / refinement draws and F1(w), F3(w)
 those of them whose first endpoint neighbours w (summed over w, F1 is
-the total degree of their first endpoints).
+the total degree of their first endpoints). F1 and F3 come from one
+float64 product of first-endpoint counts with the block's adjacency rows,
+exact because every sum is an integer below 2**53. The refinement draws
+(c2, S3, F3) are scored only when some apex reaches stage 3; otherwise
+every output is the floor and probes(w) = S1 + F1(w).
 """
 
 from __future__ import annotations
@@ -135,6 +139,18 @@ def _column_counts(words: np.ndarray, n: int) -> np.ndarray:
     return np.add.reduce(_bits(words, n), axis=0, dtype=np.uint16)
 
 
+def _first_hits(first: np.ndarray, verts: np.ndarray, adjacency: np.ndarray) -> np.ndarray:
+    """F1 or F3 per apex: the draws whose first endpoint neighbours it.
+
+    ``first`` holds the draws' first endpoints and ``adjacency`` the block
+    vertices' rows as a (|verts|, n) float64 0/1 matrix. The float64
+    product runs on BLAS, unlike an int64 one, and is exact: every sum is
+    an integer below 2**53.
+    """
+    weights = np.bincount(first, minlength=adjacency.shape[1])[verts].astype(np.float64)
+    return (weights @ adjacency).astype(np.int64)
+
+
 def _apex_counts(g: Graph, surviving: PairSet, m: int, plan: SamplePlan) -> _ApexCounts:
     """Run the estimator for every apex at once over the packed rows."""
     if surviving.verts.size < 2:
@@ -165,20 +181,18 @@ def _apex_counts(g: Graph, surviving: PairSet, m: int, plan: SamplePlan) -> _Ape
         c1 += _column_counts(np.bitwise_or.reduceat(both, starts, axis=0), n)
     refined = 2 * c1 > plan.rounds
 
-    slots3 = plan.refine_draws[surviving.mask[plan.refine_draws]]
-    first3 = pu[slots3]
+    verts = surviving.verts
+    adjacency = _bits(np.take(rows, verts, axis=0), n).astype(np.float64)
+    probes = slots1.size + _first_hits(first1, verts, adjacency)
+    outputs = np.full(n, universe / m)
     c2 = zeros.copy()
     if refined.any():
+        slots3 = plan.refine_draws[surviving.mask[plan.refine_draws]]
+        first3 = pu[slots3]
         for _, both in _anded_rows(rows, first3, pv[slots3]):
             c2 += _column_counts(both, n)
-    outputs = np.where(refined, c2 * universe / plan.refine, universe / m)
-
-    # F1, F3: how often each block vertex is a surviving draw's first
-    # endpoint, weighted by its adjacency row.
-    verts = surviving.verts
-    counts = np.stack([np.bincount(first1, minlength=n), np.bincount(first3, minlength=n)])
-    hits1, hits3 = counts[:, verts] @ _bits(np.take(rows, verts, axis=0), n)
-    probes = slots1.size + hits1 + refined * (slots3.size + hits3)
+        outputs[refined] = c2[refined] * universe / plan.refine
+        probes += refined * (slots3.size + _first_hits(first3, verts, adjacency))
     return _ApexCounts(c1, refined, c2, outputs, probes)
 
 

@@ -440,12 +440,10 @@ def erdos_renyi(n: int, p: float, seed: int) -> Graph:
     stream exactly as one (n, n) draw does; a chunk's rows compare only
     the columns from their first row on.
     """
-    if n < 1:
-        raise ValueError("n must be at least 1")
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
+    rows = _zero_rows(n)
     rng = np.random.default_rng([seed, _TAG_ER])
-    rows = np.zeros((n, (n + 63) // 64), dtype=np.uint64)
     draw = np.empty((min(_GEN_ROWS, n), n))
     for r0 in range(0, n, _GEN_ROWS):
         h = min(_GEN_ROWS, n - r0)
@@ -463,8 +461,8 @@ def _bipartite_rows(n: int, seed: int) -> np.ndarray:
     uniform draw is below 1/2, drawn _GEN_ROWS rows at a time.
     """
     left = (n + 1) // 2
+    rows = _zero_rows(n)
     rng = np.random.default_rng([seed, _TAG_BIPARTITE])
-    rows = np.zeros((n, (n + 63) // 64), dtype=np.uint64)
     draw = np.empty((min(_GEN_ROWS, left), n - left))
     c0 = left & ~63  # the word holding column `left` starts here
     for r0 in range(0, left, _GEN_ROWS):

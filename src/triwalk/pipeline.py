@@ -14,7 +14,9 @@ budget while computing exact answers classically:
    When the cover search found nothing, no cover vertex lies in a
    triangle, so neither an edge at the cover nor a covered edge (whose
    cover neighbour would close it) is a triangle edge (Le Gall, §3): the
-   emulation then scans only the edges of G[V - C].
+   emulation then scans only the edges of G[V - C]. Every triangle then
+   lies in G[V - C], so when that scan finds nothing too the graph is
+   triangle-free, and the block check's witness search is skipped.
 3. Per apex vertex w, estimate the block's surviving pairs at w, then walk
    over inner subsets of size ceil(n^(2a/3)) of the block; dispatch over
    apexes with variable-cost search.
@@ -132,8 +134,8 @@ class AlgoParams:
             raise ValueError("block exponent a must lie in (0, 1)")
         if not 0.0 < self.k < 1.0:
             raise ValueError("cover exponent k must lie in (0, 1)")
-        if self.budget_multiplier <= 0:
-            raise ValueError("budget_multiplier must be positive")
+        if not (math.isfinite(self.budget_multiplier) and self.budget_multiplier > 0):
+            raise ValueError("budget_multiplier must be positive and finite")
 
 
 def block_size(n: int, a: float) -> int:
@@ -316,6 +318,8 @@ def find_apex_witness(
     rng: Optional[np.random.Generator] = None,
     inj_rng: Optional[np.random.Generator] = None,
     charge_scale: float = 1.0,
+    *,
+    triangle_free: bool = False,
 ) -> tuple[Optional[tuple[int, tuple[int, int]]], CheckCharge]:
     """Decide whether the block's surviving pairs contain a triangle edge.
 
@@ -334,7 +338,10 @@ def find_apex_witness(
     surviving pair at w that is an edge, or None. Estimator runs for every
     apex execute on the raw side (probes land on the ledger); only the
     dispatch total enters the charged model. A configured checker gate
-    suppresses the witness with the complementary probability.
+    suppresses the witness with the complementary probability. Pass
+    triangle_free=True only when the graph is proven triangle-free (both
+    scans of a cover-negative run came back empty): the witness is then
+    None without a search, and the charges are the same.
     """
     n = g.n
     cfg = params.cost_cfg
@@ -374,7 +381,7 @@ def find_apex_witness(
         eps=eps,
     )
 
-    witness = _smallest_apex_edge(g, surviving)
+    witness = None if triangle_free else _smallest_apex_edge(g, surviving)
     inj = params.failure_injection or _NO_INJECTION
     if witness is not None and _suppressed(inj.check_success, inj_rng, "checker"):
         witness = None
@@ -415,7 +422,8 @@ def search_blocks(
     A configured walk gate suppresses the witness with the complementary
     probability; charges are unaffected. Pass cover_negative=True only when
     no cover vertex lies in a triangle (the cover scan found nothing); the
-    edge scan then skips every edge that touches the cover.
+    edge scan then skips every edge that touches the cover, and when it
+    finds nothing the apex scan searches no witness.
     """
     n = g.n
     cfg = params.cost_cfg
@@ -445,6 +453,9 @@ def search_blocks(
         rng=plan_rng,
         inj_rng=inj_rng,
         charge_scale=check_scale,
+        # A negative cover scan and a negative scan of G[V - C] leave no
+        # triangle anywhere, so no apex has a witness pair.
+        triangle_free=cover_negative and hit is None,
     )
 
     x_charge = _cover_charge_size(n, params.k, cover, cfg)

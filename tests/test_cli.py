@@ -182,6 +182,20 @@ def test_run_below_guard_is_usage_error():
     assert info.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "command, name", [(["run"], "report.json"), (["gen", "--family", "bipartite"], "g.bin")]
+)
+def test_huge_n_is_usage_error(tmp_path, capsys, command, name):
+    out = tmp_path / name
+    with pytest.raises(SystemExit) as info:
+        main([*command, "--n", "100000000", "--out", str(out)])
+    assert info.value.code == 2
+    assert capsys.readouterr().err == (
+        "error: n=100000000 is too large: its adjacency cannot be allocated\n"
+    )
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("suffix", [".txt", ".bin"])
 def test_run_graph_file_gives_the_generated_graphs_report(tmp_path, suffix):
     graph = tmp_path / f"g{suffix}"

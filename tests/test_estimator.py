@@ -276,6 +276,70 @@ class TestKernelMatchesReference:
         assert 1 in seen and max(seen) == _SCAN_CAP
 
 
+class _MatmulDtypes(np.ndarray):
+    """An array that records the operand dtypes of every matmul it enters."""
+
+    seen: list = []
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        plain = [x.view(np.ndarray) if isinstance(x, _MatmulDtypes) else x for x in inputs]
+        if ufunc is np.matmul:
+            _MatmulDtypes.seen.append([np.asarray(x).dtype for x in plain])
+        return getattr(ufunc, method)(*plain, **kwargs)
+
+
+class TestUnreadWorkSkipped:
+    """The kernel scores the refinement draws only when some apex reaches
+    stage 3, and counts F1/F3 with a float64 product, not an int64 one."""
+
+    def first_hit_sizes(self, monkeypatch, g, surv, plan):
+        """The draw counts _first_hits was called with in one kernel run."""
+        sizes = []
+        first_hits = estimator_module._first_hits
+
+        def recording(first, verts, adjacency):
+            sizes.append(first.size)
+            return first_hits(first, verts, adjacency)
+
+        monkeypatch.setattr(estimator_module, "_first_hits", recording)
+        counts = _apex_counts(g, surv, plan.m, plan)
+        return counts, sizes
+
+    def test_no_refined_apex_scores_only_the_screen(self, monkeypatch):
+        g, surv = make_case(40, 0.2, 1, np.arange(10))
+        plan = SamplePlan(40, 4, surv.universe_size, seed=1)
+        counts, sizes = self.first_hit_sizes(monkeypatch, g, surv, plan)
+        assert not counts.refined.any()
+        assert sizes == [np.count_nonzero(surv.mask[plan.screen_draws])]
+        assert not counts.c2.any()
+        ref = assert_matches_reference(g, surv, plan)
+        assert all(c2 is None for _, _, c2, _ in ref)
+
+    def test_refined_apexes_score_the_refinement_draws(self, monkeypatch):
+        # 47 of the 48 apexes reach stage 3; the other stays at the floor.
+        g, surv = make_case(48, 0.6, 4, np.arange(16))
+        plan = SamplePlan(48, 6, surv.universe_size, seed=4)
+        counts, sizes = self.first_hit_sizes(monkeypatch, g, surv, plan)
+        assert 0 < counts.refined.sum() < 48
+        assert sizes == [
+            np.count_nonzero(surv.mask[plan.screen_draws]),
+            np.count_nonzero(surv.mask[plan.refine_draws]),
+        ]
+        assert_matches_reference(g, surv, plan)
+
+    @pytest.mark.parametrize("p, seed", [(0.2, 1), (0.6, 4)])
+    def test_probe_counts_use_a_float64_product(self, monkeypatch, p, seed):
+        bits = estimator_module._bits
+        monkeypatch.setattr(
+            estimator_module, "_bits", lambda words, n: bits(words, n).view(_MatmulDtypes)
+        )
+        monkeypatch.setattr(_MatmulDtypes, "seen", [])
+        g, surv = make_case(48, p, seed, np.arange(16))
+        assert_matches_reference(g, surv, SamplePlan(48, 6, surv.universe_size, seed=seed))
+        assert _MatmulDtypes.seen
+        assert all(np.result_type(*dtypes) == np.float64 for dtypes in _MatmulDtypes.seen)
+
+
 class TestEstimatorGuarantee:
     def test_bracket_holds_for_most_plans(self):
         # Mid-density graph, no pruning: the two-sided bracket should hold

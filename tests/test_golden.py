@@ -27,6 +27,7 @@ from triwalk import (
     erdos_renyi,
     find_triangle,
     naive_triples_baseline,
+    pipeline,
     planted_instance,
     random_bipartite,
     sparse_edges_baseline,
@@ -136,3 +137,14 @@ GOLDEN = {
 def test_report_bytes_match_golden(name):
     digest = hashlib.sha256(CASES[name]().encode()).hexdigest()
     assert digest == GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", sorted(name for name in CASES if name.startswith("bipartite-")))
+def test_triangle_free_reports_need_no_witness_search(name, monkeypatch):
+    # Both scans of these cover-negative runs come back empty, which proves
+    # the graph triangle-free: the bytes hold without a witness search.
+    def refuse(g, surviving):
+        raise AssertionError("witness searched on a graph proven triangle-free")
+
+    monkeypatch.setattr(pipeline, "_smallest_apex_edge", refuse)
+    test_report_bytes_match_golden(name)

@@ -379,6 +379,21 @@ class TestBoundaryRejection:
         with pytest.raises(ValueError, match="too large"):
             Graph.from_edges(100_000_000, [(0, 1)])
 
+    @pytest.mark.parametrize(
+        "generate",
+        [
+            lambda n: erdos_renyi(n, 0.5, seed=0),
+            lambda n: random_bipartite(n, seed=0),
+            lambda n: planted_instance(n, seed=0),
+        ],
+        ids=["erdos_renyi", "random_bipartite", "planted_instance"],
+    )
+    def test_huge_n_generators(self, generate):
+        # Only an n whose rows exceed the address space: at an n whose rows
+        # merely fit, the lazily zeroed rows allocate and the draws run for hours.
+        with pytest.raises(ValueError, match="too large"):
+            generate(100_000_000)
+
     def test_huge_header_n_in_edge_list(self, tmp_path):
         path = tmp_path / "g.txt"
         path.write_text("n 100000000\n0 1\n")

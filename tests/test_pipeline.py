@@ -34,6 +34,7 @@ from triwalk import (
     variable_search_cost,
     walk_cost,
 )
+from triwalk import pipeline as pipeline_module
 from triwalk.graph import Triangle
 from triwalk.pipeline import PHASES, block_size, cost_envelope, inner_size, sample_size
 
@@ -309,6 +310,57 @@ class TestBlockWalk:
         assert abs(suppressed - 100) <= 5 * sigma
 
 
+class TestProvenTriangleFree:
+    """A negative cover scan and a negative scan of G[V - C] prove the graph
+    triangle-free, so the block check searches no witness (test_golden.py
+    pins that on the bipartite digests); a search gate or a walk-path hit
+    keeps the search."""
+
+    @pytest.fixture
+    def searches(self, monkeypatch):
+        calls = []
+        search = pipeline_module._smallest_apex_edge
+
+        def recording(g, surviving):
+            calls.append(surviving.verts.size)
+            return search(g, surviving)
+
+        monkeypatch.setattr(pipeline_module, "_smallest_apex_edge", recording)
+        return calls
+
+    def test_search_gate_keeps_the_search(self, searches):
+        g = random_bipartite(128, 0)
+        plain = find_triangle(g, AlgoParams(seed=0))
+        gated = find_triangle(
+            g, AlgoParams(seed=0, failure_injection=FailureInjection(search_success=1.0))
+        )
+        assert searches == [block_size(128, 0.75)]
+        assert gated.charges == plain.charges
+        assert gated.raw_probes == plain.raw_probes
+
+    def test_walk_path_keeps_the_search(self, searches):
+        report = find_triangle(plant_only_graph(), AlgoParams(seed=WALK_PATH_SEED))
+        assert report.outcome == Triangle(61, 62, 63)
+        assert report.charge_log["outer"]["check_witness_found"]
+        assert searches == [block_size(64, 0.75)]
+
+    def test_flag_returns_none_with_the_same_charge(self, searches):
+        g = random_bipartite(64, 1)
+        params = AlgoParams(seed=1)
+        block = np.arange(block_size(64, params.a))
+        surviving = uncovered_pairs(g, EMPTY, block)
+        ledgers = QueryLedger(), QueryLedger()
+        searched, charge = find_apex_witness(g, block, surviving, params, ledgers[0])
+        skipped, skipped_charge = find_apex_witness(
+            g, block, surviving, params, ledgers[1], triangle_free=True
+        )
+        assert searched is None and skipped is None
+        assert searches == [block.size]
+        assert skipped_charge.total == charge.total
+        assert ledgers[1].charged == ledgers[0].charged
+        assert ledgers[1].raw_probes == ledgers[0].raw_probes
+
+
 def _gate_call_without_rng(gate):
     """A stage call that finds a witness, has its gate set and gets no rng."""
     ledger = QueryLedger()
@@ -333,6 +385,13 @@ def test_configured_gate_without_rng_rejected(gate):
 
 
 class TestFindTriangle:
+    @pytest.mark.parametrize("multiplier", [math.nan, math.inf])
+    def test_non_finite_budget_rejected(self, multiplier):
+        # The budget stop could never fire, and the budget would serialise
+        # as NaN or Infinity, which is not JSON.
+        with pytest.raises(ValueError, match="budget_multiplier must be positive and finite"):
+            AlgoParams(budget_multiplier=multiplier)
+
     def test_size_guard(self):
         g = erdos_renyi(32, 0.5, seed=0)
         with pytest.raises(ValueError):
