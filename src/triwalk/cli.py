@@ -38,7 +38,7 @@ from .pipeline import AlgoParams, FailureInjection, find_triangle
 # Stage gates used by --inject on: walk 3/4 and checker 2/3, the success
 # floors of the corresponding routines.
 DEFAULT_INJECTION = FailureInjection(walk_success=0.75, check_success=2.0 / 3.0)
-# The instance that run, fit and verify build when --n or --family is not given.
+# The instance run builds without --n or --family; fit and verify share the family.
 DEFAULT_N = 512
 DEFAULT_FAMILY = "er:0.5"
 
@@ -191,19 +191,22 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, n_default=DEFAULT_N):
-        p.add_argument("--n", type=int, default=n_default)
+    def common(p):
         p.add_argument("--a", type=float, default=0.75)
         p.add_argument("--k", type=float, default=0.5)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--family", default=DEFAULT_FAMILY)
-        p.add_argument("--log-factors", dest="log_factors", type=_bool_flag, default=False)
         p.add_argument("--out", default=None)
+
+    def log_factors(p):
+        p.add_argument("--log-factors", dest="log_factors", type=_bool_flag, default=False)
 
     p_run = sub.add_parser("run", help="single charged finder run")
     common(p_run)
+    log_factors(p_run)
     # None stands for DEFAULT_N and DEFAULT_FAMILY, so that --graph can refuse both flags.
-    p_run.set_defaults(n=None, family=None)
+    p_run.add_argument("--n", type=int, default=None)
+    p_run.set_defaults(family=None)
     p_run.add_argument(
         "--graph",
         default=None,
@@ -217,7 +220,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument(
         "target", choices=["cover-sparsity", "estimator", "subset-cap"]
     )
-    common(p_verify, n_default=256)
+    common(p_verify)
+    p_verify.add_argument("--n", type=int, default=256)
     p_verify.add_argument("--trials", type=int, default=100)
     p_verify.add_argument("--size-a", dest="size_a", type=int, default=128)
     p_verify.add_argument("--r", type=int, default=16)
@@ -228,6 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_fit = sub.add_parser("fit", help="scaling-exponent fit")
     common(p_fit)
+    log_factors(p_fit)
     p_fit.add_argument("--grid", type=_numbers(int), default="128,256,512,1024,2048")
     p_fit.add_argument("--algo", choices=["walk", "naive", "edges"], default="walk")
     p_fit.add_argument("--trials", type=int, default=20)

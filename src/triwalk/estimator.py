@@ -29,12 +29,13 @@ column, the ANDs of surviving refinement draws. Adjacency probes short-
 circuit, which gives the closed form
     probes(w) = S1 + F1(w) + [2 c1(w) > rounds] * (S3 + F3(w)),
 with S1, S3 the surviving screen / refinement draws and F1(w), F3(w)
-those of them whose first endpoint neighbours w (summed over w, F1 is
-the total degree of their first endpoints). F1 and F3 come from one
-float64 product of first-endpoint counts with the block's adjacency rows,
-exact because every sum is an integer below 2**53. The refinement draws
-(c2, S3, F3) are scored only when some apex reaches stage 3; otherwise
-every output is the floor and probes(w) = S1 + F1(w).
+those of them whose first endpoint neighbours w. Only the total over
+apexes reaches a report, and summed over w, F1 is the total degree of
+the screen draws' first endpoints and F3, over the refined apexes, the
+total of |N(first endpoint) & refined|: first-endpoint counts times
+popcounts of the block's packed rows. The refinement draws (c2, S3, F3)
+are scored only when some apex reaches stage 3; otherwise every output
+is the floor.
 """
 
 from __future__ import annotations
@@ -44,12 +45,13 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .graph import _SCAN_CAP, Graph, QueryLedger, _anded_rows
+from .graph import _SCAN_CAP, Graph, QueryLedger, _anded_rows, _fold_words
 from .pairs import PairSet
 
 # _column_counts sums in uint16. It sees at most _SCAN_CAP rows at a time:
-# a refinement slice holds at most _SCAN_CAP draws, and a screen slice
-# passes one row per round for at most _SCAN_CAP rounds.
+# a refinement slice (and a slice of harness._true_apex_counts) holds at
+# most _SCAN_CAP pairs, and a screen slice passes one row per round for at
+# most _SCAN_CAP rounds.
 assert _SCAN_CAP < 1 << 16
 
 __all__ = [
@@ -117,18 +119,13 @@ class SamplePlan:
 
 
 class _ApexCounts(NamedTuple):
-    """Every apex's estimator counters against one plan, indexed by apex."""
+    """Every apex's estimator counters against one plan, and the probe total."""
 
     c1: np.ndarray
     refined: np.ndarray
     c2: np.ndarray
     outputs: np.ndarray
-    probes: np.ndarray
-
-
-def _bits(words: np.ndarray, n: int) -> np.ndarray:
-    """Unpack (rows, words) packed rows into a (rows, n) 0/1 uint8 matrix."""
-    return np.unpackbits(words.view(np.uint8), axis=1, count=n, bitorder="little")
+    probes: int
 
 
 def _column_counts(words: np.ndarray, n: int) -> np.ndarray:
@@ -136,19 +133,22 @@ def _column_counts(words: np.ndarray, n: int) -> np.ndarray:
 
     Summed in uint16, about 3x faster than in int64; exact below 65,536 rows.
     """
-    return np.add.reduce(_bits(words, n), axis=0, dtype=np.uint16)
+    bits = np.unpackbits(words.view(np.uint8), axis=1, count=n, bitorder="little")
+    return np.add.reduce(bits, axis=0, dtype=np.uint16)
 
 
-def _first_hits(first: np.ndarray, verts: np.ndarray, adjacency: np.ndarray) -> np.ndarray:
-    """F1 or F3 per apex: the draws whose first endpoint neighbours it.
+def _second_probes(rows: np.ndarray, first: np.ndarray, verts: np.ndarray, within=None) -> int:
+    """Sum over apexes w of the draws whose first endpoint neighbours w.
 
-    ``first`` holds the draws' first endpoints and ``adjacency`` the block
-    vertices' rows as a (|verts|, n) float64 0/1 matrix. The float64
-    product runs on BLAS, unlike an int64 one, and is exact: every sum is
-    an integer below 2**53.
+    That is, over draws, the popcount of the first endpoint's row (ANDed
+    with the packed apex mask ``within`` when given). ``first`` holds block
+    vertices, so only the block's rows are read.
     """
-    weights = np.bincount(first, minlength=adjacency.shape[1])[verts].astype(np.float64)
-    return (weights @ adjacency).astype(np.int64)
+    weights = np.bincount(first, minlength=rows.shape[0])[verts]
+    block = np.take(rows, verts, axis=0)
+    if within is not None:
+        block &= within
+    return int(weights @ _fold_words(np.add, np.bitwise_count(block), np.int64))
 
 
 def _apex_counts(g: Graph, surviving: PairSet, m: int, plan: SamplePlan) -> _ApexCounts:
@@ -164,10 +164,11 @@ def _apex_counts(g: Graph, surviving: PairSet, m: int, plan: SamplePlan) -> _Ape
     draws1 = plan.screen_draws.ravel()
     kept1 = np.flatnonzero(surviving.mask[draws1])
     zeros = np.zeros(n, dtype=np.int64)
+    outputs = np.full(n, universe / m)
     if kept1.size == 0:
         # No draw lands in the surviving set: every apex screens to the
         # floor without a single adjacency probe.
-        return _ApexCounts(zeros, zeros.astype(bool), zeros, np.full(n, universe / m), zeros)
+        return _ApexCounts(zeros, zeros.astype(bool), zeros, outputs, 0)
 
     slots1 = draws1[kept1]
     first1, round1 = pu[slots1], kept1 // m
@@ -182,9 +183,7 @@ def _apex_counts(g: Graph, surviving: PairSet, m: int, plan: SamplePlan) -> _Ape
     refined = 2 * c1 > plan.rounds
 
     verts = surviving.verts
-    adjacency = _bits(np.take(rows, verts, axis=0), n).astype(np.float64)
-    probes = slots1.size + _first_hits(first1, verts, adjacency)
-    outputs = np.full(n, universe / m)
+    probes = n * slots1.size + _second_probes(rows, first1, verts)
     c2 = zeros.copy()
     if refined.any():
         slots3 = plan.refine_draws[surviving.mask[plan.refine_draws]]
@@ -192,7 +191,8 @@ def _apex_counts(g: Graph, surviving: PairSet, m: int, plan: SamplePlan) -> _Ape
         for _, both in _anded_rows(rows, first3, pv[slots3]):
             c2 += _column_counts(both, n)
         outputs[refined] = c2[refined] * universe / plan.refine
-        probes += refined * (slots3.size + _first_hits(first3, verts, adjacency))
+        within = g.pack_set(np.flatnonzero(refined))
+        probes += int(refined.sum()) * slots3.size + _second_probes(rows, first3, verts, within)
     return _ApexCounts(c1, refined, c2, outputs, probes)
 
 
@@ -211,7 +211,6 @@ def estimate_all_apexes(
     enters the per-apex dispatch cost).
     """
     counts = _apex_counts(g, surviving, m, plan)
-    probes = int(counts.probes.sum())
     if ledger is not None:
-        ledger.add_raw(probes)
-    return counts.outputs, probes
+        ledger.add_raw(counts.probes)
+    return counts.outputs, counts.probes

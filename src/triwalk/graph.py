@@ -231,8 +231,10 @@ def _first_bit(row_words: np.ndarray) -> Optional[int]:
 def _anded_rows(rows: np.ndarray, iu: np.ndarray, iv: np.ndarray, stops=None):
     """Yield (sl, rows[iu[sl]] & rows[iv[sl]]) over consecutive slices sl.
 
-    The one gather of the packed-row kernels: rows are taken with np.take,
-    3-4x faster than fancy indexing, and ANDed in place. Slices end at the
+    The pair gather of the packed-row kernels: rows are taken with np.take,
+    3-4x faster than fancy indexing, and ANDed in place. The cover scan
+    takes its own rows: it ANDs against a small batch of head rows, not
+    against rows gathered from all of ``rows``. Slices end at the
     increasing offsets ``stops`` when given (so a caller can align them with
     its own groups; empty slices are skipped), else every _SCAN_CAP pairs.
     """

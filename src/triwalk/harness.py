@@ -19,9 +19,10 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .estimator import SamplePlan, estimate_all_apexes
+from .estimator import SamplePlan, _column_counts, estimate_all_apexes
 from .graph import (
     Graph,
+    _anded_rows,
     brute_force_triangle,
     erdos_renyi,
     is_triangle,
@@ -203,12 +204,11 @@ def verify_cover_sparsity(
 
 
 def _true_apex_counts(g: Graph, surviving: PairSet) -> np.ndarray:
-    """Exact per-apex surviving-pair counts, by summing pair indicators."""
+    """Exact per-apex surviving-pair counts: column counts of the pairs' ANDed rows."""
     counts = np.zeros(g.n, dtype=np.int64)
     pu, pv = surviving.selected_endpoints()
-    adj = g.bool_matrix
-    for u, v in zip(pu.tolist(), pv.tolist()):
-        counts += adj[u] & adj[v]
+    for _, common in _anded_rows(g._rows, pu, pv):
+        counts += _column_counts(common, g.n)
     return counts
 
 
@@ -305,6 +305,11 @@ def verify_subset_cap(
     r-subsets of A; counts the joint event "pair inside B" and "B's apex
     pairs at most the cap from A's apex-pair count". The guaranteed lower
     bound is (r-1)^2 / (2 |A|^2).
+
+    For r <= 33 the cap's 16 r term alone is at least C(r, 2), the most
+    apex pairs an r-subset can hold, so the cap never binds and the
+    campaign tests only pair retention; the CLI default r=16 is such a
+    run. Only r >= 34 can make the apex-pair count matter.
     """
     if size_a <= 3 or not 3 < r <= size_a:
         raise ValueError("need |A| > 3 and 3 < r <= |A|")

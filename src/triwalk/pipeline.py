@@ -292,18 +292,12 @@ def search_cover_triangles(
 class CheckCharge:
     """Charged profile of one apex scan over a block.
 
-    per_apex[w] is the charged cost of resolving apex w (one estimator run
-    plus one inner walk whose checking cost is the square root of the
-    capped pair count); total is the variable-cost dispatch over all
-    apexes. estimator_share + walk_share == total exactly, split pro rata
-    by each component's linear mass, so ledger phases stay additive.
+    total is the variable-cost dispatch over all apexes, estimator_each
+    the charge of one estimator run, and subset_size and eps the inner
+    walk's subset size and marked fraction.
     """
 
-    per_apex: np.ndarray
-    estimates: np.ndarray
     total: float
-    estimator_share: float
-    walk_share: float
     estimator_each: float
     subset_size: int
     eps: float
@@ -330,9 +324,10 @@ def find_apex_witness(
              cost sqrt(cap(w)) where cap(w) is the subset pair cap with
              the estimate standing in for a third of the true count.
     The dispatch over apexes is charged sqrt(sum_w Q(w)^2); its estimator
-    and walk shares go to the outer_check_estimator and inner_walk ledger
-    phases, scaled by charge_scale (callers embedding this as a walk's
-    checking step pass their amplification factor).
+    and walk shares, split pro rata by each component's linear mass so
+    they add up to the total, go to the outer_check_estimator and
+    inner_walk ledger phases, scaled by charge_scale (callers embedding
+    this as a walk's checking step pass their amplification factor).
 
     Emulation returns the smallest apex w together with the smallest
     surviving pair at w that is an edge, or None. Estimator runs for every
@@ -370,16 +365,7 @@ def find_apex_witness(
     walk_share = total - est_share
     ledger.charge("outer_check_estimator", charge_scale * est_share)
     ledger.charge("inner_walk", charge_scale * walk_share)
-    charge = CheckCharge(
-        per_apex=per_apex,
-        estimates=estimates,
-        total=total,
-        estimator_share=est_share,
-        walk_share=walk_share,
-        estimator_each=est_each,
-        subset_size=r,
-        eps=eps,
-    )
+    charge = CheckCharge(total=total, estimator_each=est_each, subset_size=r, eps=eps)
 
     witness = None if triangle_free else _smallest_apex_edge(g, surviving)
     inj = params.failure_injection or _NO_INJECTION

@@ -144,6 +144,22 @@ def test_fit_bad_grid_is_usage_error_before_the_fit(capsys, no_work, grid):
     assert "--grid" in captured.err and captured.out == ""
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fit", "--grid", "128,256", "--n", "64"],
+        ["verify", "estimator", "--n", "64", "--log-factors", "on"],
+    ],
+    ids=["fit-n", "verify-log-factors"],
+)
+def test_flag_a_command_never_reads_is_usage_error(capsys, no_work, argv):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert "unrecognized arguments" in captured.err and captured.out == ""
+
+
 def test_unknown_choice_is_usage_error():
     with pytest.raises(SystemExit) as info:
         main(["fit", "--algo", "quantumest"])

@@ -51,29 +51,36 @@ def reference_apex(g, surv, plan, apex):
 
 
 def kernel_runs(g, surv, plan):
-    """Every apex's (output, c1, c2, probes) from the all-apex kernel.
+    """Every apex's (output, c1, c2) from the all-apex kernel, and its probe total.
 
     c2 is None where the apex stays at the screen's floor, as in
     reference_apex.
     """
     counts = _apex_counts(g, surv, plan.m, plan)
-    return [
+    runs = [
         (
             float(counts.outputs[w]),
             int(counts.c1[w]),
             int(counts.c2[w]) if counts.refined[w] else None,
-            int(counts.probes[w]),
         )
         for w in range(g.n)
     ]
+    return runs, counts.probes
+
+
+def reference_probes(g, surv, plan):
+    """Raw probes of every apex's reference run, summed."""
+    return sum(reference_apex(g, surv, plan, apex)[3] for apex in range(g.n))
 
 
 def assert_matches_reference(g, surv, plan):
     ref = [reference_apex(g, surv, plan, apex) for apex in range(g.n)]
-    assert kernel_runs(g, surv, plan) == ref
-    outputs, probes = estimate_all_apexes(g, surv, plan.m, plan)
-    assert np.array_equal(outputs, [r[0] for r in ref])
+    runs, probes = kernel_runs(g, surv, plan)
+    assert runs == [r[:3] for r in ref]
     assert probes == sum(r[3] for r in ref)
+    outputs, total = estimate_all_apexes(g, surv, plan.m, plan)
+    assert np.array_equal(outputs, [r[0] for r in ref])
+    assert total == probes
     return ref
 
 
@@ -108,10 +115,12 @@ class TestEstimator:
         g = Graph.from_edges(10, [(0, 1), (1, 2), (2, 3)])
         surv = uncovered_pairs(g, EMPTY, np.arange(8))
         plan = SamplePlan(10, 3, surv.universe_size, seed=2)
-        output, c1, c2, probes = kernel_runs(g, surv, plan)[9]
+        runs, probes = kernel_runs(g, surv, plan)
+        output, c1, c2 = runs[9]
         assert c1 == 0 and c2 is None
         assert output == surv.universe_size / 3
-        assert probes == plan.rounds * 3
+        assert reference_apex(g, surv, plan, 9)[3] == plan.rounds * 3
+        assert probes == reference_probes(g, surv, plan)
 
     def test_all_qualifying_is_exact(self):
         # Complete graph: every draw survives and neighbors the apex, so the
@@ -120,18 +129,20 @@ class TestEstimator:
         g = erdos_renyi(9, 1.0, seed=0)
         surv = uncovered_pairs(g, EMPTY, np.arange(8))
         plan = SamplePlan(9, 4, surv.universe_size, seed=11)
-        output, c1, c2, probes = kernel_runs(g, surv, plan)[8]
+        runs, probes = kernel_runs(g, surv, plan)
+        output, c1, c2 = runs[8]
         assert c1 == plan.rounds
         assert c2 == plan.refine
         assert output == 28.0
         # Short-circuit accounting: two probes per drawn pair in each stage.
-        assert probes == 2 * plan.rounds * 4 + 2 * plan.refine
+        assert reference_apex(g, surv, plan, 8)[3] == 2 * plan.rounds * 4 + 2 * plan.refine
+        assert probes == reference_probes(g, surv, plan)
 
     def test_output_closed_forms(self):
         for seed in range(6):
             g, surv = make_case(24, 0.5, seed, np.arange(12))
             plan = SamplePlan(24, 4, surv.universe_size, seed=seed)
-            for output, _, c2, _ in kernel_runs(g, surv, plan):
+            for output, _, c2 in kernel_runs(g, surv, plan)[0]:
                 if c2 is None:
                     assert output == surv.universe_size / 4
                 else:
@@ -151,7 +162,7 @@ class TestEstimator:
         plan = SamplePlan(20, 5, surv.universe_size, seed=1)
         ledger = QueryLedger()
         _, probes = estimate_all_apexes(g, surv, 5, plan, ledger=ledger)
-        assert ledger.raw_probes == probes == sum(r[3] for r in kernel_runs(g, surv, plan))
+        assert ledger.raw_probes == probes == reference_probes(g, surv, plan)
         assert ledger.charged == {}
         assert estimator_charge(20, 5) == math.ceil(5 * math.log(20))
 
@@ -180,7 +191,7 @@ class TestEstimator:
         surv = uncovered_pairs(g, EMPTY, block)
         m = surv.universe_size
         plan = SamplePlan(16, m, surv.universe_size, seed=3)
-        output, _, c2, _ = kernel_runs(g, surv, plan)[12]
+        output, _, c2 = kernel_runs(g, surv, plan)[0][12]
         true_count = 28  # all pairs of the block neighbor every apex in K16
         assert c2 is not None
         assert 0.5 * true_count <= output <= 1.5 * true_count
@@ -276,39 +287,27 @@ class TestKernelMatchesReference:
         assert 1 in seen and max(seen) == _SCAN_CAP
 
 
-class _MatmulDtypes(np.ndarray):
-    """An array that records the operand dtypes of every matmul it enters."""
-
-    seen: list = []
-
-    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
-        plain = [x.view(np.ndarray) if isinstance(x, _MatmulDtypes) else x for x in inputs]
-        if ufunc is np.matmul:
-            _MatmulDtypes.seen.append([np.asarray(x).dtype for x in plain])
-        return getattr(ufunc, method)(*plain, **kwargs)
-
-
 class TestUnreadWorkSkipped:
     """The kernel scores the refinement draws only when some apex reaches
-    stage 3, and counts F1/F3 with a float64 product, not an int64 one."""
+    stage 3."""
 
-    def first_hit_sizes(self, monkeypatch, g, surv, plan):
-        """The draw counts _first_hits was called with in one kernel run."""
+    def second_probe_sizes(self, monkeypatch, g, surv, plan):
+        """The draw counts _second_probes was called with in one kernel run."""
         sizes = []
-        first_hits = estimator_module._first_hits
+        second_probes = estimator_module._second_probes
 
-        def recording(first, verts, adjacency):
+        def recording(rows, first, verts, within=None):
             sizes.append(first.size)
-            return first_hits(first, verts, adjacency)
+            return second_probes(rows, first, verts, within)
 
-        monkeypatch.setattr(estimator_module, "_first_hits", recording)
+        monkeypatch.setattr(estimator_module, "_second_probes", recording)
         counts = _apex_counts(g, surv, plan.m, plan)
         return counts, sizes
 
     def test_no_refined_apex_scores_only_the_screen(self, monkeypatch):
         g, surv = make_case(40, 0.2, 1, np.arange(10))
         plan = SamplePlan(40, 4, surv.universe_size, seed=1)
-        counts, sizes = self.first_hit_sizes(monkeypatch, g, surv, plan)
+        counts, sizes = self.second_probe_sizes(monkeypatch, g, surv, plan)
         assert not counts.refined.any()
         assert sizes == [np.count_nonzero(surv.mask[plan.screen_draws])]
         assert not counts.c2.any()
@@ -319,25 +318,13 @@ class TestUnreadWorkSkipped:
         # 47 of the 48 apexes reach stage 3; the other stays at the floor.
         g, surv = make_case(48, 0.6, 4, np.arange(16))
         plan = SamplePlan(48, 6, surv.universe_size, seed=4)
-        counts, sizes = self.first_hit_sizes(monkeypatch, g, surv, plan)
+        counts, sizes = self.second_probe_sizes(monkeypatch, g, surv, plan)
         assert 0 < counts.refined.sum() < 48
         assert sizes == [
             np.count_nonzero(surv.mask[plan.screen_draws]),
             np.count_nonzero(surv.mask[plan.refine_draws]),
         ]
         assert_matches_reference(g, surv, plan)
-
-    @pytest.mark.parametrize("p, seed", [(0.2, 1), (0.6, 4)])
-    def test_probe_counts_use_a_float64_product(self, monkeypatch, p, seed):
-        bits = estimator_module._bits
-        monkeypatch.setattr(
-            estimator_module, "_bits", lambda words, n: bits(words, n).view(_MatmulDtypes)
-        )
-        monkeypatch.setattr(_MatmulDtypes, "seen", [])
-        g, surv = make_case(48, p, seed, np.arange(16))
-        assert_matches_reference(g, surv, SamplePlan(48, 6, surv.universe_size, seed=seed))
-        assert _MatmulDtypes.seen
-        assert all(np.result_type(*dtypes) == np.float64 for dtypes in _MatmulDtypes.seen)
 
 
 class TestEstimatorGuarantee:

@@ -16,8 +16,9 @@ from triwalk import (
     wilson_interval,
 )
 from triwalk import harness
+from triwalk.graph import _SCAN_CAP
 from triwalk.harness import SUBSET_CAP_CONFIGS, fit_loglog, parse_family, sigma_pass_line
-from triwalk.pairs import uncovered_pairs_at
+from triwalk.pairs import sample_cover, uncovered_pairs, uncovered_pairs_at
 
 
 def subset_cap_reference(size_a, r, trials, config, seed):
@@ -38,6 +39,16 @@ def subset_cap_reference(size_a, r, trials, config, seed):
         keeps.append(in_b[:, v1] & in_b[:, v2])
         counts.append((in_b[:, block[pu]] & in_b[:, block[pv]]).sum(axis=1))
     return np.concatenate(keeps), np.concatenate(counts)
+
+
+def true_apex_counts_reference(g, surviving):
+    """Per-apex surviving-pair counts, summing each pair's common-neighbour row."""
+    counts = np.zeros(g.n, dtype=np.int64)
+    pu, pv = surviving.selected_endpoints()
+    adj = g.bool_matrix
+    for u, v in zip(pu.tolist(), pv.tolist()):
+        counts += adj[u] & adj[v]
+    return counts
 
 
 class TestStats:
@@ -124,6 +135,27 @@ class TestEstimatorCampaign:
         # the bracket holds with certainty.
         report = verify_estimator_bounds(48, 0.75, 0.5, 10, family="complete", seed=5)
         assert report.frequency == 1.0 and report.verdict
+
+    @pytest.mark.parametrize(
+        "family, n, k, slices",
+        [
+            ("er:0.5", 40, None, 1),
+            ("er:0.1", 64, 0.5, 1),
+            ("er:0.9", 100, None, 2),
+            ("bipartite", 130, 0.3, 2),
+            ("er:0.05", 160, 0.5, 3),
+        ],
+    )
+    def test_true_apex_counts_equal_the_pair_loop(self, family, n, k, slices):
+        # The campaign's exact counts against a per-pair loop, across one to
+        # three gather slices of surviving pairs.
+        g = parse_family(family)[1](n, 7)
+        cover = sample_cover(n, k, seed=7) if k is not None else np.array([], dtype=np.int64)
+        surviving = uncovered_pairs(g, cover, np.arange(n))
+        assert -(-len(surviving) // _SCAN_CAP) == slices
+        counts = harness._true_apex_counts(g, surviving)
+        assert counts.dtype == np.int64
+        assert np.array_equal(counts, true_apex_counts_reference(g, surviving))
 
 
 class TestSubsetCapCampaign:

@@ -15,9 +15,11 @@ from triwalk import (
     FailureInjection,
     Graph,
     QueryLedger,
+    SamplePlan,
     WalkCharge,
     brute_force_triangle,
     erdos_renyi,
+    estimate_all_apexes,
     find_apex_witness,
     find_triangle,
     grover_cost,
@@ -136,35 +138,57 @@ class TestApexWitness:
         surviving = uncovered_pairs(g, cover, block)
         return g, params, cover, block, surviving
 
+    def recomputed_charge(self, g, block, surviving, params, charge):
+        """Per-apex Q(w), the dispatch total and its estimator share, from
+        estimate_all_apexes on the plan find_apex_witness draws by default."""
+        n = g.n
+        m = sample_size(n, params.k)
+        rng = np.random.default_rng([params.seed, 0xA9])
+        estimates, _ = estimate_all_apexes(
+            g, surviving, m, SamplePlan(n, m, surviving.universe_size, rng=rng)
+        )
+        r = charge.subset_size
+        per_apex = []
+        for w in range(n):
+            # Q(w): one estimator charge plus the subset-walk formula with
+            # checking cost sqrt(cap(w)).
+            cap = subset_pair_cap(r, block.size, 3.0 * estimates[w])
+            wc = WalkCharge(
+                setup=float(r), update=2.0, check=math.sqrt(cap), r=r, eps=charge.eps
+            )
+            per_apex.append(charge.estimator_each + walk_cost(wc))
+        per_apex = np.array(per_apex)
+        total = variable_search_cost(per_apex)
+        return total, total * (n * charge.estimator_each / per_apex.sum())
+
     def test_no_survivors_still_charges_floor(self):
         g, params, cover, block, surviving = self.make(64, 0.0, 1)
         ledger = QueryLedger()
         witness, charge = find_apex_witness(g, block, surviving, params, ledger)
         assert witness is None
         assert charge.total > 0
-        assert ledger.charged["outer_check_estimator"] == pytest.approx(charge.estimator_share)
-        assert ledger.charged["inner_walk"] == pytest.approx(charge.walk_share)
+        total, est_share = self.recomputed_charge(g, block, surviving, params, charge)
+        assert charge.total == total
+        assert ledger.charged["outer_check_estimator"] == est_share
+        assert ledger.charged["inner_walk"] == total - est_share
 
     def test_share_split_is_additive(self):
         g, params, cover, block, surviving = self.make(64, 0.5, 2, cover_seed=3)
-        witness, charge = find_apex_witness(
-            g, block, surviving, params, QueryLedger()
-        )
-        assert charge.estimator_share + charge.walk_share == charge.total
+        ledger = QueryLedger()
+        _, charge = find_apex_witness(g, block, surviving, params, ledger)
+        charged = ledger.charged
+        assert charged["outer_check_estimator"] + charged["inner_walk"] == charge.total
 
     def test_per_apex_matches_walk_formula(self):
-        # Q(w) must equal one estimator charge plus the subset-walk formula
-        # with checking cost sqrt(cap(w)), bit for bit.
+        # The dispatch total over Q(w) must match, bit for bit, and the
+        # ledger phases must carry its estimator / walk split.
         g, params, cover, block, surviving = self.make(64, 0.5, 4, cover_seed=5)
-        _, charge = find_apex_witness(g, block, surviving, params, QueryLedger())
-        r = charge.subset_size
-        for w in (0, 17, 63):
-            cap = subset_pair_cap(r, block.size, 3.0 * charge.estimates[w])
-            wc = WalkCharge(
-                setup=float(r), update=2.0, check=math.sqrt(cap), r=r, eps=charge.eps
-            )
-            assert charge.per_apex[w] == charge.estimator_each + walk_cost(wc)
-        assert charge.total == variable_search_cost(charge.per_apex)
+        ledger = QueryLedger()
+        _, charge = find_apex_witness(g, block, surviving, params, ledger)
+        total, est_share = self.recomputed_charge(g, block, surviving, params, charge)
+        assert charge.total == total
+        assert ledger.charged["outer_check_estimator"] == est_share
+        assert ledger.charged["inner_walk"] == total - est_share
 
     def test_witness_matches_oracle(self):
         found_any = 0
