@@ -38,6 +38,7 @@ from triwalk import (
 )
 from triwalk import pipeline as pipeline_module
 from triwalk.graph import Triangle
+from triwalk.harness import fit_loglog
 from triwalk.pipeline import PHASES, block_size, cost_envelope, inner_size, sample_size
 
 EMPTY = np.array([], dtype=np.int64)
@@ -674,3 +675,24 @@ class TestEnvelope:
         big = cost_envelope(4096, 0.75, 0.5)
         assert big == pytest.approx(6 * 4096**1.25 + 4096**1.125, rel=1e-12)
         assert inner_size(4096, 0.75) == 64
+
+    def test_phase_slopes_match_envelope_terms(self):
+        # On triangle-free inputs every phase up to the block check runs, and
+        # each one's mean charge grows as its own term of cost_envelope.
+        a, k = 0.75, 0.5
+        terms = {
+            "cover_search": 1.0 + k / 2.0,
+            "outer_setup": a + k,
+            "outer_update": 1.0 - a / 2.0 + k,
+            "outer_check_estimator": 1.5 + k - a,
+            "inner_walk": 1.5 - a / 3.0,
+        }
+        grid = (256, 512, 1024, 2048)
+        means = {phase: [] for phase in terms}
+        for n in grid:
+            reports = [find_triangle(random_bipartite(n, s), AlgoParams(seed=s)) for s in range(3)]
+            for phase in terms:
+                means[phase].append(float(np.mean([r.charges[phase] for r in reports])))
+        for phase, exponent in terms.items():
+            slope, _, _ = fit_loglog(list(zip(grid, means[phase])))
+            assert slope == pytest.approx(exponent, abs=0.05), phase
