@@ -9,7 +9,6 @@ exponents against baselines.
 """
 
 from .costs import (
-    CostConfig,
     WalkCharge,
     grover_cost,
     variable_search_cost,

@@ -21,7 +21,6 @@ import time
 from pathlib import Path
 from typing import Optional
 
-from .costs import CostConfig
 from .graph import Graph, read_edge_list, read_packed, write_edge_list, write_packed
 from .harness import (
     SUBSET_CAP_CONFIGS,
@@ -80,12 +79,11 @@ def _write_report(text_json: str, text_csv: Optional[str], out: Optional[str]) -
 
 
 def _params_from_args(args) -> AlgoParams:
-    cfg = CostConfig(log_factors=args.log_factors)
     injection = DEFAULT_INJECTION if getattr(args, "inject", False) else None
     return AlgoParams(
         a=args.a,
         k=args.k,
-        cost_cfg=cfg,
+        log_factors=args.log_factors,
         failure_injection=injection,
         seed=args.seed,
         n_min_guard=getattr(args, "guard", 64),

@@ -10,11 +10,12 @@ three formulas it charges through:
   costs S, U, C and marked-fraction lower bound eps:
       S + (1 / sqrt(eps)) * (sqrt(r) * U + C)
 
-Each formula optionally carries a ceil(ln ...) repetition factor
-(``log_factors``). The default model strips those so fitted exponents read
-the power law directly; flipping the toggle restores them for sensitivity
-studies. Charged values are real-valued throughout: square roots are never
-rounded, which keeps scaling fits free of staircase artifacts.
+Each formula takes a ``log_factors`` switch. Off (the default), the
+formulas are the bare power laws, so fitted exponents read them directly;
+on, each is multiplied by its ceil(ln ...) repetition factor, for
+sensitivity studies. Charged values are real-valued throughout: square
+roots are never rounded, which keeps scaling fits free of staircase
+artifacts.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "CostConfig",
     "WalkCharge",
     "log_multiplier",
     "grover_cost",
@@ -33,28 +33,6 @@ __all__ = [
     "walk_cost",
     "walk_cost_terms",
 ]
-
-
-@dataclass(frozen=True)
-class CostConfig:
-    """Knobs of the charged-cost model.
-
-    log_factors: multiply each formula by its ceil(ln ...) repetition
-        factor and keep the log-sized cofactors of derived quantities
-        (sampled cover size, estimator charge). Off by default: the clean
-        power law is what exponent fitting wants.
-    leading_constant: uniform multiplier on every cost formula.
-    """
-
-    log_factors: bool = False
-    leading_constant: float = 1.0
-
-    def __post_init__(self):
-        if not (math.isfinite(self.leading_constant) and self.leading_constant > 0):
-            raise ValueError("leading_constant must be positive and finite")
-
-
-DEFAULT_CONFIG = CostConfig()
 
 
 @dataclass(frozen=True)
@@ -83,45 +61,41 @@ class WalkCharge:
             raise ValueError("eps must lie in (0, 1]")
 
 
-def log_multiplier(base: float, cfg: CostConfig) -> float:
+def log_multiplier(base: float, log_factors: bool) -> float:
     """ceil(ln base), floored at 1, when log factors are on; else 1."""
-    if not cfg.log_factors:
+    if not log_factors:
         return 1.0
     return float(max(1, math.ceil(math.log(base))))
 
 
-def grover_cost(m: int, t: float, cfg: CostConfig = DEFAULT_CONFIG) -> float:
+def grover_cost(m: int, t: float, log_factors: bool = False) -> float:
     """Charged cost of searching m items at t queries per evaluation."""
     if m < 1:
         raise ValueError("domain size m must be at least 1")
     if t < 0:
         raise ValueError("per-evaluation cost t must be nonnegative")
-    return cfg.leading_constant * t * math.sqrt(m) * log_multiplier(m, cfg)
+    return t * math.sqrt(m) * log_multiplier(m, log_factors)
 
 
-def variable_search_cost(costs, cfg: CostConfig = DEFAULT_CONFIG) -> float:
+def variable_search_cost(costs, log_factors: bool = False) -> float:
     """Charged cost of search with per-item costs: sqrt of the sum of squares."""
     arr = np.asarray(costs, dtype=float)
     if arr.size == 0:
         raise ValueError("variable-cost search needs a nonempty cost list")
     if np.any(arr < 0):
         raise ValueError("per-item costs must be nonnegative")
-    return (
-        cfg.leading_constant
-        * math.sqrt(float(np.sum(arr * arr)))
-        * log_multiplier(arr.size, cfg)
-    )
+    return math.sqrt(float(np.sum(arr * arr))) * log_multiplier(arr.size, log_factors)
 
 
 def walk_cost_terms(
-    charge: WalkCharge, cfg: CostConfig = DEFAULT_CONFIG
+    charge: WalkCharge, log_factors: bool = False
 ) -> tuple[float, float, float | np.ndarray]:
     """Setup / update / check contributions whose sum is walk_cost.
 
     Exposed separately so pipelines can attribute each term to its own
     ledger phase while summing bit-identically to the total.
     """
-    scale = cfg.leading_constant * log_multiplier(charge.r, cfg)
+    scale = log_multiplier(charge.r, log_factors)
     amplify = 1.0 / math.sqrt(charge.eps)
     return (
         scale * charge.setup,
@@ -130,7 +104,7 @@ def walk_cost_terms(
     )
 
 
-def walk_cost(charge: WalkCharge, cfg: CostConfig = DEFAULT_CONFIG) -> float | np.ndarray:
+def walk_cost(charge: WalkCharge, log_factors: bool = False) -> float | np.ndarray:
     """Charged cost of a subset walk: S + (1/sqrt(eps)) (sqrt(r) U + C)."""
-    t_setup, t_update, t_check = walk_cost_terms(charge, cfg)
+    t_setup, t_update, t_check = walk_cost_terms(charge, log_factors)
     return t_setup + t_update + t_check

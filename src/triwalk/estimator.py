@@ -15,7 +15,7 @@ adjacency probes against w:
    ones; output qualifying_fraction * |pairs(A)|.
 
 The randomness is a fixed draw plan materialized once per (block, m) from
-a seed and shared by every apex, which is what makes "the bounds hold for
+one rng and shared by every apex, which is what makes "the bounds hold for
 all apexes simultaneously for most plans" a meaningful, testable event.
 Guarantee over the plan draw: with probability at least 1 - 3/n, for every
 apex w the output lies in
@@ -91,24 +91,13 @@ class SamplePlan:
 
     __slots__ = ("n", "m", "pair_universe", "rounds", "refine", "screen_draws", "refine_draws")
 
-    def __init__(
-        self,
-        n: int,
-        m: int,
-        pair_universe: int,
-        seed: Optional[int] = None,
-        rng: Optional[np.random.Generator] = None,
-    ):
+    def __init__(self, n: int, m: int, pair_universe: int, rng: np.random.Generator):
         if n < 2:
             raise ValueError("plan needs n >= 2")
         if m < 1:
             raise ValueError("sample size m must be positive")
         if pair_universe < 1:
             raise ValueError("pair universe must be nonempty")
-        if rng is None:
-            if seed is None:
-                raise ValueError("provide a seed or an rng")
-            rng = np.random.default_rng([seed, 0xE5])
         self.n = n
         self.m = m
         self.pair_universe = pair_universe
@@ -151,13 +140,13 @@ def _second_probes(rows: np.ndarray, first: np.ndarray, verts: np.ndarray, withi
     return int(weights @ _fold_words(np.add, np.bitwise_count(block), np.int64))
 
 
-def _apex_counts(g: Graph, surviving: PairSet, m: int, plan: SamplePlan) -> _ApexCounts:
+def _apex_counts(g: Graph, surviving: PairSet, plan: SamplePlan) -> _ApexCounts:
     """Run the estimator for every apex at once over the packed rows."""
     if surviving.verts.size < 2:
         raise ValueError("estimator needs a block with at least 2 vertices")
-    if plan.m != m or plan.pair_universe != surviving.universe_size:
-        raise ValueError("plan was materialized for a different block or m")
-    n, rows = g.n, g._rows
+    if plan.pair_universe != surviving.universe_size:
+        raise ValueError("plan was materialized for a different block")
+    n, m, rows = g.n, plan.m, g._rows
     pu, pv = surviving.endpoint_arrays()
     universe = surviving.universe_size
     # Flat plan positions (round * m + column) of the surviving screen draws.
@@ -199,7 +188,6 @@ def _apex_counts(g: Graph, surviving: PairSet, m: int, plan: SamplePlan) -> _Ape
 def estimate_all_apexes(
     g: Graph,
     surviving: PairSet,
-    m: int,
     plan: SamplePlan,
     ledger: Optional[QueryLedger] = None,
 ) -> tuple[np.ndarray, int]:
@@ -210,7 +198,7 @@ def estimate_all_apexes(
     the caller owns the charged model (one estimator charge per apex
     enters the per-apex dispatch cost).
     """
-    counts = _apex_counts(g, surviving, m, plan)
+    counts = _apex_counts(g, surviving, plan)
     if ledger is not None:
         ledger.add_raw(counts.probes)
     return counts.outputs, counts.probes

@@ -15,10 +15,13 @@ rows to one validator, which rejects bits past column n, set diagonal
 bits and asymmetry, comparing each 128-row chunk's column pack with the
 matching word columns of the rows.
 
-Classical probes of the adjacency relation go through ``Graph.query`` and
-are tallied as ``raw_probes`` on a :class:`QueryLedger`. Charged quantum
-costs (the emulated query budget) are accumulated on the same ledger by
-the cost-model layer, under per-phase labels.
+Classical probes of the adjacency relation are tallied as ``raw_probes``
+on a :class:`QueryLedger`. No library code probes pair by pair: the
+estimator counts its probes in closed form and adds the total with
+``QueryLedger.add_raw``. ``Graph.query`` stays as the one-pair oracle for
+callers, and counts one probe per call. Charged quantum costs (the
+emulated query budget) are accumulated on the same ledger by the
+cost-model layer, under per-phase labels.
 """
 
 from __future__ import annotations
@@ -495,10 +498,14 @@ def planted_triple(n: int, seed: int) -> Triangle:
 
 
 def planted_instance(n: int, seed: int) -> Graph:
-    """Triangle-free bipartite base plus one planted triangle.
+    """Triangle-free bipartite base plus the three edges of planted_triple.
 
     The base equals random_bipartite(n, seed), so positives and negatives
-    with the same seed differ only by the three planted edges.
+    with the same seed differ only by the three planted edges. It is not a
+    single-triangle family: at least two of the three planted vertices
+    share a side, and a planted edge inside a side is also closed by every
+    common neighbour of its endpoints on the other side, about n/8 of them
+    (planted_instance(512, 0) holds 79 triangles).
     """
     if n < 3:
         raise ValueError("n must be at least 3")

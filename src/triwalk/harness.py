@@ -219,21 +219,21 @@ def verify_estimator_bounds(
     trials: int,
     family: str = "er:0.5",
     seed: int = 0,
-    m: Optional[int] = None,
 ) -> CampaignReport:
     """The estimator brackets every apex simultaneously, rate >= 1 - 3/n.
 
     Per trial: fix a graph, a cover and a random block of size ceil(n^a);
     compute the exact per-apex counts; run the estimator off one fresh
     plan; succeed iff for every apex w
-        count(w)/3 <= estimate(w) <= 1.5 * max(|A|(|A|-1)/(2m), count(w)).
+        count(w)/3 <= estimate(w) <= 1.5 * max(|A|(|A|-1)/(2m), count(w)),
+    with the finder's sample count m = ceil(n^k).
     """
     if trials < 1:
         raise ValueError("trials must be positive")
     if n < 4:
         raise ValueError("needs n >= 4 so the bound 1 - 3/n is positive")
     fam_name, fam = parse_family(family)
-    m = m if m is not None else sample_size(n, k)
+    m = sample_size(n, k)
     bsize = block_size(n, a)
     outcomes = []
     rel = 1e-12
@@ -245,7 +245,7 @@ def verify_estimator_bounds(
         surviving = uncovered_pairs(g, cover, block)
         counts = _true_apex_counts(g, surviving)
         plan = SamplePlan(n, m, surviving.universe_size, rng=rng)
-        estimates, _ = estimate_all_apexes(g, surviving, m, plan)
+        estimates, _ = estimate_all_apexes(g, surviving, plan)
         floor_ref = bsize * (bsize - 1) / (2.0 * m)
         upper = 1.5 * np.maximum(floor_ref, counts)
         ok = np.all(counts / 3.0 <= estimates * (1 + rel)) and np.all(
@@ -270,26 +270,22 @@ def verify_estimator_bounds(
     )
 
 
-# Named configurations for the subset-cap campaign: how the graph, cover,
-# apex and probed pair are laid out. The campaign bound is distribution
-# free, so any fixed configuration must satisfy it.
-SUBSET_CAP_CONFIGS = ("er-half", "er-dense", "edgeless")
+# Named configurations for the subset-cap campaign, each with the graph
+# family it draws from. The campaign bound is distribution free, so any
+# fixed configuration must satisfy it.
+_SUBSET_CAP_FAMILIES = {"er-half": "er:0.5", "er-dense": "er:0.9", "edgeless": "edgeless"}
+SUBSET_CAP_CONFIGS = tuple(_SUBSET_CAP_FAMILIES)
 
 
 def _subset_cap_setup(config: str, size_a: int, seed: int):
-    n = size_a + 16
-    apex = size_a  # first vertex outside the block
-    if config == "er-half":
-        g = erdos_renyi(n, 0.5, seed)
-    elif config == "er-dense":
-        g = erdos_renyi(n, 0.9, seed)
-    elif config == "edgeless":
-        g = erdos_renyi(n, 0.0, seed)
-    else:
+    """Graph on size_a + 16 vertices, no cover, block [0, size_a), apex size_a."""
+    if config not in _SUBSET_CAP_FAMILIES:
         raise ValueError(f"unknown subset-cap config {config!r}")
+    _, fam = parse_family(_SUBSET_CAP_FAMILIES[config])
+    g = fam(size_a + 16, seed)
     block = np.arange(size_a)
     cover = np.array([], dtype=np.int64)
-    return g, cover, block, apex
+    return g, cover, block, size_a
 
 
 def verify_subset_cap(
@@ -421,9 +417,9 @@ def _run_algo(algo: str, g: Graph, params: AlgoParams, seed: int) -> RunReport:
     if algo == "walk":
         return find_triangle(g, replace(params, seed=seed))
     if algo == "naive":
-        return naive_triples_baseline(g, params.cost_cfg)
+        return naive_triples_baseline(g, params.log_factors)
     if algo == "edges":
-        return sparse_edges_baseline(g, params.cost_cfg)
+        return sparse_edges_baseline(g, params.log_factors)
     raise ValueError(f"unknown algorithm {algo!r}")
 
 
@@ -466,7 +462,6 @@ def correctness_suite(
     injection: Optional[FailureInjection] = None,
     planted_cases: int = 20,
     planted_n: int = 512,
-    params: Optional[AlgoParams] = None,
 ) -> CampaignReport:
     """Finder versus ground truth over a mixed corpus.
 
@@ -477,8 +472,7 @@ def correctness_suite(
     injection on, the verdict is the detection rate on positives against
     the 2/3 floor with zero false positives on negatives.
     """
-    params = params or AlgoParams()
-    params = replace(params, failure_injection=injection, n_min_guard=12)
+    params = AlgoParams(failure_injection=injection, n_min_guard=12)
     rng = np.random.default_rng([seed, 0x5])
     agree = 0
     total = 0

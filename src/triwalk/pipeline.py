@@ -32,9 +32,12 @@ ceil(ln .) repetition factors.
 
 Failure injection (opt-in) suppresses witnesses at the configured stage
 gate; it never fabricates, so reported triangles verify under any
-injection. The walk gate is the single gate on the walk path: the subset
-walk's success floor already accounts for checker error, so the checker
-gate applies only to standalone apex scans and is not stacked here.
+injection. The checker gate never suppresses a walk-path outcome: the
+subset walk's success floor already accounts for checker error, so the
+walk gate (then the search gate at extraction) decides it. The checker
+gate still draws in the block check, because search_blocks hands its
+injection rng to find_apex_witness: it sets the charge log's
+outer.check_witness_found and, drawing first, moves the walk gate's draw.
 """
 
 from __future__ import annotations
@@ -42,14 +45,13 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from math import comb
 from typing import Optional
 
 import numpy as np
 
 from .costs import (
-    CostConfig,
     WalkCharge,
     grover_cost,
     log_multiplier,
@@ -111,31 +113,37 @@ class FailureInjection:
 _NO_INJECTION = FailureInjection()
 
 
+# find_triangle stops once the charged total exceeds this multiple of
+# cost_envelope (times a polylog with log factors on).
+BUDGET_MULTIPLIER = 10.0
+
+
 @dataclass(frozen=True)
 class AlgoParams:
     """Tuning of the charged finder.
 
     a sizes the outer blocks (ceil(n^a)); k sizes the cover exponent and
     the estimator sample count. Defaults a=3/4, k=1/2 make the top-level
-    charge profile ~n^(5/4). The guard keeps n large enough that the inner
-    subset size exceeds 3, which the subset cap formula needs.
+    charge profile ~n^(5/4). log_factors multiplies each cost formula by
+    its ceil(ln ...) repetition factor and charges the log-sized
+    quantities at their actual size (sampled cover, estimator run); off
+    by default, so fitted exponents read the power law. The guard keeps n
+    large enough that the inner subset size exceeds 3, which the subset
+    cap formula needs.
     """
 
     a: float = 0.75
     k: float = 0.5
-    cost_cfg: CostConfig = field(default_factory=CostConfig)
+    log_factors: bool = False
     failure_injection: Optional[FailureInjection] = None
     seed: int = 0
     n_min_guard: int = 64
-    budget_multiplier: float = 10.0
 
     def __post_init__(self):
         if not 0.0 < self.a < 1.0:
             raise ValueError("block exponent a must lie in (0, 1)")
         if not 0.0 < self.k < 1.0:
             raise ValueError("cover exponent k must lie in (0, 1)")
-        if not (math.isfinite(self.budget_multiplier) and self.budget_multiplier > 0):
-            raise ValueError("budget_multiplier must be positive and finite")
 
 
 def block_size(n: int, a: float) -> int:
@@ -161,13 +169,13 @@ def cost_envelope(n: int, a: float, k: float) -> float:
     )
 
 
-def _cover_charge_size(n: int, k: float, cover, cfg: CostConfig) -> int:
+def _cover_charge_size(n: int, k: float, cover, log_factors: bool) -> int:
     """Charge-side size of the cover: actual set with logs, skeleton without."""
-    return len(cover) if cfg.log_factors else sample_size(n, k)
+    return len(cover) if log_factors else sample_size(n, k)
 
 
-def _estimator_charge_each(n: int, m: int, cfg: CostConfig) -> float:
-    return cfg.leading_constant * (estimator_charge(n, m) if cfg.log_factors else m)
+def _estimator_charge_each(n: int, m: int, log_factors: bool) -> float:
+    return float(estimator_charge(n, m) if log_factors else m)
 
 
 def _suppressed(p: Optional[float], rng: Optional[np.random.Generator], gate: str) -> bool:
@@ -278,9 +286,8 @@ def search_cover_triangles(
     cover = np.asarray(cover, dtype=np.int64)
     if cover.size == 0:
         raise ValueError("cover must be nonempty")
-    cfg = params.cost_cfg
-    domain = _cover_charge_size(g.n, params.k, cover, cfg) * comb(g.n, 2)
-    ledger.charge("cover_search", grover_cost(domain, 1.0, cfg))
+    domain = _cover_charge_size(g.n, params.k, cover, params.log_factors) * comb(g.n, 2)
+    ledger.charge("cover_search", grover_cost(domain, 1.0, params.log_factors))
     found = _first_cover_triangle(g, cover)
     inj = params.failure_injection or _NO_INJECTION
     if found is not None and _suppressed(inj.search_success, rng, "search"):
@@ -305,7 +312,6 @@ class CheckCharge:
 
 def find_apex_witness(
     g: Graph,
-    block: np.ndarray,
     surviving: PairSet,
     params: AlgoParams,
     ledger: QueryLedger,
@@ -315,7 +321,9 @@ def find_apex_witness(
     *,
     triangle_free: bool = False,
 ) -> tuple[Optional[tuple[int, tuple[int, int]]], CheckCharge]:
-    """Decide whether the block's surviving pairs contain a triangle edge.
+    """Decide whether a block's surviving pairs contain a triangle edge.
+
+    The block is surviving.verts, of size ceil(n^a).
 
     Charged model, per apex w:
       Q(w) = estimator charge
@@ -339,28 +347,26 @@ def find_apex_witness(
     None without a search, and the charges are the same.
     """
     n = g.n
-    cfg = params.cost_cfg
-    block = np.asarray(block, dtype=np.int64)
-    bsize = block.size
+    bsize = surviving.verts.size
     if bsize != block_size(n, params.a):
         raise ValueError("block size must be ceil(n^a)")
     r = inner_size(n, params.a)
     if not 3 < r <= bsize or bsize <= 3:
         raise ValueError("inner subset size must satisfy 3 < r <= block size")
-    if not np.array_equal(np.sort(block), surviving.verts):
-        raise ValueError("surviving pairs were built for a different block")
     m = sample_size(n, params.k)
 
     if rng is None:
         rng = np.random.default_rng([params.seed, 0xA9])
     plan = SamplePlan(n, m, surviving.universe_size, rng=rng)
-    estimates, _ = estimate_all_apexes(g, surviving, m, plan, ledger)
+    estimates, _ = estimate_all_apexes(g, surviving, plan, ledger)
 
-    est_each = _estimator_charge_each(n, m, cfg)
+    est_each = _estimator_charge_each(n, m, params.log_factors)
     caps = subset_pair_cap(r, bsize, 3.0 * estimates)
     eps = (r - 1) ** 2 / (2.0 * bsize**2)
-    per_apex = est_each + walk_cost(WalkCharge(r, 2.0, np.sqrt(caps), r, eps), cfg)
-    total = variable_search_cost(per_apex, cfg)
+    per_apex = est_each + walk_cost(
+        WalkCharge(r, 2.0, np.sqrt(caps), r, eps), params.log_factors
+    )
+    total = variable_search_cost(per_apex, params.log_factors)
     est_share = total * (n * est_each / float(per_apex.sum()))
     walk_share = total - est_share
     ledger.charge("outer_check_estimator", charge_scale * est_share)
@@ -412,7 +418,6 @@ def search_blocks(
     finds nothing the apex scan searches no witness.
     """
     n = g.n
-    cfg = params.cost_cfg
     cover = np.asarray(cover, dtype=np.int64)
     bsize = block_size(n, params.a)
     eps_outer = bsize * (bsize - 1) / (n * (n - 1))
@@ -427,12 +432,9 @@ def search_blocks(
         block = np.sort(block_rng.choice(n, size=bsize, replace=False))
 
     surviving = uncovered_pairs(g, cover, block)
-    check_scale = (
-        cfg.leading_constant * log_multiplier(bsize, cfg) / math.sqrt(eps_outer)
-    )
+    check_scale = log_multiplier(bsize, params.log_factors) / math.sqrt(eps_outer)
     chk_witness, check_charge = find_apex_witness(
         g,
-        block,
         surviving,
         params,
         ledger,
@@ -444,7 +446,7 @@ def search_blocks(
         triangle_free=cover_negative and hit is None,
     )
 
-    x_charge = _cover_charge_size(n, params.k, cover, cfg)
+    x_charge = _cover_charge_size(n, params.k, cover, params.log_factors)
     outer = WalkCharge(
         setup=bsize * x_charge,
         update=2.0 * x_charge,
@@ -452,7 +454,7 @@ def search_blocks(
         r=bsize,
         eps=eps_outer,
     )
-    term_setup, term_update, _ = walk_cost_terms(outer, cfg)
+    term_setup, term_update, _ = walk_cost_terms(outer, params.log_factors)
     ledger.charge("outer_setup", term_setup)
     ledger.charge("outer_update", term_update)
 
@@ -531,7 +533,7 @@ def _params_dict(params: AlgoParams) -> dict:
     out = {
         "a": params.a,
         "k": params.k,
-        "log_factors": params.cost_cfg.log_factors,
+        "log_factors": params.log_factors,
         "seed": params.seed,
     }
     # Recorded only when configured, so uninjected reports keep their bytes.
@@ -546,9 +548,9 @@ def find_triangle(g: Graph, params: AlgoParams) -> RunReport:
     Deterministic given (graph, params): the seed drives the cover sample,
     the estimator plan, the representative block and any injection draws
     through split substreams. Stops early, reporting no triangle, if the
-    charged total ever exceeds budget_multiplier times the closed-form
-    envelope (times ceil(ln n) when log factors are on); with the default
-    multiplier the stop never fires on honest inputs.
+    charged total ever exceeds BUDGET_MULTIPLIER times the closed-form
+    envelope (times ceil(ln n)^3 when log factors are on); the stop never
+    fires on honest inputs.
     """
     n = g.n
     if n < params.n_min_guard:
@@ -559,7 +561,7 @@ def find_triangle(g: Graph, params: AlgoParams) -> RunReport:
         raise ValueError(f"derived sizes unsupported at n={n}, a={params.a}")
 
     t0 = time.perf_counter()
-    cfg = params.cost_cfg
+    log_factors = params.log_factors
     seeds = np.random.SeedSequence([params.seed]).spawn(4)
     rng_cover = np.random.default_rng(seeds[0])
     rng_plan = np.random.default_rng(seeds[1])
@@ -567,8 +569,8 @@ def find_triangle(g: Graph, params: AlgoParams) -> RunReport:
     rng_inj = np.random.default_rng(seeds[3])
 
     ledger = QueryLedger()
-    budget = params.budget_multiplier * cost_envelope(n, params.a, params.k)
-    if cfg.log_factors:
+    budget = BUDGET_MULTIPLIER * cost_envelope(n, params.a, params.k)
+    if log_factors:
         # Three nested log-carrying levels (outer walk, apex dispatch,
         # inner walk) stack their repetition factors, so the budget's
         # polylog must too.
@@ -583,7 +585,7 @@ def find_triangle(g: Graph, params: AlgoParams) -> RunReport:
 
     found = search_cover_triangles(g, cover, params, ledger, rng=rng_inj)
     charge_log["cover_search"] = {
-        "domain": _cover_charge_size(n, params.k, cover, cfg) * comb(n, 2),
+        "domain": _cover_charge_size(n, params.k, cover, log_factors) * comb(n, 2),
         "t": 1.0,
     }
     if ledger.total > budget:
@@ -610,9 +612,9 @@ def find_triangle(g: Graph, params: AlgoParams) -> RunReport:
             inner = _fill_vertices(block, pair, r)
             at_apex = uncovered_pairs_at(g, cover, inner, apex)
             extraction_domain = max(1, len(at_apex))
-            ledger.charge("extraction", grover_cost(extraction_domain, 1.0, cfg))
+            ledger.charge("extraction", grover_cost(extraction_domain, 1.0, log_factors))
             completion_domain = n * comb(bsize, 2)
-            ledger.charge("final_search", grover_cost(completion_domain, 1.0, cfg))
+            ledger.charge("final_search", grover_cost(completion_domain, 1.0, log_factors))
             charge_log["extraction"] = {"domain": extraction_domain, "t": 1.0}
             charge_log["final_search"] = {"domain": completion_domain, "t": 1.0}
             if ledger.total > budget:
@@ -640,11 +642,10 @@ def find_triangle(g: Graph, params: AlgoParams) -> RunReport:
     )
 
 
-def naive_triples_baseline(g: Graph, cfg: Optional[CostConfig] = None) -> RunReport:
+def naive_triples_baseline(g: Graph, log_factors: bool = False) -> RunReport:
     """Plain search over all vertex triples: charge sqrt(C(n,3))."""
     if g.n < 3:
         raise ValueError("triple search needs at least 3 vertices")
-    cfg = cfg or CostConfig()
     t0 = time.perf_counter()
     domain = comb(g.n, 3)
     outcome = brute_force_triangle(g)
@@ -652,24 +653,19 @@ def naive_triples_baseline(g: Graph, cfg: Optional[CostConfig] = None) -> RunRep
         n=g.n,
         algo="naive",
         outcome=outcome,
-        charges={"triples_search": grover_cost(domain, 1.0, cfg)},
+        charges={"triples_search": grover_cost(domain, 1.0, log_factors)},
         raw_probes=0,
-        params={"a": None, "k": None, "log_factors": cfg.log_factors, "seed": None},
+        params={"a": None, "k": None, "log_factors": log_factors, "seed": None},
         charge_log={"triples_search": {"domain": domain, "t": 1.0}},
         wall_ms=(time.perf_counter() - t0) * 1000.0,
     )
 
 
-def sparse_edges_baseline(g: Graph, cfg: Optional[CostConfig] = None) -> RunReport:
+def sparse_edges_baseline(g: Graph, log_factors: bool = False) -> RunReport:
     """Edge-count-aware baseline: charge n + sqrt(n m) for m true edges."""
-    cfg = cfg or CostConfig()
     t0 = time.perf_counter()
     m_edges = g.edge_count
-    charge = (
-        cfg.leading_constant
-        * (g.n + math.sqrt(g.n * m_edges))
-        * log_multiplier(g.n, cfg)
-    )
+    charge = (g.n + math.sqrt(g.n * m_edges)) * log_multiplier(g.n, log_factors)
     outcome = brute_force_triangle(g)
     return RunReport(
         n=g.n,
@@ -677,7 +673,7 @@ def sparse_edges_baseline(g: Graph, cfg: Optional[CostConfig] = None) -> RunRepo
         outcome=outcome,
         charges={"edge_search": charge},
         raw_probes=0,
-        params={"a": None, "k": None, "log_factors": cfg.log_factors, "seed": None},
+        params={"a": None, "k": None, "log_factors": log_factors, "seed": None},
         charge_log={"edge_search": {"edges": int(m_edges)}},
         wall_ms=(time.perf_counter() - t0) * 1000.0,
     )

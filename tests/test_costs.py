@@ -1,19 +1,14 @@
 """Cost algebra identities."""
 
-import math
-
 import numpy as np
 import pytest
 
 from triwalk import (
-    CostConfig,
     WalkCharge,
     grover_cost,
     variable_search_cost,
     walk_cost,
 )
-
-LOG_ON = CostConfig(log_factors=True)
 
 
 class TestGroverCost:
@@ -33,18 +28,9 @@ class TestGroverCost:
 
     def test_log_multiplier(self):
         # ceil(ln 100) = 5
-        assert grover_cost(100, 2.0, LOG_ON) == pytest.approx(100.0)
+        assert grover_cost(100, 2.0, log_factors=True) == pytest.approx(100.0)
         # ln 1 = 0 floors to 1
-        assert grover_cost(1, 3.0, LOG_ON) == 3.0
-
-    def test_leading_constant(self):
-        cfg = CostConfig(leading_constant=2.5)
-        assert grover_cost(16, 1.0, cfg) == pytest.approx(10.0)
-
-    @pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf])
-    def test_leading_constant_must_be_positive_and_finite(self, value):
-        with pytest.raises(ValueError):
-            CostConfig(leading_constant=value)
+        assert grover_cost(1, 3.0, log_factors=True) == 3.0
 
     def test_contract(self):
         with pytest.raises(ValueError):
@@ -61,10 +47,10 @@ class TestVariableSearchCost:
         assert variable_search_cost([3.0, 4.0]) == pytest.approx(5.0)
 
     def test_equal_entries_match_plain_search(self):
-        for cfg in (CostConfig(), LOG_ON):
+        for log_factors in (False, True):
             for m, t in ((1, 2.0), (9, 0.5), (64, 3.0)):
-                assert variable_search_cost([t] * m, cfg) == pytest.approx(
-                    grover_cost(m, t, cfg)
+                assert variable_search_cost([t] * m, log_factors) == pytest.approx(
+                    grover_cost(m, t, log_factors)
                 )
 
     def test_contract(self):
@@ -105,11 +91,14 @@ class TestWalkCost:
         with pytest.raises(ValueError):
             WalkCharge(-1.0, 1.0, 1.0, r=4, eps=0.5)
 
-    @pytest.mark.parametrize("cfg", [CostConfig(), LOG_ON, CostConfig(leading_constant=1.7)])
-    def test_array_check_is_elementwise_scalar_cost(self, cfg):
+    @pytest.mark.parametrize("log_factors", [False, True])
+    def test_array_check_is_elementwise_scalar_cost(self, log_factors):
         checks = np.sqrt(np.array([0.0, 1.0, 2.5, 17.0, 1e6]))
-        vec = walk_cost(WalkCharge(11, 2.0, checks, r=11, eps=0.37), cfg)
-        scalar = [walk_cost(WalkCharge(11, 2.0, float(c), r=11, eps=0.37), cfg) for c in checks]
+        vec = walk_cost(WalkCharge(11, 2.0, checks, r=11, eps=0.37), log_factors)
+        scalar = [
+            walk_cost(WalkCharge(11, 2.0, float(c), r=11, eps=0.37), log_factors)
+            for c in checks
+        ]
         assert vec.shape == checks.shape
         assert all(v == s for v, s in zip(vec, scalar))
 

@@ -21,6 +21,11 @@ from triwalk.pairs import uncovered_pairs
 EMPTY = np.array([], dtype=np.int64)
 
 
+def plan_rng(seed):
+    """The rng a seeded plan draws from."""
+    return np.random.default_rng([seed, 0xE5])
+
+
 def make_case(n, p, seed, block):
     g = erdos_renyi(n, p, seed)
     surv = uncovered_pairs(g, EMPTY, block)
@@ -56,7 +61,7 @@ def kernel_runs(g, surv, plan):
     c2 is None where the apex stays at the screen's floor, as in
     reference_apex.
     """
-    counts = _apex_counts(g, surv, plan.m, plan)
+    counts = _apex_counts(g, surv, plan)
     runs = [
         (
             float(counts.outputs[w]),
@@ -78,7 +83,7 @@ def assert_matches_reference(g, surv, plan):
     runs, probes = kernel_runs(g, surv, plan)
     assert runs == [r[:3] for r in ref]
     assert probes == sum(r[3] for r in ref)
-    outputs, total = estimate_all_apexes(g, surv, plan.m, plan)
+    outputs, total = estimate_all_apexes(g, surv, plan)
     assert np.array_equal(outputs, [r[0] for r in ref])
     assert total == probes
     return ref
@@ -86,25 +91,25 @@ def assert_matches_reference(g, surv, plan):
 
 class TestPlan:
     def test_stage_sizes(self):
-        plan = SamplePlan(256, 16, 100, seed=0)
+        plan = SamplePlan(256, 16, 100, rng=plan_rng(0))
         assert plan.rounds == math.ceil(240 * math.log(256))
         assert plan.refine == math.ceil(72 * 16 * math.log(256))
         assert plan.screen_draws.shape == (plan.rounds, 16)
         assert plan.refine_draws.shape == (plan.refine,)
 
     def test_deterministic(self):
-        p1 = SamplePlan(64, 8, 50, seed=5)
-        p2 = SamplePlan(64, 8, 50, seed=5)
+        p1 = SamplePlan(64, 8, 50, rng=plan_rng(5))
+        p2 = SamplePlan(64, 8, 50, rng=plan_rng(5))
         assert np.array_equal(p1.screen_draws, p2.screen_draws)
         assert np.array_equal(p1.refine_draws, p2.refine_draws)
 
     def test_contract(self):
         with pytest.raises(ValueError):
-            SamplePlan(1, 4, 10, seed=0)
+            SamplePlan(1, 4, 10, rng=plan_rng(0))
         with pytest.raises(ValueError):
-            SamplePlan(16, 0, 10, seed=0)
+            SamplePlan(16, 0, 10, rng=plan_rng(0))
         with pytest.raises(ValueError):
-            SamplePlan(16, 4, 0, seed=0)
+            SamplePlan(16, 4, 0, rng=plan_rng(0))
 
 
 class TestEstimator:
@@ -114,7 +119,7 @@ class TestEstimator:
         # probe: the first endpoint check fails and short-circuits.
         g = Graph.from_edges(10, [(0, 1), (1, 2), (2, 3)])
         surv = uncovered_pairs(g, EMPTY, np.arange(8))
-        plan = SamplePlan(10, 3, surv.universe_size, seed=2)
+        plan = SamplePlan(10, 3, surv.universe_size, rng=plan_rng(2))
         runs, probes = kernel_runs(g, surv, plan)
         output, c1, c2 = runs[9]
         assert c1 == 0 and c2 is None
@@ -128,7 +133,7 @@ class TestEstimator:
         # pair count.
         g = erdos_renyi(9, 1.0, seed=0)
         surv = uncovered_pairs(g, EMPTY, np.arange(8))
-        plan = SamplePlan(9, 4, surv.universe_size, seed=11)
+        plan = SamplePlan(9, 4, surv.universe_size, rng=plan_rng(11))
         runs, probes = kernel_runs(g, surv, plan)
         output, c1, c2 = runs[8]
         assert c1 == plan.rounds
@@ -141,7 +146,7 @@ class TestEstimator:
     def test_output_closed_forms(self):
         for seed in range(6):
             g, surv = make_case(24, 0.5, seed, np.arange(12))
-            plan = SamplePlan(24, 4, surv.universe_size, seed=seed)
+            plan = SamplePlan(24, 4, surv.universe_size, rng=plan_rng(seed))
             for output, _, c2 in kernel_runs(g, surv, plan)[0]:
                 if c2 is None:
                     assert output == surv.universe_size / 4
@@ -153,34 +158,32 @@ class TestEstimator:
         # Every apex is scored against the same plan's draws, so two runs
         # off one plan are the same deterministic function of (plan, apex).
         g, surv = make_case(20, 0.6, 4, np.arange(10))
-        plan = SamplePlan(20, 5, surv.universe_size, seed=1)
+        plan = SamplePlan(20, 5, surv.universe_size, rng=plan_rng(1))
         assert kernel_runs(g, surv, plan) == kernel_runs(g, surv, plan)
 
     def test_ledger_accounting(self):
         # The raw probes land on the ledger; the charge is the caller's.
         g, surv = make_case(20, 0.6, 5, np.arange(10))
-        plan = SamplePlan(20, 5, surv.universe_size, seed=1)
+        plan = SamplePlan(20, 5, surv.universe_size, rng=plan_rng(1))
         ledger = QueryLedger()
-        _, probes = estimate_all_apexes(g, surv, 5, plan, ledger=ledger)
+        _, probes = estimate_all_apexes(g, surv, plan, ledger=ledger)
         assert ledger.raw_probes == probes == reference_probes(g, surv, plan)
         assert ledger.charged == {}
         assert estimator_charge(20, 5) == math.ceil(5 * math.log(20))
 
     def test_plan_mismatch_rejected(self):
         g, surv = make_case(20, 0.6, 6, np.arange(10))
-        plan = SamplePlan(20, 5, surv.universe_size, seed=1)
-        with pytest.raises(ValueError):
-            estimate_all_apexes(g, surv, 4, plan)
+        plan = SamplePlan(20, 5, surv.universe_size, rng=plan_rng(1))
         other = uncovered_pairs(g, EMPTY, np.arange(9))
-        with pytest.raises(ValueError):
-            estimate_all_apexes(g, other, 5, plan)
+        with pytest.raises(ValueError, match="different block"):
+            estimate_all_apexes(g, other, plan)
 
     def test_m_beyond_pair_universe_is_fine(self):
         # Draws are with replacement, so m may exceed the pair universe.
         g = erdos_renyi(12, 0.7, seed=1)
         surv = uncovered_pairs(g, EMPTY, np.arange(5))  # 10 pairs
-        plan = SamplePlan(12, 25, surv.universe_size, seed=2)
-        outputs, _ = estimate_all_apexes(g, surv, 25, plan)
+        plan = SamplePlan(12, 25, surv.universe_size, rng=plan_rng(2))
+        outputs, _ = estimate_all_apexes(g, surv, plan)
         assert np.all(outputs >= 0)
 
     def test_saturated_m_refines_near_exactly(self):
@@ -190,7 +193,7 @@ class TestEstimator:
         block = np.arange(8)
         surv = uncovered_pairs(g, EMPTY, block)
         m = surv.universe_size
-        plan = SamplePlan(16, m, surv.universe_size, seed=3)
+        plan = SamplePlan(16, m, surv.universe_size, rng=plan_rng(3))
         output, _, c2 = kernel_runs(g, surv, plan)[0][12]
         true_count = 28  # all pairs of the block neighbor every apex in K16
         assert c2 is not None
@@ -212,13 +215,14 @@ class TestKernelMatchesReference:
         cover = data.draw(st.sets(st.integers(0, n - 1), max_size=n // 2))
         surv = uncovered_pairs(g, sorted(cover), sorted(block))
         m = data.draw(st.integers(1, 2 * surv.universe_size + 3))
-        assert_matches_reference(g, surv, SamplePlan(n, m, surv.universe_size, seed=plan_seed))
+        plan = SamplePlan(n, m, surv.universe_size, rng=plan_rng(plan_seed))
+        assert_matches_reference(g, surv, plan)
 
     @pytest.mark.parametrize("m", [1, 5, 40])
     def test_complete_graph_refines_every_apex(self, m):
         g = erdos_renyi(24, 1.0, seed=0)
         surv = uncovered_pairs(g, EMPTY, np.arange(8))  # 28 pairs
-        ref = assert_matches_reference(g, surv, SamplePlan(24, m, 28, seed=m))
+        ref = assert_matches_reference(g, surv, SamplePlan(24, m, 28, rng=plan_rng(m)))
         assert all(c2 is not None for _, _, c2, _ in ref)
 
     def test_tie_at_half_the_rounds_stays_at_floor(self):
@@ -226,7 +230,7 @@ class TestKernelMatchesReference:
         # the rounds draw slot 0, so 2 * c1 == rounds: no majority, no refine.
         g = Graph.from_edges(7, [(0, 1), (0, 6), (1, 6)])
         surv = uncovered_pairs(g, EMPTY, np.arange(6))
-        plan = SamplePlan(7, 1, surv.universe_size, seed=0)
+        plan = SamplePlan(7, 1, surv.universe_size, rng=plan_rng(0))
         assert plan.rounds % 2 == 0
         plan.screen_draws[:] = 1
         plan.screen_draws[: plan.rounds // 2] = 0
@@ -236,7 +240,8 @@ class TestKernelMatchesReference:
     def test_empty_surviving_set_exits_without_probes(self):
         g = erdos_renyi(30, 0.5, seed=2)
         surv = PairSet(np.arange(12), np.zeros(66, dtype=bool))
-        ref = assert_matches_reference(g, surv, SamplePlan(30, 6, surv.universe_size, seed=1))
+        plan = SamplePlan(30, 6, surv.universe_size, rng=plan_rng(1))
+        ref = assert_matches_reference(g, surv, plan)
         assert all(r == (surv.universe_size / 6, 0, None, 0) for r in ref)
 
     def test_rounds_without_a_surviving_draw(self):
@@ -246,7 +251,7 @@ class TestKernelMatchesReference:
         surv = uncovered_pairs(g, [25, 30, 35], np.arange(20))
         covered = np.flatnonzero(~surv.mask)
         assert covered.size and surv.mask.any()
-        plan = SamplePlan(40, 48, surv.universe_size, seed=4)
+        plan = SamplePlan(40, 48, surv.universe_size, rng=plan_rng(4))
         rounds = plan.rounds
         # The first run alone holds more draws than two gather slices.
         assert rounds // 3 * 48 > 2 * _SCAN_CAP
@@ -260,7 +265,7 @@ class TestKernelMatchesReference:
         # slice; the round is gathered whole, never split across slices.
         g = erdos_renyi(8, 0.7, seed=1)
         surv = uncovered_pairs(g, EMPTY, np.arange(7))
-        plan = SamplePlan(8, _SCAN_CAP + 37, surv.universe_size, seed=5)
+        plan = SamplePlan(8, _SCAN_CAP + 37, surv.universe_size, rng=plan_rng(5))
         assert surv.mask[plan.screen_draws].sum(axis=1).min() > _SCAN_CAP
         assert_matches_reference(g, surv, plan)
 
@@ -279,11 +284,12 @@ class TestKernelMatchesReference:
         monkeypatch.setattr(estimator_module, "_column_counts", recording)
         g = erdos_renyi(16, 1.0, seed=0)
         surv = uncovered_pairs(g, EMPTY, np.arange(16))
-        plan = SamplePlan(16, 500, surv.universe_size, seed=3)
+        plan = SamplePlan(16, 500, surv.universe_size, rng=plan_rng(3))
         assert plan.refine >= 1 << 16
         ref = assert_matches_reference(g, surv, plan)
         assert min(r[2] for r in ref) >= 1 << 16
-        assert_matches_reference(g, surv, SamplePlan(16, _SCAN_CAP + 37, surv.universe_size, seed=5))
+        plan = SamplePlan(16, _SCAN_CAP + 37, surv.universe_size, rng=plan_rng(5))
+        assert_matches_reference(g, surv, plan)
         assert 1 in seen and max(seen) == _SCAN_CAP
 
 
@@ -301,12 +307,12 @@ class TestUnreadWorkSkipped:
             return second_probes(rows, first, verts, within)
 
         monkeypatch.setattr(estimator_module, "_second_probes", recording)
-        counts = _apex_counts(g, surv, plan.m, plan)
+        counts = _apex_counts(g, surv, plan)
         return counts, sizes
 
     def test_no_refined_apex_scores_only_the_screen(self, monkeypatch):
         g, surv = make_case(40, 0.2, 1, np.arange(10))
-        plan = SamplePlan(40, 4, surv.universe_size, seed=1)
+        plan = SamplePlan(40, 4, surv.universe_size, rng=plan_rng(1))
         counts, sizes = self.second_probe_sizes(monkeypatch, g, surv, plan)
         assert not counts.refined.any()
         assert sizes == [np.count_nonzero(surv.mask[plan.screen_draws])]
@@ -317,7 +323,7 @@ class TestUnreadWorkSkipped:
     def test_refined_apexes_score_the_refinement_draws(self, monkeypatch):
         # 47 of the 48 apexes reach stage 3; the other stays at the floor.
         g, surv = make_case(48, 0.6, 4, np.arange(16))
-        plan = SamplePlan(48, 6, surv.universe_size, seed=4)
+        plan = SamplePlan(48, 6, surv.universe_size, rng=plan_rng(4))
         counts, sizes = self.second_probe_sizes(monkeypatch, g, surv, plan)
         assert 0 < counts.refined.sum() < 48
         assert sizes == [
@@ -344,8 +350,8 @@ class TestEstimatorGuarantee:
         hits = 0
         trials = 40
         for seed in range(trials):
-            plan = SamplePlan(n, m, surv.universe_size, seed=seed)
-            outputs, _ = estimate_all_apexes(g, surv, m, plan)
+            plan = SamplePlan(n, m, surv.universe_size, rng=plan_rng(seed))
+            outputs, _ = estimate_all_apexes(g, surv, plan)
             ok = np.all(counts / 3.0 <= outputs) and np.all(
                 outputs <= 1.5 * np.maximum(floor_ref, counts)
             )

@@ -21,7 +21,6 @@ from test_pipeline import WALK_PATH_SEED, plant_only_graph
 
 from triwalk import (
     AlgoParams,
-    CostConfig,
     FailureInjection,
     correctness_suite,
     erdos_renyi,
@@ -50,9 +49,7 @@ CASES = {
     "walk-path": lambda: find_triangle(
         plant_only_graph(), AlgoParams(seed=WALK_PATH_SEED)
     ).to_json(),
-    "bipartite-256-log-factors": _bipartite_run(
-        256, 4, cost_cfg=CostConfig(log_factors=True)
-    ),
+    "bipartite-256-log-factors": _bipartite_run(256, 4, log_factors=True),
     "walk-path-check-gate": lambda: find_triangle(
         plant_only_graph(),
         AlgoParams(

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from triwalk import (
     AlgoParams,
-    CostConfig,
     FailureInjection,
     Graph,
     QueryLedger,
@@ -89,13 +88,11 @@ class TestCoverSearch:
 
     def test_log_factors_use_actual_cover_size(self):
         g = random_bipartite(64, seed=1)
-        params = AlgoParams(cost_cfg=CostConfig(log_factors=True))
+        params = AlgoParams(log_factors=True)
         cover = sample_cover(64, params.k, seed=2)
         ledger = QueryLedger()
         search_cover_triangles(g, cover, params, ledger)
-        expected = grover_cost(
-            cover.size * comb(64, 2), 1.0, params.cost_cfg
-        )
+        expected = grover_cost(cover.size * comb(64, 2), 1.0, log_factors=True)
         assert ledger.charged["cover_search"] == expected
 
     def test_plant_out_of_reach(self):
@@ -146,7 +143,7 @@ class TestApexWitness:
         m = sample_size(n, params.k)
         rng = np.random.default_rng([params.seed, 0xA9])
         estimates, _ = estimate_all_apexes(
-            g, surviving, m, SamplePlan(n, m, surviving.universe_size, rng=rng)
+            g, surviving, SamplePlan(n, m, surviving.universe_size, rng=rng)
         )
         r = charge.subset_size
         per_apex = []
@@ -165,7 +162,7 @@ class TestApexWitness:
     def test_no_survivors_still_charges_floor(self):
         g, params, cover, block, surviving = self.make(64, 0.0, 1)
         ledger = QueryLedger()
-        witness, charge = find_apex_witness(g, block, surviving, params, ledger)
+        witness, charge = find_apex_witness(g, surviving, params, ledger)
         assert witness is None
         assert charge.total > 0
         total, est_share = self.recomputed_charge(g, block, surviving, params, charge)
@@ -176,7 +173,7 @@ class TestApexWitness:
     def test_share_split_is_additive(self):
         g, params, cover, block, surviving = self.make(64, 0.5, 2, cover_seed=3)
         ledger = QueryLedger()
-        _, charge = find_apex_witness(g, block, surviving, params, ledger)
+        _, charge = find_apex_witness(g, surviving, params, ledger)
         charged = ledger.charged
         assert charged["outer_check_estimator"] + charged["inner_walk"] == charge.total
 
@@ -185,7 +182,7 @@ class TestApexWitness:
         # ledger phases must carry its estimator / walk split.
         g, params, cover, block, surviving = self.make(64, 0.5, 4, cover_seed=5)
         ledger = QueryLedger()
-        _, charge = find_apex_witness(g, block, surviving, params, ledger)
+        _, charge = find_apex_witness(g, surviving, params, ledger)
         total, est_share = self.recomputed_charge(g, block, surviving, params, charge)
         assert charge.total == total
         assert ledger.charged["outer_check_estimator"] == est_share
@@ -195,9 +192,7 @@ class TestApexWitness:
         found_any = 0
         for seed in range(8):
             g, params, cover, block, surviving = self.make(64, 0.25, seed)
-            witness, _ = find_apex_witness(
-                g, block, surviving, params, QueryLedger()
-            )
+            witness, _ = find_apex_witness(g, surviving, params, QueryLedger())
             assert witness == apex_witness_oracle(g, surviving)
             found_any += witness is not None
         assert found_any > 0
@@ -207,7 +202,7 @@ class TestApexWitness:
         params = AlgoParams()
         block = np.arange(block_size(64, params.a))  # 23 vertices: all three in
         surviving = uncovered_pairs(g, EMPTY, block)
-        witness, _ = find_apex_witness(g, block, surviving, params, QueryLedger())
+        witness, _ = find_apex_witness(g, surviving, params, QueryLedger())
         assert witness == (5, (10, 20))  # smallest apex, then smallest pair
 
     def test_apex_outside_block_found(self):
@@ -216,7 +211,7 @@ class TestApexWitness:
         params = AlgoParams()
         block = np.arange(block_size(64, params.a))
         surviving = uncovered_pairs(g, EMPTY, block)
-        witness, _ = find_apex_witness(g, block, surviving, params, QueryLedger())
+        witness, _ = find_apex_witness(g, surviving, params, QueryLedger())
         assert witness == (30, (10, 20))
 
     def test_charge_ratio_across_sizes(self):
@@ -229,18 +224,15 @@ class TestApexWitness:
             cover = sample_cover(n, params.k, seed=5)
             block = np.arange(block_size(n, params.a))
             surviving = uncovered_pairs(g, cover, block)
-            _, charge = find_apex_witness(
-                g, block, surviving, params, QueryLedger()
-            )
+            _, charge = find_apex_witness(g, surviving, params, QueryLedger())
             totals[n] = charge.total
         assert 3.5 <= totals[1024] / totals[256] <= 7.5
 
     def test_block_shape_validated(self):
-        g, params, cover, block, surviving = self.make(64, 0.5, 6)
-        with pytest.raises(ValueError):
-            find_apex_witness(
-                g, block[:-1], surviving, params, QueryLedger()
-            )
+        g, params, cover, block, _ = self.make(64, 0.5, 6)
+        short = uncovered_pairs(g, cover, block[:-1])
+        with pytest.raises(ValueError, match="block size must be ceil"):
+            find_apex_witness(g, short, params, QueryLedger())
 
     def test_checker_gate(self):
         g = plant_only_graph(64, (10, 20, 30))
@@ -249,7 +241,6 @@ class TestApexWitness:
         surviving = uncovered_pairs(g, EMPTY, block)
         witness, _ = find_apex_witness(
             g,
-            block,
             surviving,
             params,
             QueryLedger(),
@@ -375,9 +366,9 @@ class TestProvenTriangleFree:
         block = np.arange(block_size(64, params.a))
         surviving = uncovered_pairs(g, EMPTY, block)
         ledgers = QueryLedger(), QueryLedger()
-        searched, charge = find_apex_witness(g, block, surviving, params, ledgers[0])
+        searched, charge = find_apex_witness(g, surviving, params, ledgers[0])
         skipped, skipped_charge = find_apex_witness(
-            g, block, surviving, params, ledgers[1], triangle_free=True
+            g, surviving, params, ledgers[1], triangle_free=True
         )
         assert searched is None and skipped is None
         assert searches == [block.size]
@@ -397,7 +388,7 @@ def _gate_call_without_rng(gate):
         params = AlgoParams(failure_injection=FailureInjection(check_success=0.5))
         block = np.arange(block_size(64, params.a))
         surviving = uncovered_pairs(g, EMPTY, block)
-        return lambda: find_apex_witness(g, block, surviving, params, ledger)
+        return lambda: find_apex_witness(g, surviving, params, ledger)
     params = AlgoParams(seed=1, failure_injection=FailureInjection(walk_success=0.5))
     return lambda: search_blocks(plant_only_graph(), np.array([0]), params, ledger)
 
@@ -410,13 +401,6 @@ def test_configured_gate_without_rng_rejected(gate):
 
 
 class TestFindTriangle:
-    @pytest.mark.parametrize("multiplier", [math.nan, math.inf])
-    def test_non_finite_budget_rejected(self, multiplier):
-        # The budget stop could never fire, and the budget would serialise
-        # as NaN or Infinity, which is not JSON.
-        with pytest.raises(ValueError, match="budget_multiplier must be positive and finite"):
-            AlgoParams(budget_multiplier=multiplier)
-
     def test_size_guard(self):
         g = erdos_renyi(32, 0.5, seed=0)
         with pytest.raises(ValueError):
@@ -577,18 +561,17 @@ class TestFindTriangle:
         # Stacked repetition factors in the log-on model must stay inside
         # the budget's polylog headroom.
         g = random_bipartite(512, seed=1)
-        report = find_triangle(
-            g, AlgoParams(seed=2, cost_cfg=CostConfig(log_factors=True))
-        )
+        report = find_triangle(g, AlgoParams(seed=2, log_factors=True))
         assert not report.stopped_early and report.outcome is None
         assert report.total < report.charge_log["budget"]
 
-    def test_budget_stop(self):
+    def test_budget_stop(self, monkeypatch):
         g = erdos_renyi(64, 0.5, seed=3)
-        report = find_triangle(g, AlgoParams(seed=1, budget_multiplier=1e-9))
-        assert report.stopped_early and report.outcome is None
         # generous default budget never fires here
         normal = find_triangle(g, AlgoParams(seed=1))
+        monkeypatch.setattr(pipeline_module, "BUDGET_MULTIPLIER", 1e-9)
+        report = find_triangle(g, AlgoParams(seed=1))
+        assert report.stopped_early and report.outcome is None
         assert not normal.stopped_early
         assert normal.total < normal.charge_log["budget"]
 
