@@ -144,6 +144,8 @@ class AlgoParams:
             raise ValueError("block exponent a must lie in (0, 1)")
         if not 0.0 < self.k < 1.0:
             raise ValueError("cover exponent k must lie in (0, 1)")
+        if not isinstance(self.log_factors, bool):
+            raise ValueError("log_factors must be a bool")
 
 
 def block_size(n: int, a: float) -> int:

@@ -184,6 +184,13 @@ class TestGenerators:
             assert brute_force_triangle(g) is not None
             assert is_triangle(g, planted_triple(64, seed))
 
+    def test_planted_family_holds_more_than_the_plant(self):
+        # Two planted vertices can share a side of the bipartite base, and
+        # the planted edge between them is closed by ~n/8 common neighbours.
+        g = planted_instance(512, seed=0)
+        adj = g.bool_matrix.astype(np.int64)
+        assert np.trace(adj @ adj @ adj) // 6 == 79
+
     def test_planted_triples_vary_with_seed(self):
         triples = {planted_triple(64, seed) for seed in range(8)}
         assert len(triples) > 1

@@ -102,6 +102,25 @@ class TestFamilies:
         assert fam(6, 0).edge_count == 15
 
 
+class TestSubsetCapSetup:
+    # perfbench indexes SUBSET_CAP_CONFIGS, so its order is part of the API.
+    FAMILY_TOKENS = {"er-half": "er:0.5", "er-dense": "er:0.9", "edgeless": "edgeless"}
+
+    def test_config_order(self):
+        assert SUBSET_CAP_CONFIGS == ("er-half", "er-dense", "edgeless")
+
+    @pytest.mark.parametrize("config", SUBSET_CAP_CONFIGS)
+    def test_graph_built_from_family_token(self, config):
+        g, cover, block, apex = harness._subset_cap_setup(config, 20, 5)
+        assert g == parse_family(self.FAMILY_TOKENS[config])[1](36, 5)
+        assert cover.size == 0 and apex == 20
+        assert np.array_equal(block, np.arange(20))
+
+    def test_unknown_config_rejected(self):
+        with pytest.raises(ValueError, match="unknown subset-cap config"):
+            harness._subset_cap_setup("er:0.5", 20, 5)
+
+
 class TestCoverSparsityCampaign:
     def test_edgeless_family_trivially_passes(self):
         report = verify_cover_sparsity(64, 0.5, 10, family="edgeless", seed=1)

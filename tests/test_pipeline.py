@@ -565,6 +565,38 @@ class TestFindTriangle:
         assert not report.stopped_early and report.outcome is None
         assert report.total < report.charge_log["budget"]
 
+    @pytest.mark.parametrize("value", ["off", "on", 0, 1, None])
+    def test_log_factors_must_be_bool(self, value):
+        # A truthy non-bool such as "off" would turn log factors on and be
+        # recorded verbatim in the report.
+        with pytest.raises(ValueError, match="log_factors must be a bool"):
+            AlgoParams(log_factors=value)
+
+    def test_library_never_probes_through_query(self, monkeypatch):
+        # Classical probes are counted in closed form; Graph.query is only
+        # the one-pair oracle for callers.
+        def forbidden(self, ledger, u, v):
+            raise AssertionError("library code called Graph.query")
+
+        monkeypatch.setattr(Graph, "query", forbidden)
+        graphs = [
+            random_bipartite(256, 0),
+            erdos_renyi(64, 0.5, seed=3),
+            plant_only_graph(),
+            planted_instance(128, 2),
+        ]
+        for g in graphs:
+            for log_factors in (False, True):
+                report = find_triangle(
+                    g, AlgoParams(seed=WALK_PATH_SEED, log_factors=log_factors)
+                )
+                truth = brute_force_triangle(g)
+                assert (report.outcome is None) == (truth is None)
+                if report.outcome is not None:
+                    assert is_triangle(g, report.outcome)
+                naive_triples_baseline(g, log_factors)
+                sparse_edges_baseline(g, log_factors)
+
     def test_budget_stop(self, monkeypatch):
         g = erdos_renyi(64, 0.5, seed=3)
         # generous default budget never fires here
@@ -606,6 +638,27 @@ class TestFindTriangle:
             ),
         )
         assert report.outcome == Triangle(61, 62, 63)
+
+    def test_walk_path_checker_gate_draws_first(self, monkeypatch):
+        # On the walk path the checker gate suppresses nothing, but it
+        # draws before the walk gate and records the checker's witness.
+        gates = []
+        suppressed = pipeline_module._suppressed
+
+        def recording(p, rng, gate):
+            gates.append(gate)
+            return suppressed(p, rng, gate)
+
+        monkeypatch.setattr(pipeline_module, "_suppressed", recording)
+        report = find_triangle(
+            plant_only_graph(),
+            AlgoParams(
+                seed=WALK_PATH_SEED,
+                failure_injection=FailureInjection(walk_success=0.75, check_success=2.0 / 3.0),
+            ),
+        )
+        assert gates == ["checker", "walk"]
+        assert report.charge_log["outer"]["check_witness_found"]
 
     def test_no_false_positives_under_injection(self):
         inj = FailureInjection(walk_success=0.5, check_success=0.5, search_success=0.5)
