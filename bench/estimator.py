@@ -12,19 +12,31 @@ a digest of every call's (outputs, probes), so two versions can be
 checked for identical results as well as compared for speed.
 
     PYTHONPATH=src python bench/estimator.py
+
+``--closed`` instead times the estimator where nearly every surviving
+pair has a common neighbour, the case the closed-pair pass cannot skip:
+one ``verify_estimator_bounds`` trial per seed on each (family, n) in
+CLOSED, with ``harness.estimate_all_apexes`` wrapped the same way. The
+finder never reaches the estimator on these families; its cover search
+finds a triangle first.
+
+    PYTHONPATH=src python bench/estimator.py --closed
 """
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import json
 import statistics
+import sys
 
 import triwalk as tw
 from timing import timed_calls
-from triwalk import pipeline
+from triwalk import harness, pipeline
 
 SIZES = (448, 768, 2048)
+CLOSED = (("er:0.05", 2048), ("er:0.1", 512))
 SEEDS = range(5)
 REPEATS = 3
 
@@ -39,18 +51,33 @@ def _trial(n: int, seed: int) -> tuple[float, list]:
     return trial_ms, calls["estimate_all_apexes"]
 
 
-def measure(n: int) -> dict:
+def _closed_trial(family: str, n: int, seed: int) -> tuple[float, list]:
+    """One verify_estimator_bounds trial, timed like _trial."""
+    params = tw.AlgoParams()
+    trial_ms, calls = timed_calls(
+        lambda: harness.verify_estimator_bounds(n, params.a, params.k, 1, family, seed),
+        harness,
+        ["estimate_all_apexes"],
+    )
+    return trial_ms, calls["estimate_all_apexes"]
+
+
+def measure(n: int, family=None) -> dict:
     est_ms, trial_ms = [], []
     digest = hashlib.sha256()
     calls = 0
     for seed in SEEDS:
-        runs = [_trial(n, seed) for _ in range(REPEATS)]
+        if family is None:
+            runs = [_trial(n, seed) for _ in range(REPEATS)]
+        else:
+            runs = [_closed_trial(family, n, seed) for _ in range(REPEATS)]
         trial_ms.append(min(ms for ms, _ in runs))
         est_ms.append(min(sum(ms for ms, _ in rec) for _, rec in runs))
         for _, (outputs, probes) in runs[0][1]:
             digest.update(outputs.tobytes() + str(probes).encode())
         calls += len(runs[0][1])
     return {
+        **({} if family is None else {"family": family}),
         "n": n,
         "estimator_ms": round(statistics.median(est_ms), 2),
         "trial_ms": round(statistics.median(trial_ms), 2),
@@ -59,9 +86,14 @@ def measure(n: int) -> dict:
     }
 
 
-def main() -> None:
-    print(json.dumps([measure(n) for n in SIZES]))
+def main(argv=()) -> None:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--closed", action="store_true")
+    if parser.parse_args(argv).closed:
+        print(json.dumps([measure(n, family) for family, n in CLOSED]))
+    else:
+        print(json.dumps([measure(n) for n in SIZES]))
 
 
 if __name__ == "__main__":
-    main()
+    main(sys.argv[1:])

@@ -36,6 +36,13 @@ total of |N(first endpoint) & refined|: first-endpoint counts times
 popcounts of the block's packed rows. The refinement draws (c2, S3, F3)
 are scored only when some apex reaches stage 3; otherwise every output
 is the floor.
+
+A pair whose endpoints have no common neighbour (an open pair) qualifies
+at no apex. So the screen ANDs each distinct surviving pair it drew once,
+then gathers, ORs and column-counts only the draws of the other (closed)
+pairs; the probe total still counts every surviving draw. Where the cover
+prunes the closed pairs, as on random_bipartite inputs, no screen draw is
+gathered past that one pass.
 """
 
 from __future__ import annotations
@@ -140,6 +147,22 @@ def _second_probes(rows: np.ndarray, first: np.ndarray, verts: np.ndarray, withi
     return int(weights @ _fold_words(np.add, np.bitwise_count(block), np.int64))
 
 
+def _closed_slots(
+    rows: np.ndarray, pu: np.ndarray, pv: np.ndarray, slots: np.ndarray, universe: int
+) -> np.ndarray:
+    """Per universe slot, whether it is in ``slots`` and its pair is closed.
+
+    A pair is closed when its endpoints have a common neighbour. Each
+    distinct slot is ANDed once, however often it was drawn.
+    """
+    closed = np.zeros(universe, dtype=bool)
+    closed[slots] = True
+    distinct = np.flatnonzero(closed)
+    for sl, common in _anded_rows(rows, pu[distinct], pv[distinct]):
+        closed[distinct[sl]] = _fold_words(np.bitwise_or, common) != 0
+    return closed
+
+
 def _apex_counts(g: Graph, surviving: PairSet, plan: SamplePlan) -> _ApexCounts:
     """Run the estimator for every apex at once over the packed rows."""
     if surviving.verts.size < 2:
@@ -160,20 +183,27 @@ def _apex_counts(g: Graph, surviving: PairSet, plan: SamplePlan) -> _ApexCounts:
         return _ApexCounts(zeros, zeros.astype(bool), zeros, outputs, 0)
 
     slots1 = draws1[kept1]
-    first1, round1 = pu[slots1], kept1 // m
+    verts = surviving.verts
+    # Every surviving draw is probed, closed or open.
+    probes = n * slots1.size + _second_probes(rows, pu[slots1], verts)
+    # Only the draws of closed pairs can qualify at an apex.
+    closed1 = kept1[_closed_slots(rows, pu, pv, slots1, universe)[slots1]]
+    slots1, round1 = draws1[closed1], closed1 // m
     # Gather slices of about _SCAN_CAP draws, each cut at the start of a
     # round, so a round's OR never spans two slices (one round of more than
-    # _SCAN_CAP surviving draws makes one larger slice).
+    # _SCAN_CAP closed draws makes one larger slice).
     stops = np.searchsorted(round1, round1[_SCAN_CAP::_SCAN_CAP])
     c1 = zeros.copy()
-    for sl, both in _anded_rows(rows, first1, pv[slots1], stops):
+    for sl, both in _anded_rows(rows, pu[slots1], pv[slots1], stops):
         starts = np.flatnonzero(np.diff(round1[sl], prepend=-1))
         c1 += _column_counts(np.bitwise_or.reduceat(both, starts, axis=0), n)
     refined = 2 * c1 > plan.rounds
 
-    verts = surviving.verts
-    probes = n * slots1.size + _second_probes(rows, first1, verts)
     c2 = zeros.copy()
+    # Refinement gathers every surviving draw, with no closed-pair pass: it
+    # runs only when some apex saw a closed draw in most rounds, which takes
+    # a block dense in closed pairs, so the pass would add a gather and
+    # skip little.
     if refined.any():
         slots3 = plan.refine_draws[surviving.mask[plan.refine_draws]]
         first3 = pu[slots3]

@@ -222,6 +222,14 @@ def _growing_slices(total: int, first: int, cap: int):
         step = min(2 * step, cap)
 
 
+def _checked_vertices(n: int, vertices) -> np.ndarray:
+    """``vertices`` as an int64 array; ValueError if an id lies outside [0, n)."""
+    ids = np.asarray(vertices, dtype=np.int64)
+    if ids.size and (ids.min() < 0 or ids.max() >= n):
+        raise ValueError(f"vertex id out of range for n={n}")
+    return ids
+
+
 def _first_bit(row_words: np.ndarray) -> Optional[int]:
     """Index of the lowest set bit in a packed row, or None if empty."""
     for wi in range(row_words.shape[0]):
@@ -410,7 +418,7 @@ def _first_closed_edge(
     """
     for eu, ev in _edge_blocks(g, within):
         for sl, common in _anded_rows(g._rows, eu, ev):
-            if not common.any():  # a whole-array test is ~10x faster than per row
+            if not common.max(initial=0):  # a whole-array test is ~10x faster than per row
                 continue
             hit = np.flatnonzero(_fold_words(np.bitwise_or, common))
             if exclude is not None and hit.size:

@@ -22,7 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from .graph import Graph, _anded_rows, _fold_words
+from .graph import Graph, _anded_rows, _checked_vertices, _fold_words
 
 __all__ = [
     "PairSet",
@@ -63,6 +63,8 @@ class PairSet:
         verts = np.asarray(verts, dtype=np.int64)
         if not np.all(np.diff(verts) > 0):
             raise ValueError("pair universe must be sorted and duplicate-free")
+        if verts.size and verts[0] < 0:
+            raise ValueError("pair universe holds a negative vertex id")
         expected = verts.size * (verts.size - 1) // 2
         mask = np.asarray(mask, dtype=bool)
         if mask.shape != (expected,):
@@ -142,12 +144,13 @@ def uncovered_pairs(g: Graph, cover, within) -> PairSet:
     """Pairs of ``within`` that no cover vertex prunes.
 
     A pair is pruned exactly when both endpoints are neighbors of some
-    cover vertex. An empty cover prunes nothing. Emulation-side
+    cover vertex. An empty cover prunes nothing. A vertex id outside
+    [0, n) in either set raises ValueError. Emulation-side
     bookkeeping: nothing is charged here; callers charge the quantum cost
     appropriate to their context.
     """
-    base = PairSet.full(within)
-    cover = np.asarray(cover, dtype=np.int64)
+    base = PairSet.full(_checked_vertices(g.n, within))
+    cover = _checked_vertices(g.n, cover)
     if cover.size == 0 or base.universe_size == 0:
         return base
     pu, pv = base.endpoint_arrays()
@@ -158,7 +161,7 @@ def uncovered_pairs(g: Graph, cover, within) -> PairSet:
 def uncovered_pairs_at(g: Graph, cover, within, apex: int) -> PairSet:
     """Surviving pairs of ``within`` whose endpoints both neighbor ``apex``."""
     surviving = uncovered_pairs(g, cover, within)
-    adj = g.bool_row(apex)
+    adj = g.bool_row(int(_checked_vertices(g.n, apex)))
     pu, pv = surviving.endpoint_arrays()
     return PairSet(surviving.verts, surviving.mask & adj[pu] & adj[pv])
 

@@ -61,8 +61,8 @@ from .costs import (
 )
 from .estimator import SamplePlan, estimate_all_apexes, estimator_charge
 from .graph import (
-    _SCAN_CAP, Graph, QueryLedger, Triangle, _anded_rows, _first_bit, _first_closed_edge,
-    _fold_words, _growing_slices, brute_force_triangle, is_triangle,
+    _SCAN_CAP, Graph, QueryLedger, Triangle, _anded_rows, _checked_vertices, _first_bit,
+    _first_closed_edge, _fold_words, _growing_slices, brute_force_triangle, is_triangle,
 )
 from .pairs import PairSet, sample_cover, subset_pair_cap, uncovered_pairs, uncovered_pairs_at
 
@@ -222,7 +222,11 @@ def _first_cover_triangle(g: Graph, cover) -> Optional[Triangle]:
     lies above x (a smaller y would itself be such a vertex), so (x, y) is
     the smallest edge inside N(c). No edge list is built.
     """
-    heads = np.unique(np.asarray(cover, dtype=np.int64))
+    # The cover's distinct vertices in order; a mask over n is ~7x faster
+    # than np.unique on a finder's cover.
+    in_cover = np.zeros(g.n, dtype=bool)
+    in_cover[cover] = True
+    heads = np.flatnonzero(in_cover)
     # A negative ANDs every head's neighbourhood; at density 1/4 (a random
     # bipartite graph) a full batch is about _SCAN_CAP rows.
     for sl in _growing_slices(heads.size, 1, max(1, 4 * _SCAN_CAP // g.n)):
@@ -234,7 +238,7 @@ def _first_cover_triangle(g: Graph, cover) -> Optional[Triangle]:
         x = np.flatnonzero(bits.view(bool)) - head * g.n
         common = np.take(g._rows, x, axis=0)
         common &= np.take(batch, head, axis=0)
-        if not common.any():  # a whole-array test is ~10x faster than per row
+        if not common.max(initial=0):  # a whole-array test is ~10x faster than per row
             continue
         hit = np.flatnonzero(_fold_words(np.bitwise_or, common))
         if hit.size:
@@ -285,7 +289,7 @@ def search_cover_triangles(
     configured, a found triangle is suppressed with the complementary
     probability (the later phases then run as if nothing was found).
     """
-    cover = np.asarray(cover, dtype=np.int64)
+    cover = _checked_vertices(g.n, cover)
     if cover.size == 0:
         raise ValueError("cover must be nonempty")
     domain = _cover_charge_size(g.n, params.k, cover, params.log_factors) * comb(g.n, 2)
@@ -420,7 +424,7 @@ def search_blocks(
     finds nothing the apex scan searches no witness.
     """
     n = g.n
-    cover = np.asarray(cover, dtype=np.int64)
+    cover = _checked_vertices(n, cover)
     bsize = block_size(n, params.a)
     eps_outer = bsize * (bsize - 1) / (n * (n - 1))
 

@@ -14,14 +14,14 @@ import pytest
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
-def run_tiny(script, monkeypatch, capsys, **sizes):
+def run_tiny(script, monkeypatch, capsys, *argv, **sizes):
     monkeypatch.syspath_prepend(str(BENCH))
     module = importlib.import_module(script)
     for name, value in {"SIZES": (64,), **sizes}.items():
         monkeypatch.setattr(module, name, value)
     monkeypatch.setattr(module, "SEEDS", range(1))
     monkeypatch.setattr(module, "REPEATS", 1)
-    module.main()
+    module.main(*argv)
     return json.loads(capsys.readouterr().out)
 
 
@@ -29,6 +29,15 @@ def test_estimator_bench_times_one_call_per_trial(monkeypatch, capsys):
     (row,) = run_tiny("estimator", monkeypatch, capsys)
     assert row["n"] == 64
     assert row["estimator_calls"] == 1
+
+
+def test_estimator_bench_closed_times_the_harness_calls(monkeypatch, capsys):
+    rows = run_tiny(
+        "estimator", monkeypatch, capsys, ["--closed"], CLOSED=(("er:0.1", 64),)
+    )
+    assert [(row["family"], row["n"], row["estimator_calls"]) for row in rows] == [
+        ("er:0.1", 64, 1)
+    ]
 
 
 def test_scans_bench_times_every_scan(monkeypatch, capsys):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from triwalk import Graph, PairSet, QueryLedger, erdos_renyi
+from triwalk import Graph, PairSet, QueryLedger, erdos_renyi, random_bipartite
 from triwalk import estimator as estimator_module
 from triwalk.graph import _SCAN_CAP, _anded_rows
 from triwalk.estimator import (
@@ -16,7 +16,7 @@ from triwalk.estimator import (
     estimate_all_apexes,
     estimator_charge,
 )
-from triwalk.pairs import uncovered_pairs
+from triwalk.pairs import common_neighbor_counts, uncovered_pairs
 
 EMPTY = np.array([], dtype=np.int64)
 
@@ -76,6 +76,20 @@ def kernel_runs(g, surv, plan):
 def reference_probes(g, surv, plan):
     """Raw probes of every apex's reference run, summed."""
     return sum(reference_apex(g, surv, plan, apex)[3] for apex in range(g.n))
+
+
+def closed_surviving(g, surv):
+    """Per surviving pair, in canonical order, whether its ends share a neighbour."""
+    return common_neighbor_counts(g, surv) > 0
+
+
+def all_open_case():
+    """A triangle-free bipartite block under a cover of every vertex: every
+    pair with a common neighbour is covered, so every surviving pair is open."""
+    g = random_bipartite(64, seed=2)
+    surv = uncovered_pairs(g, np.arange(64), np.arange(0, 64, 3))
+    assert surv.mask.any() and not closed_surviving(g, surv).any()
+    return g, surv
 
 
 def assert_matches_reference(g, surv, plan):
@@ -225,6 +239,35 @@ class TestKernelMatchesReference:
         ref = assert_matches_reference(g, surv, SamplePlan(24, m, 28, rng=plan_rng(m)))
         assert all(c2 is not None for _, _, c2, _ in ref)
 
+    def test_every_surviving_pair_open(self):
+        # No draw can qualify anywhere: every apex screens to the floor.
+        g, surv = all_open_case()
+        plan = SamplePlan(64, 8, surv.universe_size, rng=plan_rng(7))
+        ref = assert_matches_reference(g, surv, plan)
+        assert all(r[1:3] == (0, None) for r in ref)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_open_and_closed_pairs_mixed(self, seed):
+        g = erdos_renyi(48, 0.1, seed)
+        surv = uncovered_pairs(g, [seed, 20 + seed], np.arange(24))
+        closed = closed_surviving(g, surv)
+        assert closed.any() and not closed.all()
+        plan = SamplePlan(48, 5, surv.universe_size, rng=plan_rng(seed))
+        assert_matches_reference(g, surv, plan)
+
+    def test_refines_with_open_pairs_drawn(self):
+        # Apexes 20-29 close every pair of 0-7; pairs at 8 or 9 are open.
+        # 28 of the block's 45 pairs qualify at each of those apexes, so most
+        # rounds of 4 draws see one and the apexes refine, while the screen
+        # and refinement draws include open pairs.
+        g = Graph.from_edges(30, [(u, w) for u in range(8) for w in range(20, 30)])
+        surv = uncovered_pairs(g, EMPTY, np.arange(10))
+        plan = SamplePlan(30, 4, surv.universe_size, rng=plan_rng(8))
+        closed = closed_surviving(g, surv)  # no cover: one entry per universe slot
+        assert not closed[plan.screen_draws].all() and not closed[plan.refine_draws].all()
+        ref = assert_matches_reference(g, surv, plan)
+        assert [w for w, r in enumerate(ref) if r[2] is not None] == list(range(20, 30))
+
     def test_tie_at_half_the_rounds_stays_at_floor(self):
         # Apex 6 closes pair slot 0 = (0, 1) but not slot 1 = (0, 2). Half
         # the rounds draw slot 0, so 2 * c1 == rounds: no majority, no refine.
@@ -294,8 +337,31 @@ class TestKernelMatchesReference:
 
 
 class TestUnreadWorkSkipped:
-    """The kernel scores the refinement draws only when some apex reaches
+    """The kernel gathers only the screen draws of pairs with a common
+    neighbour, and scores the refinement draws only when some apex reaches
     stage 3."""
+
+    def test_open_draws_are_not_gathered(self, monkeypatch):
+        # Each distinct drawn pair is ANDed once to find it open; no draw row
+        # is gathered after that and no column is counted.
+        gathered, counted = [], []
+        anded_rows = estimator_module._anded_rows
+
+        def recording_gather(rows, iu, iv, stops=None):
+            gathered.append(iu.size)
+            return anded_rows(rows, iu, iv, stops)
+
+        monkeypatch.setattr(estimator_module, "_anded_rows", recording_gather)
+        monkeypatch.setattr(estimator_module, "_column_counts", lambda *a: counted.append(a))
+        g, surv = all_open_case()
+        plan = SamplePlan(64, 8, surv.universe_size, rng=plan_rng(7))
+        drawn = plan.screen_draws[surv.mask[plan.screen_draws]]
+        assert drawn.size > np.unique(drawn).size  # some pair is drawn twice
+        counts = _apex_counts(g, surv, plan)
+        assert sum(gathered) == np.unique(drawn).size
+        assert counted == []
+        assert not counts.c1.any() and not counts.refined.any()
+        assert counts.probes == reference_probes(g, surv, plan)
 
     def second_probe_sizes(self, monkeypatch, g, surv, plan):
         """The draw counts _second_probes was called with in one kernel run."""

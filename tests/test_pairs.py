@@ -94,6 +94,44 @@ class TestPairSet:
         ps = PairSet.full([4])
         assert ps.universe_size == 0 and len(ps) == 0
 
+    def test_negative_vertex_rejected(self):
+        with pytest.raises(ValueError, match="negative"):
+            PairSet.full([-1, 2, 5])
+
+
+class TestVertexIdsInRange:
+    """Every vertex set at a public boundary must lie in [0, n): -1 must not
+    read as vertex n - 1, and n must not reach numpy as an IndexError."""
+
+    N = 10
+
+    @pytest.fixture
+    def g(self):
+        return erdos_renyi(self.N, 1.0, seed=0)
+
+    @pytest.mark.parametrize("bad", [-1, N])
+    def test_uncovered_pairs_cover(self, g, bad):
+        with pytest.raises(ValueError, match="out of range"):
+            uncovered_pairs(g, [0, bad], range(5))
+
+    @pytest.mark.parametrize("bad", [-1, N])
+    def test_uncovered_pairs_within(self, g, bad):
+        with pytest.raises(ValueError, match="out of range"):
+            uncovered_pairs(g, [], [0, 3, bad])
+
+    @pytest.mark.parametrize("bad", [-1, N])
+    @pytest.mark.parametrize("where", ["cover", "within", "apex"])
+    def test_uncovered_pairs_at(self, g, bad, where):
+        args = {"cover": [1], "within": [2, 3, 4], "apex": 5}
+        args[where] = bad if where == "apex" else [*args[where], bad]
+        with pytest.raises(ValueError, match="out of range"):
+            uncovered_pairs_at(g, args["cover"], args["within"], args["apex"])
+
+    @pytest.mark.parametrize("bad", [-1, N])
+    def test_cover_is_sparsifying(self, g, bad):
+        with pytest.raises(ValueError, match="out of range"):
+            cover_is_sparsifying(g, [bad], 0.5)
+
 
 class TestUncoveredPairs:
     def test_empty_cover_keeps_everything(self):

@@ -115,6 +115,12 @@ class TestCoverSearch:
                 erdos_renyi(8, 0.5, seed=0), EMPTY, AlgoParams(), QueryLedger()
             )
 
+    @pytest.mark.parametrize("bad", [-1, 70])
+    def test_out_of_range_cover_rejected(self, bad):
+        # -1 once read as vertex 69 and closed Triangle(-1, 0, 1) on K70.
+        with pytest.raises(ValueError, match="out of range"):
+            search_cover_triangles(erdos_renyi(70, 1.0, 0), [bad], AlgoParams(), QueryLedger())
+
     def test_search_gate_suppression(self):
         g = erdos_renyi(16, 1.0, seed=0)
         params = AlgoParams(failure_injection=FailureInjection(search_success=0.0))
@@ -250,6 +256,15 @@ class TestApexWitness:
 
 
 class TestBlockWalk:
+    @pytest.mark.parametrize("bad", [-1, 64])
+    @pytest.mark.parametrize("cover_negative", [False, True])
+    def test_out_of_range_cover_rejected(self, bad, cover_negative):
+        g = random_bipartite(64, seed=3)
+        with pytest.raises(ValueError, match="out of range"):
+            search_blocks(
+                g, [0, bad], AlgoParams(), QueryLedger(), cover_negative=cover_negative
+            )
+
     def test_triangle_free_returns_none(self):
         g = random_bipartite(128, seed=3)
         params = AlgoParams(seed=7)
