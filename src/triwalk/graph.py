@@ -223,8 +223,11 @@ def _growing_slices(total: int, first: int, cap: int):
 
 
 def _checked_vertices(n: int, vertices) -> np.ndarray:
-    """``vertices`` as an int64 array; ValueError if an id lies outside [0, n)."""
-    ids = np.asarray(vertices, dtype=np.int64)
+    """Integer ``vertices`` as int64; ValueError for float or bool ids, or ids outside [0, n)."""
+    ids = np.asarray(vertices)
+    if ids.size and ids.dtype.kind not in "iu":
+        raise ValueError(f"vertex ids must be integers, got {ids.dtype}")
+    ids = ids.astype(np.int64, copy=False)
     if ids.size and (ids.min() < 0 or ids.max() >= n):
         raise ValueError(f"vertex id out of range for n={n}")
     return ids
@@ -313,16 +316,18 @@ class Graph:
     # -- core access ---------------------------------------------------
 
     def has_edge(self, u: int, v: int) -> bool:
+        """Adjacency of u and v; ValueError if an id lies outside [0, n)."""
+        if not (0 <= u < self.n and 0 <= v < self.n):
+            raise ValueError(f"vertex id out of range for n={self.n}")
         return bool((int(self._rows[u, v >> 6]) >> (v & 63)) & 1)
 
     def query(self, ledger: QueryLedger, u: int, v: int) -> bool:
         """Oracle access to the pair {u, v}; counts one raw probe."""
         if u == v:
             raise ValueError("oracle pairs need distinct endpoints")
-        if not (0 <= u < self.n and 0 <= v < self.n):
-            raise ValueError(f"vertex out of range for n={self.n}")
+        edge = self.has_edge(u, v)
         ledger.add_raw(1)
-        return self.has_edge(u, v)
+        return edge
 
     @property
     def bool_matrix(self) -> np.ndarray:

@@ -187,6 +187,7 @@ def verify_cover_sparsity(
     """
     if trials < 1:
         raise ValueError("trials must be positive")
+    AlgoParams(k=k)  # the finder's bounds on the cover exponent
     fam_name, fam = parse_family(family)
     outcomes = []
     for t_seed in _trial_seeds(seed, trials):
@@ -232,6 +233,7 @@ def verify_estimator_bounds(
         raise ValueError("trials must be positive")
     if n < 4:
         raise ValueError("needs n >= 4 so the bound 1 - 3/n is positive")
+    AlgoParams(a=a, k=k)  # the finder's bounds on both exponents
     fam_name, fam = parse_family(family)
     m = sample_size(n, k)
     bsize = block_size(n, a)
@@ -473,6 +475,12 @@ def correctness_suite(
     the 2/3 floor with zero false positives on negatives.
     """
     params = AlgoParams(failure_injection=injection, n_min_guard=12)
+    if cases < 0 or planted_cases < 0:
+        raise ValueError("case counts must be nonnegative")
+    if cases + planted_cases == 0:
+        raise ValueError("the suite needs at least one case")
+    if cases and max_n < params.n_min_guard:
+        raise ValueError(f"max_n must be at least {params.n_min_guard}, the smallest case size")
     rng = np.random.default_rng([seed, 0x5])
     agree = 0
     total = 0
@@ -501,7 +509,7 @@ def correctness_suite(
 
     for i in range(cases):
         fam_name, fam = parse_family(_MIX_FAMILIES[i % len(_MIX_FAMILIES)])
-        n = int(rng.integers(12, max_n + 1))
+        n = int(rng.integers(params.n_min_guard, max_n + 1))
         t_seed = int(rng.integers(0, 2**31))
         run_case(fam(n, t_seed), t_seed)
     for _ in range(planted_cases):

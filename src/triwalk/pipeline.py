@@ -31,13 +31,15 @@ actual cover size, the estimator's ceil(m ln n), and the per-formula
 ceil(ln .) repetition factors.
 
 Failure injection (opt-in) suppresses witnesses at the configured stage
-gate; it never fabricates, so reported triangles verify under any
-injection. The checker gate never suppresses a walk-path outcome: the
-subset walk's success floor already accounts for checker error, so the
-walk gate (then the search gate at extraction) decides it. The checker
-gate still draws in the block check, because search_blocks hands its
-injection rng to find_apex_witness: it sets the charge log's
-outer.check_witness_found and, drawing first, moves the walk gate's draw.
+gates; it never fabricates, so reported triangles verify under any
+injection. The stage functions only compute and charge: find_triangle
+draws every gate from one stream, in stage order (the search gate on a
+cover hit, the checker gate on the block check's witness, the walk gate on
+the block walk's hit, the search gate at extraction). The checker gate
+only clears the charge log's outer.check_witness_found: the subset walk's
+success floor already accounts for checker error, so the walk gate (then
+the search gate at extraction) decides a walk-path outcome. Drawing first,
+the checker gate still moves the walk gate's draw.
 """
 
 from __future__ import annotations
@@ -146,6 +148,8 @@ class AlgoParams:
             raise ValueError("cover exponent k must lie in (0, 1)")
         if not isinstance(self.log_factors, bool):
             raise ValueError("log_factors must be a bool")
+        if not isinstance(self.failure_injection, (FailureInjection, type(None))):
+            raise ValueError("failure_injection must be a FailureInjection or None")
 
 
 def block_size(n: int, a: float) -> int:
@@ -180,17 +184,13 @@ def _estimator_charge_each(n: int, m: int, log_factors: bool) -> float:
     return float(estimator_charge(n, m) if log_factors else m)
 
 
-def _suppressed(p: Optional[float], rng: Optional[np.random.Generator], gate: str) -> bool:
-    """True when a stage gate suppresses the witness a caller has found.
+def _suppressed(p: Optional[float], rng: np.random.Generator) -> bool:
+    """True when a stage gate of success probability p suppresses a witness.
 
-    p is the gate's success probability; None means no gate and no draw.
-    A configured gate draws once from rng and suppresses with chance 1 - p.
+    None means no gate and no draw; a configured gate draws once from rng
+    and suppresses with chance 1 - p.
     """
-    if p is None:
-        return False
-    if rng is None:
-        raise ValueError(f"{gate} gate needs an rng")
-    return rng.random() >= p
+    return p is not None and rng.random() >= p
 
 
 def _first_common_apex(
@@ -280,25 +280,18 @@ def search_cover_triangles(
     cover,
     params: AlgoParams,
     ledger: QueryLedger,
-    rng: Optional[np.random.Generator] = None,
 ) -> Optional[Triangle]:
     """Phase-one search over (cover vertex, vertex pair) for a triangle.
 
     Charges one plain search over the product domain; exact emulation
-    returns the lexicographically smallest hit. With a search gate
-    configured, a found triangle is suppressed with the complementary
-    probability (the later phases then run as if nothing was found).
+    returns the lexicographically smallest hit.
     """
     cover = _checked_vertices(g.n, cover)
     if cover.size == 0:
         raise ValueError("cover must be nonempty")
     domain = _cover_charge_size(g.n, params.k, cover, params.log_factors) * comb(g.n, 2)
     ledger.charge("cover_search", grover_cost(domain, 1.0, params.log_factors))
-    found = _first_cover_triangle(g, cover)
-    inj = params.failure_injection or _NO_INJECTION
-    if found is not None and _suppressed(inj.search_success, rng, "search"):
-        return None
-    return found
+    return _first_cover_triangle(g, cover)
 
 
 @dataclass
@@ -322,7 +315,6 @@ def find_apex_witness(
     params: AlgoParams,
     ledger: QueryLedger,
     rng: Optional[np.random.Generator] = None,
-    inj_rng: Optional[np.random.Generator] = None,
     charge_scale: float = 1.0,
     *,
     triangle_free: bool = False,
@@ -346,11 +338,10 @@ def find_apex_witness(
     Emulation returns the smallest apex w together with the smallest
     surviving pair at w that is an edge, or None. Estimator runs for every
     apex execute on the raw side (probes land on the ledger); only the
-    dispatch total enters the charged model. A configured checker gate
-    suppresses the witness with the complementary probability. Pass
-    triangle_free=True only when the graph is proven triangle-free (both
-    scans of a cover-negative run came back empty): the witness is then
-    None without a search, and the charges are the same.
+    dispatch total enters the charged model. Pass triangle_free=True only
+    when the graph is proven triangle-free (both scans of a cover-negative
+    run came back empty): the witness is then None without a search, and
+    the charges are the same.
     """
     n = g.n
     bsize = surviving.verts.size
@@ -380,9 +371,6 @@ def find_apex_witness(
     charge = CheckCharge(total=total, estimator_each=est_each, subset_size=r, eps=eps)
 
     witness = None if triangle_free else _smallest_apex_edge(g, surviving)
-    inj = params.failure_injection or _NO_INJECTION
-    if witness is not None and _suppressed(inj.check_success, inj_rng, "checker"):
-        witness = None
     return witness, charge
 
 
@@ -405,7 +393,6 @@ def search_blocks(
     ledger: QueryLedger,
     plan_rng: Optional[np.random.Generator] = None,
     block_rng: Optional[np.random.Generator] = None,
-    inj_rng: Optional[np.random.Generator] = None,
     cover_negative: bool = False,
 ) -> tuple[Optional[tuple[np.ndarray, int, tuple[int, int]]], dict]:
     """Walk over blocks of size ceil(n^a), looking for a surviving triangle edge.
@@ -417,11 +404,10 @@ def search_blocks(
     contain a triangle edge" to "the vertex set's surviving pairs contain
     a triangle edge" and returns the smallest such edge, its smallest
     apex, and the witness block (edge endpoints plus smallest-index fill).
-    A configured walk gate suppresses the witness with the complementary
-    probability; charges are unaffected. Pass cover_negative=True only when
-    no cover vertex lies in a triangle (the cover scan found nothing); the
-    edge scan then skips every edge that touches the cover, and when it
-    finds nothing the apex scan searches no witness.
+    Pass cover_negative=True only when no cover vertex lies in a triangle
+    (the cover scan found nothing); the edge scan then skips every edge
+    that touches the cover, and when it finds nothing the apex scan
+    searches no witness.
     """
     n = g.n
     cover = _checked_vertices(n, cover)
@@ -445,7 +431,6 @@ def search_blocks(
         params,
         ledger,
         rng=plan_rng,
-        inj_rng=inj_rng,
         charge_scale=check_scale,
         # A negative cover scan and a negative scan of G[V - C] leave no
         # triangle anywhere, so no apex has a witness pair.
@@ -477,14 +462,9 @@ def search_blocks(
         "estimator_each": float(check_charge.estimator_each),
         "witness_exists": hit is not None,
         "check_witness_found": chk_witness is not None,
-        "suppressed": False,
     }
 
     if hit is None:
-        return None, log
-    inj = params.failure_injection or _NO_INJECTION
-    if _suppressed(inj.walk_success, inj_rng, "walk"):
-        log["suppressed"] = True
         return None, log
     u, v, apex = hit
     return (block, apex, (u, v)), log
@@ -589,11 +569,16 @@ def find_triangle(g: Graph, params: AlgoParams) -> RunReport:
     stopped = False
     inj = params.failure_injection or _NO_INJECTION
 
-    found = search_cover_triangles(g, cover, params, ledger, rng=rng_inj)
+    found = search_cover_triangles(g, cover, params, ledger)
     charge_log["cover_search"] = {
         "domain": _cover_charge_size(n, params.k, cover, log_factors) * comb(n, 2),
         "t": 1.0,
     }
+    # Taken before the search gate: a suppressed hit still puts a cover
+    # vertex in a triangle, so the walk must scan the edges at the cover.
+    cover_negative = found is None
+    if found is not None and _suppressed(inj.search_success, rng_inj):
+        found = None
     if ledger.total > budget:
         stopped = True
     elif found is not None:
@@ -606,10 +591,13 @@ def find_triangle(g: Graph, params: AlgoParams) -> RunReport:
             ledger,
             plan_rng=rng_plan,
             block_rng=rng_block,
-            inj_rng=rng_inj,
-            # A configured search gate may have hidden a real cover hit.
-            cover_negative=inj.search_success is None,
+            cover_negative=cover_negative,
         )
+        if outer_log["check_witness_found"] and _suppressed(inj.check_success, rng_inj):
+            outer_log["check_witness_found"] = False
+        outer_log["suppressed"] = witness is not None and _suppressed(inj.walk_success, rng_inj)
+        if outer_log["suppressed"]:
+            witness = None
         charge_log["outer"] = outer_log
         if ledger.total > budget:
             stopped = True
@@ -625,7 +613,7 @@ def find_triangle(g: Graph, params: AlgoParams) -> RunReport:
             charge_log["final_search"] = {"domain": completion_domain, "t": 1.0}
             if ledger.total > budget:
                 stopped = True
-            elif not _suppressed(inj.search_success, rng_inj, "search"):
+            elif not _suppressed(inj.search_success, rng_inj):
                 outcome = Triangle(*sorted((pair[0], pair[1], apex)))
 
     if stopped:

@@ -5,6 +5,7 @@ import json
 import pytest
 
 import triwalk.cli
+import triwalk.harness
 from triwalk.cli import main
 from triwalk.graph import read_edge_list, read_packed
 
@@ -182,6 +183,38 @@ def test_correctness_small(tmp_path):
     assert code == 0
     blob = json.loads(out.read_text())
     assert blob["extras"]["agreement"] == blob["extras"]["total"]
+
+
+@pytest.fixture
+def no_campaign_run(monkeypatch):
+    """Fail the test if a campaign draws its first graph."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a campaign ran before the usage error")
+
+    monkeypatch.setattr(triwalk.harness, "find_triangle", refuse)
+    monkeypatch.setattr(triwalk.harness, "sample_cover", refuse)
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["correctness", "--cases", "0", "--planted-cases", "0"], "at least one case"),
+        (["correctness", "--cases", "-3"], "nonnegative"),
+        (["correctness", "--planted-cases", "-1"], "nonnegative"),
+        (["correctness", "--max-n", "5"], "max_n must be at least 12"),
+        (["verify", "cover-sparsity", "--k", "1.5"], "cover exponent k"),
+        (["verify", "estimator", "--k", "0"], "cover exponent k"),
+        (["verify", "estimator", "--a", "1.5"], "block exponent a"),
+    ],
+)
+def test_bad_campaign_input_is_usage_error(capsys, no_campaign_run, argv, message):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and message in captured.err
+    assert "Traceback" not in captured.err and captured.out == ""
 
 
 def test_gen_roundtrips(tmp_path):

@@ -115,6 +115,7 @@ class TestQueryOracle:
             g.query(ledger, 0, 4)
         with pytest.raises(ValueError):
             g.query(ledger, -1, 2)
+        assert ledger.raw_probes == 0
 
     def test_symmetric_and_repeatable(self):
         g = erdos_renyi(20, 0.4, seed=3)
@@ -369,6 +370,13 @@ class TestBoundaryRejection:
     def test_negative_vertex_id_does_not_wrap(self):
         with pytest.raises(ValueError, match="out of range"):
             Graph.from_edges(4, [(0, -1)])
+
+    @pytest.mark.parametrize("tri", [(-1, 0, 1), (0, 1, 10 + 64)])
+    def test_is_triangle_does_not_wrap(self, tri):
+        # -1 once read as vertex 9 and made Triangle(-1, 0, 1) a triangle of
+        # K10; an id past the last row word raised a bare IndexError.
+        with pytest.raises(ValueError, match="out of range"):
+            is_triangle(erdos_renyi(10, 1.0, 0), Triangle(*tri))
 
     def test_out_of_range_id_from_edges(self):
         with pytest.raises(ValueError, match="out of range"):

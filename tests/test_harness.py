@@ -130,6 +130,11 @@ class TestCoverSparsityCampaign:
         report = verify_cover_sparsity(64, 0.9, 10, family="er:0.5", seed=2)
         assert report.frequency == 1.0 and report.verdict
 
+    @pytest.mark.parametrize("k", [0.0, 1.0, 1.5, -0.5])
+    def test_exponent_outside_the_finders_bounds_rejected(self, k):
+        with pytest.raises(ValueError, match="cover exponent k must lie in"):
+            verify_cover_sparsity(64, k, 10)
+
     def test_report_is_self_contained(self):
         report = verify_cover_sparsity(64, 0.5, 10, family="er:0.5", seed=3)
         blob = json.loads(report.to_json())
@@ -147,6 +152,18 @@ class TestEstimatorCampaign:
     def test_needs_reasonable_n(self):
         with pytest.raises(ValueError):
             verify_estimator_bounds(3, 0.75, 0.5, 5)
+
+    @pytest.mark.parametrize(
+        "a, k, message",
+        [
+            (1.5, 0.5, "block exponent a"),
+            (0.0, 0.5, "block exponent a"),
+            (0.75, 0.0, "cover exponent k"),
+        ],
+    )
+    def test_exponents_outside_the_finders_bounds_rejected(self, a, k, message):
+        with pytest.raises(ValueError, match=message):
+            verify_estimator_bounds(64, a, k, 10)
 
     def test_complete_family_prunes_everything(self):
         # In a complete graph any cover vertex outside a pair prunes it, so
@@ -275,6 +292,23 @@ class TestCorrectnessSuite:
         assert report.campaign == "detection_floor"
         assert report.extras["false_positives"] == 0
         assert report.extras["detection_rate"] >= report.pass_line
+
+    @pytest.mark.parametrize(
+        "max_n, cases, planted_cases, message",
+        [
+            (32, 0, 0, "at least one case"),
+            (32, -3, 20, "nonnegative"),
+            (32, 5, -1, "nonnegative"),
+            (5, 5, 0, "max_n must be at least 12"),
+        ],
+    )
+    def test_bad_counts_rejected(self, max_n, cases, planted_cases, message):
+        with pytest.raises(ValueError, match=message):
+            correctness_suite(max_n, cases, planted_cases=planted_cases)
+
+    def test_max_n_unread_without_small_cases(self):
+        report = correctness_suite(5, 0, planted_cases=1, planted_n=64)
+        assert report.extras["total"] == 1
 
     def test_deterministic_reports(self):
         a = correctness_suite(32, 10, seed=5, planted_cases=2, planted_n=64)

@@ -127,6 +127,18 @@ class TestVertexIdsInRange:
         with pytest.raises(ValueError, match="out of range"):
             uncovered_pairs_at(g, args["cover"], args["within"], args["apex"])
 
+    @pytest.mark.parametrize("ids", [[1.7, 2], [True, False], np.array([0.0, 2.0])])
+    @pytest.mark.parametrize("where", ["cover", "within"])
+    def test_non_integer_ids_rejected(self, g, ids, where):
+        # 1.7 once read as vertex 1.
+        args = {"cover": [0], "within": [1, 2, 3], where: ids}
+        with pytest.raises(ValueError, match="vertex ids must be integers"):
+            uncovered_pairs(g, args["cover"], args["within"])
+
+    def test_empty_id_lists_stay_legal(self, g):
+        assert len(uncovered_pairs(g, [], [])) == 0
+        assert len(uncovered_pairs(g, np.array([]), [0, 1])) == 1
+
     @pytest.mark.parametrize("bad", [-1, N])
     def test_cover_is_sparsifying(self, g, bad):
         with pytest.raises(ValueError, match="out of range"):

@@ -121,12 +121,19 @@ class TestCoverSearch:
         with pytest.raises(ValueError, match="out of range"):
             search_cover_triangles(erdos_renyi(70, 1.0, 0), [bad], AlgoParams(), QueryLedger())
 
+    @pytest.mark.parametrize("bad", [[0.5], [True]])
+    def test_non_integer_cover_rejected(self, bad):
+        # 0.5 once ran as vertex 0.
+        with pytest.raises(ValueError, match="vertex ids must be integers"):
+            search_cover_triangles(erdos_renyi(70, 1.0, 0), bad, AlgoParams(), QueryLedger())
+
     def test_search_gate_suppression(self):
-        g = erdos_renyi(16, 1.0, seed=0)
+        # Every cover vertex of K64 lies in a triangle; a failing search gate
+        # hides the hit, so the run goes on to the block walk.
+        g = erdos_renyi(64, 1.0, seed=0)
+        assert "outer" not in find_triangle(g, AlgoParams()).charge_log
         params = AlgoParams(failure_injection=FailureInjection(search_success=0.0))
-        rng = np.random.default_rng(0)
-        out = search_cover_triangles(g, np.array([0]), params, QueryLedger(), rng=rng)
-        assert out is None
+        assert "outer" in find_triangle(g, params).charge_log
 
 
 class TestApexWitness:
@@ -241,18 +248,15 @@ class TestApexWitness:
             find_apex_witness(g, short, params, QueryLedger())
 
     def test_checker_gate(self):
-        g = plant_only_graph(64, (10, 20, 30))
-        params = AlgoParams(failure_injection=FailureInjection(check_success=0.0))
-        block = np.arange(block_size(64, params.a))
-        surviving = uncovered_pairs(g, EMPTY, block)
-        witness, _ = find_apex_witness(
-            g,
-            surviving,
-            params,
-            QueryLedger(),
-            inj_rng=np.random.default_rng(0),
+        # The walk's success floor already absorbs checker error, so a
+        # failing checker gate clears the block check's witness but not the
+        # walk-path outcome.
+        params = AlgoParams(
+            seed=WALK_PATH_SEED, failure_injection=FailureInjection(check_success=0.0)
         )
-        assert witness is None
+        report = find_triangle(plant_only_graph(), params)
+        assert not report.charge_log["outer"]["check_witness_found"]
+        assert report.outcome == Triangle(61, 62, 63)
 
 
 class TestBlockWalk:
@@ -315,28 +319,17 @@ class TestBlockWalk:
         assert check_total == pytest.approx(amplify * log["check_total"])
 
     def test_walk_gate(self):
-        g = plant_only_graph()
-        cover = np.array([0])
-        blocked = AlgoParams(seed=1, failure_injection=FailureInjection(walk_success=0.0))
-        witness, log = search_blocks(
-            g, cover, blocked, QueryLedger(), inj_rng=np.random.default_rng(0)
-        )
-        assert witness is None and log["suppressed"]
-        passing = AlgoParams(seed=1, failure_injection=FailureInjection(walk_success=1.0))
-        witness, _ = search_blocks(
-            g, cover, passing, QueryLedger(), inj_rng=np.random.default_rng(0)
-        )
-        assert witness is not None
+        for p, outcome in ((0.0, None), (1.0, Triangle(61, 62, 63))):
+            params = AlgoParams(
+                seed=WALK_PATH_SEED, failure_injection=FailureInjection(walk_success=p)
+            )
+            report = find_triangle(plant_only_graph(), params)
+            assert report.charge_log["outer"]["suppressed"] == (outcome is None)
+            assert report.outcome == outcome
 
     def test_walk_gate_rate(self):
-        g = plant_only_graph()
-        cover = np.array([0])
-        params = AlgoParams(seed=1, failure_injection=FailureInjection(walk_success=0.75))
         rng = np.random.default_rng(42)
-        suppressed = sum(
-            search_blocks(g, cover, params, QueryLedger(), inj_rng=rng)[0] is None
-            for _ in range(400)
-        )
+        suppressed = sum(pipeline_module._suppressed(0.75, rng) for _ in range(400))
         sigma = math.sqrt(400 * 0.25 * 0.75)
         assert abs(suppressed - 100) <= 5 * sigma
 
@@ -344,8 +337,8 @@ class TestBlockWalk:
 class TestProvenTriangleFree:
     """A negative cover scan and a negative scan of G[V - C] prove the graph
     triangle-free, so the block check searches no witness (test_golden.py
-    pins that on the bipartite digests); a search gate or a walk-path hit
-    keeps the search."""
+    pins that on the bipartite digests); a suppressed cover hit or a
+    walk-path hit keeps the search."""
 
     @pytest.fixture
     def searches(self, monkeypatch):
@@ -359,15 +352,20 @@ class TestProvenTriangleFree:
         monkeypatch.setattr(pipeline_module, "_smallest_apex_edge", recording)
         return calls
 
-    def test_search_gate_keeps_the_search(self, searches):
+    def test_search_gate_on_a_negative_cover_scan_skips_the_search(self, searches):
         g = random_bipartite(128, 0)
         plain = find_triangle(g, AlgoParams(seed=0))
         gated = find_triangle(
             g, AlgoParams(seed=0, failure_injection=FailureInjection(search_success=1.0))
         )
-        assert searches == [block_size(128, 0.75)]
+        assert searches == []
         assert gated.charges == plain.charges
         assert gated.raw_probes == plain.raw_probes
+
+    def test_suppressed_cover_hit_keeps_the_search(self, searches):
+        params = AlgoParams(failure_injection=FailureInjection(search_success=0.0))
+        find_triangle(erdos_renyi(64, 1.0, seed=0), params)
+        assert searches == [block_size(64, 0.75)]
 
     def test_walk_path_keeps_the_search(self, searches):
         report = find_triangle(plant_only_graph(), AlgoParams(seed=WALK_PATH_SEED))
@@ -390,29 +388,6 @@ class TestProvenTriangleFree:
         assert skipped_charge.total == charge.total
         assert ledgers[1].charged == ledgers[0].charged
         assert ledgers[1].raw_probes == ledgers[0].raw_probes
-
-
-def _gate_call_without_rng(gate):
-    """A stage call that finds a witness, has its gate set and gets no rng."""
-    ledger = QueryLedger()
-    if gate == "search":
-        params = AlgoParams(failure_injection=FailureInjection(search_success=0.5))
-        return lambda: search_cover_triangles(erdos_renyi(16, 1.0, seed=0), [0], params, ledger)
-    if gate == "checker":
-        g = plant_only_graph(64, (10, 20, 30))
-        params = AlgoParams(failure_injection=FailureInjection(check_success=0.5))
-        block = np.arange(block_size(64, params.a))
-        surviving = uncovered_pairs(g, EMPTY, block)
-        return lambda: find_apex_witness(g, surviving, params, ledger)
-    params = AlgoParams(seed=1, failure_injection=FailureInjection(walk_success=0.5))
-    return lambda: search_blocks(plant_only_graph(), np.array([0]), params, ledger)
-
-
-@pytest.mark.parametrize("gate", ["search", "checker", "walk"])
-def test_configured_gate_without_rng_rejected(gate):
-    call = _gate_call_without_rng(gate)
-    with pytest.raises(ValueError, match=f"{gate} gate needs an rng"):
-        call()
 
 
 class TestFindTriangle:
@@ -587,6 +562,12 @@ class TestFindTriangle:
         with pytest.raises(ValueError, match="log_factors must be a bool"):
             AlgoParams(log_factors=value)
 
+    @pytest.mark.parametrize("value", [0.5, {"walk_success": 0.5}, "off"])
+    def test_failure_injection_must_be_a_failure_injection(self, value):
+        # 0.5 once died with an AttributeError inside find_triangle.
+        with pytest.raises(ValueError, match="failure_injection must be a FailureInjection"):
+            AlgoParams(failure_injection=value)
+
     def test_library_never_probes_through_query(self, monkeypatch):
         # Classical probes are counted in closed form; Graph.query is only
         # the one-pair oracle for callers.
@@ -622,47 +603,15 @@ class TestFindTriangle:
         assert not normal.stopped_early
         assert normal.total < normal.charge_log["budget"]
 
-    def test_walk_gate_controls_detection(self):
-        g = plant_only_graph()
-        miss = find_triangle(
-            g,
-            AlgoParams(
-                seed=WALK_PATH_SEED,
-                failure_injection=FailureInjection(walk_success=0.0),
-            ),
-        )
-        assert miss.outcome is None
-        hit = find_triangle(
-            g,
-            AlgoParams(
-                seed=WALK_PATH_SEED,
-                failure_injection=FailureInjection(walk_success=1.0),
-            ),
-        )
-        assert hit.outcome == Triangle(61, 62, 63)
-
-    def test_checker_gate_not_stacked_on_pipeline(self):
-        # The walk's success floor already absorbs checker error, so the
-        # pipeline witness only passes the walk gate.
-        g = plant_only_graph()
-        report = find_triangle(
-            g,
-            AlgoParams(
-                seed=WALK_PATH_SEED,
-                failure_injection=FailureInjection(check_success=0.0),
-            ),
-        )
-        assert report.outcome == Triangle(61, 62, 63)
-
     def test_walk_path_checker_gate_draws_first(self, monkeypatch):
         # On the walk path the checker gate suppresses nothing, but it
         # draws before the walk gate and records the checker's witness.
         gates = []
         suppressed = pipeline_module._suppressed
 
-        def recording(p, rng, gate):
-            gates.append(gate)
-            return suppressed(p, rng, gate)
+        def recording(p, rng):
+            gates.append(p)
+            return suppressed(p, rng)
 
         monkeypatch.setattr(pipeline_module, "_suppressed", recording)
         report = find_triangle(
@@ -672,7 +621,7 @@ class TestFindTriangle:
                 failure_injection=FailureInjection(walk_success=0.75, check_success=2.0 / 3.0),
             ),
         )
-        assert gates == ["checker", "walk"]
+        assert gates == [2.0 / 3.0, 0.75]
         assert report.charge_log["outer"]["check_witness_found"]
 
     def test_no_false_positives_under_injection(self):
