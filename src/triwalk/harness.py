@@ -481,6 +481,8 @@ def correctness_suite(
         raise ValueError("the suite needs at least one case")
     if cases and max_n < params.n_min_guard:
         raise ValueError(f"max_n must be at least {params.n_min_guard}, the smallest case size")
+    if planted_cases and planted_n < params.n_min_guard:
+        raise ValueError(f"planted_n must be at least {params.n_min_guard}, the smallest case size")
     rng = np.random.default_rng([seed, 0x5])
     agree = 0
     total = 0

@@ -14,9 +14,10 @@ budget while computing exact answers classically:
    When the cover search found nothing, no cover vertex lies in a
    triangle, so neither an edge at the cover nor a covered edge (whose
    cover neighbour would close it) is a triangle edge (Le Gall, §3): the
-   emulation then scans only the edges of G[V - C]. Every triangle then
-   lies in G[V - C], so when that scan finds nothing too the graph is
-   triangle-free, and the block check's witness search is skipped.
+   emulation then scans only the edges of G[V - C]. The block check's
+   answer is that scan's hit, with no separate witness search: the
+   witness block holds the hit edge, and with no hit in V no block holds
+   a surviving triangle edge.
 3. Per apex vertex w, estimate the block's surviving pairs at w, then walk
    over inner subsets of size ceil(n^(2a/3)) of the block; dispatch over
    apexes with variable-cost search.
@@ -46,6 +47,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import time
 from dataclasses import asdict, dataclass
 from math import comb
@@ -63,7 +65,7 @@ from .costs import (
 )
 from .estimator import SamplePlan, estimate_all_apexes, estimator_charge
 from .graph import (
-    _SCAN_CAP, Graph, QueryLedger, Triangle, _anded_rows, _checked_vertices, _first_bit,
+    _SCAN_CAP, Graph, QueryLedger, Triangle, _checked_vertices, _first_bit,
     _first_closed_edge, _fold_words, _growing_slices, brute_force_triangle, is_triangle,
 )
 from .pairs import PairSet, sample_cover, subset_pair_cap, uncovered_pairs, uncovered_pairs_at
@@ -108,8 +110,11 @@ class FailureInjection:
     def __post_init__(self):
         for name in ("walk_success", "check_success", "search_success"):
             p = getattr(self, name)
-            if p is not None and not 0.0 <= p <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1]")
+            if p is None:
+                continue
+            # A bool would read as a certain pass or fail.
+            if isinstance(p, bool) or not isinstance(p, numbers.Real) or not 0.0 <= p <= 1.0:
+                raise ValueError(f"{name} must be a real number in [0, 1] or None")
 
 
 _NO_INJECTION = FailureInjection()
@@ -191,25 +196,6 @@ def _suppressed(p: Optional[float], rng: np.random.Generator) -> bool:
     and suppresses with chance 1 - p.
     """
     return p is not None and rng.random() >= p
-
-
-def _first_common_apex(
-    g: Graph, eu: np.ndarray, ev: np.ndarray
-) -> Optional[tuple[int, int]]:
-    """Smallest vertex adjacent to both endpoints of some pair (eu[i], ev[i]),
-    with the first such i.
-
-    Each gathered slice ORs its pairs' common neighbourhoods; a slice whose
-    lowest bit beats the best so far gives the new apex and its first pair
-    there. An earlier slice with the same apex already won, so ties keep it.
-    """
-    best = None
-    for sl, common in _anded_rows(g._rows, eu, ev):
-        apex = _first_bit(np.bitwise_or.reduce(common, axis=0))
-        if apex is not None and (best is None or apex < best[0]):
-            flag = common[:, apex >> 6] >> np.uint64(apex & 63) & np.uint64(1)
-            best = apex, sl.start + int(np.flatnonzero(flag)[0])
-    return best
 
 
 def _first_cover_triangle(g: Graph, cover) -> Optional[Triangle]:
@@ -314,12 +300,10 @@ def find_apex_witness(
     surviving: PairSet,
     params: AlgoParams,
     ledger: QueryLedger,
-    rng: Optional[np.random.Generator] = None,
+    rng: np.random.Generator,
     charge_scale: float = 1.0,
-    *,
-    triangle_free: bool = False,
-) -> tuple[Optional[tuple[int, tuple[int, int]]], CheckCharge]:
-    """Decide whether a block's surviving pairs contain a triangle edge.
+) -> CheckCharge:
+    """Charge the block check: do a block's surviving pairs hold a triangle edge?
 
     The block is surviving.verts, of size ceil(n^a).
 
@@ -335,13 +319,11 @@ def find_apex_witness(
     inner_walk ledger phases, scaled by charge_scale (callers embedding
     this as a walk's checking step pass their amplification factor).
 
-    Emulation returns the smallest apex w together with the smallest
-    surviving pair at w that is an edge, or None. Estimator runs for every
-    apex execute on the raw side (probes land on the ledger); only the
-    dispatch total enters the charged model. Pass triangle_free=True only
-    when the graph is proven triangle-free (both scans of a cover-negative
-    run came back empty): the witness is then None without a search, and
-    the charges are the same.
+    The function only charges: estimator runs for every apex, planned from
+    rng, execute on the raw side (probes land on the ledger), and only the
+    dispatch total enters the charged model. The check's answer is
+    search_blocks' scan hit, so no witness is searched here; the name is
+    kept because perfbench's tracer wraps this function by it.
     """
     n = g.n
     bsize = surviving.verts.size
@@ -352,8 +334,6 @@ def find_apex_witness(
         raise ValueError("inner subset size must satisfy 3 < r <= block size")
     m = sample_size(n, params.k)
 
-    if rng is None:
-        rng = np.random.default_rng([params.seed, 0xA9])
     plan = SamplePlan(n, m, surviving.universe_size, rng=rng)
     estimates, _ = estimate_all_apexes(g, surviving, plan, ledger)
 
@@ -368,22 +348,7 @@ def find_apex_witness(
     walk_share = total - est_share
     ledger.charge("outer_check_estimator", charge_scale * est_share)
     ledger.charge("inner_walk", charge_scale * walk_share)
-    charge = CheckCharge(total=total, estimator_each=est_each, subset_size=r, eps=eps)
-
-    witness = None if triangle_free else _smallest_apex_edge(g, surviving)
-    return witness, charge
-
-
-def _smallest_apex_edge(g: Graph, surviving: PairSet) -> Optional[tuple[int, tuple[int, int]]]:
-    """Smallest apex w with a surviving edge pair at w, then smallest pair."""
-    pu, pv = surviving.selected_endpoints()
-    is_edge = ((g._rows[pu, pv >> 6] >> (pv & 63).astype(np.uint64)) & np.uint64(1)).astype(bool)
-    cu, cv = pu[is_edge], pv[is_edge]
-    hit = _first_common_apex(g, cu, cv)
-    if hit is None:
-        return None
-    apex, i = hit
-    return apex, (int(cu[i]), int(cv[i]))
+    return CheckCharge(total=total, estimator_each=est_each, subset_size=r, eps=eps)
 
 
 def search_blocks(
@@ -391,23 +356,25 @@ def search_blocks(
     cover,
     params: AlgoParams,
     ledger: QueryLedger,
-    plan_rng: Optional[np.random.Generator] = None,
-    block_rng: Optional[np.random.Generator] = None,
+    plan_rng: np.random.Generator,
+    block_rng: np.random.Generator,
     cover_negative: bool = False,
 ) -> tuple[Optional[tuple[np.ndarray, int, tuple[int, int]]], dict]:
     """Walk over blocks of size ceil(n^a), looking for a surviving triangle edge.
 
     Charges the walk's setup (block x cover loads), update and checking
-    terms; the checking cost comes from one representative apex scan, run
-    on the found witness block when one exists and on a uniformly sampled
-    block otherwise. Emulation reduces "some block's surviving pairs
-    contain a triangle edge" to "the vertex set's surviving pairs contain
-    a triangle edge" and returns the smallest such edge, its smallest
-    apex, and the witness block (edge endpoints plus smallest-index fill).
-    Pass cover_negative=True only when no cover vertex lies in a triangle
-    (the cover scan found nothing); the edge scan then skips every edge
-    that touches the cover, and when it finds nothing the apex scan
-    searches no witness.
+    terms; the checking cost comes from one representative apex scan
+    (find_apex_witness, estimator plan from plan_rng), run on the found
+    witness block when one exists and on a block drawn from block_rng
+    otherwise. Emulation reduces "some block's surviving pairs contain a
+    triangle edge" to "the vertex set's surviving pairs contain a triangle
+    edge" and returns the smallest such edge, its smallest apex, and the
+    witness block (edge endpoints plus smallest-index fill). The block
+    check's answer is that scan's hit: the witness block holds the hit
+    edge, and with no hit in V no block holds one, so the log's
+    check_witness_found equals witness_exists. Pass cover_negative=True
+    only when no cover vertex lies in a triangle (the cover scan found
+    nothing); the edge scan then skips every edge that touches the cover.
     """
     n = g.n
     cover = _checked_vertices(n, cover)
@@ -419,22 +386,12 @@ def search_blocks(
         u, v, apex = hit
         block = _fill_vertices(np.arange(n), (u, v), bsize)
     else:
-        if block_rng is None:
-            block_rng = np.random.default_rng([params.seed, 0xB1])
         block = np.sort(block_rng.choice(n, size=bsize, replace=False))
 
     surviving = uncovered_pairs(g, cover, block)
     check_scale = log_multiplier(bsize, params.log_factors) / math.sqrt(eps_outer)
-    chk_witness, check_charge = find_apex_witness(
-        g,
-        surviving,
-        params,
-        ledger,
-        rng=plan_rng,
-        charge_scale=check_scale,
-        # A negative cover scan and a negative scan of G[V - C] leave no
-        # triangle anywhere, so no apex has a witness pair.
-        triangle_free=cover_negative and hit is None,
+    check_charge = find_apex_witness(
+        g, surviving, params, ledger, rng=plan_rng, charge_scale=check_scale
     )
 
     x_charge = _cover_charge_size(n, params.k, cover, params.log_factors)
@@ -461,7 +418,7 @@ def search_blocks(
         "inner_eps": float(check_charge.eps),
         "estimator_each": float(check_charge.estimator_each),
         "witness_exists": hit is not None,
-        "check_witness_found": chk_witness is not None,
+        "check_witness_found": hit is not None,
     }
 
     if hit is None:

@@ -203,6 +203,10 @@ def no_campaign_run(monkeypatch):
         (["correctness", "--cases", "-3"], "nonnegative"),
         (["correctness", "--planted-cases", "-1"], "nonnegative"),
         (["correctness", "--max-n", "5"], "max_n must be at least 12"),
+        (
+            ["correctness", "--cases", "200", "--planted-cases", "1", "--planted-n", "5"],
+            "planted_n must be at least 12",
+        ),
         (["verify", "cover-sparsity", "--k", "1.5"], "cover exponent k"),
         (["verify", "estimator", "--k", "0"], "cover exponent k"),
         (["verify", "estimator", "--a", "1.5"], "block exponent a"),

@@ -310,6 +310,10 @@ class TestCorrectnessSuite:
         report = correctness_suite(5, 0, planted_cases=1, planted_n=64)
         assert report.extras["total"] == 1
 
+    def test_planted_n_unread_without_planted_cases(self):
+        report = correctness_suite(16, 1, planted_cases=0, planted_n=5)
+        assert report.extras["total"] == 1
+
     def test_deterministic_reports(self):
         a = correctness_suite(32, 10, seed=5, planted_cases=2, planted_n=64)
         b = correctness_suite(32, 10, seed=5, planted_cases=2, planted_n=64)

@@ -53,6 +53,11 @@ def plant_only_graph(n=64, triple=(61, 62, 63)):
     return Graph.from_edges(n, [(a, b), (a, c), (b, c)])
 
 
+def block_rngs(seed):
+    """Estimator-plan and block streams for a direct search_blocks call."""
+    return np.random.default_rng([seed, 0xA9]), np.random.default_rng([seed, 0xB1])
+
+
 def apex_witness_oracle(g, surviving):
     """Independent scan: smallest apex with a surviving edge pair at it."""
     best = None
@@ -137,6 +142,10 @@ class TestCoverSearch:
 
 
 class TestApexWitness:
+    @staticmethod
+    def check_charge(g, surviving, params, ledger):
+        return find_apex_witness(g, surviving, params, ledger, block_rngs(params.seed)[0])
+
     def make(self, n, p, seed, cover_seed=None):
         g = erdos_renyi(n, p, seed)
         params = AlgoParams(seed=seed)
@@ -151,10 +160,10 @@ class TestApexWitness:
 
     def recomputed_charge(self, g, block, surviving, params, charge):
         """Per-apex Q(w), the dispatch total and its estimator share, from
-        estimate_all_apexes on the plan find_apex_witness draws by default."""
+        estimate_all_apexes on the plan check_charge draws."""
         n = g.n
         m = sample_size(n, params.k)
-        rng = np.random.default_rng([params.seed, 0xA9])
+        rng = block_rngs(params.seed)[0]
         estimates, _ = estimate_all_apexes(
             g, surviving, SamplePlan(n, m, surviving.universe_size, rng=rng)
         )
@@ -175,8 +184,7 @@ class TestApexWitness:
     def test_no_survivors_still_charges_floor(self):
         g, params, cover, block, surviving = self.make(64, 0.0, 1)
         ledger = QueryLedger()
-        witness, charge = find_apex_witness(g, surviving, params, ledger)
-        assert witness is None
+        charge = self.check_charge(g, surviving, params, ledger)
         assert charge.total > 0
         total, est_share = self.recomputed_charge(g, block, surviving, params, charge)
         assert charge.total == total
@@ -186,7 +194,7 @@ class TestApexWitness:
     def test_share_split_is_additive(self):
         g, params, cover, block, surviving = self.make(64, 0.5, 2, cover_seed=3)
         ledger = QueryLedger()
-        _, charge = find_apex_witness(g, surviving, params, ledger)
+        charge = self.check_charge(g, surviving, params, ledger)
         charged = ledger.charged
         assert charged["outer_check_estimator"] + charged["inner_walk"] == charge.total
 
@@ -195,37 +203,11 @@ class TestApexWitness:
         # ledger phases must carry its estimator / walk split.
         g, params, cover, block, surviving = self.make(64, 0.5, 4, cover_seed=5)
         ledger = QueryLedger()
-        _, charge = find_apex_witness(g, surviving, params, ledger)
+        charge = self.check_charge(g, surviving, params, ledger)
         total, est_share = self.recomputed_charge(g, block, surviving, params, charge)
         assert charge.total == total
         assert ledger.charged["outer_check_estimator"] == est_share
         assert ledger.charged["inner_walk"] == total - est_share
-
-    def test_witness_matches_oracle(self):
-        found_any = 0
-        for seed in range(8):
-            g, params, cover, block, surviving = self.make(64, 0.25, seed)
-            witness, _ = find_apex_witness(g, surviving, params, QueryLedger())
-            assert witness == apex_witness_oracle(g, surviving)
-            found_any += witness is not None
-        assert found_any > 0
-
-    def test_planted_edge_recovered(self):
-        g = plant_only_graph(64, (5, 10, 20))
-        params = AlgoParams()
-        block = np.arange(block_size(64, params.a))  # 23 vertices: all three in
-        surviving = uncovered_pairs(g, EMPTY, block)
-        witness, _ = find_apex_witness(g, surviving, params, QueryLedger())
-        assert witness == (5, (10, 20))  # smallest apex, then smallest pair
-
-    def test_apex_outside_block_found(self):
-        # Only the edge lies in the block; its apex sits outside.
-        g = plant_only_graph(64, (10, 20, 30))
-        params = AlgoParams()
-        block = np.arange(block_size(64, params.a))
-        surviving = uncovered_pairs(g, EMPTY, block)
-        witness, _ = find_apex_witness(g, surviving, params, QueryLedger())
-        assert witness == (30, (10, 20))
 
     def test_charge_ratio_across_sizes(self):
         # Two-point growth of the dispatch charge between n=256 and n=1024
@@ -237,7 +219,7 @@ class TestApexWitness:
             cover = sample_cover(n, params.k, seed=5)
             block = np.arange(block_size(n, params.a))
             surviving = uncovered_pairs(g, cover, block)
-            _, charge = find_apex_witness(g, surviving, params, QueryLedger())
+            charge = self.check_charge(g, surviving, params, QueryLedger())
             totals[n] = charge.total
         assert 3.5 <= totals[1024] / totals[256] <= 7.5
 
@@ -245,7 +227,7 @@ class TestApexWitness:
         g, params, cover, block, _ = self.make(64, 0.5, 6)
         short = uncovered_pairs(g, cover, block[:-1])
         with pytest.raises(ValueError, match="block size must be ceil"):
-            find_apex_witness(g, short, params, QueryLedger())
+            self.check_charge(g, short, params, QueryLedger())
 
     def test_checker_gate(self):
         # The walk's success floor already absorbs checker error, so a
@@ -266,7 +248,8 @@ class TestBlockWalk:
         g = random_bipartite(64, seed=3)
         with pytest.raises(ValueError, match="out of range"):
             search_blocks(
-                g, [0, bad], AlgoParams(), QueryLedger(), cover_negative=cover_negative
+                g, [0, bad], AlgoParams(), QueryLedger(), *block_rngs(0),
+                cover_negative=cover_negative,
             )
 
     def test_triangle_free_returns_none(self):
@@ -274,7 +257,7 @@ class TestBlockWalk:
         params = AlgoParams(seed=7)
         cover = sample_cover(128, params.k, seed=8)
         ledger = QueryLedger()
-        witness, log = search_blocks(g, cover, params, ledger)
+        witness, log = search_blocks(g, cover, params, ledger, *block_rngs(params.seed))
         assert witness is None and not log["witness_exists"]
         for phase in ("outer_setup", "outer_update", "outer_check_estimator", "inner_walk"):
             assert ledger.charged[phase] > 0
@@ -283,7 +266,7 @@ class TestBlockWalk:
         g = plant_only_graph()
         params = AlgoParams(seed=1)
         ledger = QueryLedger()
-        witness, log = search_blocks(g, np.array([0]), params, ledger)
+        witness, log = search_blocks(g, np.array([0]), params, ledger, *block_rngs(params.seed))
         assert witness is not None
         block, apex, pair = witness
         assert pair == (61, 62) and apex == 63
@@ -295,7 +278,8 @@ class TestBlockWalk:
     def test_exact_marked_fraction(self):
         g = random_bipartite(256, seed=4)
         params = AlgoParams(seed=2)
-        _, log = search_blocks(g, sample_cover(256, 0.5, seed=9), params, QueryLedger())
+        cover = sample_cover(256, 0.5, seed=9)
+        _, log = search_blocks(g, cover, params, QueryLedger(), *block_rngs(params.seed))
         assert log["eps"] == 64 * 63 / (256 * 255)
         assert log["eps"] == pytest.approx(0.061764, abs=1e-6)
 
@@ -304,7 +288,7 @@ class TestBlockWalk:
         params = AlgoParams(seed=3)
         cover = sample_cover(128, params.k, seed=6)
         ledger = QueryLedger()
-        _, log = search_blocks(g, cover, params, ledger)
+        _, log = search_blocks(g, cover, params, ledger, *block_rngs(params.seed))
         bsize = block_size(128, params.a)
         x_charge = sample_size(128, params.k)  # log factors off
         assert log["cover_charge_size"] == x_charge
@@ -335,59 +319,85 @@ class TestBlockWalk:
 
 
 class TestProvenTriangleFree:
-    """A negative cover scan and a negative scan of G[V - C] prove the graph
-    triangle-free, so the block check searches no witness (test_golden.py
-    pins that on the bipartite digests); a suppressed cover hit or a
-    walk-path hit keeps the search."""
+    """A negative cover scan sends the block walk to the pruned scan of
+    G[V - C], gated or not; a suppressed cover hit still puts a cover vertex
+    in a triangle, so it keeps the exclude scan over all of V."""
 
     @pytest.fixture
-    def searches(self, monkeypatch):
+    def scans(self, monkeypatch):
         calls = []
-        search = pipeline_module._smallest_apex_edge
+        scan = pipeline_module._first_surviving_triangle_edge
 
-        def recording(g, surviving):
-            calls.append(surviving.verts.size)
-            return search(g, surviving)
+        def recording(g, cover, cover_negative=False):
+            calls.append(cover_negative)
+            return scan(g, cover, cover_negative)
 
-        monkeypatch.setattr(pipeline_module, "_smallest_apex_edge", recording)
+        monkeypatch.setattr(pipeline_module, "_first_surviving_triangle_edge", recording)
         return calls
 
-    def test_search_gate_on_a_negative_cover_scan_skips_the_search(self, searches):
+    def test_search_gate_on_a_negative_cover_scan_takes_the_pruned_scan(self, scans):
         g = random_bipartite(128, 0)
         plain = find_triangle(g, AlgoParams(seed=0))
         gated = find_triangle(
             g, AlgoParams(seed=0, failure_injection=FailureInjection(search_success=1.0))
         )
-        assert searches == []
+        assert scans == [True, True]
         assert gated.charges == plain.charges
         assert gated.raw_probes == plain.raw_probes
 
-    def test_suppressed_cover_hit_keeps_the_search(self, searches):
+    def test_suppressed_cover_hit_takes_the_exclude_scan(self, scans):
         params = AlgoParams(failure_injection=FailureInjection(search_success=0.0))
         find_triangle(erdos_renyi(64, 1.0, seed=0), params)
-        assert searches == [block_size(64, 0.75)]
+        assert scans == [False]
 
-    def test_walk_path_keeps_the_search(self, searches):
+    def test_walk_path_takes_the_pruned_scan(self, scans):
         report = find_triangle(plant_only_graph(), AlgoParams(seed=WALK_PATH_SEED))
         assert report.outcome == Triangle(61, 62, 63)
         assert report.charge_log["outer"]["check_witness_found"]
-        assert searches == [block_size(64, 0.75)]
+        assert scans == [True]
 
-    def test_flag_returns_none_with_the_same_charge(self, searches):
-        g = random_bipartite(64, 1)
-        params = AlgoParams(seed=1)
-        block = np.arange(block_size(64, params.a))
-        surviving = uncovered_pairs(g, EMPTY, block)
-        ledgers = QueryLedger(), QueryLedger()
-        searched, charge = find_apex_witness(g, surviving, params, ledgers[0])
-        skipped, skipped_charge = find_apex_witness(
-            g, surviving, params, ledgers[1], triangle_free=True
-        )
-        assert searched is None and skipped is None
-        assert searches == [block.size]
-        assert skipped_charge.total == charge.total
-        assert ledgers[1].charged == ledgers[0].charged
-        assert ledgers[1].raw_probes == ledgers[0].raw_probes
+
+BLOCK_CHECK_FAMILIES = {
+    "er-0.1": lambda seed: erdos_renyi(64, 0.1, seed),
+    "er-0.5": lambda seed: erdos_renyi(64, 0.5, seed),
+    "bipartite": lambda seed: random_bipartite(64, seed),
+    "planted": lambda seed: planted_instance(64, seed),
+    "plant-only": lambda seed: plant_only_graph(),
+}
+
+
+class TestBlockCheckAnswer:
+    """The block check's answer is the block scan's hit: a hit edge is a
+    closed uncovered pair inside the witness block, and with no hit in V no
+    block holds one. The reference is the witness oracle over all of V."""
+
+    @pytest.mark.parametrize("family", sorted(BLOCK_CHECK_FAMILIES))
+    def test_check_answer_matches_the_oracle(self, family, monkeypatch):
+        runs = []
+        real = pipeline_module.search_blocks
+
+        def spy(g, cover, *args, **kwargs):
+            witness, log = real(g, cover, *args, **kwargs)
+            runs.append((g, cover, dict(log)))
+            return witness, log
+
+        monkeypatch.setattr(pipeline_module, "search_blocks", spy)
+        # A failing search gate sends every finder run to the block walk.
+        inj = FailureInjection(search_success=0.0)
+        for seed in range(3):
+            g = BLOCK_CHECK_FAMILIES[family](seed)
+            find_triangle(g, AlgoParams(seed=seed, failure_injection=inj))
+            finder_cover = runs[-1][1]
+            # The exclude scan, on the finder's own cover and a smaller random one.
+            for cover in (finder_cover, sample_cover(64, 0.25, seed=100 + seed)):
+                spy(g, cover, AlgoParams(seed=seed), QueryLedger(), *block_rngs(seed))
+        answers = set()
+        for g, cover, log in runs:
+            exists = apex_witness_oracle(g, uncovered_pairs(g, cover, np.arange(g.n))) is not None
+            assert log["check_witness_found"] == log["witness_exists"] == exists
+            answers.add(exists)
+        # Bipartite inputs never hold a triangle; each other family reaches a hit.
+        assert (True in answers) == (family != "bipartite")
 
 
 class TestFindTriangle:
@@ -567,6 +577,17 @@ class TestFindTriangle:
         # 0.5 once died with an AttributeError inside find_triangle.
         with pytest.raises(ValueError, match="failure_injection must be a FailureInjection"):
             AlgoParams(failure_injection=value)
+
+    @pytest.mark.parametrize("gate", ["walk_success", "check_success", "search_success"])
+    @pytest.mark.parametrize("value", [True, False, "x", 1j, float("nan"), -0.1, 1.5, 2])
+    def test_gate_probability_must_be_a_real_in_unit_interval(self, gate, value):
+        # True once read as a certain pass; "x" died with a bare TypeError.
+        with pytest.raises(ValueError, match=rf"{gate} must be a real number in \[0, 1\]"):
+            FailureInjection(**{gate: value})
+
+    @pytest.mark.parametrize("value", [0, 1, 2 / 3, np.float64(0.5), np.float32(0.25)])
+    def test_gate_probability_accepts_reals(self, value):
+        assert FailureInjection(walk_success=value).walk_success == value
 
     def test_library_never_probes_through_query(self, monkeypatch):
         # Classical probes are counted in closed form; Graph.query is only

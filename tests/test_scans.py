@@ -25,9 +25,8 @@ from triwalk import (
     sample_cover,
 )
 from triwalk import pipeline
-from triwalk.graph import _SCAN_CAP, _first_bit, _pack_bool_rows
+from triwalk.graph import _first_bit, _pack_bool_rows
 from triwalk.pipeline import (
-    _first_common_apex,
     _first_cover_triangle,
     _first_surviving_triangle_edge,
 )
@@ -194,30 +193,3 @@ def test_suppressed_cover_hit_keeps_the_exclude_scan(n, p, seed, monkeypatch):
     (witness,) = witnesses
     _, apex, (u, v) = witness
     assert (u, v, apex) == expected
-
-
-def reference_common_apex(g, eu, ev):
-    """Lowest bit of the OR of every pair's common neighbourhood, first pair with it."""
-    common = g._rows[eu] & g._rows[ev]
-    apex = _first_bit(np.bitwise_or.reduce(common, axis=0))
-    if apex is None:
-        return None
-    flag = common[:, apex >> 6] >> np.uint64(apex & 63) & np.uint64(1)
-    return apex, int(np.flatnonzero(flag)[0])
-
-
-@pytest.mark.parametrize("late", [False, True])
-def test_common_apex_across_gather_slices(late):
-    # Three gather slices of pairs. Vertex 0, the smallest possible apex,
-    # closes pairs in every slice, or with ``late`` in none but the last.
-    g = erdos_renyi(64, 0.5, 2)
-    rng = np.random.default_rng(3)
-    eu, ev = rng.integers(0, 64, (2, 4 * _SCAN_CAP))
-    at_zero = (g._rows[eu, 0] & g._rows[ev, 0] & np.uint64(1)).astype(bool)
-    if late:
-        cut = 2 * _SCAN_CAP + 5
-        keep = np.concatenate([~at_zero[:cut], at_zero[cut:]])
-        eu, ev = eu[keep], ev[keep]
-    expected = reference_common_apex(g, eu, ev)
-    assert expected[0] == 0 and (expected[1] >= _SCAN_CAP) == late
-    assert _first_common_apex(g, eu, ev) == expected
