@@ -8,7 +8,15 @@ randomness flows through explicit integer seeds.
 No constructor builds an n x n matrix beyond the one a caller passes to
 ``Graph(dense)``. The generators write packed rows directly, 128 drawn
 rows at a time; their output is symmetric by construction, so it skips
-validation. ``from_edges`` and ``read_edge_list`` OR both orientations
+validation. A draw of at least 2^19 uniforms (_SPLIT_DRAW: erdos_renyi
+from n = 725, random_bipartite from n = 1449) is filled in two row ranges
+at once, the second on one helper thread that the call joins before it
+returns; each range advances its own copy of the seeded PCG64 stream to
+its first row, so every graph is bit for bit the one sequential draw. The
+ranges never write the same word: the row block and the column block that
+a chunk writes share no word with another chunk's (see erdos_renyi and
+_bipartite_rows).
+``from_edges`` and ``read_edge_list`` OR both orientations
 of every edge into packed rows, so they check only self loops and vertex
 ranges. ``Graph(dense)`` (after packing) and ``read_packed`` hand their
 rows to one validator, which rejects bits past column n, set diagonal
@@ -27,7 +35,10 @@ cost-model layer, under per-phase labels.
 from __future__ import annotations
 
 import itertools
+import numbers
+import os
 import struct
+import threading
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
@@ -68,6 +79,12 @@ _BLOCK_CAP_BITS = 1 << 18
 # Rows of the random matrix a generator draws and packs at a time; a
 # multiple of 64, so each chunk's transpose fills whole words.
 _GEN_ROWS = 128
+# A generator's draw of at least this many uniforms is filled in two row
+# ranges at once, one on a helper thread. Below it the thread's start and
+# the second stream's set-up cost more than they save: at 2^17, drawing
+# erdos_renyi(448) (200k uniforms) and random_bipartite(768) (147k) in two
+# ranges gained nothing or was slower (BENCH_graph.json, "split_draw").
+_SPLIT_DRAW = 1 << 19
 # The strict upper triangle of a chunk's diagonal block.
 _ABOVE = np.triu(np.ones((_GEN_ROWS, _GEN_ROWS), dtype=bool), 1)
 _OCTET_WEIGHTS = np.uint8(1) << np.arange(8, dtype=np.uint8)
@@ -153,10 +170,23 @@ def _or_block(rows: np.ndarray, r0: int, c0: int, bits: np.ndarray) -> None:
     rows[c0 : c0 + w, r0 >> 6 : (r0 + h + 63) >> 6] |= _pack_bool_columns(bits)
 
 
+def _check_int(name: str, value, low: int) -> None:
+    """ValueError unless value is an integer, not a bool, and at least low."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < low:
+        raise ValueError(f"{name} must be at least {low}, got {value}")
+
+
+def _is_real(value) -> bool:
+    """A real number that is not a bool, which would read as 0 or 1."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def _zero_rows(n: int) -> np.ndarray:
-    """All-zero packed rows for n vertices; ValueError if n < 1 or too large."""
-    if n < 1:
-        raise ValueError(f"n must be at least 1, got {n}")
+    """All-zero packed rows for n vertices; ValueError unless n is an integer
+    of at least 1 whose rows can be allocated."""
+    _check_int("n", n, 1)
     try:
         return np.zeros((n, (n + 63) // 64), dtype=np.uint64)
     except (MemoryError, ValueError):
@@ -450,25 +480,82 @@ def brute_force_triangle(g: Graph) -> Optional[Triangle]:
 # -- generators ---------------------------------------------------------
 
 
+def _drawn_chunks(seed: int, tag: int, height: int, width: int, chunk) -> None:
+    """Call chunk(r0, draw) for each _GEN_ROWS-row chunk of a uniform draw.
+
+    The draw is default_rng([seed, tag]).random((height, width)); ``draw``
+    holds its rows r0 to r0 + len(draw), in a buffer the next chunk reuses.
+    A draw of at least _SPLIT_DRAW uniforms, in a process allowed more than
+    one CPU, is split at a chunk boundary into two row ranges, each with
+    its own PCG64 on the seed, advanced (in O(log n) steps) to the range's
+    first row. The caller runs the first range and one helper thread the
+    second; random(out=) releases the GIL, so both fill at once. The thread
+    is joined before the call returns, and its exception is raised in the
+    caller. The chunks of the two ranges must write disjoint words.
+    """
+    _check_int("seed", seed, 0)
+
+    def run(start: int, stop: int) -> None:
+        bitgen = np.random.PCG64(np.random.SeedSequence([seed, tag]))
+        bitgen.advance(int(start) * int(width))  # advance() rejects numpy integers
+        rng = np.random.Generator(bitgen)
+        draw = np.empty((min(_GEN_ROWS, stop - start), width))
+        for r0 in range(start, stop, _GEN_ROWS):
+            h = min(_GEN_ROWS, stop - r0)
+            rng.random(out=draw[:h])
+            chunk(r0, draw[:h])
+
+    if height * width < _SPLIT_DRAW or height <= _GEN_ROWS or _usable_cpus() < 2:
+        run(0, height)
+        return
+    mid = (height // 2 + _GEN_ROWS // 2) // _GEN_ROWS * _GEN_ROWS  # nearest chunk start
+    failed = []
+
+    def second() -> None:
+        try:
+            run(mid, height)
+        except BaseException as exc:  # re-raised in the caller
+            failed.append(exc)
+
+    helper = threading.Thread(target=second, name="triwalk-draw")
+    helper.start()
+    try:
+        run(0, mid)
+    finally:
+        helper.join()
+    if failed:
+        raise failed[0]
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no CPU affinity outside Linux
+        return os.cpu_count() or 1
+
+
 def erdos_renyi(n: int, p: float, seed: int) -> Graph:
     """G(n, p): each unordered pair is an edge independently with prob p.
 
     Pair {i < j} is an edge when entry (i, j) of an n x n uniform draw is
-    below p. The draw is taken _GEN_ROWS rows at a time, which consumes the
-    stream exactly as one (n, n) draw does; a chunk's rows compare only
-    the columns from their first row on.
+    below p. The draw is taken _GEN_ROWS rows at a time (see _drawn_chunks),
+    which consumes the stream exactly as one (n, n) draw does; a chunk's
+    rows compare only the columns from their first row on. Chunk r0 writes
+    the row block rows[r0:r0+h, r0>>6:] and the column block
+    rows[r0:, r0>>6:(r0+h+63)>>6]; chunks start at multiples of 128 and
+    span at most 128 rows, so the blocks of two chunks share no word.
     """
-    if not 0.0 <= p <= 1.0:
-        raise ValueError("p must lie in [0, 1]")
+    if not _is_real(p) or not 0.0 <= p <= 1.0:
+        raise ValueError(f"p must be a real number in [0, 1], got {p!r}")
     rows = _zero_rows(n)
-    rng = np.random.default_rng([seed, _TAG_ER])
-    draw = np.empty((min(_GEN_ROWS, n), n))
-    for r0 in range(0, n, _GEN_ROWS):
-        h = min(_GEN_ROWS, n - r0)
-        rng.random(out=draw[:h])
-        bits = draw[:h, r0:] < p
+
+    def chunk(r0: int, draw: np.ndarray) -> None:
+        h = draw.shape[0]
+        bits = draw[:, r0:] < p
         bits[:, :h] &= _ABOVE[:h, :h]
         _or_block(rows, r0, r0, bits)
+
+    _drawn_chunks(seed, _TAG_ER, n, n, chunk)
     return Graph._from_rows(n, rows)
 
 
@@ -476,19 +563,22 @@ def _bipartite_rows(n: int, seed: int) -> np.ndarray:
     """Packed rows of random_bipartite(n, seed): sides [0, left) and [left, n).
 
     Cross pair (i, left + j) is an edge when entry (i, j) of a left x right
-    uniform draw is below 1/2, drawn _GEN_ROWS rows at a time.
+    uniform draw is below 1/2, drawn _GEN_ROWS rows at a time (see
+    _drawn_chunks). Chunk r0 writes rows[r0:r0+h, c0>>6:] and
+    rows[c0:, r0>>6:(r0+h+63)>>6], where c0 = left & ~63. These blocks of
+    two chunks share no word: rows [c0, left) lie in the last chunk, and
+    every earlier chunk's columns end by word c0>>6.
     """
     left = (n + 1) // 2
     rows = _zero_rows(n)
-    rng = np.random.default_rng([seed, _TAG_BIPARTITE])
-    draw = np.empty((min(_GEN_ROWS, left), n - left))
     c0 = left & ~63  # the word holding column `left` starts here
-    for r0 in range(0, left, _GEN_ROWS):
-        h = min(_GEN_ROWS, left - r0)
-        rng.random(out=draw[:h])
-        bits = np.zeros((h, n - c0), dtype=bool)
-        np.less(draw[:h], 0.5, out=bits[:, left - c0 :])
+
+    def chunk(r0: int, draw: np.ndarray) -> None:
+        bits = np.zeros((draw.shape[0], n - c0), dtype=bool)
+        np.less(draw, 0.5, out=bits[:, left - c0 :])
         _or_block(rows, r0, c0, bits)
+
+    _drawn_chunks(seed, _TAG_BIPARTITE, left, n - left, chunk)
     return rows
 
 
@@ -498,13 +588,14 @@ def random_bipartite(n: int, seed: int) -> Graph:
     Triangle-free by construction: any cycle alternates sides, so it has
     even length.
     """
-    if n < 2:
-        raise ValueError("n must be at least 2")
+    _check_int("n", n, 2)
     return Graph._from_rows(n, _bipartite_rows(n, seed))
 
 
 def planted_triple(n: int, seed: int) -> Triangle:
     """The triangle that planted_instance(n, seed) inserts."""
+    _check_int("n", n, 3)
+    _check_int("seed", seed, 0)
     rng = np.random.default_rng([seed, _TAG_PLANT])
     verts = np.sort(rng.choice(n, size=3, replace=False))
     return Triangle(int(verts[0]), int(verts[1]), int(verts[2]))
@@ -520,8 +611,7 @@ def planted_instance(n: int, seed: int) -> Graph:
     common neighbour of its endpoints on the other side, about n/8 of them
     (planted_instance(512, 0) holds 79 triangles).
     """
-    if n < 3:
-        raise ValueError("n must be at least 3")
+    _check_int("n", n, 3)
     rows = _bipartite_rows(n, seed)
     a, b, c = planted_triple(n, seed)
     for x, y in ((a, b), (a, c), (b, c), (b, a), (c, a), (c, b)):

@@ -23,6 +23,7 @@ from .estimator import SamplePlan, _column_counts, estimate_all_apexes
 from .graph import (
     Graph,
     _anded_rows,
+    _check_int,
     brute_force_triangle,
     erdos_renyi,
     is_triangle,
@@ -311,8 +312,7 @@ def verify_subset_cap(
     """
     if size_a <= 3 or not 3 < r <= size_a:
         raise ValueError("need |A| > 3 and 3 < r <= |A|")
-    if trials < 1:
-        raise ValueError("trials must be positive")
+    _check_int("trials", trials, 1)  # a float trials=inf would never end the loop
     g, cover, block, apex = _subset_cap_setup(config, size_a, seed)
     # With no cover every pair survives, so the apex pairs of a subset B are
     # the pairs of B's apex neighbours: C(d, 2) of them, d = |B & N(apex)|.

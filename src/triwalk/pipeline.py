@@ -47,7 +47,6 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 import time
 from dataclasses import asdict, dataclass
 from math import comb
@@ -65,8 +64,9 @@ from .costs import (
 )
 from .estimator import SamplePlan, estimate_all_apexes, estimator_charge
 from .graph import (
-    _SCAN_CAP, Graph, QueryLedger, Triangle, _checked_vertices, _first_bit,
-    _first_closed_edge, _fold_words, _growing_slices, brute_force_triangle, is_triangle,
+    _SCAN_CAP, Graph, QueryLedger, Triangle, _check_int, _checked_vertices, _first_bit,
+    _first_closed_edge, _fold_words, _growing_slices, _is_real, brute_force_triangle,
+    is_triangle,
 )
 from .pairs import PairSet, sample_cover, subset_pair_cap, uncovered_pairs, uncovered_pairs_at
 
@@ -113,7 +113,7 @@ class FailureInjection:
             if p is None:
                 continue
             # A bool would read as a certain pass or fail.
-            if isinstance(p, bool) or not isinstance(p, numbers.Real) or not 0.0 <= p <= 1.0:
+            if not _is_real(p) or not 0.0 <= p <= 1.0:
                 raise ValueError(f"{name} must be a real number in [0, 1] or None")
 
 
@@ -147,14 +147,20 @@ class AlgoParams:
     n_min_guard: int = 64
 
     def __post_init__(self):
-        if not 0.0 < self.a < 1.0:
+        if not _is_real(self.a) or not 0.0 < self.a < 1.0:
             raise ValueError("block exponent a must lie in (0, 1)")
-        if not 0.0 < self.k < 1.0:
+        if not _is_real(self.k) or not 0.0 < self.k < 1.0:
             raise ValueError("cover exponent k must lie in (0, 1)")
-        if not isinstance(self.log_factors, bool):
-            raise ValueError("log_factors must be a bool")
+        _check_log_factors(self.log_factors)
+        _check_int("seed", self.seed, 0)
         if not isinstance(self.failure_injection, (FailureInjection, type(None))):
             raise ValueError("failure_injection must be a FailureInjection or None")
+
+
+def _check_log_factors(log_factors) -> None:
+    # Any other truthy value would switch the log factors on.
+    if not isinstance(log_factors, bool):
+        raise ValueError("log_factors must be a bool")
 
 
 def block_size(n: int, a: float) -> int:
@@ -595,6 +601,7 @@ def find_triangle(g: Graph, params: AlgoParams) -> RunReport:
 
 def naive_triples_baseline(g: Graph, log_factors: bool = False) -> RunReport:
     """Plain search over all vertex triples: charge sqrt(C(n,3))."""
+    _check_log_factors(log_factors)
     if g.n < 3:
         raise ValueError("triple search needs at least 3 vertices")
     t0 = time.perf_counter()
@@ -614,6 +621,7 @@ def naive_triples_baseline(g: Graph, log_factors: bool = False) -> RunReport:
 
 def sparse_edges_baseline(g: Graph, log_factors: bool = False) -> RunReport:
     """Edge-count-aware baseline: charge n + sqrt(n m) for m true edges."""
+    _check_log_factors(log_factors)
     t0 = time.perf_counter()
     m_edges = g.edge_count
     charge = (g.n + math.sqrt(g.n * m_edges)) * log_multiplier(g.n, log_factors)

@@ -2,6 +2,9 @@
 
 import itertools
 import math
+import os
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -27,6 +30,7 @@ from triwalk import (
 )
 import triwalk.graph
 from triwalk.graph import (
+    _SPLIT_DRAW,
     _TAG_BIPARTITE,
     _TAG_ER,
     _fold_words,
@@ -290,6 +294,110 @@ class TestPackedGenerators:
         assert np.array_equal(_fold_words(np.add, counts, np.int64), counts.sum(axis=1, dtype=np.int64))
 
 
+@pytest.fixture
+def started(monkeypatch):
+    """Names of the threads started while the test runs, in start order."""
+    names = []
+
+    class Recording(threading.Thread):
+        def start(self):
+            names.append(self.name)
+            super().start()
+
+    monkeypatch.setattr(threading, "Thread", Recording)
+    return names
+
+
+class TestSplitDraw:
+    """A draw of at least _SPLIT_DRAW uniforms is filled in two row ranges,
+    the second on a helper thread. Every graph must stay bit for bit the
+    dense construction from one sequential stream, and no thread may
+    outlive a call. The CPU count is pinned to 2, so the split also runs
+    on a one-CPU machine."""
+
+    @pytest.fixture(autouse=True)
+    def two_cpus(self, monkeypatch):
+        monkeypatch.setattr(triwalk.graph, "_usable_cpus", lambda: 2)
+
+    def test_threshold_lies_between_erdos_renyi_724_and_725(self):
+        assert 724 * 724 < _SPLIT_DRAW <= 725 * 725
+
+    # 700 and 724 draw in one range; 725 in 3 + 3 chunks, 1000 in 4 + 4,
+    # 1100 in 4 + 5 and 1300 in 5 + 6.
+    @pytest.mark.parametrize("n", [700, 724, 725, 1000, 1100, 1300])
+    def test_er_rows_equal_one_stream_across_the_threshold(self, n, started):
+        before = threading.active_count()
+        for p in (0.0, 0.1, 0.5, 1.0):
+            rows = erdos_renyi(n, p, seed=n)._rows
+            assert np.array_equal(rows, _pack_bool_rows(reference_er(n, p, n)))
+            assert threading.active_count() == before
+        assert len(started) == (4 if n * n >= _SPLIT_DRAW else 0)
+
+    # left = 724, 725 and 751 rows of 724, 724 and 750 columns: the first
+    # draws in one range, and left % 64 != 0 in all three.
+    @pytest.mark.parametrize("n", [1448, 1449, 1501])
+    def test_bipartite_rows_equal_one_stream_across_the_threshold(self, n, started):
+        before = threading.active_count()
+        rows = random_bipartite(n, seed=n)._rows
+        assert np.array_equal(rows, _pack_bool_rows(reference_bipartite(n, n)))
+        assert threading.active_count() == before
+        rows = planted_instance(n, seed=n)._rows
+        assert np.array_equal(rows, _pack_bool_rows(reference_planted(n, n)))
+        assert threading.active_count() == before
+        left = (n + 1) // 2
+        assert len(started) == (2 if left * (n - left) >= _SPLIT_DRAW else 0)
+
+    def test_one_range_when_the_process_may_use_one_cpu(self, monkeypatch, started):
+        monkeypatch.undo()  # the real _usable_cpus, on a one-CPU affinity mask
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        rows = erdos_renyi(1100, 0.5, seed=3)._rows
+        assert started == []
+        assert np.array_equal(rows, _pack_bool_rows(reference_er(1100, 0.5, 3)))
+
+    @pytest.mark.parametrize("failing", ["caller's range", "helper's range"])
+    def test_a_failing_range_raises_in_the_caller_and_leaves_no_thread(
+        self, monkeypatch, started, failing
+    ):
+        real = triwalk.graph._or_block
+
+        def or_block(rows, r0, c0, bits):
+            on_helper = threading.current_thread() is not threading.main_thread()
+            if on_helper == (failing == "helper's range"):
+                raise RuntimeError(failing)
+            real(rows, r0, c0, bits)
+
+        monkeypatch.setattr(triwalk.graph, "_or_block", or_block)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match=failing):
+            erdos_renyi(1100, 0.5, seed=0)
+        assert len(started) == 1
+        assert threading.active_count() == before
+
+    def test_concurrent_callers_each_get_their_own_graph(self):
+        # More callers than cores, switching often: a write that landed in
+        # another call's rows, or a lost update, would change some graph.
+        seeds = range(6)
+        expected = {s: _pack_bool_rows(reference_er(800, 0.5, s)) for s in seeds}
+        got = {}
+
+        def build(s):
+            got[s] = [erdos_renyi(800, 0.5, s)._rows for _ in range(2)]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            callers = [threading.Thread(target=build, args=(s,)) for s in seeds]
+            for caller in callers:
+                caller.start()
+            for caller in callers:
+                caller.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(caller.is_alive() for caller in callers)
+        for s in seeds:
+            assert all(np.array_equal(rows, expected[s]) for rows in got[s])
+
+
 class TestBruteForce:
     def test_complete_graph(self):
         assert brute_force_triangle(erdos_renyi(4, 1.0, seed=0)) == Triangle(0, 1, 2)
@@ -387,6 +495,52 @@ class TestBoundaryRejection:
         path.write_text("n 4\n0 1\n2 7\n")
         with pytest.raises(ValueError, match="out of range"):
             read_edge_list(path)
+
+    @pytest.mark.parametrize(
+        "generate, args",
+        [
+            (erdos_renyi, (16, 0.5, 1.5)),
+            (erdos_renyi, (16.0, 0.5, 0)),
+            (erdos_renyi, (True, 0.5, 0)),
+            (erdos_renyi, (16, True, 0)),
+            (erdos_renyi, (16, "0.5", 0)),
+            (erdos_renyi, (16, 0.5, True)),
+            (erdos_renyi, (16, 0.5, -1)),
+            (erdos_renyi, (1100, 0.5, -1)),  # a draw that would split
+            (random_bipartite, (1.5, 0)),
+            (random_bipartite, (16, False)),
+            (random_bipartite, (16, -1)),
+            (random_bipartite, (16, 2.0)),
+            (planted_instance, (16, True)),
+            (planted_instance, (16.0, 0)),
+            (planted_instance, (16, -3)),
+            (planted_triple, (16, True)),
+            (planted_triple, (16.5, 0)),
+            (planted_triple, (16, -1)),
+            (planted_triple, (2, 0)),
+        ],
+    )
+    def test_generators_reject_bad_arguments_before_any_draw(
+        self, monkeypatch, started, generate, args
+    ):
+        # 1.5 seeds and 16.0 sizes once raised a bare TypeError, a bool p
+        # or seed read as 0 or 1, and random_bipartite(1.5, 0) said "n must
+        # be at least 2".
+        def drew(*_):
+            raise AssertionError("a stream was drawn from")
+
+        monkeypatch.setattr(np.random, "PCG64", drew)
+        monkeypatch.setattr(np.random, "default_rng", drew)
+        message = "must be an integer|must be at least|must be a real number"
+        with pytest.raises(ValueError, match=message):
+            generate(*args)
+        assert started == []
+
+    def test_generators_take_numpy_scalars_and_an_integer_p(self):
+        assert erdos_renyi(np.int64(40), np.float32(0.5), np.uint32(3)) == erdos_renyi(40, 0.5, 3)
+        assert random_bipartite(np.int32(40), np.int64(3)) == random_bipartite(40, 3)
+        assert planted_triple(np.int64(40), np.uint8(3)) == planted_triple(40, 3)
+        assert erdos_renyi(5, 1, seed=0).edge_count == 10
 
     # 10^16 bytes of adjacency: more than the address space, so the
     # allocation fails at once under any overcommit policy.

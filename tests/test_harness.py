@@ -2,6 +2,7 @@
 
 import json
 import math
+import signal
 
 import numpy as np
 import pytest
@@ -230,6 +231,21 @@ class TestSubsetCapCampaign:
             verify_subset_cap(16, 3, 10)
         with pytest.raises(ValueError):
             verify_subset_cap(16, 8, 10, config="moon")
+
+    @pytest.mark.parametrize("trials", [math.inf, 2.5, True])
+    def test_trials_must_be_a_positive_integer(self, trials):
+        # trials=inf once passed the positivity check and never returned.
+        def hung(signum, frame):
+            raise AssertionError(f"verify_subset_cap(trials={trials}) ran past 5 s")
+
+        previous = signal.signal(signal.SIGALRM, hung)
+        signal.setitimer(signal.ITIMER_REAL, 5.0)
+        try:
+            with pytest.raises(ValueError, match="trials must be an integer"):
+                verify_subset_cap(32, 8, trials)
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
 
 
 class TestScalingFit:

@@ -572,6 +572,22 @@ class TestFindTriangle:
         with pytest.raises(ValueError, match="log_factors must be a bool"):
             AlgoParams(log_factors=value)
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("a", "0.5", r"block exponent a must lie in \(0, 1\)"),
+            ("k", "0.5", r"cover exponent k must lie in \(0, 1\)"),
+            ("seed", 1.5, "seed must be an integer"),
+            ("seed", True, "seed must be an integer"),
+            ("seed", -1, "seed must be at least 0"),
+        ],
+    )
+    def test_exponents_and_seed_are_checked_at_construction(self, field, value, message):
+        # "0.5" once raised a bare TypeError; seeds 1.5 and -1 were accepted
+        # and failed only inside find_triangle, in numpy's SeedSequence.
+        with pytest.raises(ValueError, match=message):
+            AlgoParams(**{field: value})
+
     @pytest.mark.parametrize("value", [0.5, {"walk_success": 0.5}, "off"])
     def test_failure_injection_must_be_a_failure_injection(self, value):
         # 0.5 once died with an AttributeError inside find_triangle.
@@ -675,6 +691,14 @@ class TestBaselines:
         assert complete.total == pytest.approx(n + math.sqrt(n * comb(n, 2)))
         cycle = Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
         assert sparse_edges_baseline(cycle).total == pytest.approx(2 * n)
+
+    @pytest.mark.parametrize("baseline", [naive_triples_baseline, sparse_edges_baseline])
+    @pytest.mark.parametrize("value", ["off", "on", 0, 1, None])
+    def test_log_factors_must_be_bool(self, baseline, value):
+        # "off" once turned log factors on: on random_bipartite(64, 0) the
+        # naive baseline charged 2,245.3 against 204.1 and recorded "off".
+        with pytest.raises(ValueError, match="log_factors must be a bool"):
+            baseline(random_bipartite(64, 0), value)
 
     def test_baseline_reports_serialize(self):
         report = naive_triples_baseline(erdos_renyi(20, 0.5, seed=1))
