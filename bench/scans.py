@@ -3,7 +3,7 @@
 For each input family in FAMILIES, each n in SIZES and each seed in
 SEEDS, runs REPEATS trials. A trial generates the input afresh (so no
 cached edge list carries over), then calls ``find_triangle`` with
-``triwalk.pipeline._first_cover_triangle`` and
+``triwalk.pipeline.search_cover_triangles`` and
 ``_first_surviving_triangle_edge`` wrapped, and, on another fresh copy,
 ``naive_triples_baseline`` with ``triwalk.pipeline.brute_force_triangle``
 wrapped. Per input the fastest repeat counts, for the ``find_triangle``
@@ -43,7 +43,7 @@ REPEATS = 3
 
 # Short name -> wrapped attribute of triwalk.pipeline. find_triangle calls
 # the first two; naive_triples_baseline calls brute_force_triangle.
-FINDER_SCANS = {"cover": "_first_cover_triangle", "surviving": "_first_surviving_triangle_edge"}
+FINDER_SCANS = {"cover": "search_cover_triangles", "surviving": "_first_surviving_triangle_edge"}
 SCANS = {**FINDER_SCANS, "brute": "brute_force_triangle"}
 
 

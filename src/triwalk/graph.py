@@ -71,10 +71,15 @@ _PACKED_MAGIC = b"TWGB"
 # Packed rows in the largest temporary of a gather or a scan: 4096 rows
 # stay cache-sized and run about twice as fast as 65,536.
 _SCAN_CAP = 4096
-# Adjacency bits in the first and in the largest row block that an edge
-# enumeration unpacks: a positive stops within its first blocks, and a
-# negative pays the per-block overhead only a few times.
-_BLOCK_FIRST_BITS = 1 << 14
+# Pairs in the first AND slice of a first-closed-pair scan; later slices
+# double up to _SCAN_CAP. A cover hit on a dense graph sits among the
+# first few pairs.
+_AND_FIRST = 256
+# Adjacency bits in the first and in the largest head block that a pair
+# stream unpacks; each block has 4x the heads of the one before, up to the
+# cap. A positive stops within its first blocks, and a negative pays the
+# per-block overhead only a few times (BENCH_scans.json, "one_kernel").
+_BLOCK_FIRST_BITS = 1 << 13
 _BLOCK_CAP_BITS = 1 << 18
 # Rows of the random matrix a generator draws and packs at a time; a
 # multiple of 64, so each chunk's transpose fills whole words.
@@ -118,13 +123,13 @@ class QueryLedger:
     raw_probes: int = 0
 
     def charge(self, phase: str, amount: float) -> None:
-        if amount < 0:
-            raise ValueError(f"negative charge {amount!r} for phase {phase!r}")
+        # NaN fails the comparison: a NaN total would never exceed a budget.
+        if not _is_real(amount) or not amount >= 0:
+            raise ValueError(f"charge for phase {phase!r} must be a real >= 0, got {amount!r}")
         self.charged[phase] = self.charged.get(phase, 0.0) + float(amount)
 
     def add_raw(self, count: int = 1) -> None:
-        if count < 0:
-            raise ValueError("raw probe count cannot decrease")
+        _check_int("raw probe count", count, 0)
         self.raw_probes += int(count)
 
     @property
@@ -243,13 +248,17 @@ def _fold_words(op, words: np.ndarray, dtype=None) -> np.ndarray:
     return op.reduce(np.ascontiguousarray(words.T), axis=0, dtype=dtype)
 
 
-def _growing_slices(total: int, first: int, cap: int):
-    """Consecutive slices over range(total) of first, 2*first, ... rows, at most cap."""
-    start, step = 0, first
-    while start < total:
-        yield slice(start, start + step)
-        start += step
-        step = min(2 * step, cap)
+def _checked_vertex(n: int, u) -> int:
+    """u as an int; ValueError unless it is an integer id in [0, n), not a bool.
+
+    The scalar form of _checked_vertices, without its numpy calls: is_triangle
+    checks six ids a trial.
+    """
+    if isinstance(u, bool) or not isinstance(u, numbers.Integral):
+        raise ValueError(f"vertex ids must be integers, got {u!r}")
+    if not 0 <= u < n:
+        raise ValueError(f"vertex id out of range for n={n}")
+    return int(u)
 
 
 def _checked_vertices(n: int, vertices) -> np.ndarray:
@@ -275,12 +284,13 @@ def _first_bit(row_words: np.ndarray) -> Optional[int]:
 def _anded_rows(rows: np.ndarray, iu: np.ndarray, iv: np.ndarray, stops=None):
     """Yield (sl, rows[iu[sl]] & rows[iv[sl]]) over consecutive slices sl.
 
-    The pair gather of the packed-row kernels: rows are taken with np.take,
-    3-4x faster than fancy indexing, and ANDed in place. The cover scan
-    takes its own rows: it ANDs against a small batch of head rows, not
-    against rows gathered from all of ``rows``. Slices end at the
-    increasing offsets ``stops`` when given (so a caller can align them with
-    its own groups; empty slices are skipped), else every _SCAN_CAP pairs.
+    The pair gather of the pair-set kernels (surviving pairs, the estimator,
+    the harness's exact counts): rows are taken with np.take, 3-4x faster
+    than fancy indexing, and ANDed in place. The first-closed-pair scans do
+    not use it: they take each head's row from its block (_first_closed_pair).
+    Slices end at the increasing offsets ``stops`` when given (so a caller
+    can align them with its own groups; empty slices are skipped), else
+    every _SCAN_CAP pairs.
     """
     total = iu.shape[0]
     if stops is None:
@@ -346,9 +356,8 @@ class Graph:
     # -- core access ---------------------------------------------------
 
     def has_edge(self, u: int, v: int) -> bool:
-        """Adjacency of u and v; ValueError if an id lies outside [0, n)."""
-        if not (0 <= u < self.n and 0 <= v < self.n):
-            raise ValueError(f"vertex id out of range for n={self.n}")
+        """Adjacency of u and v; ValueError unless both are integer ids in [0, n)."""
+        u, v = _checked_vertex(self.n, u), _checked_vertex(self.n, v)
         return bool((int(self._rows[u, v >> 6]) >> (v & 63)) & 1)
 
     def query(self, ledger: QueryLedger, u: int, v: int) -> bool:
@@ -369,7 +378,7 @@ class Graph:
     def bool_row(self, u: int) -> np.ndarray:
         """Row u of the adjacency as n booleans, unpacked from its packed row."""
         return np.unpackbits(
-            self._rows[u].view(np.uint8), count=self.n, bitorder="little"
+            self._rows[_checked_vertex(self.n, u)].view(np.uint8), count=self.n, bitorder="little"
         ).view(bool)
 
     def neighbors(self, u: int) -> np.ndarray:
@@ -381,8 +390,8 @@ class Graph:
 
     def edges(self) -> tuple[np.ndarray, np.ndarray]:
         """Canonically ordered edge endpoints (u < v, lexicographic)."""
-        eu, ev = map(np.concatenate, zip(*_edge_blocks(self)))
-        return eu, ev
+        blocks = [(u[head], x) for u, _, head, x in _pair_stream(self, np.arange(self.n))]
+        return tuple(map(np.concatenate, zip(*blocks)))
 
     def pack_set(self, vertices) -> np.ndarray:
         """Bitmask of a vertex subset in the row word layout."""
@@ -412,55 +421,68 @@ def is_triangle(g: Graph, tri: Triangle) -> bool:
     return g.has_edge(a, b) and g.has_edge(a, c) and g.has_edge(b, c)
 
 
-def _edge_blocks(g: Graph, within: Optional[np.ndarray] = None):
-    """Canonically ordered edges (u < v) with both ends in ``within``.
+def _pair_stream(g: Graph, heads: np.ndarray, within: Optional[np.ndarray] = None):
+    """Yield (u, rows, head, x) for consecutive, growing blocks u of ``heads``.
 
-    ``within`` is a sorted, duplicate-free vertex array (default: every
-    vertex). Yields (eu, ev) for blocks of growing row counts of ``within``,
-    read straight from the packed rows, so a caller that stops early never
-    touches the later rows. No edge list or dense matrix is built.
+    ``heads`` is a sorted, duplicate-free vertex array and ``within`` a
+    packed vertex set (default: every vertex). ``rows`` holds the full
+    packed rows of the block's heads u. The pairs (u[head], x) are, for
+    each head, its neighbours x in ``within``, head-major with x ascending.
+    A pair whose x is an earlier head is skipped: it was read from x's
+    side. With heads = within that leaves the edges u < x in canonical
+    order. Blocks are read straight from the packed rows, so a caller that
+    stops early never touches the later rows.
     """
     n = g.n
-    verts = np.arange(n) if within is None else within
-    mask = None if within is None else g.pack_set(within)
-    word = np.arange(g._rows.shape[1])
-    first, cap = max(1, _BLOCK_FIRST_BITS // n), max(1, _BLOCK_CAP_BITS // n)
-    for sl in _growing_slices(verts.size, first, cap):
-        u = verts[sl]
-        block = np.take(g._rows, u, axis=0)
-        if mask is not None:
-            block &= mask
-        # Keep the bits above u: every word past u's, and the high bits of u's.
-        row = np.arange(u.size)
-        above = np.where(word > (u >> 6)[:, None], ~np.uint64(0), np.uint64(0))
-        above[row, u >> 6] = ~((np.uint64(2) << (u & 63).astype(np.uint64)) - np.uint64(1))
-        block &= above
-        bits = np.unpackbits(block.view(np.uint8), axis=1, count=n, bitorder="little").view(bool)
+    word_start = 64 * np.arange(g._rows.shape[1])
+    if within is None:
+        within = ~np.zeros(word_start.size, dtype=np.uint64)
+    # A head keeps its neighbours in within that lie above it or are no head.
+    others = ~g.pack_set(heads) & within
+    start, size, cap = 0, max(1, _BLOCK_FIRST_BITS // n), max(1, _BLOCK_CAP_BITS // n)
+    while start < heads.size:
+        u = heads[start : start + size]
+        start, size = start + size, min(4 * size, cap)
+        rows = np.take(g._rows, u, axis=0)
+        # The bits above u: all ones, shifted left by each word's count of
+        # bits at or below u (numpy shifts a uint64 by 64 or more to 0).
+        low = np.maximum((u + 1)[:, None] - word_start, 0).astype(np.uint64)
+        keep = (~np.uint64(0) << low) & within | others
+        keep &= rows
+        bits = np.unpackbits(keep.view(np.uint8), axis=1, count=n, bitorder="little").view(bool)
         # Split flat indices into (row, column) without a division.
-        count = _fold_words(np.add, np.bitwise_count(block), np.int64)
-        yield np.repeat(u, count), np.flatnonzero(bits) - np.repeat(row * n, count)
+        head = np.repeat(np.arange(u.size), _fold_words(np.add, np.bitwise_count(keep), np.int64))
+        yield u, rows, head, np.flatnonzero(bits) - head * n
 
 
-def _first_closed_edge(
-    g: Graph, within: Optional[np.ndarray] = None, exclude: Optional[np.ndarray] = None
+def _first_closed_pair(
+    g: Graph, heads: np.ndarray, within=None, exclude=None
 ) -> Optional[tuple[int, int, int]]:
-    """First edge (u, v) in canonical order with both ends in ``within`` (a
-    sorted vertex array) and a common neighbour, none of them in the packed
-    set ``exclude`` if given, plus its smallest common neighbour.
+    """First pair (h, x) of _pair_stream(g, heads, within) with a common
+    neighbour, none of them in the packed set ``exclude`` if given, plus
+    its smallest common neighbour.
 
-    Reads edges block by block and stops at the first hit, so positives
-    touch few rows and negatives keep temporaries small.
+    A head's row is taken from its block's rows, which is cheaper than a
+    gather from all of g's rows. The ANDs run in slices of _AND_FIRST
+    pairs, doubling up to _SCAN_CAP over the stream: a positive stops
+    after little work, and a negative keeps its temporaries cache-sized.
     """
-    for eu, ev in _edge_blocks(g, within):
-        for sl, common in _anded_rows(g._rows, eu, ev):
+    size = _AND_FIRST
+    for u, rows, head, x in _pair_stream(g, heads, within):
+        start = 0
+        while start < x.size:
+            sl = slice(start, start + size)
+            start, size = sl.stop, min(2 * size, _SCAN_CAP)
+            common = np.take(g._rows, x[sl], axis=0)
+            common &= np.take(rows, head[sl], axis=0)
             if not common.max(initial=0):  # a whole-array test is ~10x faster than per row
                 continue
             hit = np.flatnonzero(_fold_words(np.bitwise_or, common))
-            if exclude is not None and hit.size:
+            if exclude is not None:
                 hit = hit[_fold_words(np.bitwise_or, common[hit] & exclude) == 0]
             if hit.size:
                 i = int(hit[0])
-                return int(eu[sl.start + i]), int(ev[sl.start + i]), _first_bit(common[i])
+                return int(u[head[sl][i]]), int(x[sl][i]), _first_bit(common[i])
     return None
 
 
@@ -473,7 +495,7 @@ def brute_force_triangle(g: Graph) -> Optional[Triangle]:
     and v the earlier edge (u, w). So (u, v, w) is the minimum sorted
     triple. Classical reference oracle: nothing is charged to any ledger.
     """
-    hit = _first_closed_edge(g)
+    hit = _first_closed_pair(g, np.arange(g.n))
     return None if hit is None else Triangle(*hit)
 
 

@@ -69,9 +69,9 @@ VERDICT_Z = 5.0
 
 def wilson_interval(successes: int, trials: int, z: float = VERDICT_Z) -> tuple[float, float]:
     """Wilson score interval for a binomial proportion."""
-    if trials < 1:
-        raise ValueError("trials must be positive")
-    if not 0 <= successes <= trials:
+    _check_int("trials", trials, 1)
+    _check_int("successes", successes, 0)
+    if successes > trials:
         raise ValueError("successes out of range")
     phat = successes / trials
     denom = 1.0 + z * z / trials
@@ -186,8 +186,7 @@ def verify_cover_sparsity(
     pointwise that every surviving pair of V has at most n^(1-k) common
     neighbors.
     """
-    if trials < 1:
-        raise ValueError("trials must be positive")
+    _check_int("trials", trials, 1)
     AlgoParams(k=k)  # the finder's bounds on the cover exponent
     fam_name, fam = parse_family(family)
     outcomes = []
@@ -230,8 +229,7 @@ def verify_estimator_bounds(
         count(w)/3 <= estimate(w) <= 1.5 * max(|A|(|A|-1)/(2m), count(w)),
     with the finder's sample count m = ceil(n^k).
     """
-    if trials < 1:
-        raise ValueError("trials must be positive")
+    _check_int("trials", trials, 1)
     if n < 4:
         raise ValueError("needs n >= 4 so the bound 1 - 3/n is positive")
     AlgoParams(a=a, k=k)  # the finder's bounds on both exponents
@@ -310,7 +308,9 @@ def verify_subset_cap(
     campaign tests only pair retention; the CLI default r=16 is such a
     run. Only r >= 34 can make the apex-pair count matter.
     """
-    if size_a <= 3 or not 3 < r <= size_a:
+    _check_int("size_a", size_a, 4)
+    _check_int("r", r, 4)
+    if r > size_a:
         raise ValueError("need |A| > 3 and 3 < r <= |A|")
     _check_int("trials", trials, 1)  # a float trials=inf would never end the loop
     g, cover, block, apex = _subset_cap_setup(config, size_a, seed)
@@ -436,8 +436,7 @@ def scaling_fit(
     """Mean charged total per grid point, fitted on the log-log scale."""
     if len(n_grid) < 3:
         raise ValueError("scaling grid needs at least 3 points")
-    if trials_per_n < 1:
-        raise ValueError("trials_per_n must be positive")
+    _check_int("trials_per_n", trials_per_n, 1)
     params = params or AlgoParams()
     if algo == "walk" and any(n < params.n_min_guard for n in n_grid):
         raise ValueError("grid points below the size guard")
@@ -475,14 +474,14 @@ def correctness_suite(
     the 2/3 floor with zero false positives on negatives.
     """
     params = AlgoParams(failure_injection=injection, n_min_guard=12)
-    if cases < 0 or planted_cases < 0:
-        raise ValueError("case counts must be nonnegative")
+    _check_int("cases", cases, 0)
+    _check_int("planted_cases", planted_cases, 0)
     if cases + planted_cases == 0:
         raise ValueError("the suite needs at least one case")
-    if cases and max_n < params.n_min_guard:
-        raise ValueError(f"max_n must be at least {params.n_min_guard}, the smallest case size")
-    if planted_cases and planted_n < params.n_min_guard:
-        raise ValueError(f"planted_n must be at least {params.n_min_guard}, the smallest case size")
+    if cases:
+        _check_int("max_n", max_n, params.n_min_guard)
+    if planted_cases:
+        _check_int("planted_n", planted_n, params.n_min_guard)
     rng = np.random.default_rng([seed, 0x5])
     agree = 0
     total = 0

@@ -22,7 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from .graph import Graph, _anded_rows, _checked_vertices, _fold_words
+from .graph import Graph, _anded_rows, _check_int, _checked_vertices, _fold_words, _is_real
 
 __all__ = [
     "PairSet",
@@ -121,8 +121,9 @@ def sample_cover(
     Returns the sorted set of distinct sampled vertices; its size is at
     most the draw count.
     """
-    if n < 2:
-        raise ValueError("cover sampling needs n >= 2")
+    _check_int("n", n, 2)
+    if not _is_real(k) or not 0.0 < k < 1.0:
+        raise ValueError("cover exponent k must lie in (0, 1)")
     if rng is None:
         if seed is None:
             raise ValueError("provide a seed or an rng")
@@ -161,7 +162,7 @@ def uncovered_pairs(g: Graph, cover, within) -> PairSet:
 def uncovered_pairs_at(g: Graph, cover, within, apex: int) -> PairSet:
     """Surviving pairs of ``within`` whose endpoints both neighbor ``apex``."""
     surviving = uncovered_pairs(g, cover, within)
-    adj = g.bool_row(int(_checked_vertices(g.n, apex)))
+    adj = g.bool_row(apex)
     pu, pv = surviving.endpoint_arrays()
     return PairSet(surviving.verts, surviving.mask & adj[pu] & adj[pv])
 

@@ -64,9 +64,8 @@ from .costs import (
 )
 from .estimator import SamplePlan, estimate_all_apexes, estimator_charge
 from .graph import (
-    _SCAN_CAP, Graph, QueryLedger, Triangle, _check_int, _checked_vertices, _first_bit,
-    _first_closed_edge, _fold_words, _growing_slices, _is_real, brute_force_triangle,
-    is_triangle,
+    Graph, QueryLedger, Triangle, _check_int, _checked_vertices, _first_closed_pair, _is_real,
+    brute_force_triangle, is_triangle,
 )
 from .pairs import PairSet, sample_cover, subset_pair_cap, uncovered_pairs, uncovered_pairs_at
 
@@ -204,42 +203,6 @@ def _suppressed(p: Optional[float], rng: np.random.Generator) -> bool:
     return p is not None and rng.random() >= p
 
 
-def _first_cover_triangle(g: Graph, cover) -> Optional[Triangle]:
-    """Smallest cover vertex c in a triangle, closed by the smallest edge in N(c).
-
-    Scans the sorted cover in batches of 1, 2, 4, ... heads and stops at
-    the first batch with a hit. For each head c it ANDs N(c) with N(x) for
-    every neighbour x of c, in ascending x. The first nonempty result gives
-    the smallest x of N(c) with a neighbour in N(c), and its lowest bit y
-    lies above x (a smaller y would itself be such a vertex), so (x, y) is
-    the smallest edge inside N(c). No edge list is built.
-    """
-    # The cover's distinct vertices in order; a mask over n is ~7x faster
-    # than np.unique on a finder's cover.
-    in_cover = np.zeros(g.n, dtype=bool)
-    in_cover[cover] = True
-    heads = np.flatnonzero(in_cover)
-    # A negative ANDs every head's neighbourhood; at density 1/4 (a random
-    # bipartite graph) a full batch is about _SCAN_CAP rows.
-    for sl in _growing_slices(heads.size, 1, max(1, 4 * _SCAN_CAP // g.n)):
-        batch = np.take(g._rows, heads[sl], axis=0)
-        bits = np.unpackbits(batch.view(np.uint8), axis=1, count=g.n, bitorder="little")
-        # (head, x) for every neighbour x of every head, head-major, x ascending.
-        degree = _fold_words(np.add, np.bitwise_count(batch), np.int64)
-        head = np.repeat(np.arange(batch.shape[0]), degree)
-        x = np.flatnonzero(bits.view(bool)) - head * g.n
-        common = np.take(g._rows, x, axis=0)
-        common &= np.take(batch, head, axis=0)
-        if not common.max(initial=0):  # a whole-array test is ~10x faster than per row
-            continue
-        hit = np.flatnonzero(_fold_words(np.bitwise_or, common))
-        if hit.size:
-            i = int(hit[0])
-            c = int(heads[sl][head[i]])
-            return Triangle(*sorted((c, int(x[i]), _first_bit(common[i]))))
-    return None
-
-
 def _first_surviving_triangle_edge(
     g: Graph, cover, cover_negative: bool = False
 ) -> Optional[tuple[int, int, int]]:
@@ -253,8 +216,8 @@ def _first_surviving_triangle_edge(
     if cover_negative:
         keep = np.ones(g.n, dtype=bool)
         keep[np.asarray(cover, dtype=np.int64)] = False
-        return _first_closed_edge(g, within=np.flatnonzero(keep))
-    return _first_closed_edge(g, exclude=g.pack_set(cover))
+        return _first_closed_pair(g, np.flatnonzero(keep), within=~g.pack_set(cover))
+    return _first_closed_pair(g, np.arange(g.n), exclude=g.pack_set(cover))
 
 
 def _fill_vertices(candidates: np.ndarray, required: tuple[int, ...], size: int) -> np.ndarray:
@@ -275,15 +238,25 @@ def search_cover_triangles(
 ) -> Optional[Triangle]:
     """Phase-one search over (cover vertex, vertex pair) for a triangle.
 
-    Charges one plain search over the product domain; exact emulation
-    returns the lexicographically smallest hit.
+    Charges one plain search over the product domain. Exact emulation
+    returns the smallest cover vertex c in a triangle, closed by the
+    smallest edge inside N(c): the first pair (c, x), with the cover as
+    heads, whose rows share a vertex gives the smallest x of N(c) with a
+    neighbour in N(c), and its lowest shared bit y lies above x (a smaller
+    y would itself be such a vertex). The x that the pair stream skips,
+    earlier cover vertices, have none: their pair with c was read first.
     """
     cover = _checked_vertices(g.n, cover)
     if cover.size == 0:
         raise ValueError("cover must be nonempty")
     domain = _cover_charge_size(g.n, params.k, cover, params.log_factors) * comb(g.n, 2)
     ledger.charge("cover_search", grover_cost(domain, 1.0, params.log_factors))
-    return _first_cover_triangle(g, cover)
+    # The cover's distinct vertices in order; a mask over n is ~7x faster
+    # than np.unique on a finder's cover.
+    in_cover = np.zeros(g.n, dtype=bool)
+    in_cover[cover] = True
+    hit = _first_closed_pair(g, np.flatnonzero(in_cover))
+    return None if hit is None else Triangle(*sorted(hit))
 
 
 @dataclass

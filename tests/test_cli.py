@@ -200,8 +200,8 @@ def no_campaign_run(monkeypatch):
     "argv, message",
     [
         (["correctness", "--cases", "0", "--planted-cases", "0"], "at least one case"),
-        (["correctness", "--cases", "-3"], "nonnegative"),
-        (["correctness", "--planted-cases", "-1"], "nonnegative"),
+        (["correctness", "--cases", "-3"], "cases must be at least 0"),
+        (["correctness", "--planted-cases", "-1"], "planted_cases must be at least 0"),
         (["correctness", "--max-n", "5"], "max_n must be at least 12"),
         (
             ["correctness", "--cases", "200", "--planted-cases", "1", "--planted-n", "5"],

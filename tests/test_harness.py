@@ -313,8 +313,8 @@ class TestCorrectnessSuite:
         "max_n, cases, planted_cases, message",
         [
             (32, 0, 0, "at least one case"),
-            (32, -3, 20, "nonnegative"),
-            (32, 5, -1, "nonnegative"),
+            (32, -3, 20, "cases must be at least 0"),
+            (32, 5, -1, "planted_cases must be at least 0"),
             (5, 5, 0, "max_n must be at least 12"),
         ],
     )

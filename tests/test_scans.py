@@ -2,11 +2,14 @@
 
 The references are the scans as they were before the early-exit rewrite:
 each ANDs the packed rows of every edge, in canonical edge order, before
-it looks at a result. The rewritten scans must return exactly what they
-return, on every graph and cover. After a negative cover scan the
-surviving-edge scan reads only the edges that avoid the cover; it must
-still return the reference's edge.
+it looks at a result. They read the edges from the dense matrix, not from
+``Graph.edges()``, which runs on the pair stream under test. The scans
+must return exactly what the references return, on every graph and cover.
+After a negative cover scan the surviving-edge scan reads only the edges
+that avoid the cover; it must still return the reference's edge.
 """
+
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -16,6 +19,7 @@ from hypothesis import strategies as st
 from triwalk import (
     AlgoParams,
     FailureInjection,
+    QueryLedger,
     Triangle,
     brute_force_triangle,
     erdos_renyi,
@@ -23,20 +27,27 @@ from triwalk import (
     planted_instance,
     random_bipartite,
     sample_cover,
+    search_cover_triangles,
 )
-from triwalk import pipeline
+from triwalk import graph, pipeline
 from triwalk.graph import _first_bit, _pack_bool_rows
-from triwalk.pipeline import (
-    _first_cover_triangle,
-    _first_surviving_triangle_edge,
-)
+from triwalk.pipeline import _first_surviving_triangle_edge
 
 CHUNK = 1 << 16
 
 
+def dense_edges(g):
+    """Canonically ordered edge endpoints, read from the dense matrix."""
+    return np.nonzero(np.triu(g.bool_matrix, 1))
+
+
+def cover_scan(g, cover):
+    return search_cover_triangles(g, cover, AlgoParams(), QueryLedger())
+
+
 def reference_cover_triangle(g, cover):
     """Smallest cover vertex in a triangle, then the first edge it closes."""
-    eu, ev = g.edges()
+    eu, ev = dense_edges(g)
     within = g.pack_set(cover)
     acc = np.zeros(g._rows.shape[1], dtype=np.uint64)
     for start in range(0, eu.shape[0], CHUNK):
@@ -56,7 +67,7 @@ def reference_cover_triangle(g, cover):
 def reference_surviving_edge(g, cover):
     """First edge with an apex and no apex in the cover, plus its smallest apex."""
     cover_words = g.pack_set(cover)
-    eu, ev = g.edges()
+    eu, ev = dense_edges(g)
     for start in range(0, eu.shape[0], CHUNK):
         sl = slice(start, start + CHUNK)
         common = g._rows[eu[sl]] & g._rows[ev[sl]]
@@ -71,7 +82,7 @@ def reference_surviving_edge(g, cover):
 
 def reference_brute_force(g):
     """First edge with a common neighbour above it, completed by the smallest one."""
-    eu, ev = g.edges()
+    eu, ev = dense_edges(g)
     idx = np.arange(g.n)
     gt_rows = _pack_bool_rows(idx[None, :] > idx[:, None])
     for start in range(0, eu.shape[0], CHUNK):
@@ -112,13 +123,51 @@ def graphs_and_covers(draw):
     return g, np.asarray(cover, dtype=np.int64)
 
 
+def check_edges(g):
+    eu, ev = g.edges()
+    du, dv = dense_edges(g)
+    assert eu.dtype == ev.dtype == np.int64
+    assert np.array_equal(eu, du) and np.array_equal(ev, dv)
+
+
+def check_against_references(g, cover):
+    assert cover_scan(g, cover) == reference_cover_triangle(g, cover)
+    assert _first_surviving_triangle_edge(g, cover) == reference_surviving_edge(g, cover)
+    assert brute_force_triangle(g) == reference_brute_force(g)
+    check_edges(g)
+
+
 @settings(max_examples=100, deadline=None)
 @given(graphs_and_covers())
 def test_scans_match_full_edge_references(case):
-    g, cover = case
-    assert _first_cover_triangle(g, cover) == reference_cover_triangle(g, cover)
-    assert _first_surviving_triangle_edge(g, cover) == reference_surviving_edge(g, cover)
-    assert brute_force_triangle(g) == reference_brute_force(g)
+    check_against_references(*case)
+
+
+@contextmanager
+def small_blocks():
+    """Up to 120 vertices fit in one head block at the shipped sizes. Here a
+    block holds 1 to 4 heads and the AND slices start at one pair, so a
+    pair stream crosses many blocks and slices."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graph, "_BLOCK_FIRST_BITS", 128)
+        mp.setattr(graph, "_BLOCK_CAP_BITS", 512)
+        mp.setattr(graph, "_AND_FIRST", 1)
+        yield
+
+
+@settings(max_examples=50, deadline=None)
+@given(graphs_and_covers())
+def test_scans_match_references_across_head_blocks(case):
+    with small_blocks():
+        check_against_references(*case)
+
+
+@pytest.mark.parametrize("n", [1, 2, 700, 1100])
+def test_edges_match_the_dense_enumeration(n):
+    # At n = 700 and 1100 the stream reads 5 and 7 head blocks at the shipped sizes.
+    for g in (erdos_renyi(n, 0.3, n), random_bipartite(max(n, 2), n)):
+        check_edges(g)
+        assert g.edges()[0].size == g.edge_count
 
 
 def _in_triangle(g):
@@ -150,17 +199,28 @@ def graphs_and_negative_covers(draw):
     return g, cover.astype(np.int64)
 
 
-@settings(max_examples=100, deadline=None)
-@given(graphs_and_negative_covers())
-def test_pruned_scan_matches_full_scan_and_brute_force(case):
-    g, cover = case
-    assert _first_cover_triangle(g, cover) is None
+def check_pruned_scan(g, cover):
+    # search_cover_triangles refuses an empty cover, which holds no triangle vertex.
+    assert cover.size == 0 or cover_scan(g, cover) is None
     pruned = _first_surviving_triangle_edge(g, cover, cover_negative=True)
     assert pruned == reference_surviving_edge(g, cover)
     # No triangle touches the cover, so the first triangle edge of G[V - C]
     # is the first triangle edge of G, completed by its smallest apex.
     truth = reference_brute_force(g)
     assert pruned == (None if truth is None else tuple(truth))
+
+
+@settings(max_examples=100, deadline=None)
+@given(graphs_and_negative_covers())
+def test_pruned_scan_matches_full_scan_and_brute_force(case):
+    check_pruned_scan(*case)
+
+
+@settings(max_examples=50, deadline=None)
+@given(graphs_and_negative_covers())
+def test_pruned_scan_across_head_blocks(case):
+    with small_blocks():
+        check_pruned_scan(*case)
 
 
 # ER inputs whose finder cover holds a triangle vertex, and whose first
@@ -174,7 +234,7 @@ def test_suppressed_cover_hit_keeps_the_exclude_scan(n, p, seed, monkeypatch):
     # The cover find_triangle draws: its first seed substream feeds sample_cover.
     rng = np.random.default_rng(np.random.SeedSequence([seed]).spawn(4)[0])
     cover = sample_cover(n, AlgoParams().k, rng=rng)
-    assert _first_cover_triangle(g, cover) is not None
+    assert cover_scan(g, cover) is not None
     expected = reference_surviving_edge(g, cover)
     assert _first_surviving_triangle_edge(g, cover, cover_negative=True) != expected
 
