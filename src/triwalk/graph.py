@@ -284,10 +284,12 @@ def _first_bit(row_words: np.ndarray) -> Optional[int]:
 def _anded_rows(rows: np.ndarray, iu: np.ndarray, iv: np.ndarray, stops=None):
     """Yield (sl, rows[iu[sl]] & rows[iv[sl]]) over consecutive slices sl.
 
-    The pair gather of the pair-set kernels (surviving pairs, the estimator,
-    the harness's exact counts): rows are taken with np.take, 3-4x faster
-    than fancy indexing, and ANDed in place. The first-closed-pair scans do
-    not use it: they take each head's row from its block (_first_closed_pair).
+    The pair gather of the pair-set kernels (the estimator, the harness's
+    exact counts, the sparsity check's common-neighbour counts); pruning
+    pairs by the cover is a product instead (pairs.py). Rows are taken
+    with np.take, 3-4x faster than fancy indexing, and ANDed in place. The
+    first-closed-pair scans do not use it: they take each head's row from
+    its block (_first_closed_pair).
     Slices end at the increasing offsets ``stops`` when given (so a caller
     can align them with its own groups; empty slices are skipped), else
     every _SCAN_CAP pairs.
@@ -394,11 +396,10 @@ class Graph:
         return tuple(map(np.concatenate, zip(*blocks)))
 
     def pack_set(self, vertices) -> np.ndarray:
-        """Bitmask of a vertex subset in the row word layout."""
+        """Bitmask of a vertex subset in the row word layout; ValueError for
+        float or bool ids, or ids outside [0, n)."""
         bits = np.zeros((1, self.n), dtype=bool)
-        verts = np.asarray(vertices, dtype=np.int64)
-        if verts.size:
-            bits[0, verts] = True
+        bits[0, _checked_vertices(self.n, vertices)] = True
         return _pack_bool_rows(bits)[0]
 
     def __eq__(self, other) -> bool:

@@ -24,6 +24,7 @@ from .graph import (
     Graph,
     _anded_rows,
     _check_int,
+    _is_real,
     brute_force_triangle,
     erdos_renyi,
     is_triangle,
@@ -68,11 +69,13 @@ VERDICT_Z = 5.0
 
 
 def wilson_interval(successes: int, trials: int, z: float = VERDICT_Z) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion."""
+    """Wilson score interval for a binomial proportion; z must be a finite real > 0."""
     _check_int("trials", trials, 1)
     _check_int("successes", successes, 0)
     if successes > trials:
         raise ValueError("successes out of range")
+    if not _is_real(z) or not 0.0 < z < math.inf:
+        raise ValueError(f"z must be a finite real > 0, got {z!r}")
     phat = successes / trials
     denom = 1.0 + z * z / trials
     center = (phat + z * z / (2 * trials)) / denom
@@ -169,6 +172,7 @@ class CampaignReport:
 
 
 def _trial_seeds(seed: int, count: int) -> list[int]:
+    _check_int("seed", seed, 0)
     root = np.random.SeedSequence([seed])
     return [int(s.generate_state(1)[0]) for s in root.spawn(count)]
 

@@ -67,7 +67,10 @@ from .graph import (
     Graph, QueryLedger, Triangle, _check_int, _checked_vertices, _first_closed_pair, _is_real,
     brute_force_triangle, is_triangle,
 )
-from .pairs import PairSet, sample_cover, subset_pair_cap, uncovered_pairs, uncovered_pairs_at
+from .pairs import (
+    PairSet, _check_cover_exponent, sample_cover, subset_pair_cap, uncovered_pairs,
+    uncovered_pairs_at,
+)
 
 __all__ = [
     "PHASES",
@@ -148,8 +151,7 @@ class AlgoParams:
     def __post_init__(self):
         if not _is_real(self.a) or not 0.0 < self.a < 1.0:
             raise ValueError("block exponent a must lie in (0, 1)")
-        if not _is_real(self.k) or not 0.0 < self.k < 1.0:
-            raise ValueError("cover exponent k must lie in (0, 1)")
+        _check_cover_exponent(self.k)
         _check_log_factors(self.log_factors)
         _check_int("seed", self.seed, 0)
         if not isinstance(self.failure_injection, (FailureInjection, type(None))):

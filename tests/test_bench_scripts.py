@@ -79,3 +79,15 @@ def test_graph_bench_large_run_reads_back_in_a_capped_child(monkeypatch):
     assert row["graph"] == "random_bipartite(64, 0)"
     assert row["outcome"] is None  # bipartite graphs are triangle-free
     assert row["edges"] > 0 and row["peak_rss_mib"] > 0
+
+
+def test_pairs_bench_times_blocks_and_the_sparsity_check(monkeypatch, capsys):
+    out = run_tiny("pairs", monkeypatch, capsys, SPARSITY_N=64)
+    assert [(row["family"], row["n"]) for row in out["blocks"]] == [
+        ("bipartite", 64), ("er:0.5", 64)
+    ]
+    assert all(len(row["digest"]) == 16 and row["block"] > 1 for row in out["blocks"])
+    sparsity = out["sparsity"]
+    assert sparsity["graph"] == "erdos_renyi(64, 0.5, 0)"
+    assert isinstance(sparsity["sparsifying"], bool) and sparsity["peak_rss_mib"] > 0
+    assert out["blas"]["cpus"] >= 1

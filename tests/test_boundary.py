@@ -16,6 +16,7 @@ import pytest
 from triwalk import (
     QueryLedger,
     correctness_suite,
+    cover_is_sparsifying,
     random_bipartite,
     sample_cover,
     scaling_fit,
@@ -37,6 +38,9 @@ BAD_CALLS = {
     "neighbors n": lambda: G.neighbors(64),
     "bool_row n": lambda: G.bool_row(64),
     "bool_row float id": lambda: G.bool_row(2.0),
+    "pack_set -1": lambda: G.pack_set([-1]),
+    "pack_set float id": lambda: G.pack_set([1.5]),
+    "pack_set n": lambda: G.pack_set([64]),
     # Campaign counts.
     "cover sparsity trials inf": lambda: verify_cover_sparsity(64, 0.5, math.inf),
     "cover sparsity trials bool": lambda: verify_cover_sparsity(64, 0.5, True),
@@ -60,6 +64,15 @@ BAD_CALLS = {
     "sample_cover k 1.5": lambda: sample_cover(64, 1.5, seed=0),
     "sample_cover k bool": lambda: sample_cover(64, True, seed=0),
     "sample_cover n float": lambda: sample_cover(64.5, 0.5, seed=0),
+    "sample_cover seed float": lambda: sample_cover(64, 0.5, seed=1.5),
+    "cover sparsity seed float": lambda: verify_cover_sparsity(64, 0.5, 2, seed=1.5),
+    "cover_is_sparsifying k 2": lambda: cover_is_sparsifying(G, [0], 2),
+    "cover_is_sparsifying k nan": lambda: cover_is_sparsifying(G, [0], math.nan),
+    "cover_is_sparsifying k bool": lambda: cover_is_sparsifying(G, [0], True),
+    "wilson z nan": lambda: wilson_interval(1, 2, z=math.nan),
+    "wilson z -1": lambda: wilson_interval(1, 2, z=-1),
+    "wilson z 0": lambda: wilson_interval(1, 2, z=0),
+    "wilson z bool": lambda: wilson_interval(1, 2, z=True),
     "charge nan": lambda: QueryLedger().charge("x", math.nan),
     "charge bool": lambda: QueryLedger().charge("x", True),
     "charge str": lambda: QueryLedger().charge("x", "1"),
@@ -91,3 +104,5 @@ def test_numpy_scalars_stay_legal():
     ledger.add_raw(np.int64(3))
     assert ledger.total == 2.5 and ledger.raw_probes == 3
     assert wilson_interval(np.int64(3), np.int64(4)) == wilson_interval(3, 4)
+    assert wilson_interval(3, 4, z=np.float64(2.0)) == wilson_interval(3, 4, z=2)
+    assert np.array_equal(G.pack_set(np.array([3], dtype=np.uint8)), G.pack_set([3]))

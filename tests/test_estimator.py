@@ -80,7 +80,7 @@ def reference_probes(g, surv, plan):
 
 def closed_surviving(g, surv):
     """Per surviving pair, in canonical order, whether its ends share a neighbour."""
-    return common_neighbor_counts(g, surv) > 0
+    return common_neighbor_counts(g, *surv.selected_endpoints()) > 0
 
 
 def all_open_case():

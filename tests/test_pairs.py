@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,6 +19,8 @@ from triwalk import (
     uncovered_pairs,
     uncovered_pairs_at,
 )
+from triwalk import pairs
+from triwalk.harness import parse_family
 from triwalk.pairs import common_neighbor_counts, cover_draw_count
 
 
@@ -54,7 +57,8 @@ def summed_budget_holds(g, cover, subset, k):
     The left side equals the total common-neighbour count over the
     surviving pairs of Y.
     """
-    lhs = int(common_neighbor_counts(g, uncovered_pairs(g, cover, subset)).sum())
+    surv = uncovered_pairs(g, cover, subset)
+    lhs = int(common_neighbor_counts(g, *surv.selected_endpoints()).sum())
     return lhs <= len(subset) ** 2 * g.n ** (1.0 - k)
 
 
@@ -200,6 +204,85 @@ class TestUncoveredPairs:
         assert_nested(large, small)
 
 
+def covered_by_and(g, cover, verts):
+    """Per-pair AND reference: per canonical pair of ``verts``, whether the
+    two packed rows and the cover's bitmask share a bit."""
+    iu, jv = np.triu_indices(verts.size, k=1)
+    words = g.pack_set(cover)
+    return (g._rows[verts[iu]] & g._rows[verts[jv]] & words).any(axis=1)
+
+
+def sparsifying_by_and(g, cover, k):
+    """Reference sparsity check: every surviving pair of V, counted in full."""
+    verts = np.arange(g.n)
+    iu, jv = np.triu_indices(g.n, k=1)
+    free = ~covered_by_and(g, cover, verts)
+    counts = np.bitwise_count(g._rows[iu[free]] & g._rows[jv[free]]).sum(axis=1)
+    return bool((counts <= g.n ** (1.0 - k)).all())
+
+
+FAMILIES = ["bipartite", "er:0.1", "er:0.5", "er:0.9", "planted", "edgeless", "complete"]
+
+
+def oracle_cases(n, seed):
+    """(graph, cover, within) triples: V and random blocks under empty,
+    duplicated, sampled and full covers, on every family."""
+    rng = np.random.default_rng(seed)
+    covers = {
+        "empty": np.array([], dtype=np.int64),
+        "duplicated": np.repeat(rng.choice(n, size=4), 3),
+        "sampled": sample_cover(n, 0.5, seed=seed),
+        "full": np.arange(n),
+    }
+    withins = {"V": np.arange(n), "block": np.sort(rng.choice(n, size=n // 3, replace=False))}
+    for family in FAMILIES:
+        g = parse_family(family)[1](n, seed)
+        for cname, cover in covers.items():
+            for wname, within in withins.items():
+                yield f"{family}/{cname}/{wname}", g, cover, within
+
+
+class TestProductMask:
+    """The cover-column product's mask against a per-pair AND of packed rows."""
+
+    @pytest.mark.parametrize("entries", [None, 7, 300], ids=["one tile", "tiny tiles", "tiles"])
+    @pytest.mark.parametrize("n", [13, 70, 130])
+    def test_matches_per_pair_and(self, monkeypatch, n, entries):
+        if entries is not None:
+            monkeypatch.setattr(pairs, "_PRODUCT_ENTRIES", entries)
+        for name, g, cover, within in oracle_cases(n, seed=n):
+            surv = uncovered_pairs(g, cover, within)
+            assert np.array_equal(surv.verts, within), name
+            assert np.array_equal(surv.mask, ~covered_by_and(g, cover, within)), name
+
+    @pytest.mark.parametrize("entries", [None, 7, 300], ids=["one tile", "tiny tiles", "tiles"])
+    @pytest.mark.parametrize("k", [0.25, 0.5, 0.9])
+    def test_sparsity_check_matches_full_count(self, monkeypatch, entries, k):
+        if entries is not None:
+            monkeypatch.setattr(pairs, "_PRODUCT_ENTRIES", entries)
+        seen = set()
+        for name, g, cover, within in oracle_cases(70, seed=3):
+            if within.size == g.n:
+                got = cover_is_sparsifying(g, cover, k)
+                assert got == sparsifying_by_and(g, cover, k), name
+                seen.add(got)
+        assert seen == {True, False}
+
+    def test_sparsity_check_holds_no_pair_set_of_v(self):
+        # Gathering every pair of V took C(n, 2) int64 endpoints twice over,
+        # 16 bytes a pair; the tiled product holds X and one tile at a time.
+        n = 2048
+        g = erdos_renyi(n, 0.5, seed=1)
+        cover = sample_cover(n, 0.5, seed=2)
+        tracemalloc.start()
+        try:
+            assert cover_is_sparsifying(g, cover, 0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < math.comb(n, 2) * 16 / 2
+
+
 class TestSparsityChecks:
     def test_edgeless_always_sparsifying(self):
         g = erdos_renyi(32, 0.0, seed=0)
@@ -254,7 +337,7 @@ class TestSparsityChecks:
             len(uncovered_pairs_at(g, cover, subset, w)) for w in range(g.n)
         )
         surv = uncovered_pairs(g, cover, subset)
-        assert lhs == common_neighbor_counts(g, surv).sum() > 0
+        assert lhs == common_neighbor_counts(g, *surv.selected_endpoints()).sum() > 0
         holds = lhs <= len(subset) ** 2 * g.n ** 0.5
         assert summed_budget_holds(g, cover, subset, 0.5) == holds
 
