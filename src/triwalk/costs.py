@@ -25,6 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._checks import _check_bool, _check_int, _check_real, _checked_reals
+
 __all__ = [
     "WalkCharge",
     "log_multiplier",
@@ -53,16 +55,16 @@ class WalkCharge:
     eps: float
 
     def __post_init__(self):
-        if self.setup < 0 or self.update < 0 or np.any(np.asarray(self.check) < 0):
-            raise ValueError("walk costs must be nonnegative")
-        if self.r < 1:
-            raise ValueError("subset size r must be a positive integer")
-        if not 0.0 < self.eps <= 1.0:
-            raise ValueError("eps must lie in (0, 1]")
+        _check_real("walk setup cost", self.setup, "[0, inf)")
+        _check_real("walk update cost", self.update, "[0, inf)")
+        _checked_reals("walk check costs", self.check)
+        _check_int("subset size r", self.r, 1)
+        _check_real("eps", self.eps, "(0, 1]")
 
 
 def log_multiplier(base: float, log_factors: bool) -> float:
     """ceil(ln base), floored at 1, when log factors are on; else 1."""
+    _check_bool("log_factors", log_factors)
     if not log_factors:
         return 1.0
     return float(max(1, math.ceil(math.log(base))))
@@ -70,20 +72,16 @@ def log_multiplier(base: float, log_factors: bool) -> float:
 
 def grover_cost(m: int, t: float, log_factors: bool = False) -> float:
     """Charged cost of searching m items at t queries per evaluation."""
-    if m < 1:
-        raise ValueError("domain size m must be at least 1")
-    if t < 0:
-        raise ValueError("per-evaluation cost t must be nonnegative")
+    _check_int("domain size m", m, 1)
+    _check_real("per-evaluation cost t", t, "[0, inf)")
     return t * math.sqrt(m) * log_multiplier(m, log_factors)
 
 
 def variable_search_cost(costs, log_factors: bool = False) -> float:
     """Charged cost of search with per-item costs: sqrt of the sum of squares."""
-    arr = np.asarray(costs, dtype=float)
+    arr = _checked_reals("per-item costs", costs)
     if arr.size == 0:
         raise ValueError("variable-cost search needs a nonempty cost list")
-    if np.any(arr < 0):
-        raise ValueError("per-item costs must be nonnegative")
     return math.sqrt(float(np.sum(arr * arr))) * log_multiplier(arr.size, log_factors)
 
 

@@ -52,6 +52,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
+from ._checks import _check_int
 from .graph import _SCAN_CAP, Graph, QueryLedger, _anded_rows, _fold_words
 from .pairs import PairSet
 
@@ -99,12 +100,9 @@ class SamplePlan:
     __slots__ = ("n", "m", "pair_universe", "rounds", "refine", "screen_draws", "refine_draws")
 
     def __init__(self, n: int, m: int, pair_universe: int, rng: np.random.Generator):
-        if n < 2:
-            raise ValueError("plan needs n >= 2")
-        if m < 1:
-            raise ValueError("sample size m must be positive")
-        if pair_universe < 1:
-            raise ValueError("pair universe must be nonempty")
+        _check_int("n", n, 2)
+        _check_int("sample size m", m, 1)
+        _check_int("pair universe", pair_universe, 1)
         self.n = n
         self.m = m
         self.pair_universe = pair_universe
@@ -165,8 +163,6 @@ def _closed_slots(
 
 def _apex_counts(g: Graph, surviving: PairSet, plan: SamplePlan) -> _ApexCounts:
     """Run the estimator for every apex at once over the packed rows."""
-    if surviving.verts.size < 2:
-        raise ValueError("estimator needs a block with at least 2 vertices")
     if plan.pair_universe != surviving.universe_size:
         raise ValueError("plan was materialized for a different block")
     n, m, rows = g.n, plan.m, g._rows

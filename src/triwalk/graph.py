@@ -35,7 +35,6 @@ cost-model layer, under per-phase labels.
 from __future__ import annotations
 
 import itertools
-import numbers
 import os
 import struct
 import threading
@@ -43,6 +42,8 @@ from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
 import numpy as np
+
+from ._checks import _check_int, _check_real, _checked_vertex, _checked_vertices
 
 __all__ = [
     "Graph",
@@ -123,9 +124,8 @@ class QueryLedger:
     raw_probes: int = 0
 
     def charge(self, phase: str, amount: float) -> None:
-        # NaN fails the comparison: a NaN total would never exceed a budget.
-        if not _is_real(amount) or not amount >= 0:
-            raise ValueError(f"charge for phase {phase!r} must be a real >= 0, got {amount!r}")
+        # A NaN total would never exceed a budget.
+        _check_real(f"charge for phase {phase!r}", amount, "[0, inf)")
         self.charged[phase] = self.charged.get(phase, 0.0) + float(amount)
 
     def add_raw(self, count: int = 1) -> None:
@@ -173,19 +173,6 @@ def _or_block(rows: np.ndarray, r0: int, c0: int, bits: np.ndarray) -> None:
     h, w = bits.shape
     rows[r0 : r0 + h, c0 >> 6 : (c0 + w + 63) >> 6] |= _pack_bool_rows(bits)
     rows[c0 : c0 + w, r0 >> 6 : (r0 + h + 63) >> 6] |= _pack_bool_columns(bits)
-
-
-def _check_int(name: str, value, low: int) -> None:
-    """ValueError unless value is an integer, not a bool, and at least low."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value < low:
-        raise ValueError(f"{name} must be at least {low}, got {value}")
-
-
-def _is_real(value) -> bool:
-    """A real number that is not a bool, which would read as 0 or 1."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 def _zero_rows(n: int) -> np.ndarray:
@@ -246,30 +233,6 @@ def _fold_words(op, words: np.ndarray, dtype=None) -> np.ndarray:
     row, reducing a transposed copy along its first axis is up to 3x faster.
     """
     return op.reduce(np.ascontiguousarray(words.T), axis=0, dtype=dtype)
-
-
-def _checked_vertex(n: int, u) -> int:
-    """u as an int; ValueError unless it is an integer id in [0, n), not a bool.
-
-    The scalar form of _checked_vertices, without its numpy calls: is_triangle
-    checks six ids a trial.
-    """
-    if isinstance(u, bool) or not isinstance(u, numbers.Integral):
-        raise ValueError(f"vertex ids must be integers, got {u!r}")
-    if not 0 <= u < n:
-        raise ValueError(f"vertex id out of range for n={n}")
-    return int(u)
-
-
-def _checked_vertices(n: int, vertices) -> np.ndarray:
-    """Integer ``vertices`` as int64; ValueError for float or bool ids, or ids outside [0, n)."""
-    ids = np.asarray(vertices)
-    if ids.size and ids.dtype.kind not in "iu":
-        raise ValueError(f"vertex ids must be integers, got {ids.dtype}")
-    ids = ids.astype(np.int64, copy=False)
-    if ids.size and (ids.min() < 0 or ids.max() >= n):
-        raise ValueError(f"vertex id out of range for n={n}")
-    return ids
 
 
 def _first_bit(row_words: np.ndarray) -> Optional[int]:
@@ -568,8 +531,7 @@ def erdos_renyi(n: int, p: float, seed: int) -> Graph:
     rows[r0:, r0>>6:(r0+h+63)>>6]; chunks start at multiples of 128 and
     span at most 128 rows, so the blocks of two chunks share no word.
     """
-    if not _is_real(p) or not 0.0 <= p <= 1.0:
-        raise ValueError(f"p must be a real number in [0, 1], got {p!r}")
+    _check_real("p", p, "[0, 1]")
     rows = _zero_rows(n)
 
     def chunk(r0: int, draw: np.ndarray) -> None:
@@ -634,9 +596,8 @@ def planted_instance(n: int, seed: int) -> Graph:
     common neighbour of its endpoints on the other side, about n/8 of them
     (planted_instance(512, 0) holds 79 triangles).
     """
-    _check_int("n", n, 3)
-    rows = _bipartite_rows(n, seed)
     a, b, c = planted_triple(n, seed)
+    rows = _bipartite_rows(n, seed)
     for x, y in ((a, b), (a, c), (b, c), (b, a), (c, a), (c, b)):
         rows[x, y >> 6] |= np.uint64(1) << np.uint64(y & 63)
     return Graph._from_rows(n, rows)

@@ -19,12 +19,11 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from ._checks import _check_int, _check_real
 from .estimator import SamplePlan, _column_counts, estimate_all_apexes
 from .graph import (
     Graph,
     _anded_rows,
-    _check_int,
-    _is_real,
     brute_force_triangle,
     erdos_renyi,
     is_triangle,
@@ -71,11 +70,8 @@ VERDICT_Z = 5.0
 def wilson_interval(successes: int, trials: int, z: float = VERDICT_Z) -> tuple[float, float]:
     """Wilson score interval for a binomial proportion; z must be a finite real > 0."""
     _check_int("trials", trials, 1)
-    _check_int("successes", successes, 0)
-    if successes > trials:
-        raise ValueError("successes out of range")
-    if not _is_real(z) or not 0.0 < z < math.inf:
-        raise ValueError(f"z must be a finite real > 0, got {z!r}")
+    _check_int("successes", successes, 0, trials)
+    _check_real("z", z, "(0, inf)")
     phat = successes / trials
     denom = 1.0 + z * z / trials
     center = (phat + z * z / (2 * trials)) / denom
@@ -234,8 +230,7 @@ def verify_estimator_bounds(
     with the finder's sample count m = ceil(n^k).
     """
     _check_int("trials", trials, 1)
-    if n < 4:
-        raise ValueError("needs n >= 4 so the bound 1 - 3/n is positive")
+    _check_int("n", n, 4)  # so the bound 1 - 3/n is positive
     AlgoParams(a=a, k=k)  # the finder's bounds on both exponents
     fam_name, fam = parse_family(family)
     m = sample_size(n, k)
@@ -313,9 +308,7 @@ def verify_subset_cap(
     run. Only r >= 34 can make the apex-pair count matter.
     """
     _check_int("size_a", size_a, 4)
-    _check_int("r", r, 4)
-    if r > size_a:
-        raise ValueError("need |A| > 3 and 3 < r <= |A|")
+    _check_int("r", r, 4, size_a)
     _check_int("trials", trials, 1)  # a float trials=inf would never end the loop
     g, cover, block, apex = _subset_cap_setup(config, size_a, seed)
     # With no cover every pair survives, so the apex pairs of a subset B are

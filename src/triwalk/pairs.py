@@ -32,7 +32,8 @@ from typing import Optional
 
 import numpy as np
 
-from .graph import Graph, _anded_rows, _check_int, _checked_vertices, _fold_words, _is_real
+from ._checks import _check_int, _check_real, _checked_reals, _checked_vertices
+from .graph import Graph, _anded_rows, _fold_words
 
 __all__ = [
     "PairSet",
@@ -138,7 +139,7 @@ def sample_cover(
     most the draw count.
     """
     _check_int("n", n, 2)
-    _check_cover_exponent(k)
+    _check_real("cover exponent k", k, "(0, 1)")
     if rng is None:
         if seed is None:
             raise ValueError("provide a seed or an rng")
@@ -146,12 +147,6 @@ def sample_cover(
         rng = np.random.default_rng([seed, 0xC0])
     draws = rng.integers(0, n, size=cover_draw_count(n, k))
     return np.unique(draws).astype(np.int64)
-
-
-def _check_cover_exponent(k) -> None:
-    """ValueError unless k is a real in (0, 1), not a bool and not NaN."""
-    if not _is_real(k) or not 0.0 < k < 1.0:
-        raise ValueError("cover exponent k must lie in (0, 1)")
 
 
 def _uncovered_tiles(g: Graph, cover: np.ndarray, verts: np.ndarray):
@@ -233,7 +228,7 @@ def cover_is_sparsifying(g: Graph, cover, k: float) -> bool:
     neighbours only for the pairs that survive, so no V-wide pair set is
     built. k must lie in (0, 1), as for sample_cover.
     """
-    _check_cover_exponent(k)
+    _check_real("cover exponent k", k, "(0, 1)")
     cover = _checked_vertices(g.n, cover)
     limit = g.n ** (1.0 - k)
     for i, free in _uncovered_tiles(g, cover, np.arange(g.n)):
@@ -255,10 +250,8 @@ def subset_pair_cap(r: int, parent_size: int, parent_apex_pairs):
     apex-pair count; pass 3*estimate for x when substituting an estimator
     value for x/3. Accepts scalar or ndarray x.
     """
-    if parent_size <= 3:
-        raise ValueError("parent block must have more than 3 vertices")
-    if not 3 < r <= parent_size:
-        raise ValueError("subset size must satisfy 3 < r <= parent size")
+    _check_int("parent_size", parent_size, 4)
+    _check_int("subset size r", r, 4, parent_size)
     coeff = 8.0 * (r - 2) * (r - 3) / ((parent_size - 2) * (parent_size - 3))
-    cap = coeff * np.asarray(parent_apex_pairs, dtype=float) / 3.0 + 16.0 * r
+    cap = coeff * _checked_reals("apex-pair count", parent_apex_pairs) / 3.0 + 16.0 * r
     return float(cap) if cap.ndim == 0 else cap

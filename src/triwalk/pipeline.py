@@ -63,14 +63,11 @@ from .costs import (
     walk_cost_terms,
 )
 from .estimator import SamplePlan, estimate_all_apexes, estimator_charge
+from ._checks import _check_bool, _check_int, _check_real, _checked_vertices
 from .graph import (
-    Graph, QueryLedger, Triangle, _check_int, _checked_vertices, _first_closed_pair, _is_real,
-    brute_force_triangle, is_triangle,
+    Graph, QueryLedger, Triangle, _first_closed_pair, brute_force_triangle, is_triangle,
 )
-from .pairs import (
-    PairSet, _check_cover_exponent, sample_cover, subset_pair_cap, uncovered_pairs,
-    uncovered_pairs_at,
-)
+from .pairs import PairSet, sample_cover, subset_pair_cap, uncovered_pairs, uncovered_pairs_at
 
 __all__ = [
     "PHASES",
@@ -111,12 +108,8 @@ class FailureInjection:
 
     def __post_init__(self):
         for name in ("walk_success", "check_success", "search_success"):
-            p = getattr(self, name)
-            if p is None:
-                continue
-            # A bool would read as a certain pass or fail.
-            if not _is_real(p) or not 0.0 <= p <= 1.0:
-                raise ValueError(f"{name} must be a real number in [0, 1] or None")
+            if getattr(self, name) is not None:
+                _check_real(name, getattr(self, name), "[0, 1]")
 
 
 _NO_INJECTION = FailureInjection()
@@ -149,19 +142,12 @@ class AlgoParams:
     n_min_guard: int = 64
 
     def __post_init__(self):
-        if not _is_real(self.a) or not 0.0 < self.a < 1.0:
-            raise ValueError("block exponent a must lie in (0, 1)")
-        _check_cover_exponent(self.k)
-        _check_log_factors(self.log_factors)
+        _check_real("block exponent a", self.a, "(0, 1)")
+        _check_real("cover exponent k", self.k, "(0, 1)")
+        _check_bool("log_factors", self.log_factors)
         _check_int("seed", self.seed, 0)
         if not isinstance(self.failure_injection, (FailureInjection, type(None))):
             raise ValueError("failure_injection must be a FailureInjection or None")
-
-
-def _check_log_factors(log_factors) -> None:
-    # Any other truthy value would switch the log factors on.
-    if not isinstance(log_factors, bool):
-        raise ValueError("log_factors must be a bool")
 
 
 def block_size(n: int, a: float) -> int:
@@ -311,8 +297,7 @@ def find_apex_witness(
     if bsize != block_size(n, params.a):
         raise ValueError("block size must be ceil(n^a)")
     r = inner_size(n, params.a)
-    if not 3 < r <= bsize or bsize <= 3:
-        raise ValueError("inner subset size must satisfy 3 < r <= block size")
+    _check_int("inner subset size", r, 4, bsize)
     m = sample_size(n, params.k)
 
     plan = SamplePlan(n, m, surviving.universe_size, rng=rng)
@@ -477,12 +462,10 @@ def find_triangle(g: Graph, params: AlgoParams) -> RunReport:
     fires on honest inputs.
     """
     n = g.n
-    if n < params.n_min_guard:
-        raise ValueError(f"n={n} is below the size guard {params.n_min_guard}")
+    _check_int("n (the size guard)", n, params.n_min_guard)
     r = inner_size(n, params.a)
     bsize = block_size(n, params.a)
-    if r <= 3 or r > bsize or bsize > n:
-        raise ValueError(f"derived sizes unsupported at n={n}, a={params.a}")
+    _check_int(f"inner subset size at n={n}, a={params.a}", r, 4, bsize)
 
     t0 = time.perf_counter()
     log_factors = params.log_factors
@@ -576,7 +559,7 @@ def find_triangle(g: Graph, params: AlgoParams) -> RunReport:
 
 def naive_triples_baseline(g: Graph, log_factors: bool = False) -> RunReport:
     """Plain search over all vertex triples: charge sqrt(C(n,3))."""
-    _check_log_factors(log_factors)
+    _check_bool("log_factors", log_factors)
     if g.n < 3:
         raise ValueError("triple search needs at least 3 vertices")
     t0 = time.perf_counter()
@@ -596,7 +579,7 @@ def naive_triples_baseline(g: Graph, log_factors: bool = False) -> RunReport:
 
 def sparse_edges_baseline(g: Graph, log_factors: bool = False) -> RunReport:
     """Edge-count-aware baseline: charge n + sqrt(n m) for m true edges."""
-    _check_log_factors(log_factors)
+    _check_bool("log_factors", log_factors)
     t0 = time.perf_counter()
     m_edges = g.edge_count
     charge = (g.n + math.sqrt(g.n * m_edges)) * log_multiplier(g.n, log_factors)

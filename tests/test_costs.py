@@ -103,5 +103,5 @@ class TestWalkCost:
         assert all(v == s for v, s in zip(vec, scalar))
 
     def test_array_check_with_a_negative_entry_rejected(self):
-        with pytest.raises(ValueError, match="nonnegative"):
+        with pytest.raises(ValueError, match=r"walk check costs must be real numbers in \[0, inf\)"):
             WalkCharge(1.0, 1.0, np.array([1.0, -0.5, 2.0]), r=4, eps=0.5)

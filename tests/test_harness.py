@@ -133,7 +133,7 @@ class TestCoverSparsityCampaign:
 
     @pytest.mark.parametrize("k", [0.0, 1.0, 1.5, -0.5])
     def test_exponent_outside_the_finders_bounds_rejected(self, k):
-        with pytest.raises(ValueError, match="cover exponent k must lie in"):
+        with pytest.raises(ValueError, match=r"cover exponent k must be a real number in \(0, 1\)"):
             verify_cover_sparsity(64, k, 10)
 
     def test_report_is_self_contained(self):

@@ -575,8 +575,8 @@ class TestFindTriangle:
     @pytest.mark.parametrize(
         "field, value, message",
         [
-            ("a", "0.5", r"block exponent a must lie in \(0, 1\)"),
-            ("k", "0.5", r"cover exponent k must lie in \(0, 1\)"),
+            ("a", "0.5", r"block exponent a must be a real number in \(0, 1\)"),
+            ("k", "0.5", r"cover exponent k must be a real number in \(0, 1\)"),
             ("seed", 1.5, "seed must be an integer"),
             ("seed", True, "seed must be an integer"),
             ("seed", -1, "seed must be at least 0"),
