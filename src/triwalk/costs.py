@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._checks import _check_bool, _check_int, _check_real, _checked_reals
+from ._checks import _check_bool, _check_int, _check_real, _check_type, _checked_reals
 
 __all__ = [
     "WalkCharge",
@@ -93,6 +93,7 @@ def walk_cost_terms(
     Exposed separately so pipelines can attribute each term to its own
     ledger phase while summing bit-identically to the total.
     """
+    _check_type("charge", charge, WalkCharge)
     scale = log_multiplier(charge.r, log_factors)
     amplify = 1.0 / math.sqrt(charge.eps)
     return (

@@ -52,7 +52,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from ._checks import _check_int
+from ._checks import _check_int, _check_type
 from .graph import _SCAN_CAP, Graph, QueryLedger, _anded_rows, _fold_words
 from .pairs import PairSet
 
@@ -103,6 +103,7 @@ class SamplePlan:
         _check_int("n", n, 2)
         _check_int("sample size m", m, 1)
         _check_int("pair universe", pair_universe, 1)
+        _check_type("rng", rng, np.random.Generator)
         self.n = n
         self.m = m
         self.pair_universe = pair_universe
@@ -224,6 +225,10 @@ def estimate_all_apexes(
     the caller owns the charged model (one estimator charge per apex
     enters the per-apex dispatch cost).
     """
+    _check_type("g", g, Graph)
+    _check_type("surviving", surviving, PairSet)
+    _check_type("plan", plan, SamplePlan)
+    _check_type("ledger", ledger, (QueryLedger, type(None)))
     counts = _apex_counts(g, surviving, plan)
     if ledger is not None:
         ledger.add_raw(counts.probes)

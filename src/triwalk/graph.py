@@ -38,12 +38,15 @@ import itertools
 import os
 import struct
 import threading
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
 import numpy as np
 
-from ._checks import _check_int, _check_real, _checked_vertex, _checked_vertices
+from ._checks import (
+    _check_int, _check_real, _check_type, _checked_vertex, _checked_vertices, _holds_bool,
+)
 
 __all__ = [
     "Graph",
@@ -68,6 +71,8 @@ _TAG_BIPARTITE = 0x42
 _TAG_PLANT = 0x50
 
 _PACKED_MAGIC = b"TWGB"
+# What open() takes as a file name; an int would read as a file descriptor.
+_PATH = (str, bytes, os.PathLike)
 
 # Packed rows in the largest temporary of a gather or a scan: 4096 rows
 # stay cache-sized and run about twice as fast as 65,536.
@@ -123,7 +128,15 @@ class QueryLedger:
     charged: dict[str, float] = field(default_factory=dict)
     raw_probes: int = 0
 
+    def __post_init__(self):
+        _check_type("charged", self.charged, dict)
+        for phase, amount in self.charged.items():
+            _check_type("phase", phase, str)
+            _check_real(f"charge for phase {phase!r}", amount, "[0, inf)")
+        _check_int("raw probe count", self.raw_probes, 0)
+
     def charge(self, phase: str, amount: float) -> None:
+        _check_type("phase", phase, str)
         # A NaN total would never exceed a budget.
         _check_real(f"charge for phase {phase!r}", amount, "[0, inf)")
         self.charged[phase] = self.charged.get(phase, 0.0) + float(amount)
@@ -214,13 +227,12 @@ def _or_edges(rows: np.ndarray, n: int, pairs: list) -> None:
         ends = np.array(pairs)
     except ValueError:  # pairs of unequal lengths
         ends = np.zeros(0)
-    if ends.ndim != 2 or ends.shape[1] != 2 or ends.dtype.kind not in "iu":
+    integer_pairs = ends.ndim == 2 and ends.shape[1] == 2 and ends.dtype.kind in "iu"
+    if not integer_pairs or _holds_bool(pairs, 2):
         raise ValueError("edges must be (u, v) pairs of integer vertex ids")
     if (ends[:, 0] == ends[:, 1]).any():
         raise ValueError("self loops are not representable")
-    if ((ends < 0) | (ends >= n)).any():
-        raise ValueError(f"vertex id out of range for n={n}")
-    ends = ends.astype(np.int64, copy=False)
+    ends = _checked_vertices(n, ends)
     flat, words = rows.reshape(-1), rows.shape[1]
     for u, v in ((ends[:, 0], ends[:, 1]), (ends[:, 1], ends[:, 0])):
         np.bitwise_or.at(flat, u * words + (v >> 6), np.uint64(1) << (v & 63).astype(np.uint64))
@@ -312,6 +324,7 @@ class Graph:
         Pairs are converted _EDGE_BATCH at a time, so no n x n matrix and no
         whole edge array is built.
         """
+        _check_type("edges", edges, Iterable)
         rows = _zero_rows(n)
         pairs = iter(edges)
         while batch := list(itertools.islice(pairs, _EDGE_BATCH)):
@@ -327,6 +340,7 @@ class Graph:
 
     def query(self, ledger: QueryLedger, u: int, v: int) -> bool:
         """Oracle access to the pair {u, v}; counts one raw probe."""
+        _check_type("ledger", ledger, QueryLedger)
         if u == v:
             raise ValueError("oracle pairs need distinct endpoints")
         edge = self.has_edge(u, v)
@@ -379,10 +393,11 @@ class Graph:
 
 
 def is_triangle(g: Graph, tri: Triangle) -> bool:
-    a, b, c = tri
-    if len({a, b, c}) != 3:
-        return False
-    return g.has_edge(a, b) and g.has_edge(a, c) and g.has_edge(b, c)
+    """Whether the three vertex ids of ``tri`` are distinct and pairwise adjacent."""
+    _check_type("g", g, Graph)
+    _check_type("tri", tri, Iterable)
+    a, b, c = (_checked_vertex(g.n, v) for v in tri)  # ValueError unless three ids
+    return len({a, b, c}) == 3 and g.has_edge(a, b) and g.has_edge(a, c) and g.has_edge(b, c)
 
 
 def _pair_stream(g: Graph, heads: np.ndarray, within: Optional[np.ndarray] = None):
@@ -459,6 +474,7 @@ def brute_force_triangle(g: Graph) -> Optional[Triangle]:
     and v the earlier edge (u, w). So (u, v, w) is the minimum sorted
     triple. Classical reference oracle: nothing is charged to any ledger.
     """
+    _check_type("g", g, Graph)
     hit = _first_closed_pair(g, np.arange(g.n))
     return None if hit is None else Triangle(*hit)
 
@@ -608,6 +624,8 @@ def planted_instance(n: int, seed: int) -> Graph:
 
 def write_edge_list(g: Graph, path) -> None:
     """Text form: header line "n <count>", then one "u v" line per edge."""
+    _check_type("g", g, Graph)
+    _check_type("path", path, _PATH)
     eu, ev = g.edges()
     with open(path, "w") as fh:
         fh.write(f"n {g.n}\n")
@@ -617,6 +635,7 @@ def write_edge_list(g: Graph, path) -> None:
 
 def read_edge_list(path) -> Graph:
     """Read write_edge_list's form; blank lines are skipped."""
+    _check_type("path", path, _PATH)
     with open(path) as fh:
         header = fh.readline()
         try:
@@ -647,6 +666,8 @@ def _edge_lines(lines):
 
 def write_packed(g: Graph, path) -> None:
     """Compact binary form: magic, n, then row-major packed bit rows."""
+    _check_type("g", g, Graph)
+    _check_type("path", path, _PATH)
     payload = g._rows.view(np.uint8)[:, : (g.n + 7) // 8]
     with open(path, "wb") as fh:
         fh.write(_PACKED_MAGIC)
@@ -655,6 +676,7 @@ def write_packed(g: Graph, path) -> None:
 
 
 def read_packed(path) -> Graph:
+    _check_type("path", path, _PATH)
     with open(path, "rb") as fh:
         magic = fh.read(4)
         if magic != _PACKED_MAGIC:

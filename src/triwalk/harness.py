@@ -19,7 +19,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from ._checks import _check_int, _check_real
+from ._checks import _check_int, _check_real, _check_type, _checked_reals
 from .estimator import SamplePlan, _column_counts, estimate_all_apexes
 from .graph import (
     Graph,
@@ -81,11 +81,15 @@ def wilson_interval(successes: int, trials: int, z: float = VERDICT_Z) -> tuple[
 
 def sigma_pass_line(bound: float, trials: int, z: float = VERDICT_Z) -> float:
     """bound minus z standard deviations of a bound-rate binomial mean."""
+    _check_real("bound", bound, "[0, 1]")
+    _check_int("trials", trials, 1)
+    _check_real("z", z, "(0, inf)")
     return bound - z * math.sqrt(bound * (1.0 - bound) / trials)
 
 
 def parse_family(spec: str) -> tuple[str, Callable[[int, int], Graph]]:
     """Graph family from a CLI-style token: er:p, bipartite, planted, ..."""
+    _check_type("family", spec, str)
     if spec.startswith("er:"):
         p = float(spec.split(":", 1)[1])
         return spec, lambda n, seed: erdos_renyi(n, p, seed)
@@ -129,8 +133,8 @@ class CampaignReport:
         extras: Optional[dict] = None,
         verdict: Optional[bool] = None,
     ) -> "CampaignReport":
+        lo, hi = wilson_interval(successes, trials)  # checks the counts
         freq = successes / trials
-        lo, hi = wilson_interval(successes, trials)
         line = sigma_pass_line(bound, trials)
         return cls(
             campaign=campaign,
@@ -399,10 +403,10 @@ class FitResult:
 
 def fit_loglog(points: Sequence[tuple[float, float]]) -> tuple[float, float, float]:
     """(slope, intercept, r^2) of a straight line through log-log points."""
-    if len(points) < 2:
-        raise ValueError("need at least two points to fit")
-    lx = np.log([p[0] for p in points])
-    ly = np.log([p[1] for p in points])
+    pts = _checked_reals("fit points", points, "(0, inf)")
+    if pts.ndim != 2 or pts.shape[1] != 2 or len(pts) < 2:
+        raise ValueError("need at least two (x, y) points to fit")
+    lx, ly = np.log(pts.T)
     design = np.vstack([lx, np.ones_like(lx)]).T
     (slope, intercept), residual, *_ = np.linalg.lstsq(design, ly, rcond=None)
     predicted = design @ np.array([slope, intercept])
@@ -431,12 +435,14 @@ def scaling_fit(
     seed: int = 0,
 ) -> FitResult:
     """Mean charged total per grid point, fitted on the log-log scale."""
-    if len(n_grid) < 3:
-        raise ValueError("scaling grid needs at least 3 points")
+    _check_type("n_grid", n_grid, (Sequence, np.ndarray))
+    _check_int("scaling grid size", len(n_grid), 3)
     _check_int("trials_per_n", trials_per_n, 1)
-    params = params or AlgoParams()
-    if algo == "walk" and any(n < params.n_min_guard for n in n_grid):
-        raise ValueError("grid points below the size guard")
+    _check_int("seed", seed, 0)
+    params = AlgoParams() if params is None else params
+    _check_type("params", params, AlgoParams)
+    for n in n_grid:
+        _check_int("grid point n", n, params.n_min_guard if algo == "walk" else 1)
     fam_name, fam = parse_family(family)
     points = []
     for idx, n in enumerate(n_grid):
@@ -471,6 +477,7 @@ def correctness_suite(
     the 2/3 floor with zero false positives on negatives.
     """
     params = AlgoParams(failure_injection=injection, n_min_guard=12)
+    _check_int("seed", seed, 0)
     _check_int("cases", cases, 0)
     _check_int("planted_cases", planted_cases, 0)
     if cases + planted_cases == 0:

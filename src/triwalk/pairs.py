@@ -32,7 +32,7 @@ from typing import Optional
 
 import numpy as np
 
-from ._checks import _check_int, _check_real, _checked_reals, _checked_vertices
+from ._checks import _check_int, _check_real, _check_type, _checked_reals, _checked_vertices
 from .graph import Graph, _anded_rows, _fold_words
 
 __all__ = [
@@ -77,11 +77,9 @@ class PairSet:
     __slots__ = ("verts", "mask")
 
     def __init__(self, verts: np.ndarray, mask: np.ndarray):
-        verts = np.asarray(verts, dtype=np.int64)
-        if not np.all(np.diff(verts) > 0):
+        verts = _checked_vertices(None, verts)
+        if verts.ndim != 1 or not np.all(np.diff(verts) > 0):
             raise ValueError("pair universe must be sorted and duplicate-free")
-        if verts.size and verts[0] < 0:
-            raise ValueError("pair universe holds a negative vertex id")
         expected = verts.size * (verts.size - 1) // 2
         mask = np.asarray(mask, dtype=bool)
         if mask.shape != (expected,):
@@ -93,7 +91,7 @@ class PairSet:
 
     @classmethod
     def full(cls, verts) -> "PairSet":
-        verts = np.unique(np.asarray(verts, dtype=np.int64))
+        verts = np.unique(_checked_vertices(None, verts))
         size = verts.size * (verts.size - 1) // 2
         return cls(verts, np.ones(size, dtype=bool))
 
@@ -145,6 +143,7 @@ def sample_cover(
             raise ValueError("provide a seed or an rng")
         _check_int("seed", seed, 0)
         rng = np.random.default_rng([seed, 0xC0])
+    _check_type("rng", rng, np.random.Generator)
     draws = rng.integers(0, n, size=cover_draw_count(n, k))
     return np.unique(draws).astype(np.int64)
 
@@ -190,6 +189,7 @@ def uncovered_pairs(g: Graph, cover, within) -> PairSet:
     Emulation-side bookkeeping: nothing is charged here; callers charge
     the quantum cost appropriate to their context.
     """
+    _check_type("g", g, Graph)
     base = PairSet.full(_checked_vertices(g.n, within))
     cover = _checked_vertices(g.n, cover)
     if cover.size == 0 or base.universe_size == 0:
@@ -228,6 +228,7 @@ def cover_is_sparsifying(g: Graph, cover, k: float) -> bool:
     neighbours only for the pairs that survive, so no V-wide pair set is
     built. k must lie in (0, 1), as for sample_cover.
     """
+    _check_type("g", g, Graph)
     _check_real("cover exponent k", k, "(0, 1)")
     cover = _checked_vertices(g.n, cover)
     limit = g.n ** (1.0 - k)

@@ -54,6 +54,7 @@ from typing import Optional
 
 import numpy as np
 
+from ._checks import _check_bool, _check_int, _check_real, _check_type, _checked_vertices
 from .costs import (
     WalkCharge,
     grover_cost,
@@ -63,7 +64,6 @@ from .costs import (
     walk_cost_terms,
 )
 from .estimator import SamplePlan, estimate_all_apexes, estimator_charge
-from ._checks import _check_bool, _check_int, _check_real, _checked_vertices
 from .graph import (
     Graph, QueryLedger, Triangle, _first_closed_pair, brute_force_triangle, is_triangle,
 )
@@ -146,8 +146,15 @@ class AlgoParams:
         _check_real("cover exponent k", self.k, "(0, 1)")
         _check_bool("log_factors", self.log_factors)
         _check_int("seed", self.seed, 0)
-        if not isinstance(self.failure_injection, (FailureInjection, type(None))):
-            raise ValueError("failure_injection must be a FailureInjection or None")
+        _check_type("failure_injection", self.failure_injection, (FailureInjection, type(None)))
+        _check_int("n_min_guard", self.n_min_guard, 0)
+
+
+def _check_stage(g: Graph, params: AlgoParams, ledger: QueryLedger) -> None:
+    """ValueError unless a stage function got a Graph, AlgoParams and a ledger."""
+    _check_type("g", g, Graph)
+    _check_type("params", params, AlgoParams)
+    _check_type("ledger", ledger, QueryLedger)
 
 
 def block_size(n: int, a: float) -> int:
@@ -234,6 +241,7 @@ def search_cover_triangles(
     y would itself be such a vertex). The x that the pair stream skips,
     earlier cover vertices, have none: their pair with c was read first.
     """
+    _check_stage(g, params, ledger)
     cover = _checked_vertices(g.n, cover)
     if cover.size == 0:
         raise ValueError("cover must be nonempty")
@@ -292,6 +300,9 @@ def find_apex_witness(
     search_blocks' scan hit, so no witness is searched here; the name is
     kept because perfbench's tracer wraps this function by it.
     """
+    _check_stage(g, params, ledger)
+    _check_type("surviving", surviving, PairSet)
+    _check_real("charge_scale", charge_scale, "[0, inf)")
     n = g.n
     bsize = surviving.verts.size
     if bsize != block_size(n, params.a):
@@ -342,6 +353,10 @@ def search_blocks(
     only when no cover vertex lies in a triangle (the cover scan found
     nothing); the edge scan then skips every edge that touches the cover.
     """
+    _check_stage(g, params, ledger)
+    _check_type("plan_rng", plan_rng, np.random.Generator)
+    _check_type("block_rng", block_rng, np.random.Generator)
+    _check_bool("cover_negative", cover_negative)
     n = g.n
     cover = _checked_vertices(n, cover)
     bsize = block_size(n, params.a)
@@ -461,8 +476,10 @@ def find_triangle(g: Graph, params: AlgoParams) -> RunReport:
     envelope (times ceil(ln n)^3 when log factors are on); the stop never
     fires on honest inputs.
     """
+    _check_type("g", g, Graph)
+    _check_type("params", params, AlgoParams)
     n = g.n
-    _check_int("n (the size guard)", n, params.n_min_guard)
+    _check_int("graph size n", n, params.n_min_guard)
     r = inner_size(n, params.a)
     bsize = block_size(n, params.a)
     _check_int(f"inner subset size at n={n}, a={params.a}", r, 4, bsize)
@@ -559,9 +576,9 @@ def find_triangle(g: Graph, params: AlgoParams) -> RunReport:
 
 def naive_triples_baseline(g: Graph, log_factors: bool = False) -> RunReport:
     """Plain search over all vertex triples: charge sqrt(C(n,3))."""
+    _check_type("g", g, Graph)
     _check_bool("log_factors", log_factors)
-    if g.n < 3:
-        raise ValueError("triple search needs at least 3 vertices")
+    _check_int("vertex count of a triple search", g.n, 3)
     t0 = time.perf_counter()
     domain = comb(g.n, 3)
     outcome = brute_force_triangle(g)
@@ -579,6 +596,7 @@ def naive_triples_baseline(g: Graph, log_factors: bool = False) -> RunReport:
 
 def sparse_edges_baseline(g: Graph, log_factors: bool = False) -> RunReport:
     """Edge-count-aware baseline: charge n + sqrt(n m) for m true edges."""
+    _check_type("g", g, Graph)
     _check_bool("log_factors", log_factors)
     t0 = time.perf_counter()
     m_edges = g.edge_count

@@ -5,28 +5,66 @@ was silently accepted: a negative vertex id read the last row, a float
 count ran as its integer part, a bool count as 1, and a NaN charge made
 the ledger's total never exceed a budget. Every call must raise within a
 time bound, before any campaign work starts.
+
+The generated table feeds every argument of every callable that
+``triwalk`` exports but its result records (and of the public methods,
+``sigma_pass_line`` and ``fit_loglog``) each of seven bad values, one
+argument at a time, with the others valid. ALLOWED lists the legal
+outcomes that are not a ValueError.
 """
 
+import contextlib
+import inspect
 import math
 import signal
 
 import numpy as np
 import pytest
 
+import triwalk
 from triwalk import (
+    AlgoParams,
+    CampaignReport,
+    FailureInjection,
+    Graph,
+    PairSet,
     QueryLedger,
+    SamplePlan,
+    Triangle,
+    WalkCharge,
     correctness_suite,
     cover_is_sparsifying,
     random_bipartite,
     sample_cover,
     scaling_fit,
+    uncovered_pairs,
+    variable_search_cost,
     verify_cover_sparsity,
     verify_estimator_bounds,
     verify_subset_cap,
     wilson_interval,
+    write_edge_list,
+    write_packed,
 )
+from triwalk.harness import fit_loglog, sigma_pass_line
+from triwalk.pipeline import block_size
 
 G = random_bipartite(64, 0)
+
+
+@contextlib.contextmanager
+def within_5_s():
+    def hung(signum, frame):
+        raise AssertionError("the call ran past 5 s")
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.setitimer(signal.ITIMER_REAL, 5.0)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
 
 BAD_CALLS = {
     # Graph vertex ids.
@@ -78,22 +116,23 @@ BAD_CALLS = {
     "charge str": lambda: QueryLedger().charge("x", "1"),
     "add_raw float": lambda: QueryLedger().add_raw(1.5),
     "add_raw bool": lambda: QueryLedger().add_raw(True),
+    # A bool inside a list of numbers, which np.asarray reads as 0 or 1.
+    "uncovered_pairs bool in ids": lambda: uncovered_pairs(G, [0], [True, 2, 3]),
+    "pack_set bool in ids": lambda: G.pack_set([1, True]),
+    "from_edges bool in a pair": lambda: Graph.from_edges(4, [(0, 1), (True, 2)]),
+    "variable costs bool entry": lambda: variable_search_cost([True, 1.0]),
+    "variable costs nan entry": lambda: variable_search_cost([math.nan, 1.0]),
+    # A division by zero trials.
+    "campaign report zero trials": lambda: CampaignReport.from_counts("c", {}, 0, 0, 0.5),
+    # The log of a point <= 0 is NaN or -inf.
+    "fit_loglog zero y": lambda: fit_loglog([(16, 0.0), (32, 1.0)]),
 }
 
 
 @pytest.mark.parametrize("call", BAD_CALLS.values(), ids=BAD_CALLS.keys())
 def test_bad_input_raises_value_error(call):
-    def hung(signum, frame):
-        raise AssertionError("the call ran past 5 s")
-
-    previous = signal.signal(signal.SIGALRM, hung)
-    signal.setitimer(signal.ITIMER_REAL, 5.0)
-    try:
-        with pytest.raises(ValueError):
-            call()
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
+    with within_5_s(), pytest.raises(ValueError):
+        call()
 
 
 def test_numpy_scalars_stay_legal():
@@ -106,3 +145,238 @@ def test_numpy_scalars_stay_legal():
     assert wilson_interval(np.int64(3), np.int64(4)) == wilson_interval(3, 4)
     assert wilson_interval(3, 4, z=np.float64(2.0)) == wilson_interval(3, 4, z=2)
     assert np.array_equal(G.pack_set(np.array([3], dtype=np.uint8)), G.pack_set([3]))
+
+
+# -- the generated table --------------------------------------------------
+
+BAD_VALUES = {
+    "str": "x",
+    "bool": True,
+    "nan": math.nan,
+    "inf": math.inf,
+    "-1": -1,
+    "1.5": 1.5,
+    "None": None,
+}
+
+COVER = sample_cover(64, 0.5, seed=0)
+SURVIVING = uncovered_pairs(G, COVER, np.arange(block_size(64, 0.75)))
+
+
+def _rng():
+    return np.random.default_rng(0)
+
+
+def _written(path, writer):
+    """path, after writer wrote G there (the table runs in a temporary cwd)."""
+    writer(G, path)
+    return path
+
+
+LEDGER = QueryLedger()  # the receiver of the QueryLedger methods' cases
+
+# name -> (callable, factory of valid keyword arguments, one per parameter).
+VALID = {
+    # costs
+    "WalkCharge": (WalkCharge, lambda: dict(setup=1.0, update=1.0, check=1.0, r=4, eps=0.5)),
+    "grover_cost": (triwalk.grover_cost, lambda: dict(m=10, t=1.0, log_factors=False)),
+    "variable_search_cost": (
+        variable_search_cost, lambda: dict(costs=[1.0, 2.0], log_factors=False)
+    ),
+    "walk_cost": (
+        triwalk.walk_cost, lambda: dict(charge=WalkCharge(1, 1, 1, 4, 0.5), log_factors=False)
+    ),
+    # estimator
+    "SamplePlan": (SamplePlan, lambda: dict(n=64, m=8, pair_universe=100, rng=_rng())),
+    "estimate_all_apexes": (
+        triwalk.estimate_all_apexes,
+        lambda: dict(
+            g=G,
+            surviving=SURVIVING,
+            plan=SamplePlan(64, 8, SURVIVING.universe_size, _rng()),
+            ledger=QueryLedger(),
+        ),
+    ),
+    # graph
+    "Graph": (Graph, lambda: dict(dense=G.bool_matrix)),
+    "Graph.from_edges": (Graph.from_edges, lambda: dict(n=4, edges=[(0, 1), (2, 3)])),
+    "Graph.has_edge": (G.has_edge, lambda: dict(u=0, v=33)),
+    "Graph.query": (G.query, lambda: dict(ledger=QueryLedger(), u=0, v=33)),
+    "Graph.neighbors": (G.neighbors, lambda: dict(u=5)),
+    "Graph.bool_row": (G.bool_row, lambda: dict(u=5)),
+    "Graph.pack_set": (G.pack_set, lambda: dict(vertices=[1, 2])),
+    "QueryLedger": (QueryLedger, lambda: dict(charged={"x": 1.0}, raw_probes=0)),
+    "QueryLedger.charge": (LEDGER.charge, lambda: dict(phase="walk", amount=1.0)),
+    "QueryLedger.add_raw": (LEDGER.add_raw, lambda: dict(count=1)),
+    "brute_force_triangle": (triwalk.brute_force_triangle, lambda: dict(g=G)),
+    "erdos_renyi": (triwalk.erdos_renyi, lambda: dict(n=64, p=0.5, seed=0)),
+    "is_triangle": (triwalk.is_triangle, lambda: dict(g=G, tri=Triangle(0, 1, 2))),
+    "planted_instance": (triwalk.planted_instance, lambda: dict(n=64, seed=0)),
+    "planted_triple": (triwalk.planted_triple, lambda: dict(n=64, seed=0)),
+    "random_bipartite": (random_bipartite, lambda: dict(n=64, seed=0)),
+    "read_edge_list": (
+        triwalk.read_edge_list, lambda: dict(path=_written("g.txt", write_edge_list))
+    ),
+    "read_packed": (triwalk.read_packed, lambda: dict(path=_written("g.bin", write_packed))),
+    "write_edge_list": (write_edge_list, lambda: dict(g=G, path="g.txt")),
+    "write_packed": (write_packed, lambda: dict(g=G, path="g.bin")),
+    # harness
+    "correctness_suite": (
+        correctness_suite,
+        lambda: dict(
+            max_n=16, cases=1, seed=0, injection=None, planted_cases=1, planted_n=16
+        ),
+    ),
+    "scaling_fit": (
+        scaling_fit,
+        lambda: dict(
+            n_grid=[16, 20, 24], algo="naive", trials_per_n=1, family="er:0.5",
+            params=None, seed=0,
+        ),
+    ),
+    "verify_cover_sparsity": (
+        verify_cover_sparsity,
+        lambda: dict(n=32, k=0.5, trials=1, family="er:0.5", seed=0),
+    ),
+    "verify_estimator_bounds": (
+        verify_estimator_bounds,
+        lambda: dict(n=32, a=0.75, k=0.5, trials=1, family="er:0.5", seed=0),
+    ),
+    "verify_subset_cap": (
+        verify_subset_cap,
+        lambda: dict(size_a=32, r=8, trials=10, config="er-half", seed=0),
+    ),
+    "wilson_interval": (wilson_interval, lambda: dict(successes=1, trials=2, z=5.0)),
+    "sigma_pass_line": (sigma_pass_line, lambda: dict(bound=0.5, trials=10, z=5.0)),
+    "fit_loglog": (fit_loglog, lambda: dict(points=[(16, 1.0), (32, 2.0)])),
+    # pairs
+    "PairSet": (PairSet, lambda: dict(verts=np.arange(4), mask=np.ones(6, dtype=bool))),
+    "PairSet.full": (PairSet.full, lambda: dict(verts=[0, 2, 3])),
+    "cover_is_sparsifying": (
+        cover_is_sparsifying, lambda: dict(g=G, cover=COVER, k=0.5)
+    ),
+    "sample_cover": (sample_cover, lambda: dict(n=64, k=0.5, seed=0, rng=None)),
+    "subset_pair_cap": (
+        triwalk.subset_pair_cap, lambda: dict(r=8, parent_size=32, parent_apex_pairs=10)
+    ),
+    "uncovered_pairs": (uncovered_pairs, lambda: dict(g=G, cover=COVER, within=[0, 1, 40])),
+    "uncovered_pairs_at": (
+        triwalk.uncovered_pairs_at, lambda: dict(g=G, cover=COVER, within=[0, 1, 40], apex=33)
+    ),
+    # pipeline
+    "AlgoParams": (
+        AlgoParams,
+        lambda: dict(
+            a=0.75, k=0.5, log_factors=False, failure_injection=None, seed=0, n_min_guard=64
+        ),
+    ),
+    "FailureInjection": (
+        FailureInjection,
+        lambda: dict(walk_success=0.75, check_success=0.5, search_success=1.0),
+    ),
+    "find_apex_witness": (
+        triwalk.find_apex_witness,
+        lambda: dict(
+            g=G, surviving=SURVIVING, params=AlgoParams(), ledger=QueryLedger(), rng=_rng(),
+            charge_scale=1.0,
+        ),
+    ),
+    "find_triangle": (triwalk.find_triangle, lambda: dict(g=G, params=AlgoParams())),
+    "naive_triples_baseline": (
+        triwalk.naive_triples_baseline, lambda: dict(g=G, log_factors=False)
+    ),
+    "sparse_edges_baseline": (
+        triwalk.sparse_edges_baseline, lambda: dict(g=G, log_factors=False)
+    ),
+    "search_blocks": (
+        triwalk.search_blocks,
+        lambda: dict(
+            g=G, cover=COVER, params=AlgoParams(), ledger=QueryLedger(), plan_rng=_rng(),
+            block_rng=_rng(), cover_negative=False,
+        ),
+    ),
+    "search_cover_triangles": (
+        triwalk.search_cover_triangles,
+        lambda: dict(g=G, cover=COVER, params=AlgoParams(), ledger=QueryLedger()),
+    ),
+}
+
+# Exported records: they hold results the library computed, not arguments.
+RECORDS = {"Triangle", "RunReport", "CampaignReport", "FitResult"}
+
+# (callable, argument, bad value) -> its legal outcome: None for a call that
+# returns, else the exception it raises instead of ValueError.
+ALLOWED = {
+    **{
+        (name, "log_factors", "bool"): None
+        for name in (
+            "grover_cost", "variable_search_cost", "walk_cost", "AlgoParams",
+            "naive_triples_baseline", "sparse_edges_baseline",
+        )
+    },
+    ("search_blocks", "cover_negative", "bool"): None,  # true of G: it has no triangle
+    # A real cost, scale, count estimate or z of 1.5.
+    **{
+        (name, arg, "1.5"): None
+        for name, arg in (
+            ("WalkCharge", "setup"), ("WalkCharge", "update"), ("WalkCharge", "check"),
+            ("grover_cost", "t"), ("variable_search_cost", "costs"),
+            ("find_apex_witness", "charge_scale"), ("QueryLedger.charge", "amount"),
+            ("subset_pair_cap", "parent_apex_pairs"), ("wilson_interval", "z"),
+            ("sigma_pass_line", "z"),
+        )
+    },
+    # None stands for the default.
+    **{
+        (name, arg, "None"): None
+        for name, arg in (
+            ("estimate_all_apexes", "ledger"), ("sample_cover", "rng"),
+            ("correctness_suite", "injection"), ("scaling_fit", "params"),
+            ("AlgoParams", "failure_injection"), ("FailureInjection", "walk_success"),
+            ("FailureInjection", "check_success"), ("FailureInjection", "search_success"),
+        )
+    },
+    ("QueryLedger.charge", "phase", "str"): None,  # any name labels a phase
+    ("write_edge_list", "path", "str"): None,
+    ("write_packed", "path", "str"): None,
+    ("read_edge_list", "path", "str"): FileNotFoundError,
+    ("read_packed", "path", "str"): FileNotFoundError,
+}
+
+CASES = [
+    (name, arg, bad)
+    for name, (func, _) in VALID.items()
+    for arg in inspect.signature(func).parameters
+    for bad in BAD_VALUES
+]
+
+
+def test_table_covers_every_export(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    exported = {name for name, obj in vars(triwalk).items() if callable(obj)}
+    assert exported - RECORDS <= VALID.keys()
+    for name, (func, valid) in VALID.items():
+        assert valid().keys() == inspect.signature(func).parameters.keys(), name
+    assert ALLOWED.keys() <= set(CASES)
+
+
+@pytest.mark.parametrize("name", VALID)
+def test_valid_arguments_are_accepted(name, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    func, valid = VALID[name]
+    with within_5_s():
+        func(**valid())
+
+
+@pytest.mark.parametrize("name, arg, bad", CASES, ids=["-".join(case) for case in CASES])
+def test_every_argument_rejects_bad_values(name, arg, bad, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    func, valid = VALID[name]
+    kwargs = {**valid(), arg: BAD_VALUES[bad]}
+    outcome = ALLOWED.get((name, arg, bad), ValueError)
+    with within_5_s():
+        if outcome is None:
+            func(**kwargs)
+        else:
+            with pytest.raises(outcome):
+                func(**kwargs)
