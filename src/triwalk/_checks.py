@@ -109,12 +109,14 @@ def _checked_vertex(n: int, u) -> int:
 
 
 def _checked_vertices(n, vertices) -> np.ndarray:
-    """Integer ``vertices`` as int64; ValueError for float or bool ids, or ids
-    outside [0, n), or negative ids when n is None."""
+    """Integer ``vertices`` as a 1-D int64 array; ValueError for another shape,
+    float or bool ids, ids outside [0, n), or negative ids when n is None."""
     ids = np.asarray(vertices)
+    if ids.ndim != 1:
+        raise ValueError(f"vertex ids must be a 1-D list of ids, got shape {ids.shape}")
     if ids.size and ids.dtype.kind not in "iu":
         raise ValueError(f"vertex ids must be integers, got {ids.dtype}")
-    if _holds_bool(vertices, ids.ndim):
+    if _holds_bool(vertices, 1):
         raise ValueError("vertex ids must be integers, got a bool")
     ids = ids.astype(np.int64, copy=False)
     if ids.size and (ids.min() < 0 or n is not None and ids.max() >= n):

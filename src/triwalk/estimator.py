@@ -21,28 +21,26 @@ Guarantee over the plan draw: with probability at least 1 - 3/n, for every
 apex w the output lies in
     [count(w) / 3,  1.5 * max(|A|(|A|-1)/(2m), count(w))].
 
-Since the plan is shared, one pass over the packed adjacency rows scores
-every apex: a drawn pair (u, v) qualifies exactly at the set bits of
-rows[u] & rows[v]. c1 counts, per column, the rounds whose OR of those
-ANDs (over the round's surviving draws) has the bit; c2 counts, per
-column, the ANDs of surviving refinement draws. Adjacency probes short-
-circuit, which gives the closed form
+Since the plan is shared, one pass scores every apex: a drawn pair (u, v)
+qualifies exactly at the common neighbours of u and v. c1 counts, per
+apex, the rounds with a qualifying surviving draw, and c2 the qualifying
+surviving refinement draws (graph._apex_column_counts, c1 with the rounds
+as groups). Adjacency probes short-circuit, which gives the closed form
     probes(w) = S1 + F1(w) + [2 c1(w) > rounds] * (S3 + F3(w)),
 with S1, S3 the surviving screen / refinement draws and F1(w), F3(w)
 those of them whose first endpoint neighbours w. Only the total over
 apexes reaches a report, and summed over w, F1 is the total degree of
 the screen draws' first endpoints and F3, over the refined apexes, the
-total of |N(first endpoint) & refined|: first-endpoint counts times
-popcounts of the block's packed rows. The refinement draws (c2, S3, F3)
-are scored only when some apex reaches stage 3; otherwise every output
-is the floor.
+total of |N(first endpoint) & refined|: first-endpoint counts times the
+block's degrees. The refinement draws (c2, S3, F3) are scored only when
+some apex reaches stage 3; otherwise every output is the floor.
 
 A pair whose endpoints have no common neighbour (an open pair) qualifies
-at no apex. So the screen ANDs each distinct surviving pair it drew once,
-then gathers, ORs and column-counts only the draws of the other (closed)
-pairs; the probe total still counts every surviving draw. Where the cover
-prunes the closed pairs, as on random_bipartite inputs, no screen draw is
-gathered past that one pass.
+at no apex. So the screen counts the common neighbours of each distinct
+surviving pair it drew once, then scores only the draws of the other
+(closed) pairs; the probe total still counts every surviving draw. Where
+the cover prunes the closed pairs, as on random_bipartite inputs, no
+screen draw is scored past that one pass.
 """
 
 from __future__ import annotations
@@ -53,14 +51,8 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from ._checks import _check_int, _check_type
-from .graph import _SCAN_CAP, Graph, QueryLedger, _anded_rows, _fold_words
+from .graph import Graph, QueryLedger, _apex_column_counts, _common_counts, _degrees
 from .pairs import PairSet
-
-# _column_counts sums in uint16. It sees at most _SCAN_CAP rows at a time:
-# a refinement slice (and a slice of harness._true_apex_counts) holds at
-# most _SCAN_CAP pairs, and a screen slice passes one row per round for at
-# most _SCAN_CAP rounds.
-assert _SCAN_CAP < 1 << 16
 
 __all__ = [
     "SamplePlan",
@@ -123,50 +115,19 @@ class _ApexCounts(NamedTuple):
     probes: int
 
 
-def _column_counts(words: np.ndarray, n: int) -> np.ndarray:
-    """Per column, how many of the (rows, words) packed rows have that bit.
-
-    Summed in uint16, about 3x faster than in int64; exact below 65,536 rows.
-    """
-    bits = np.unpackbits(words.view(np.uint8), axis=1, count=n, bitorder="little")
-    return np.add.reduce(bits, axis=0, dtype=np.uint16)
-
-
-def _second_probes(rows: np.ndarray, first: np.ndarray, verts: np.ndarray, within=None) -> int:
-    """Sum over apexes w of the draws whose first endpoint neighbours w.
-
-    That is, over draws, the popcount of the first endpoint's row (ANDed
-    with the packed apex mask ``within`` when given). ``first`` holds block
-    vertices, so only the block's rows are read.
-    """
-    weights = np.bincount(first, minlength=rows.shape[0])[verts]
-    block = np.take(rows, verts, axis=0)
-    if within is not None:
-        block &= within
-    return int(weights @ _fold_words(np.add, np.bitwise_count(block), np.int64))
-
-
-def _closed_slots(
-    rows: np.ndarray, pu: np.ndarray, pv: np.ndarray, slots: np.ndarray, universe: int
-) -> np.ndarray:
-    """Per universe slot, whether it is in ``slots`` and its pair is closed.
-
-    A pair is closed when its endpoints have a common neighbour. Each
-    distinct slot is ANDed once, however often it was drawn.
-    """
-    closed = np.zeros(universe, dtype=bool)
-    closed[slots] = True
-    distinct = np.flatnonzero(closed)
-    for sl, common in _anded_rows(rows, pu[distinct], pv[distinct]):
-        closed[distinct[sl]] = _fold_words(np.bitwise_or, common) != 0
-    return closed
+def _second_probes(g: Graph, first: np.ndarray, verts: np.ndarray, within=None) -> int:
+    """Sum over apexes w of the draws whose first endpoint neighbours w: over
+    draws, the first endpoint's degree (within the packed apex mask ``within``
+    when given). ``first`` holds block vertices, so only their degrees are taken."""
+    weights = np.bincount(first, minlength=g.n)[verts]
+    return int(weights @ _degrees(g, verts, within))
 
 
 def _apex_counts(g: Graph, surviving: PairSet, plan: SamplePlan) -> _ApexCounts:
     """Run the estimator for every apex at once over the packed rows."""
     if plan.pair_universe != surviving.universe_size:
         raise ValueError("plan was materialized for a different block")
-    n, m, rows = g.n, plan.m, g._rows
+    n, m = g.n, plan.m
     pu, pv = surviving.endpoint_arrays()
     universe = surviving.universe_size
     # Flat plan positions (round * m + column) of the surviving screen draws.
@@ -182,33 +143,30 @@ def _apex_counts(g: Graph, surviving: PairSet, plan: SamplePlan) -> _ApexCounts:
     slots1 = draws1[kept1]
     verts = surviving.verts
     # Every surviving draw is probed, closed or open.
-    probes = n * slots1.size + _second_probes(rows, pu[slots1], verts)
-    # Only the draws of closed pairs can qualify at an apex.
-    closed1 = kept1[_closed_slots(rows, pu, pv, slots1, universe)[slots1]]
-    slots1, round1 = draws1[closed1], closed1 // m
-    # Gather slices of about _SCAN_CAP draws, each cut at the start of a
-    # round, so a round's OR never spans two slices (one round of more than
-    # _SCAN_CAP closed draws makes one larger slice).
-    stops = np.searchsorted(round1, round1[_SCAN_CAP::_SCAN_CAP])
-    c1 = zeros.copy()
-    for sl, both in _anded_rows(rows, pu[slots1], pv[slots1], stops):
-        starts = np.flatnonzero(np.diff(round1[sl], prepend=-1))
-        c1 += _column_counts(np.bitwise_or.reduceat(both, starts, axis=0), n)
+    probes = n * slots1.size + _second_probes(g, pu[slots1], verts)
+    # Only the draws of closed pairs can qualify at an apex. Each distinct
+    # drawn pair's common neighbours are counted once.
+    closed = np.zeros(universe, dtype=bool)
+    closed[slots1] = True
+    distinct = np.flatnonzero(closed)
+    closed[distinct] = _common_counts(g, pu[distinct], pv[distinct]) > 0
+    closed1 = kept1[closed[slots1]]
+    slots1 = draws1[closed1]  # a round's draws form one group
+    c1 = _apex_column_counts(g, pu[slots1], pv[slots1], group=closed1 // m)
     refined = 2 * c1 > plan.rounds
 
-    c2 = zeros.copy()
-    # Refinement gathers every surviving draw, with no closed-pair pass: it
+    c2 = zeros
+    # Refinement scores every surviving draw, with no closed-pair pass: it
     # runs only when some apex saw a closed draw in most rounds, which takes
     # a block dense in closed pairs, so the pass would add a gather and
     # skip little.
     if refined.any():
         slots3 = plan.refine_draws[surviving.mask[plan.refine_draws]]
         first3 = pu[slots3]
-        for _, both in _anded_rows(rows, first3, pv[slots3]):
-            c2 += _column_counts(both, n)
+        c2 = _apex_column_counts(g, first3, pv[slots3])
         outputs[refined] = c2[refined] * universe / plan.refine
         within = g.pack_set(np.flatnonzero(refined))
-        probes += int(refined.sum()) * slots3.size + _second_probes(rows, first3, verts, within)
+        probes += int(refined.sum()) * slots3.size + _second_probes(g, first3, verts, within)
     return _ApexCounts(c1, refined, c2, outputs, probes)
 
 

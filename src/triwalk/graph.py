@@ -3,7 +3,8 @@
 Adjacency is held in packed 64-bit rows so neighborhood intersections,
 common-neighbor counts and lexicographic scans run word-parallel. Graphs
 are immutable after construction and safe for concurrent readers; all
-randomness flows through explicit integer seeds.
+randomness flows through explicit integer seeds. No other module reads
+the rows: each reduction over them is written here once.
 
 No constructor builds an n x n matrix beyond the one a caller passes to
 ``Graph(dense)``. The generators write packed rows directly, 128 drawn
@@ -77,6 +78,7 @@ _PATH = (str, bytes, os.PathLike)
 # Packed rows in the largest temporary of a gather or a scan: 4096 rows
 # stay cache-sized and run about twice as fast as 65,536.
 _SCAN_CAP = 4096
+assert _SCAN_CAP < 1 << 16  # _column_counts sums at most _SCAN_CAP rows in uint16
 # Pairs in the first AND slice of a first-closed-pair scan; later slices
 # double up to _SCAN_CAP. A cover hit on a dense graph sits among the
 # first few pairs.
@@ -213,9 +215,7 @@ def _check_rows(n: int, rows: np.ndarray) -> None:
         raise ValueError("self loops are not representable")
     for r0 in range(0, n, _GEN_ROWS):
         chunk = rows[r0 : r0 + _GEN_ROWS]
-        bits = np.unpackbits(
-            chunk.view(np.uint8)[:, r0 >> 3 :], axis=1, count=n - r0, bitorder="little"
-        ).view(bool)
+        bits = _bits(chunk[:, r0 >> 6 :], n - r0)
         words = rows[r0:, r0 >> 6 : (r0 + chunk.shape[0] + 63) >> 6]
         if not np.array_equal(_pack_bool_columns(bits), words):
             raise ValueError("adjacency must be symmetric")
@@ -232,7 +232,7 @@ def _or_edges(rows: np.ndarray, n: int, pairs: list) -> None:
         raise ValueError("edges must be (u, v) pairs of integer vertex ids")
     if (ends[:, 0] == ends[:, 1]).any():
         raise ValueError("self loops are not representable")
-    ends = _checked_vertices(n, ends)
+    ends = _checked_vertices(n, ends.ravel()).reshape(ends.shape)
     flat, words = rows.reshape(-1), rows.shape[1]
     for u, v in ((ends[:, 0], ends[:, 1]), (ends[:, 1], ends[:, 0])):
         np.bitwise_or.at(flat, u * words + (v >> 6), np.uint64(1) << (v & 63).astype(np.uint64))
@@ -247,6 +247,22 @@ def _fold_words(op, words: np.ndarray, dtype=None) -> np.ndarray:
     return op.reduce(np.ascontiguousarray(words.T), axis=0, dtype=dtype)
 
 
+def _popcounts(words: np.ndarray) -> np.ndarray:
+    """Set bits per row of (rows, words) packed rows, as int64."""
+    return _fold_words(np.add, np.bitwise_count(words), np.int64)
+
+
+def _bits(words: np.ndarray, n: int) -> np.ndarray:
+    """The first n bits of each packed row in ``words`` (..., words), as booleans."""
+    return np.unpackbits(words.view(np.uint8), axis=-1, count=n, bitorder="little").view(bool)
+
+
+def _column_counts(words: np.ndarray, n: int) -> np.ndarray:
+    """Per column, how many of the (rows, words) packed rows have that bit.
+    Summed in uint16, about 3x faster than in int64; exact below 65,536 rows."""
+    return np.add.reduce(_bits(words, n).view(np.uint8), axis=0, dtype=np.uint16)
+
+
 def _first_bit(row_words: np.ndarray) -> Optional[int]:
     """Index of the lowest set bit in a packed row, or None if empty."""
     for wi in range(row_words.shape[0]):
@@ -259,12 +275,10 @@ def _first_bit(row_words: np.ndarray) -> Optional[int]:
 def _anded_rows(rows: np.ndarray, iu: np.ndarray, iv: np.ndarray, stops=None):
     """Yield (sl, rows[iu[sl]] & rows[iv[sl]]) over consecutive slices sl.
 
-    The pair gather of the pair-set kernels (the estimator, the harness's
-    exact counts, the sparsity check's common-neighbour counts); pruning
-    pairs by the cover is a product instead (pairs.py). Rows are taken
-    with np.take, 3-4x faster than fancy indexing, and ANDed in place. The
-    first-closed-pair scans do not use it: they take each head's row from
-    its block (_first_closed_pair).
+    The pair gather of _common_counts and _apex_column_counts. Rows are
+    taken with np.take, 3-4x faster than fancy indexing, and ANDed in
+    place. The first-closed-pair scans take each head's row from its block
+    instead (_first_closed_pair).
     Slices end at the increasing offsets ``stops`` when given (so a caller
     can align them with its own groups; empty slices are skipped), else
     every _SCAN_CAP pairs.
@@ -288,8 +302,8 @@ class Graph:
     packs a square boolean matrix into 64-bit rows and checks the packed
     rows (see ``_check_rows``); ``from_edges`` and the readers build packed
     rows without any n x n matrix. Use :meth:`query` for oracle-style
-    access that tallies raw probes on a ledger, and the ``_rows`` bitset
-    view for emulation-side bulk scans.
+    access that tallies raw probes on a ledger; emulation-side bulk scans
+    are this module's reductions over the ``_rows`` bitset view.
     """
 
     __slots__ = ("n", "_rows")
@@ -350,15 +364,11 @@ class Graph:
     @property
     def bool_matrix(self) -> np.ndarray:
         """Dense boolean adjacency, unpacked afresh on every call."""
-        return np.unpackbits(
-            self._rows.view(np.uint8), axis=1, count=self.n, bitorder="little"
-        ).view(bool)
+        return _bits(self._rows, self.n)
 
     def bool_row(self, u: int) -> np.ndarray:
         """Row u of the adjacency as n booleans, unpacked from its packed row."""
-        return np.unpackbits(
-            self._rows[_checked_vertex(self.n, u)].view(np.uint8), count=self.n, bitorder="little"
-        ).view(bool)
+        return _bool_rows(self, _checked_vertex(self.n, u))
 
     def neighbors(self, u: int) -> np.ndarray:
         return np.flatnonzero(self.bool_row(u))
@@ -400,6 +410,48 @@ def is_triangle(g: Graph, tri: Triangle) -> bool:
     return len({a, b, c}) == 3 and g.has_edge(a, b) and g.has_edge(a, c) and g.has_edge(b, c)
 
 
+# -- reductions over packed rows, for the pair-set code (ids already checked)
+
+
+def _bool_rows(g: Graph, verts) -> np.ndarray:
+    """The adjacency rows of ``verts`` (an id or an id array) as n booleans each."""
+    return _bits(np.take(g._rows, verts, axis=0), g.n)
+
+
+def _degrees(g: Graph, verts: np.ndarray, within=None) -> np.ndarray:
+    """Per vertex of ``verts``, its neighbour count (within the packed set ``within``), int64."""
+    rows = np.take(g._rows, verts, axis=0)
+    if within is not None:
+        rows &= within
+    return _popcounts(rows)
+
+
+def _common_counts(g: Graph, pu: np.ndarray, pv: np.ndarray) -> np.ndarray:
+    """Per pair (pu[j], pv[j]), the number of vertices adjacent to both ends."""
+    counts = np.empty(pu.shape[0], dtype=np.int64)
+    for sl, common in _anded_rows(g._rows, pu, pv):
+        counts[sl] = _popcounts(common)
+    return counts
+
+
+def _apex_column_counts(g: Graph, pu: np.ndarray, pv: np.ndarray, group=None) -> np.ndarray:
+    """Per apex w, as int64, the pairs (pu[j], pv[j]) with w as a common neighbour.
+
+    With ``group``, a non-negative nondecreasing label per pair, it counts
+    the groups holding such a pair instead. Slices are then cut at a group
+    start near every _SCAN_CAP pairs, so a group's OR never spans two (a
+    longer group is one slice), and no slice ORs down to over _SCAN_CAP rows.
+    """
+    counts = np.zeros(g.n, dtype=np.int64)
+    stops = None if group is None else np.searchsorted(group, group[_SCAN_CAP::_SCAN_CAP])
+    for sl, common in _anded_rows(g._rows, pu, pv, stops):
+        if group is not None:
+            starts = np.flatnonzero(np.diff(group[sl], prepend=-1))
+            common = np.bitwise_or.reduceat(common, starts, axis=0)
+        counts += _column_counts(common, g.n)
+    return counts
+
+
 def _pair_stream(g: Graph, heads: np.ndarray, within: Optional[np.ndarray] = None):
     """Yield (u, rows, head, x) for consecutive, growing blocks u of ``heads``.
 
@@ -428,10 +480,9 @@ def _pair_stream(g: Graph, heads: np.ndarray, within: Optional[np.ndarray] = Non
         low = np.maximum((u + 1)[:, None] - word_start, 0).astype(np.uint64)
         keep = (~np.uint64(0) << low) & within | others
         keep &= rows
-        bits = np.unpackbits(keep.view(np.uint8), axis=1, count=n, bitorder="little").view(bool)
         # Split flat indices into (row, column) without a division.
-        head = np.repeat(np.arange(u.size), _fold_words(np.add, np.bitwise_count(keep), np.int64))
-        yield u, rows, head, np.flatnonzero(bits) - head * n
+        head = np.repeat(np.arange(u.size), _popcounts(keep))
+        yield u, rows, head, np.flatnonzero(_bits(keep, n)) - head * n
 
 
 def _first_closed_pair(

@@ -20,10 +20,10 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from ._checks import _check_int, _check_real, _check_type, _checked_reals
-from .estimator import SamplePlan, _column_counts, estimate_all_apexes
+from .estimator import SamplePlan, estimate_all_apexes
 from .graph import (
     Graph,
-    _anded_rows,
+    _apex_column_counts,
     brute_force_triangle,
     erdos_renyi,
     is_triangle,
@@ -31,7 +31,6 @@ from .graph import (
     random_bipartite,
 )
 from .pairs import (
-    PairSet,
     cover_is_sparsifying,
     sample_cover,
     subset_pair_cap,
@@ -208,15 +207,6 @@ def verify_cover_sparsity(
     )
 
 
-def _true_apex_counts(g: Graph, surviving: PairSet) -> np.ndarray:
-    """Exact per-apex surviving-pair counts: column counts of the pairs' ANDed rows."""
-    counts = np.zeros(g.n, dtype=np.int64)
-    pu, pv = surviving.selected_endpoints()
-    for _, common in _anded_rows(g._rows, pu, pv):
-        counts += _column_counts(common, g.n)
-    return counts
-
-
 def verify_estimator_bounds(
     n: int,
     a: float,
@@ -247,7 +237,7 @@ def verify_estimator_bounds(
         cover = sample_cover(n, k, rng=rng)
         block = np.sort(rng.choice(n, size=bsize, replace=False))
         surviving = uncovered_pairs(g, cover, block)
-        counts = _true_apex_counts(g, surviving)
+        counts = _apex_column_counts(g, *surviving.selected_endpoints())  # exact
         plan = SamplePlan(n, m, surviving.universe_size, rng=rng)
         estimates, _ = estimate_all_apexes(g, surviving, plan)
         floor_ref = bsize * (bsize - 1) / (2.0 * m)

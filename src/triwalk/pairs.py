@@ -33,7 +33,7 @@ from typing import Optional
 import numpy as np
 
 from ._checks import _check_int, _check_real, _check_type, _checked_reals, _checked_vertices
-from .graph import Graph, _anded_rows, _fold_words
+from .graph import Graph, _bool_rows, _common_counts
 
 __all__ = [
     "PairSet",
@@ -78,7 +78,7 @@ class PairSet:
 
     def __init__(self, verts: np.ndarray, mask: np.ndarray):
         verts = _checked_vertices(None, verts)
-        if verts.ndim != 1 or not np.all(np.diff(verts) > 0):
+        if not np.all(np.diff(verts) > 0):
             raise ValueError("pair universe must be sorted and duplicate-free")
         expected = verts.size * (verts.size - 1) // 2
         mask = np.asarray(mask, dtype=bool)
@@ -90,10 +90,17 @@ class PairSet:
     # -- constructors ---------------------------------------------------
 
     @classmethod
+    def _of(cls, verts: np.ndarray, mask: np.ndarray) -> "PairSet":
+        """Unchecked: ``verts`` sorted distinct checked ids, ``mask`` a bool a pair."""
+        pairs = cls.__new__(cls)
+        pairs.verts, pairs.mask = verts, mask
+        return pairs
+
+    @classmethod
     def full(cls, verts) -> "PairSet":
         verts = np.unique(_checked_vertices(None, verts))
         size = verts.size * (verts.size - 1) // 2
-        return cls(verts, np.ones(size, dtype=bool))
+        return cls._of(verts, np.ones(size, dtype=bool))
 
     # -- universe geometry ----------------------------------------------
 
@@ -163,13 +170,9 @@ def _uncovered_tiles(g: Graph, cover: np.ndarray, verts: np.ndarray):
     x = np.empty((b, cover.size), dtype=np.float32)
     step = max(1, _PRODUCT_ENTRIES // n)
     for i in range(0, b, step):
-        bits = np.unpackbits(
-            np.take(g._rows, verts[i : i + step], axis=0).view(np.uint8),
-            axis=1, count=n, bitorder="little",
-        ).view(bool)
         # astype's bool-to-float cast is about 10x faster than assigning the
         # bools into x.
-        x[i : i + step] = bits[:, cover].astype(np.float32)
+        x[i : i + step] = _bool_rows(g, verts[i : i + step])[:, cover].astype(np.float32)
     i = 0
     while i < b:
         w = b - i
@@ -184,21 +187,22 @@ def uncovered_pairs(g: Graph, cover, within) -> PairSet:
     A pair is pruned exactly when both endpoints are neighbors of some
     cover vertex: when its entry of the cover-column product X X^T is
     positive (see the module docstring). The mask is read tile by tile
-    from the product's upper triangle. An empty cover prunes nothing. A
-    vertex id outside [0, n) in either set raises ValueError.
+    from the product's upper triangle. An empty cover prunes nothing.
+    Either set must be a 1-D list of integer ids in [0, n), else ValueError.
     Emulation-side bookkeeping: nothing is charged here; callers charge
     the quantum cost appropriate to their context.
     """
     _check_type("g", g, Graph)
-    base = PairSet.full(_checked_vertices(g.n, within))
+    verts = np.unique(_checked_vertices(g.n, within))
     cover = _checked_vertices(g.n, cover)
-    if cover.size == 0 or base.universe_size == 0:
-        return base
+    b = verts.size
+    if cover.size == 0 or b < 2:
+        return PairSet._of(verts, np.ones(b * (b - 1) // 2, dtype=bool))
     slots = []
-    for _, free in _uncovered_tiles(g, cover, base.verts):
+    for _, free in _uncovered_tiles(g, cover, verts):
         t, w = free.shape
         slots.append(free[np.arange(w) > np.arange(t)[:, None]])
-    return PairSet(base.verts, np.concatenate(slots))
+    return PairSet._of(verts, np.concatenate(slots))
 
 
 def uncovered_pairs_at(g: Graph, cover, within, apex: int) -> PairSet:
@@ -206,15 +210,7 @@ def uncovered_pairs_at(g: Graph, cover, within, apex: int) -> PairSet:
     surviving = uncovered_pairs(g, cover, within)
     adj = g.bool_row(apex)
     pu, pv = surviving.endpoint_arrays()
-    return PairSet(surviving.verts, surviving.mask & adj[pu] & adj[pv])
-
-
-def common_neighbor_counts(g: Graph, pu: np.ndarray, pv: np.ndarray) -> np.ndarray:
-    """For each pair (pu[j], pv[j]), the number of vertices adjacent to both ends."""
-    counts = np.empty(pu.shape[0], dtype=np.int64)
-    for sl, common in _anded_rows(g._rows, pu, pv):
-        counts[sl] = _fold_words(np.add, np.bitwise_count(common), np.int64)
-    return counts
+    return PairSet._of(surviving.verts, surviving.mask & adj[pu] & adj[pv])
 
 
 def cover_is_sparsifying(g: Graph, cover, k: float) -> bool:
@@ -236,7 +232,7 @@ def cover_is_sparsifying(g: Graph, cover, k: float) -> bool:
         # flatnonzero is about 10x faster than a 2-D nonzero.
         r, c = np.divmod(np.flatnonzero(free), free.shape[1])
         pair = c > r
-        if (common_neighbor_counts(g, i + r[pair], i + c[pair]) > limit).any():
+        if (_common_counts(g, i + r[pair], i + c[pair]) > limit).any():
             return False
     return True
 

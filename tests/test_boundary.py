@@ -66,6 +66,23 @@ def within_5_s():
         signal.signal(signal.SIGALRM, previous)
 
 
+# Vertex sets that are not a 1-D list of ids: each once failed deep in
+# the product with a numpy broadcast error, or read the ids flattened.
+WRONG_SHAPE_CALLS = {
+    "uncovered_pairs scalar cover": lambda: uncovered_pairs(G, 5, [1, 2, 3]),
+    "uncovered_pairs scalar within": lambda: uncovered_pairs(G, [5], 3),
+    "cover_is_sparsifying scalar cover": lambda: cover_is_sparsifying(G, 5, 0.5),
+    "search_blocks 2-D cover": lambda: triwalk.search_blocks(
+        G, [[0, 1]], AlgoParams(), QueryLedger(), np.random.default_rng(0),
+        np.random.default_rng(0), False,
+    ),
+    "search_cover_triangles scalar cover": lambda: triwalk.search_cover_triangles(
+        G, 5, AlgoParams(), QueryLedger()
+    ),
+    "PairSet.full 2-D ids": lambda: PairSet.full([[1, 2], [3, 4]]),
+    "pack_set scalar id": lambda: G.pack_set(5),
+}
+
 BAD_CALLS = {
     # Graph vertex ids.
     "has_edge float id": lambda: G.has_edge(0, 1.5),
@@ -122,6 +139,7 @@ BAD_CALLS = {
     "from_edges bool in a pair": lambda: Graph.from_edges(4, [(0, 1), (True, 2)]),
     "variable costs bool entry": lambda: variable_search_cost([True, 1.0]),
     "variable costs nan entry": lambda: variable_search_cost([math.nan, 1.0]),
+    **WRONG_SHAPE_CALLS,
     # A division by zero trials.
     "campaign report zero trials": lambda: CampaignReport.from_counts("c", {}, 0, 0, 0.5),
     # The log of a point <= 0 is NaN or -inf.
@@ -132,6 +150,12 @@ BAD_CALLS = {
 @pytest.mark.parametrize("call", BAD_CALLS.values(), ids=BAD_CALLS.keys())
 def test_bad_input_raises_value_error(call):
     with within_5_s(), pytest.raises(ValueError):
+        call()
+
+
+@pytest.mark.parametrize("call", WRONG_SHAPE_CALLS.values(), ids=WRONG_SHAPE_CALLS.keys())
+def test_wrong_shape_is_named(call):
+    with pytest.raises(ValueError, match=r"vertex ids must be a 1-D list of ids, got shape"):
         call()
 
 

@@ -9,14 +9,15 @@ from hypothesis import strategies as st
 
 from triwalk import Graph, PairSet, QueryLedger, erdos_renyi, random_bipartite
 from triwalk import estimator as estimator_module
-from triwalk.graph import _SCAN_CAP, _anded_rows
+from triwalk import graph as graph_module
+from triwalk.graph import _SCAN_CAP, _common_counts
 from triwalk.estimator import (
     SamplePlan,
     _apex_counts,
     estimate_all_apexes,
     estimator_charge,
 )
-from triwalk.pairs import common_neighbor_counts, uncovered_pairs
+from triwalk.pairs import uncovered_pairs
 
 EMPTY = np.array([], dtype=np.int64)
 
@@ -80,7 +81,7 @@ def reference_probes(g, surv, plan):
 
 def closed_surviving(g, surv):
     """Per surviving pair, in canonical order, whether its ends share a neighbour."""
-    return common_neighbor_counts(g, *surv.selected_endpoints()) > 0
+    return _common_counts(g, *surv.selected_endpoints()) > 0
 
 
 def all_open_case():
@@ -318,13 +319,13 @@ class TestKernelMatchesReference:
         # refinement slices, and with m above _SCAN_CAP each screen slice
         # holds one round; no slice reaches _SCAN_CAP + 1 rows.
         seen = []
-        count = estimator_module._column_counts
+        count = graph_module._column_counts
 
         def recording(words, n):
             seen.append(words.shape[0])
             return count(words, n)
 
-        monkeypatch.setattr(estimator_module, "_column_counts", recording)
+        monkeypatch.setattr(graph_module, "_column_counts", recording)
         g = erdos_renyi(16, 1.0, seed=0)
         surv = uncovered_pairs(g, EMPTY, np.arange(16))
         plan = SamplePlan(16, 500, surv.universe_size, rng=plan_rng(3))
@@ -343,17 +344,18 @@ class TestUnreadWorkSkipped:
 
     def test_open_draws_are_not_gathered(self, monkeypatch):
         # Each distinct drawn pair is ANDed once to find it open; no draw row
-        # is gathered after that and no column is counted.
+        # is gathered after that and no column is counted. The case is built
+        # first: its own closedness check gathers through the same kernel.
+        g, surv = all_open_case()
         gathered, counted = [], []
-        anded_rows = estimator_module._anded_rows
+        anded_rows = graph_module._anded_rows
 
         def recording_gather(rows, iu, iv, stops=None):
             gathered.append(iu.size)
             return anded_rows(rows, iu, iv, stops)
 
-        monkeypatch.setattr(estimator_module, "_anded_rows", recording_gather)
-        monkeypatch.setattr(estimator_module, "_column_counts", lambda *a: counted.append(a))
-        g, surv = all_open_case()
+        monkeypatch.setattr(graph_module, "_anded_rows", recording_gather)
+        monkeypatch.setattr(graph_module, "_column_counts", lambda *a: counted.append(a))
         plan = SamplePlan(64, 8, surv.universe_size, rng=plan_rng(7))
         drawn = plan.screen_draws[surv.mask[plan.screen_draws]]
         assert drawn.size > np.unique(drawn).size  # some pair is drawn twice
@@ -368,9 +370,9 @@ class TestUnreadWorkSkipped:
         sizes = []
         second_probes = estimator_module._second_probes
 
-        def recording(rows, first, verts, within=None):
+        def recording(g, first, verts, within=None):
             sizes.append(first.size)
-            return second_probes(rows, first, verts, within)
+            return second_probes(g, first, verts, within)
 
         monkeypatch.setattr(estimator_module, "_second_probes", recording)
         counts = _apex_counts(g, surv, plan)
@@ -426,59 +428,3 @@ class TestEstimatorGuarantee:
         bound = 1 - 3.0 / n
         sigma = math.sqrt(bound * (1 - bound) / trials)
         assert hits / trials >= bound - 5 * sigma
-
-
-class TestGather:
-    """The packed-row gather every kernel shares."""
-
-    def _rows(self, n=200, seed=7):
-        return erdos_renyi(n, 0.3, seed)._rows
-
-    def _joined(self, rows, iu, iv, stops=None):
-        parts = list(_anded_rows(rows, iu, iv, stops))
-        starts = [sl.start for sl, _ in parts]
-        assert starts == sorted(starts)
-        # The slices are consecutive and cover every pair once.
-        assert [sl.stop for sl, _ in parts[:-1]] == starts[1:]
-        return parts
-
-    @pytest.mark.parametrize("size", [0, 1, 2, _SCAN_CAP, _SCAN_CAP + 1, 3 * _SCAN_CAP - 5])
-    def test_matches_fancy_indexing(self, size):
-        rows = self._rows()
-        rng = np.random.default_rng(size)
-        iu = rng.integers(0, rows.shape[0], size)
-        iv = rng.integers(0, rows.shape[0], size)
-        parts = self._joined(rows, iu, iv)
-        assert len(parts) == -(-size // _SCAN_CAP)
-        assert all(common.shape[0] <= _SCAN_CAP for _, common in parts)
-        got = [c for _, c in parts] or [np.empty((0, rows.shape[1]), np.uint64)]
-        assert np.array_equal(np.concatenate(got), rows[iu] & rows[iv])
-
-    def test_single_pair(self):
-        rows = self._rows()
-        ((sl, common),) = _anded_rows(rows, np.array([3]), np.array([5]))
-        assert sl == slice(0, 1)
-        assert np.array_equal(common, rows[[3]] & rows[[5]])
-
-    def test_empty_input_yields_nothing(self):
-        rows = self._rows()
-        empty = np.array([], dtype=np.int64)
-        assert list(_anded_rows(rows, empty, empty)) == []
-        assert list(_anded_rows(rows, empty, empty, [0, 0])) == []
-
-    def test_stops_cut_the_slices(self):
-        rows = self._rows()
-        rng = np.random.default_rng(1)
-        iu, iv = rng.integers(0, rows.shape[0], (2, 50))
-        # Repeated and zero stops give empty slices, which are skipped.
-        parts = self._joined(rows, iu, iv, [0, 7, 7, 20, 49])
-        assert [sl for sl, _ in parts] == [slice(0, 7), slice(7, 20), slice(20, 49), slice(49, 50)]
-        for sl, common in parts:
-            assert np.array_equal(common, rows[iu[sl]] & rows[iv[sl]])
-
-    def test_does_not_modify_the_rows(self):
-        rows = self._rows()
-        before = rows.copy()
-        for _ in _anded_rows(rows, np.arange(10), np.arange(10, 20)):
-            pass
-        assert np.array_equal(rows, before)

@@ -1,10 +1,12 @@
 """Graph storage, generators, ground-truth search, and the query ledger."""
 
+import ast
 import itertools
 import math
 import os
 import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,11 +32,15 @@ from triwalk import (
 )
 import triwalk.graph
 from triwalk.graph import (
+    _SCAN_CAP,
     _SPLIT_DRAW,
     _TAG_BIPARTITE,
     _TAG_ER,
+    _anded_rows,
+    _apex_column_counts,
     _fold_words,
     _pack_bool_rows,
+    _popcounts,
 )
 
 
@@ -292,6 +298,7 @@ class TestPackedGenerators:
         counts = np.bitwise_count(rows)
         assert np.array_equal(_fold_words(np.bitwise_or, rows) != 0, rows.any(axis=1))
         assert np.array_equal(_fold_words(np.add, counts, np.int64), counts.sum(axis=1, dtype=np.int64))
+        assert np.array_equal(_popcounts(rows), counts.sum(axis=1, dtype=np.int64))
 
 
 @pytest.fixture
@@ -814,3 +821,175 @@ class TestReaderFuzz:
         if g is not None:  # accepted files hold exactly the graph they load as
             write_packed(g, path)
             assert path.read_bytes() == blob
+
+
+class TestGather:
+    """The packed-row gather of the pair-row reductions."""
+
+    def _rows(self, n=200, seed=7):
+        return erdos_renyi(n, 0.3, seed)._rows
+
+    def _joined(self, rows, iu, iv, stops=None):
+        parts = list(_anded_rows(rows, iu, iv, stops))
+        starts = [sl.start for sl, _ in parts]
+        assert starts == sorted(starts)
+        # The slices are consecutive and cover every pair once.
+        assert [sl.stop for sl, _ in parts[:-1]] == starts[1:]
+        return parts
+
+    @pytest.mark.parametrize("size", [0, 1, 2, _SCAN_CAP, _SCAN_CAP + 1, 3 * _SCAN_CAP - 5])
+    def test_matches_fancy_indexing(self, size):
+        rows = self._rows()
+        rng = np.random.default_rng(size)
+        iu = rng.integers(0, rows.shape[0], size)
+        iv = rng.integers(0, rows.shape[0], size)
+        parts = self._joined(rows, iu, iv)
+        assert len(parts) == -(-size // _SCAN_CAP)
+        assert all(common.shape[0] <= _SCAN_CAP for _, common in parts)
+        got = [c for _, c in parts] or [np.empty((0, rows.shape[1]), np.uint64)]
+        assert np.array_equal(np.concatenate(got), rows[iu] & rows[iv])
+
+    def test_single_pair(self):
+        rows = self._rows()
+        ((sl, common),) = _anded_rows(rows, np.array([3]), np.array([5]))
+        assert sl == slice(0, 1)
+        assert np.array_equal(common, rows[[3]] & rows[[5]])
+
+    def test_empty_input_yields_nothing(self):
+        rows = self._rows()
+        empty = np.array([], dtype=np.int64)
+        assert list(_anded_rows(rows, empty, empty)) == []
+        assert list(_anded_rows(rows, empty, empty, [0, 0])) == []
+
+    def test_stops_cut_the_slices(self):
+        rows = self._rows()
+        rng = np.random.default_rng(1)
+        iu, iv = rng.integers(0, rows.shape[0], (2, 50))
+        # Repeated and zero stops give empty slices, which are skipped.
+        parts = self._joined(rows, iu, iv, [0, 7, 7, 20, 49])
+        assert [sl for sl, _ in parts] == [slice(0, 7), slice(7, 20), slice(20, 49), slice(49, 50)]
+        for sl, common in parts:
+            assert np.array_equal(common, rows[iu[sl]] & rows[iv[sl]])
+
+    def test_does_not_modify_the_rows(self):
+        rows = self._rows()
+        before = rows.copy()
+        for _ in _anded_rows(rows, np.arange(10), np.arange(10, 20)):
+            pass
+        assert np.array_equal(rows, before)
+
+
+def apex_counts_by_pair_loop(g, pu, pv, group=None):
+    """Per apex, the pairs, or with ``group`` the groups of pairs, that it
+    closes: each group's common-neighbour rows ORed, then counted."""
+    adj = g.bool_matrix
+    labels = np.arange(pu.size) if group is None else group
+    counts = np.zeros(g.n, dtype=np.int64)
+    for label in np.unique(labels):
+        closed = np.zeros(g.n, dtype=bool)
+        for j in np.flatnonzero(labels == label).tolist():
+            closed |= adj[pu[j]] & adj[pv[j]]
+        counts += closed
+    return counts
+
+
+class TestApexColumnCounts:
+    """_apex_column_counts against a per-pair OR-then-count loop, with the
+    gather slices it cuts recorded."""
+
+    def run(self, monkeypatch, pu, pv, group=None, n=40):
+        g = erdos_renyi(n, 0.3, seed=11)
+        slices = []
+
+        def recording(rows, iu, iv, stops=None):
+            for sl, common in _anded_rows(rows, iu, iv, stops):
+                slices.append(sl)
+                yield sl, common
+
+        monkeypatch.setattr(triwalk.graph, "_anded_rows", recording)
+        counts = _apex_column_counts(g, pu, pv, group)
+        assert counts.dtype == np.int64
+        assert np.array_equal(counts, apex_counts_by_pair_loop(g, pu, pv, group))
+        return slices
+
+    @staticmethod
+    def pairs(size, seed):
+        rng = np.random.default_rng(seed)
+        return rng.integers(0, 40, (2, size))
+
+    def test_ungrouped_slices_hold_scan_cap_pairs(self, monkeypatch):
+        pu, pv = self.pairs(2 * _SCAN_CAP + 9, 1)
+        slices = self.run(monkeypatch, pu, pv)
+        assert [sl.stop - sl.start for sl in slices] == [_SCAN_CAP, _SCAN_CAP, 9]
+
+    def test_group_longer_than_a_slice(self, monkeypatch):
+        # Groups of 3 pairs, one of _SCAN_CAP + 100 pairs from pair 3000 on,
+        # then groups of 3 again: the long group is one slice of its own
+        # start, never split.
+        size = 3 * _SCAN_CAP
+        group = np.arange(size) // 3
+        group[3000 : 3000 + _SCAN_CAP + 100] = group[3000]
+        group[3000 + _SCAN_CAP + 100 :] += 1
+        pu, pv = self.pairs(size, 2)
+        slices = self.run(monkeypatch, pu, pv, group)
+        starts = [sl.start for sl in slices]
+        assert 3000 in starts and 3000 + _SCAN_CAP + 100 not in starts
+        assert max(sl.stop - sl.start for sl in slices) > _SCAN_CAP
+        # Every slice starts a group, and no group spans two slices.
+        assert all(s == 0 or group[s] != group[s - 1] for s in starts)
+        # Each slice ORs down to at most _SCAN_CAP groups.
+        assert all(np.unique(group[sl]).size <= _SCAN_CAP for sl in slices)
+
+    def test_group_ending_on_a_slice_edge(self, monkeypatch):
+        # Groups of 64 pairs: a group ends exactly at every multiple of
+        # _SCAN_CAP, so the slices are the plain _SCAN_CAP ones.
+        size = 2 * _SCAN_CAP + 64
+        pu, pv = self.pairs(size, 3)
+        slices = self.run(monkeypatch, pu, pv, np.arange(size) // 64)
+        assert slices == [
+            slice(0, _SCAN_CAP), slice(_SCAN_CAP, 2 * _SCAN_CAP), slice(2 * _SCAN_CAP, size)
+        ]
+
+    def test_groups_of_one_equal_the_ungrouped_counts(self, monkeypatch):
+        pu, pv = self.pairs(_SCAN_CAP + 50, 4)
+        self.run(monkeypatch, pu, pv, np.arange(pu.size))
+
+    @pytest.mark.parametrize("group", [None, np.array([], dtype=np.int64)])
+    def test_empty_input_counts_nothing(self, monkeypatch, group):
+        empty = np.array([], dtype=np.int64)
+        assert self.run(monkeypatch, empty, empty, group) == []
+
+
+# Names that only graph.py, the owner of the packed rows, may use.
+ROW_LAYOUT_NAMES = {
+    "_rows", "unpackbits", "bitwise_count",
+    "_anded_rows", "_fold_words", "_column_counts", "_SCAN_CAP",
+}
+
+
+def row_layout_uses(tree):
+    """(line, name) of each attribute, name or import in ``tree`` that is a
+    ROW_LAYOUT_NAMES entry: ``g._rows``, ``np.unpackbits(...)``, an imported
+    ``_SCAN_CAP``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            name = node.attr
+        elif isinstance(node, ast.Name):
+            name = node.id
+        elif isinstance(node, ast.alias):
+            name = node.name
+        else:
+            continue
+        if name in ROW_LAYOUT_NAMES:
+            yield getattr(node, "lineno", None), name
+
+
+def test_only_graph_touches_the_packed_rows():
+    package = Path(triwalk.graph.__file__).parent
+    uses = {
+        path.name: list(row_layout_uses(ast.parse(path.read_text(), path.name)))
+        for path in sorted(package.glob("*.py"))
+    }
+    assert uses.pop("graph.py")  # the check sees the owner's own uses
+    assert uses.keys() >= {"pairs.py", "estimator.py", "harness.py"}
+    assert {name: found for name, found in uses.items() if found} == {}

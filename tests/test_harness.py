@@ -17,7 +17,7 @@ from triwalk import (
     wilson_interval,
 )
 from triwalk import harness
-from triwalk.graph import _SCAN_CAP
+from triwalk.graph import _SCAN_CAP, _apex_column_counts
 from triwalk.harness import SUBSET_CAP_CONFIGS, fit_loglog, parse_family, sigma_pass_line
 from triwalk.pairs import sample_cover, uncovered_pairs, uncovered_pairs_at
 
@@ -190,7 +190,7 @@ class TestEstimatorCampaign:
         cover = sample_cover(n, k, seed=7) if k is not None else np.array([], dtype=np.int64)
         surviving = uncovered_pairs(g, cover, np.arange(n))
         assert -(-len(surviving) // _SCAN_CAP) == slices
-        counts = harness._true_apex_counts(g, surviving)
+        counts = _apex_column_counts(g, *surviving.selected_endpoints())
         assert counts.dtype == np.int64
         assert np.array_equal(counts, true_apex_counts_reference(g, surviving))
 

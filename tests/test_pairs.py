@@ -20,8 +20,9 @@ from triwalk import (
     uncovered_pairs_at,
 )
 from triwalk import pairs
+from triwalk.graph import _common_counts
 from triwalk.harness import parse_family
-from triwalk.pairs import common_neighbor_counts, cover_draw_count
+from triwalk.pairs import cover_draw_count
 
 
 def uncovered_by_double_loop(g, cover, within):
@@ -58,7 +59,7 @@ def summed_budget_holds(g, cover, subset, k):
     surviving pairs of Y.
     """
     surv = uncovered_pairs(g, cover, subset)
-    lhs = int(common_neighbor_counts(g, *surv.selected_endpoints()).sum())
+    lhs = int(_common_counts(g, *surv.selected_endpoints()).sum())
     return lhs <= len(subset) ** 2 * g.n ** (1.0 - k)
 
 
@@ -337,7 +338,7 @@ class TestSparsityChecks:
             len(uncovered_pairs_at(g, cover, subset, w)) for w in range(g.n)
         )
         surv = uncovered_pairs(g, cover, subset)
-        assert lhs == common_neighbor_counts(g, *surv.selected_endpoints()).sum() > 0
+        assert lhs == _common_counts(g, *surv.selected_endpoints()).sum() > 0
         holds = lhs <= len(subset) ** 2 * g.n ** 0.5
         assert summed_budget_holds(g, cover, subset, 0.5) == holds
 
