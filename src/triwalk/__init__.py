@@ -14,7 +14,6 @@ from .costs import (
     variable_search_cost,
     walk_cost,
 )
-from .estimator import SamplePlan, estimate_all_apexes
 from .graph import (
     Graph,
     QueryLedger,
@@ -41,22 +40,17 @@ from .harness import (
     wilson_interval,
 )
 from .pairs import (
-    PairSet,
     cover_is_sparsifying,
     sample_cover,
     subset_pair_cap,
     uncovered_pairs,
-    uncovered_pairs_at,
 )
 from .pipeline import (
     AlgoParams,
     FailureInjection,
     RunReport,
-    find_apex_witness,
     find_triangle,
     naive_triples_baseline,
-    search_blocks,
-    search_cover_triangles,
     sparse_edges_baseline,
 )
 

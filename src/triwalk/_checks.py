@@ -108,9 +108,9 @@ def _checked_vertex(n: int, u) -> int:
     return int(u)
 
 
-def _checked_vertices(n, vertices) -> np.ndarray:
+def _checked_vertices(n: int, vertices) -> np.ndarray:
     """Integer ``vertices`` as a 1-D int64 array; ValueError for another shape,
-    float or bool ids, ids outside [0, n), or negative ids when n is None."""
+    float or bool ids, or ids outside [0, n)."""
     ids = np.asarray(vertices)
     if ids.ndim != 1:
         raise ValueError(f"vertex ids must be a 1-D list of ids, got shape {ids.shape}")
@@ -119,6 +119,6 @@ def _checked_vertices(n, vertices) -> np.ndarray:
     if _holds_bool(vertices, 1):
         raise ValueError("vertex ids must be integers, got a bool")
     ids = ids.astype(np.int64, copy=False)
-    if ids.size and (ids.min() < 0 or n is not None and ids.max() >= n):
-        raise ValueError("vertex id out of range " + (f"for n={n}" if n else "(negative)"))
+    if ids.size and (ids.min() < 0 or ids.max() >= n):
+        raise ValueError(f"vertex id out of range for n={n}")
     return ids

@@ -23,6 +23,7 @@ from typing import Optional
 
 from .graph import Graph, read_edge_list, read_packed, write_edge_list, write_packed
 from .harness import (
+    ALGOS,
     SUBSET_CAP_CONFIGS,
     CampaignReport,
     correctness_suite,
@@ -232,7 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_fit)
     log_factors(p_fit)
     p_fit.add_argument("--grid", type=_numbers(int), default="128,256,512,1024,2048")
-    p_fit.add_argument("--algo", choices=["walk", "naive", "edges"], default="walk")
+    p_fit.add_argument("--algo", choices=ALGOS, default="walk")
     p_fit.add_argument("--trials", type=int, default=20)
     p_fit.add_argument(
         "--band", type=_numbers(float, 2), default=None, help="pass band 'lo,hi' for the slope"

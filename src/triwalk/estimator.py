@@ -50,15 +50,10 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from ._checks import _check_int, _check_type
 from .graph import Graph, QueryLedger, _apex_column_counts, _common_counts, _degrees
 from .pairs import PairSet
 
-__all__ = [
-    "SamplePlan",
-    "estimator_charge",
-    "estimate_all_apexes",
-]
+__all__ = ["estimator_charge"]
 
 # Round count of the coarse screen: ceil(240 ln n).
 SCREEN_ROUNDS_FACTOR = 240.0
@@ -86,19 +81,14 @@ class SamplePlan:
     refinement draws exist in the plan whether or not a given apex reaches
     stage 3), so two apexes evaluated against the same plan consume
     identical draws and the whole run is a deterministic function of
-    (plan, apex).
+    (plan, apex). Unchecked: callers pass n >= 2, m >= 1 and the universe
+    size of the pair set the plan is scored against.
     """
 
-    __slots__ = ("n", "m", "pair_universe", "rounds", "refine", "screen_draws", "refine_draws")
+    __slots__ = ("m", "rounds", "refine", "screen_draws", "refine_draws")
 
     def __init__(self, n: int, m: int, pair_universe: int, rng: np.random.Generator):
-        _check_int("n", n, 2)
-        _check_int("sample size m", m, 1)
-        _check_int("pair universe", pair_universe, 1)
-        _check_type("rng", rng, np.random.Generator)
-        self.n = n
         self.m = m
-        self.pair_universe = pair_universe
         self.rounds = screen_rounds(n)
         self.refine = refine_draws(n, m)
         self.screen_draws = rng.integers(0, pair_universe, size=(self.rounds, m))
@@ -125,8 +115,6 @@ def _second_probes(g: Graph, first: np.ndarray, verts: np.ndarray, within=None) 
 
 def _apex_counts(g: Graph, surviving: PairSet, plan: SamplePlan) -> _ApexCounts:
     """Run the estimator for every apex at once over the packed rows."""
-    if plan.pair_universe != surviving.universe_size:
-        raise ValueError("plan was materialized for a different block")
     n, m = g.n, plan.m
     pu, pv = surviving.endpoint_arrays()
     universe = surviving.universe_size
@@ -181,12 +169,9 @@ def estimate_all_apexes(
     Returns (outputs indexed by apex, total raw probes). Emulation-side
     helper: raw probes are tallied on the ledger but nothing is charged;
     the caller owns the charged model (one estimator charge per apex
-    enters the per-apex dispatch cost).
+    enters the per-apex dispatch cost). Unchecked: ``plan`` must be drawn
+    for ``surviving.universe_size`` pairs.
     """
-    _check_type("g", g, Graph)
-    _check_type("surviving", surviving, PairSet)
-    _check_type("plan", plan, SamplePlan)
-    _check_type("ledger", ledger, (QueryLedger, type(None)))
     counts = _apex_counts(g, surviving, plan)
     if ledger is not None:
         ledger.add_raw(counts.probes)

@@ -406,14 +406,17 @@ def fit_loglog(points: Sequence[tuple[float, float]]) -> tuple[float, float, flo
     return float(slope), float(intercept), r2
 
 
+# The algorithms scaling_fit runs: the finder and the two baselines.
+ALGOS = ("walk", "naive", "edges")
+
+
 def _run_algo(algo: str, g: Graph, params: AlgoParams, seed: int) -> RunReport:
+    """One run of ``algo``, which scaling_fit has checked is in ALGOS."""
     if algo == "walk":
         return find_triangle(g, replace(params, seed=seed))
     if algo == "naive":
         return naive_triples_baseline(g, params.log_factors)
-    if algo == "edges":
-        return sparse_edges_baseline(g, params.log_factors)
-    raise ValueError(f"unknown algorithm {algo!r}")
+    return sparse_edges_baseline(g, params.log_factors)
 
 
 def scaling_fit(
@@ -429,10 +432,13 @@ def scaling_fit(
     _check_int("scaling grid size", len(n_grid), 3)
     _check_int("trials_per_n", trials_per_n, 1)
     _check_int("seed", seed, 0)
+    if algo not in ALGOS:
+        raise ValueError(f"unknown algorithm {algo!r}; expected one of {ALGOS}")
     params = AlgoParams() if params is None else params
     _check_type("params", params, AlgoParams)
+    low = {"walk": params.n_min_guard, "naive": 3}.get(algo, 1)  # the least n a run takes
     for n in n_grid:
-        _check_int("grid point n", n, params.n_min_guard if algo == "walk" else 1)
+        _check_int("grid point n", n, low)
     fam_name, fam = parse_family(family)
     points = []
     for idx, n in enumerate(n_grid):

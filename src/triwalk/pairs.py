@@ -36,11 +36,9 @@ from ._checks import _check_int, _check_real, _check_type, _checked_reals, _chec
 from .graph import Graph, _bool_rows, _common_counts
 
 __all__ = [
-    "PairSet",
     "cover_draw_count",
     "sample_cover",
     "uncovered_pairs",
-    "uncovered_pairs_at",
     "cover_is_sparsifying",
     "subset_pair_cap",
 ]
@@ -71,36 +69,16 @@ class PairSet:
     The universe is a sorted vertex array; its pairs are enumerated
     canonically (lexicographically, row-major over the upper triangle) and
     the set is a boolean mask over that enumeration. The fixed indexing
-    makes uniform pair sampling O(1) per draw.
+    makes uniform pair sampling O(1) per draw. Unchecked: ``verts`` holds
+    sorted distinct checked ids and ``mask`` one bool a pair;
+    uncovered_pairs builds them.
     """
 
     __slots__ = ("verts", "mask")
 
     def __init__(self, verts: np.ndarray, mask: np.ndarray):
-        verts = _checked_vertices(None, verts)
-        if not np.all(np.diff(verts) > 0):
-            raise ValueError("pair universe must be sorted and duplicate-free")
-        expected = verts.size * (verts.size - 1) // 2
-        mask = np.asarray(mask, dtype=bool)
-        if mask.shape != (expected,):
-            raise ValueError("mask does not match the pair universe size")
         self.verts = verts
         self.mask = mask
-
-    # -- constructors ---------------------------------------------------
-
-    @classmethod
-    def _of(cls, verts: np.ndarray, mask: np.ndarray) -> "PairSet":
-        """Unchecked: ``verts`` sorted distinct checked ids, ``mask`` a bool a pair."""
-        pairs = cls.__new__(cls)
-        pairs.verts, pairs.mask = verts, mask
-        return pairs
-
-    @classmethod
-    def full(cls, verts) -> "PairSet":
-        verts = np.unique(_checked_vertices(None, verts))
-        size = verts.size * (verts.size - 1) // 2
-        return cls._of(verts, np.ones(size, dtype=bool))
 
     # -- universe geometry ----------------------------------------------
 
@@ -197,12 +175,12 @@ def uncovered_pairs(g: Graph, cover, within) -> PairSet:
     cover = _checked_vertices(g.n, cover)
     b = verts.size
     if cover.size == 0 or b < 2:
-        return PairSet._of(verts, np.ones(b * (b - 1) // 2, dtype=bool))
+        return PairSet(verts, np.ones(b * (b - 1) // 2, dtype=bool))
     slots = []
     for _, free in _uncovered_tiles(g, cover, verts):
         t, w = free.shape
         slots.append(free[np.arange(w) > np.arange(t)[:, None]])
-    return PairSet._of(verts, np.concatenate(slots))
+    return PairSet(verts, np.concatenate(slots))
 
 
 def uncovered_pairs_at(g: Graph, cover, within, apex: int) -> PairSet:
@@ -210,7 +188,7 @@ def uncovered_pairs_at(g: Graph, cover, within, apex: int) -> PairSet:
     surviving = uncovered_pairs(g, cover, within)
     adj = g.bool_row(apex)
     pu, pv = surviving.endpoint_arrays()
-    return PairSet._of(surviving.verts, surviving.mask & adj[pu] & adj[pv])
+    return PairSet(surviving.verts, surviving.mask & adj[pu] & adj[pv])
 
 
 def cover_is_sparsifying(g: Graph, cover, k: float) -> bool:

@@ -41,6 +41,11 @@ only clears the charge log's outer.check_witness_found: the subset walk's
 success floor already accounts for checker error, so the walk gate (then
 the search gate at extraction) decides a walk-path outcome. Drawing first,
 the checker gate still moves the walk gate's draw.
+
+find_triangle checks its arguments once. The stages it calls,
+search_cover_triangles, search_blocks and find_apex_witness, are internal
+and check nothing; their names are fixed by perfbench's tracer, which
+wraps them in this module by name.
 """
 
 from __future__ import annotations
@@ -54,7 +59,7 @@ from typing import Optional
 
 import numpy as np
 
-from ._checks import _check_bool, _check_int, _check_real, _check_type, _checked_vertices
+from ._checks import _check_bool, _check_int, _check_real, _check_type
 from .costs import (
     WalkCharge,
     grover_cost,
@@ -73,15 +78,11 @@ __all__ = [
     "PHASES",
     "AlgoParams",
     "FailureInjection",
-    "CheckCharge",
     "RunReport",
     "block_size",
     "inner_size",
     "sample_size",
     "cost_envelope",
-    "search_cover_triangles",
-    "find_apex_witness",
-    "search_blocks",
     "find_triangle",
     "naive_triples_baseline",
     "sparse_edges_baseline",
@@ -148,13 +149,6 @@ class AlgoParams:
         _check_int("seed", self.seed, 0)
         _check_type("failure_injection", self.failure_injection, (FailureInjection, type(None)))
         _check_int("n_min_guard", self.n_min_guard, 0)
-
-
-def _check_stage(g: Graph, params: AlgoParams, ledger: QueryLedger) -> None:
-    """ValueError unless a stage function got a Graph, AlgoParams and a ledger."""
-    _check_type("g", g, Graph)
-    _check_type("params", params, AlgoParams)
-    _check_type("ledger", ledger, QueryLedger)
 
 
 def block_size(n: int, a: float) -> int:
@@ -241,10 +235,6 @@ def search_cover_triangles(
     y would itself be such a vertex). The x that the pair stream skips,
     earlier cover vertices, have none: their pair with c was read first.
     """
-    _check_stage(g, params, ledger)
-    cover = _checked_vertices(g.n, cover)
-    if cover.size == 0:
-        raise ValueError("cover must be nonempty")
     domain = _cover_charge_size(g.n, params.k, cover, params.log_factors) * comb(g.n, 2)
     ledger.charge("cover_search", grover_cost(domain, 1.0, params.log_factors))
     # The cover's distinct vertices in order; a mask over n is ~7x faster
@@ -280,7 +270,8 @@ def find_apex_witness(
 ) -> CheckCharge:
     """Charge the block check: do a block's surviving pairs hold a triangle edge?
 
-    The block is surviving.verts, of size ceil(n^a).
+    The block is surviving.verts, of size ceil(n^a); find_triangle has
+    checked that the inner subset size r lies in [4, ceil(n^a)].
 
     Charged model, per apex w:
       Q(w) = estimator charge
@@ -300,15 +291,9 @@ def find_apex_witness(
     search_blocks' scan hit, so no witness is searched here; the name is
     kept because perfbench's tracer wraps this function by it.
     """
-    _check_stage(g, params, ledger)
-    _check_type("surviving", surviving, PairSet)
-    _check_real("charge_scale", charge_scale, "[0, inf)")
     n = g.n
     bsize = surviving.verts.size
-    if bsize != block_size(n, params.a):
-        raise ValueError("block size must be ceil(n^a)")
     r = inner_size(n, params.a)
-    _check_int("inner subset size", r, 4, bsize)
     m = sample_size(n, params.k)
 
     plan = SamplePlan(n, m, surviving.universe_size, rng=rng)
@@ -353,12 +338,7 @@ def search_blocks(
     only when no cover vertex lies in a triangle (the cover scan found
     nothing); the edge scan then skips every edge that touches the cover.
     """
-    _check_stage(g, params, ledger)
-    _check_type("plan_rng", plan_rng, np.random.Generator)
-    _check_type("block_rng", block_rng, np.random.Generator)
-    _check_bool("cover_negative", cover_negative)
     n = g.n
-    cover = _checked_vertices(n, cover)
     bsize = block_size(n, params.a)
     eps_outer = bsize * (bsize - 1) / (n * (n - 1))
 

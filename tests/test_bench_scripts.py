@@ -7,6 +7,7 @@ n=64 here catches that in the test suite, not only in a later bench run.
 
 import importlib
 import json
+import statistics
 from pathlib import Path
 
 import pytest
@@ -75,10 +76,16 @@ def test_graph_bench_times_every_user_input_constructor(graph_rows):
 
 def test_graph_bench_large_run_reads_back_in_a_capped_child(monkeypatch):
     monkeypatch.syspath_prepend(str(BENCH))
-    row = importlib.import_module("graph").large_run(64)
+    bench = importlib.import_module("graph")
+    row = bench.large_run(64)
     assert row["graph"] == "random_bipartite(64, 0)"
     assert row["outcome"] is None  # bipartite graphs are triangle-free
     assert row["edges"] > 0 and row["peak_rss_mib"] > 0
+    # One fresh child a repeat, each with its own timings.
+    assert len(row["repeats"]) == bench.REPEATS
+    assert row["find_triangle_ms"] == statistics.median(
+        repeat["find_triangle_ms"] for repeat in row["repeats"]
+    )
 
 
 def test_pairs_bench_times_blocks_and_the_sparsity_check(monkeypatch, capsys):

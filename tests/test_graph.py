@@ -26,7 +26,6 @@ from triwalk import (
     read_edge_list,
     read_packed,
     uncovered_pairs,
-    uncovered_pairs_at,
     write_edge_list,
     write_packed,
 )
@@ -42,6 +41,7 @@ from triwalk.graph import (
     _pack_bool_rows,
     _popcounts,
 )
+from triwalk.pairs import uncovered_pairs_at
 
 
 def triangles_by_enumeration(g):

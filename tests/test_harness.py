@@ -255,6 +255,22 @@ class TestScalingFit:
         with pytest.raises(ValueError):
             scaling_fit([32, 64, 128], "walk", 1)
 
+    @pytest.mark.parametrize(
+        "grid, algo, message",
+        [
+            # "wlak" once generated erdos_renyi(4096) before it was rejected.
+            ([4096, 4097, 4098], "wlak", "unknown algorithm 'wlak'"),
+            # The naive baseline once ran at n=64 and 128 before it refused n=2.
+            ([64, 128, 2], "naive", "grid point n must be at least 3"),
+        ],
+    )
+    def test_bad_grid_or_algo_is_rejected_before_any_graph(self, monkeypatch, grid, algo, message):
+        built = []
+        monkeypatch.setattr(harness, "erdos_renyi", lambda *args: built.append(args))
+        with pytest.raises(ValueError, match=message):
+            scaling_fit(grid, algo, 1)
+        assert built == []
+
     def test_naive_slope_analytic(self):
         fit = scaling_fit([128, 256, 512], "naive", 2, family="er:0.5", seed=0)
         assert 1.49 <= fit.slope <= 1.51

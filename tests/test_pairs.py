@@ -11,18 +11,16 @@ from hypothesis import strategies as st
 
 from triwalk import (
     Graph,
-    PairSet,
     cover_is_sparsifying,
     erdos_renyi,
     sample_cover,
     subset_pair_cap,
     uncovered_pairs,
-    uncovered_pairs_at,
 )
 from triwalk import pairs
 from triwalk.graph import _common_counts
 from triwalk.harness import parse_family
-from triwalk.pairs import cover_draw_count
+from triwalk.pairs import cover_draw_count, uncovered_pairs_at
 
 
 def uncovered_by_double_loop(g, cover, within):
@@ -84,24 +82,22 @@ class TestCoverSampling:
 
 
 class TestPairSet:
+    """With no cover every pair of ``within`` survives: the full pair set."""
+
+    G = erdos_renyi(8, 0.5, seed=0)
+
     def test_canonical_enumeration(self):
-        ps = PairSet.full([3, 1, 7])
+        ps = uncovered_pairs(self.G, [], [3, 1, 7])
         assert pair_list(ps) == [(1, 3), (1, 7), (3, 7)]
         assert ps.universe_size == 3 and len(ps) == 3
 
-    def test_mask_constructor_validates(self):
-        with pytest.raises(ValueError):
-            PairSet(np.array([2, 1]), np.zeros(1, dtype=bool))
-        with pytest.raises(ValueError):
-            PairSet(np.array([1, 2, 3]), np.zeros(5, dtype=bool))
-
     def test_singleton_universe_is_empty(self):
-        ps = PairSet.full([4])
+        ps = uncovered_pairs(self.G, [], [4])
         assert ps.universe_size == 0 and len(ps) == 0
 
     def test_negative_vertex_rejected(self):
-        with pytest.raises(ValueError, match="negative"):
-            PairSet.full([-1, 2, 5])
+        with pytest.raises(ValueError, match="out of range"):
+            uncovered_pairs(self.G, [], [-1, 2, 5])
 
 
 class TestVertexIdsInRange:
@@ -192,7 +188,7 @@ class TestUncoveredPairs:
     def test_nesting_invariants(self, seed, apex):
         g = small_graph(seed, 16, 0.5)
         within = range(2, 14)
-        base = PairSet.full(within)
+        base = uncovered_pairs(g, [], within)
         surv = uncovered_pairs(g, [0, 1], within)
         at = uncovered_pairs_at(g, [0, 1], within, apex)
         assert_nested(at, surv)
