@@ -273,7 +273,7 @@ SUBSET_CAP_CONFIGS = tuple(_SUBSET_CAP_FAMILIES)
 
 def _subset_cap_setup(config: str, size_a: int, seed: int):
     """Graph on size_a + 16 vertices, no cover, block [0, size_a), apex size_a."""
-    if config not in _SUBSET_CAP_FAMILIES:
+    if config not in SUBSET_CAP_CONFIGS:  # a dict lookup of a list raises TypeError
         raise ValueError(f"unknown subset-cap config {config!r}")
     _, fam = parse_family(_SUBSET_CAP_FAMILIES[config])
     g = fam(size_a + 16, seed)

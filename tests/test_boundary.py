@@ -8,7 +8,7 @@ time bound, before any campaign work starts.
 
 The generated table feeds every argument of every callable that
 ``triwalk`` exports but its result records (and of the public methods,
-``sigma_pass_line`` and ``fit_loglog``) each of seven bad values, one
+``sigma_pass_line`` and ``fit_loglog``) each of ten bad values, one
 argument at a time, with the others valid. ALLOWED lists the legal
 outcomes that are not a ValueError.
 """
@@ -173,9 +173,13 @@ BAD_VALUES = {
     "bool": True,
     "nan": math.nan,
     "inf": math.inf,
+    "-inf": -math.inf,
     "-1": -1,
     "1.5": 1.5,
     "None": None,
+    # A rule that compares before it checks the type raises TypeError on these.
+    "list": [1],
+    "complex": 1j,
 }
 
 COVER = sample_cover(64, 0.5, seed=0)
@@ -313,6 +317,16 @@ ALLOWED = {
             ("correctness_suite", "injection"), ("scaling_fit", "params"),
             ("AlgoParams", "failure_injection"), ("FailureInjection", "walk_success"),
             ("FailureInjection", "check_success"), ("FailureInjection", "search_success"),
+        )
+    },
+    # One id or one cost in a list, where an array of them is meant.
+    **{
+        (name, arg, "list"): None
+        for name, arg in (
+            ("WalkCharge", "check"), ("variable_search_cost", "costs"),
+            ("Graph.pack_set", "vertices"), ("cover_is_sparsifying", "cover"),
+            ("subset_pair_cap", "parent_apex_pairs"), ("uncovered_pairs", "cover"),
+            ("uncovered_pairs", "within"),
         )
     },
     ("QueryLedger.charge", "phase", "str"): None,  # any name labels a phase
