@@ -2,15 +2,17 @@
 
 Every rule raises ValueError, which the CLI turns into exit 2, and none
 reads a bool as a number (True as a count of 1) or NaN as in range. The
-rules: integers (_check_int), reals in an interval (_check_real, and
-_checked_reals for arrays such as costs), strict bools (_check_bool),
-vertex ids (_checked_vertex, _checked_vertices) and the objects a Graph,
-a ledger, a generator or a file path must be (_check_type).
+rules: integers (_check_int, and _check_seed for seeds), reals in an
+interval (_check_real, and _checked_reals for arrays such as costs),
+strict bools (_check_bool), vertex ids (_checked_vertex,
+_checked_vertices) and the objects a Graph, a ledger, a generator or a
+file path must be (_check_type).
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import numbers
 from functools import lru_cache
 
@@ -25,14 +27,25 @@ def _is_int(value) -> bool:
     )
 
 
-def _check_int(name: str, value, low: int, high=None) -> None:
+# The largest count or size: numpy holds them as int64 and raises
+# OverflowError past it, and a campaign's trial loop would never end.
+_INT64_MAX = 2**63 - 1
+
+
+def _check_int(name: str, value, low: int, high=_INT64_MAX) -> None:
     """ValueError unless value is an integer, not a bool, in [low, high]."""
     if not _is_int(value):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if value < low:
         raise ValueError(f"{name} must be at least {low}, got {value}")
-    if high is not None and value > high:
+    if value > high:
         raise ValueError(f"{name} must be at most {high}, got {value}")
+
+
+def _check_seed(seed) -> None:
+    """_check_int for a seed, which has no upper bound: numpy's SeedSequence
+    takes an integer of any size."""
+    _check_int("seed", seed, 0, math.inf)
 
 
 @lru_cache(maxsize=None)  # intervals are literals in the source

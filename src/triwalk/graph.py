@@ -46,7 +46,8 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from ._checks import (
-    _check_int, _check_real, _check_type, _checked_vertex, _checked_vertices, _holds_bool,
+    _check_int, _check_real, _check_seed, _check_type, _checked_vertex, _checked_vertices,
+    _holds_bool,
 )
 
 __all__ = [
@@ -546,7 +547,7 @@ def _drawn_chunks(seed: int, tag: int, height: int, width: int, chunk) -> None:
     is joined before the call returns, and its exception is raised in the
     caller. The chunks of the two ranges must write disjoint words.
     """
-    _check_int("seed", seed, 0)
+    _check_seed(seed)
 
     def run(start: int, stop: int) -> None:
         bitgen = np.random.PCG64(np.random.SeedSequence([seed, tag]))
@@ -647,7 +648,7 @@ def random_bipartite(n: int, seed: int) -> Graph:
 def planted_triple(n: int, seed: int) -> Triangle:
     """The triangle that planted_instance(n, seed) inserts."""
     _check_int("n", n, 3)
-    _check_int("seed", seed, 0)
+    _check_seed(seed)
     rng = np.random.default_rng([seed, _TAG_PLANT])
     verts = np.sort(rng.choice(n, size=3, replace=False))
     return Triangle(int(verts[0]), int(verts[1]), int(verts[2]))

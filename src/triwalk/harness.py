@@ -19,7 +19,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from ._checks import _check_int, _check_real, _check_type, _checked_reals
+from ._checks import _check_int, _check_real, _check_seed, _check_type, _checked_reals
 from .estimator import SamplePlan, estimate_all_apexes
 from .graph import (
     Graph,
@@ -171,7 +171,7 @@ class CampaignReport:
 
 
 def _trial_seeds(seed: int, count: int) -> list[int]:
-    _check_int("seed", seed, 0)
+    _check_seed(seed)
     root = np.random.SeedSequence([seed])
     return [int(s.generate_state(1)[0]) for s in root.spawn(count)]
 
@@ -282,6 +282,30 @@ def _subset_cap_setup(config: str, size_a: int, seed: int):
     return g, cover, block, size_a
 
 
+# The most keys one batch of verify_subset_cap draws (256 trials at
+# size_a=128), so the campaign's memory is fixed whatever its trial count.
+_CAP_BATCH_KEYS = 1 << 15
+
+
+def _smallest_keys(keys: np.ndarray, r: int) -> np.ndarray:
+    """Per row of ``keys``, the mask of its r smallest entries.
+
+    A row takes the keys at or below its r-th smallest. Where the r-th
+    and (r+1)-th smallest tie, that would be more than r, so the row
+    takes argpartition's r instead, and every mask holds exactly r.
+    """
+    ranked = np.sort(keys, axis=1)
+    in_b = keys <= ranked[:, r - 1, None]
+    if r < keys.shape[1]:
+        tied = np.flatnonzero(ranked[:, r - 1] == ranked[:, r])
+        if tied.size:
+            picked = np.zeros((tied.size, keys.shape[1]), dtype=bool)
+            order = np.argpartition(keys[tied], r - 1, axis=1)[:, :r]
+            np.put_along_axis(picked, order, True, axis=1)
+            in_b[tied] = picked
+    return in_b
+
+
 def verify_subset_cap(
     size_a: int,
     r: int,
@@ -295,6 +319,13 @@ def verify_subset_cap(
     r-subsets of A; counts the joint event "pair inside B" and "B's apex
     pairs at most the cap from A's apex-pair count". The guaranteed lower
     bound is (r-1)^2 / (2 |A|^2).
+
+    Each trial draws one uniform key per member of A, and B is the r
+    members with the smallest keys (_smallest_keys). Trials run in
+    batches of at most _CAP_BATCH_KEYS keys, so memory stays fixed
+    whatever ``trials`` is. The batch size never changes a report:
+    ``Generator.random`` takes one 64-bit output per key in C order, so
+    any batching draws the same keys.
 
     For r <= 33 the cap's 16 r term alone is at least C(r, 2), the most
     apex pairs an r-subset can hold, so the cap never binds and the
@@ -318,19 +349,13 @@ def verify_subset_cap(
     v1, v2 = int(probe[0]), int(probe[1])
 
     hits = 0
-    chunk = 1 << 14
-    done = 0
-    while done < trials:
-        batch = min(chunk, trials - done)
-        keys = rng.random((batch, size_a))
-        order = np.argpartition(keys, r - 1, axis=1)[:, :r]
-        in_b = np.zeros((batch, size_a), dtype=bool)
-        np.put_along_axis(in_b, order, True, axis=1)
+    rows = max(1, _CAP_BATCH_KEYS // size_a)
+    for done in range(0, trials, rows):
+        in_b = _smallest_keys(rng.random((min(rows, trials - done), size_a)), r)
         keeps_pair = in_b[:, v1] & in_b[:, v2]
         d = in_b[:, nbrs].sum(axis=1)
         apex_pairs = d * (d - 1) // 2
         hits += int((keeps_pair & (apex_pairs <= cap)).sum())
-        done += batch
 
     bound = (r - 1) ** 2 / (2.0 * size_a**2)
     return CampaignReport.from_counts(
@@ -431,7 +456,7 @@ def scaling_fit(
     _check_type("n_grid", n_grid, (Sequence, np.ndarray))
     _check_int("scaling grid size", len(n_grid), 3)
     _check_int("trials_per_n", trials_per_n, 1)
-    _check_int("seed", seed, 0)
+    _check_seed(seed)
     if algo not in ALGOS:
         raise ValueError(f"unknown algorithm {algo!r}; expected one of {ALGOS}")
     params = AlgoParams() if params is None else params
@@ -473,7 +498,7 @@ def correctness_suite(
     the 2/3 floor with zero false positives on negatives.
     """
     params = AlgoParams(failure_injection=injection, n_min_guard=12)
-    _check_int("seed", seed, 0)
+    _check_seed(seed)
     _check_int("cases", cases, 0)
     _check_int("planted_cases", planted_cases, 0)
     if cases + planted_cases == 0:

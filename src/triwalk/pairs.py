@@ -32,7 +32,9 @@ from typing import Optional
 
 import numpy as np
 
-from ._checks import _check_int, _check_real, _check_type, _checked_reals, _checked_vertices
+from ._checks import (
+    _check_int, _check_real, _check_seed, _check_type, _checked_reals, _checked_vertices,
+)
 from .graph import Graph, _bool_rows, _common_counts
 
 __all__ = [
@@ -126,7 +128,7 @@ def sample_cover(
     if rng is None:
         if seed is None:
             raise ValueError("provide a seed or an rng")
-        _check_int("seed", seed, 0)
+        _check_seed(seed)
         rng = np.random.default_rng([seed, 0xC0])
     _check_type("rng", rng, np.random.Generator)
     draws = rng.integers(0, n, size=cover_draw_count(n, k))

@@ -59,7 +59,7 @@ from typing import Optional
 
 import numpy as np
 
-from ._checks import _check_bool, _check_int, _check_real, _check_type
+from ._checks import _check_bool, _check_int, _check_real, _check_seed, _check_type
 from .costs import (
     WalkCharge,
     grover_cost,
@@ -146,7 +146,7 @@ class AlgoParams:
         _check_real("block exponent a", self.a, "(0, 1)")
         _check_real("cover exponent k", self.k, "(0, 1)")
         _check_bool("log_factors", self.log_factors)
-        _check_int("seed", self.seed, 0)
+        _check_seed(self.seed)
         _check_type("failure_injection", self.failure_injection, (FailureInjection, type(None)))
         _check_int("n_min_guard", self.n_min_guard, 0)
 

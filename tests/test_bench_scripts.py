@@ -98,3 +98,21 @@ def test_pairs_bench_times_blocks_and_the_sparsity_check(monkeypatch, capsys):
     assert sparsity["graph"] == "erdos_renyi(64, 0.5, 0)"
     assert isinstance(sparsity["sparsifying"], bool) and sparsity["peak_rss_mib"] > 0
     assert out["blas"]["cpus"] >= 1
+
+
+def test_campaigns_bench_times_each_call_in_its_own_child(monkeypatch, capsys):
+    monkeypatch.syspath_prepend(str(BENCH))
+    bench = importlib.import_module("campaigns")
+    monkeypatch.setattr(bench, "PROFILE", "tiny")
+    monkeypatch.setattr(bench, "CAP_TRIALS", (200,))
+    monkeypatch.setattr(bench, "REPEATS", 1)
+    bench.main()
+    rows = json.loads(capsys.readouterr().out)
+    assert [(row["call"], row.get("trials")) for row in rows] == [
+        ("verify_cover_sparsity", None), ("verify_estimator_bounds", None),
+        ("verify_subset_cap", None), ("correctness_suite", None), ("scaling_fit", None),
+        ("verify_subset_cap", 200),
+    ]
+    for row in rows:
+        assert len(row["digests"]) == 1 and len(row["digests"][0]) == 16
+        assert row["peak_rss_mib"] >= row["peak_rss_mib_before"] > 0

@@ -2,13 +2,14 @@
 
 Each case once raised a bare TypeError, IndexError or OverflowError, or
 was silently accepted: a negative vertex id read the last row, a float
-count ran as its integer part, a bool count as 1, and a NaN charge made
-the ledger's total never exceed a budget. Every call must raise within a
-time bound, before any campaign work starts.
+count ran as its integer part, a bool count as 1, a count of 2**64 ran
+until killed, and a NaN charge made the ledger's total never exceed a
+budget. Every call must raise within a time bound, before any campaign
+work starts.
 
 The generated table feeds every argument of every callable that
 ``triwalk`` exports but its result records (and of the public methods,
-``sigma_pass_line`` and ``fit_loglog``) each of ten bad values, one
+``sigma_pass_line`` and ``fit_loglog``) each of eleven bad values, one
 argument at a time, with the others valid. ALLOWED lists the legal
 outcomes that are not a ValueError.
 """
@@ -180,6 +181,9 @@ BAD_VALUES = {
     # A rule that compares before it checks the type raises TypeError on these.
     "list": [1],
     "complex": 1j,
+    # One past the largest int64: numpy raised OverflowError on it, and a
+    # Python loop over it never ended.
+    "2**64": 2**64,
 }
 
 COVER = sample_cover(64, 0.5, seed=0)
@@ -328,6 +332,20 @@ ALLOWED = {
             ("subset_pair_cap", "parent_apex_pairs"), ("uncovered_pairs", "cover"),
             ("uncovered_pairs", "within"),
         )
+    },
+    # A real cost, scale or z past the largest int64.
+    **{
+        (name, arg, "2**64"): None
+        for name, arg in (
+            ("WalkCharge", "setup"), ("WalkCharge", "update"), ("grover_cost", "t"),
+            ("QueryLedger.charge", "amount"), ("wilson_interval", "z"), ("sigma_pass_line", "z"),
+        )
+    },
+    # A seed of any size: numpy's SeedSequence takes big ints.
+    **{
+        (name, "seed", "2**64"): None
+        for name, (func, _) in VALID.items()
+        if "seed" in inspect.signature(func).parameters
     },
     ("QueryLedger.charge", "phase", "str"): None,  # any name labels a phase
     ("write_edge_list", "path", "str"): None,

@@ -3,6 +3,7 @@
 import json
 import math
 import signal
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,7 +26,9 @@ from triwalk.pairs import sample_cover, uncovered_pairs, uncovered_pairs_at
 def subset_cap_reference(size_a, r, trials, config, seed):
     """Per trial of verify_subset_cap: does B keep the probe pair, and how
     many apex pairs does B hold, counted by gathering both ends of every
-    apex pair. Draws the campaign's random stream in its order and chunks.
+    apex pair. Draws the campaign's random stream in its order, in
+    2^14-trial chunks: any chunking draws the same keys, as
+    test_batch_size_never_changes_the_report checks.
     """
     g, cover, block, apex = harness._subset_cap_setup(config, size_a, seed)
     pu, pv = uncovered_pairs_at(g, cover, block, apex).selected_endpoints()
@@ -223,6 +226,38 @@ class TestSubsetCapCampaign:
             monkeypatch.setattr(harness, "subset_pair_cap", lambda *_: cap)
             report = verify_subset_cap(size_a, r, trials, config=config, seed=seed)
             assert report.successes == int((keeps & (counts <= cap)).sum())
+
+    @pytest.mark.parametrize("r", [16, 128])
+    @pytest.mark.parametrize("config", SUBSET_CAP_CONFIGS)
+    def test_batch_size_never_changes_the_report(self, monkeypatch, config, r):
+        # Generator.random takes one 64-bit output per key in C order, so
+        # batches of one trial or of seven draw the default batches' keys.
+        size_a, trials, seed = 128, 1000, 10
+        default = verify_subset_cap(size_a, r, trials, config=config, seed=seed).to_json()
+        for rows in (1, 7):
+            monkeypatch.setattr(harness, "_CAP_BATCH_KEYS", rows * size_a)
+            report = verify_subset_cap(size_a, r, trials, config=config, seed=seed)
+            assert report.to_json() == default, rows
+
+    def test_memory_is_fixed_whatever_the_trial_count(self):
+        # Drawing every trial's keys at once peaked at 50 MiB here.
+        verify_subset_cap(128, 16, 10, config="er-half")  # imports and caches, untraced
+        tracemalloc.start()
+        try:
+            verify_subset_cap(128, 16, 100_000, config="er-half")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
+
+    @pytest.mark.parametrize("r", range(1, 13))
+    def test_smallest_keys_equal_argpartition_under_ties(self, r):
+        # Keys from four values tie at most ranks; a row whose r-th and
+        # (r+1)-th smallest tie takes argpartition's pick of exactly r.
+        keys = np.random.default_rng(r).integers(0, 4, size=(200, 12)).astype(float)
+        expected = np.zeros(keys.shape, dtype=bool)
+        np.put_along_axis(expected, np.argpartition(keys, r - 1, axis=1)[:, :r], True, axis=1)
+        assert np.array_equal(harness._smallest_keys(keys, r), expected)
 
     def test_contract(self):
         with pytest.raises(ValueError):
