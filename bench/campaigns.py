@@ -15,15 +15,13 @@ checked for identical reports as well as compared for speed and memory.
 from __future__ import annotations
 
 import json
-import resource
 import statistics
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
-from multiprocessing import get_context
 from pathlib import Path
 
 import triwalk as tw
+from timing import in_child, peak_rss_mib
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 from workloads import PROFILES, report_digest, trial_seeds  # noqa: E402
@@ -32,10 +30,6 @@ PROFILE = "full"
 SEED = 0
 CAP_TRIALS = (4000, 20_000, 100_000)
 REPEATS = 5
-
-
-def _rss_mib() -> float:
-    return round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)
 
 
 def _campaign_call(row: dict):
@@ -51,7 +45,7 @@ def _campaign_call(row: dict):
 def _child(row: dict, repeats: int) -> dict:
     """In the child: time ``repeats`` calls of the row's campaign."""
     name, call = _campaign_call(row)
-    before = _rss_mib()
+    before = peak_rss_mib()
     times, digests = [], set()
     for _ in range(repeats):
         t0 = time.perf_counter()
@@ -63,20 +57,15 @@ def _child(row: dict, repeats: int) -> dict:
         "call": name,
         "ms": round(statistics.median(times), 2),
         "peak_rss_mib_before": before,
-        "peak_rss_mib": _rss_mib(),
+        "peak_rss_mib": peak_rss_mib(),
         "digests": sorted(digests),
     }
-
-
-def measure(row: dict) -> dict:
-    with ProcessPoolExecutor(1, mp_context=get_context("spawn")) as pool:
-        return pool.submit(_child, row, REPEATS).result()
 
 
 def main() -> None:
     rows = [{"profile": PROFILE, "index": index} for index in range(5)]
     rows += [{"trials": trials} for trials in CAP_TRIALS]
-    print(json.dumps([measure(row) for row in rows]))
+    print(json.dumps([in_child(_child, row, REPEATS) for row in rows]))
 
 
 if __name__ == "__main__":

@@ -42,14 +42,12 @@ import sys
 import tempfile
 import time
 import tracemalloc
-from concurrent.futures import ProcessPoolExecutor
-from multiprocessing import get_context
 from pathlib import Path
 
 import numpy as np
 
 import triwalk as tw
-from timing import timed_calls
+from timing import in_child, peak_rss_mib, timed_calls
 from triwalk import graph
 
 SIZES = (448, 768, 1024, 2048, 4096)
@@ -156,7 +154,7 @@ def _child_find(path: str) -> dict:
         "outcome": report.outcome,
         "read_packed_ms": round((t1 - t0) * 1000.0, 1),
         "find_triangle_ms": round((t2 - t1) * 1000.0, 1),
-        "peak_rss_mib": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
+        "peak_rss_mib": peak_rss_mib(),
     }
 
 
@@ -168,10 +166,7 @@ def large_run(n: int) -> dict:
         t0 = time.perf_counter()
         tw.write_packed(tw.random_bipartite(n, 0), path)
         write_ms = (time.perf_counter() - t0) * 1000.0
-        repeats = []
-        for _ in range(REPEATS):
-            with ProcessPoolExecutor(1, mp_context=get_context("spawn")) as pool:
-                repeats.append(pool.submit(_child_find, path).result())
+        repeats = [in_child(_child_find, path) for _ in range(REPEATS)]
     timings = ("read_packed_ms", "find_triangle_ms", "peak_rss_mib")
     return {
         "graph": f"random_bipartite({n}, 0)",

@@ -36,13 +36,12 @@ import resource
 import statistics
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
-from multiprocessing import get_context
 from pathlib import Path
 
 import numpy as np
 
 import triwalk as tw
+from timing import in_child, peak_rss_mib
 from triwalk import pipeline
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
@@ -122,17 +121,13 @@ def measure(family: str, n: int) -> dict:
     }
 
 
-def _rss_mib() -> float:
-    return round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)
-
-
 def _child_sparsity(n: int, repeats: int) -> dict:
     """In the child: cap the address space, build the input, time the check."""
     limit_bytes = LIMIT_GIB * 2**30
     resource.setrlimit(resource.RLIMIT_AS, (limit_bytes, limit_bytes))
     g = tw.erdos_renyi(n, 0.5, 0)
     cover = tw.sample_cover(n, 0.5, seed=0)
-    before = _rss_mib()
+    before = peak_rss_mib()
     times = []
     for _ in range(repeats):
         t0 = time.perf_counter()
@@ -144,14 +139,13 @@ def _child_sparsity(n: int, repeats: int) -> dict:
         "ms": round(min(times), 1),
         "sparsifying": result,
         "peak_rss_mib_before": before,
-        "peak_rss_mib": _rss_mib(),
+        "peak_rss_mib": peak_rss_mib(),
         "rlimit_as_gib": LIMIT_GIB,
     }
 
 
 def sparsity_run(n: int) -> dict:
-    with ProcessPoolExecutor(1, mp_context=get_context("spawn")) as pool:
-        return pool.submit(_child_sparsity, n, REPEATS).result()
+    return in_child(_child_sparsity, n, REPEATS)
 
 
 def main() -> None:

@@ -1,13 +1,28 @@
-"""Time library functions inside one whole call by wrapping them.
-
-Shared by the bench scripts in this directory, which import it as
-``timing`` (a script's own directory is first on ``sys.path``).
+"""Helpers shared by the bench scripts in this directory, which import it
+as ``timing`` (a script's own directory is first on ``sys.path``): time
+library functions inside one whole call by wrapping them, run a call in a
+fresh child process, and read a process's peak RSS.
 """
 
 from __future__ import annotations
 
+import resource
 import time
+from concurrent.futures import ProcessPoolExecutor
+from multiprocessing import get_context
 from typing import Callable
+
+
+def peak_rss_mib() -> float:
+    """This process's peak resident set size so far (``ru_maxrss``), in MiB."""
+    return round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)
+
+
+def in_child(fn: Callable, *args):
+    """``fn(*args)`` in a fresh spawned process, so the peak RSS it reads is
+    its own; returns its result."""
+    with ProcessPoolExecutor(1, mp_context=get_context("spawn")) as pool:
+        return pool.submit(fn, *args).result()
 
 
 def timed_calls(call: Callable[[], object], module, names) -> tuple[float, dict[str, list]]:

@@ -27,8 +27,9 @@ def _is_int(value) -> bool:
     )
 
 
-# The largest count or size: numpy holds them as int64 and raises
-# OverflowError past it, and a campaign's trial loop would never end.
+# The default upper bound of an integer: numpy holds counts and sizes as
+# int64 and raises OverflowError past it, so the check raises ValueError
+# instead. Seeds and the integers of pure formulas pass high=math.inf.
 _INT64_MAX = 2**63 - 1
 
 

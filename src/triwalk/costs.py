@@ -58,7 +58,7 @@ class WalkCharge:
         _check_real("walk setup cost", self.setup, "[0, inf)")
         _check_real("walk update cost", self.update, "[0, inf)")
         _checked_reals("walk check costs", self.check)
-        _check_int("subset size r", self.r, 1)
+        _check_int("subset size r", self.r, 1, math.inf)
         _check_real("eps", self.eps, "(0, 1]")
 
 
@@ -72,7 +72,7 @@ def log_multiplier(base: float, log_factors: bool) -> float:
 
 def grover_cost(m: int, t: float, log_factors: bool = False) -> float:
     """Charged cost of searching m items at t queries per evaluation."""
-    _check_int("domain size m", m, 1)
+    _check_int("domain size m", m, 1, math.inf)
     _check_real("per-evaluation cost t", t, "[0, inf)")
     return t * math.sqrt(m) * log_multiplier(m, log_factors)
 

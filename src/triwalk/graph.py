@@ -36,6 +36,7 @@ cost-model layer, under per-phase labels.
 from __future__ import annotations
 
 import itertools
+import math
 import os
 import struct
 import threading
@@ -136,7 +137,7 @@ class QueryLedger:
         for phase, amount in self.charged.items():
             _check_type("phase", phase, str)
             _check_real(f"charge for phase {phase!r}", amount, "[0, inf)")
-        _check_int("raw probe count", self.raw_probes, 0)
+        _check_int("raw probe count", self.raw_probes, 0, math.inf)
 
     def charge(self, phase: str, amount: float) -> None:
         _check_type("phase", phase, str)
@@ -145,7 +146,7 @@ class QueryLedger:
         self.charged[phase] = self.charged.get(phase, 0.0) + float(amount)
 
     def add_raw(self, count: int = 1) -> None:
-        _check_int("raw probe count", count, 0)
+        _check_int("raw probe count", count, 0, math.inf)
         self.raw_probes += int(count)
 
     @property

@@ -68,7 +68,7 @@ VERDICT_Z = 5.0
 
 def wilson_interval(successes: int, trials: int, z: float = VERDICT_Z) -> tuple[float, float]:
     """Wilson score interval for a binomial proportion; z must be a finite real > 0."""
-    _check_int("trials", trials, 1)
+    _check_int("trials", trials, 1, math.inf)
     _check_int("successes", successes, 0, trials)
     _check_real("z", z, "(0, inf)")
     phat = successes / trials
@@ -81,7 +81,7 @@ def wilson_interval(successes: int, trials: int, z: float = VERDICT_Z) -> tuple[
 def sigma_pass_line(bound: float, trials: int, z: float = VERDICT_Z) -> float:
     """bound minus z standard deviations of a bound-rate binomial mean."""
     _check_real("bound", bound, "[0, 1]")
-    _check_int("trials", trials, 1)
+    _check_int("trials", trials, 1, math.inf)
     _check_real("z", z, "(0, inf)")
     return bound - z * math.sqrt(bound * (1.0 - bound) / trials)
 
@@ -287,25 +287,6 @@ def _subset_cap_setup(config: str, size_a: int, seed: int):
 _CAP_BATCH_KEYS = 1 << 15
 
 
-def _smallest_keys(keys: np.ndarray, r: int) -> np.ndarray:
-    """Per row of ``keys``, the mask of its r smallest entries.
-
-    A row takes the keys at or below its r-th smallest. Where the r-th
-    and (r+1)-th smallest tie, that would be more than r, so the row
-    takes argpartition's r instead, and every mask holds exactly r.
-    """
-    ranked = np.sort(keys, axis=1)
-    in_b = keys <= ranked[:, r - 1, None]
-    if r < keys.shape[1]:
-        tied = np.flatnonzero(ranked[:, r - 1] == ranked[:, r])
-        if tied.size:
-            picked = np.zeros((tied.size, keys.shape[1]), dtype=bool)
-            order = np.argpartition(keys[tied], r - 1, axis=1)[:, :r]
-            np.put_along_axis(picked, order, True, axis=1)
-            in_b[tied] = picked
-    return in_b
-
-
 def verify_subset_cap(
     size_a: int,
     r: int,
@@ -321,11 +302,12 @@ def verify_subset_cap(
     bound is (r-1)^2 / (2 |A|^2).
 
     Each trial draws one uniform key per member of A, and B is the r
-    members with the smallest keys (_smallest_keys). Trials run in
-    batches of at most _CAP_BATCH_KEYS keys, so memory stays fixed
-    whatever ``trials`` is. The batch size never changes a report:
-    ``Generator.random`` takes one 64-bit output per key in C order, so
-    any batching draws the same keys.
+    members with the smallest keys, as argpartition picks them row by
+    row. Trials run in batches of at most _CAP_BATCH_KEYS keys, so memory
+    stays fixed whatever ``trials`` is. The batch size never changes a
+    report: ``Generator.random`` takes one 64-bit output per key in C
+    order, so any batching draws the same keys, and each row's pick reads
+    only that row.
 
     For r <= 33 the cap's 16 r term alone is at least C(r, 2), the most
     apex pairs an r-subset can hold, so the cap never binds and the
@@ -351,7 +333,9 @@ def verify_subset_cap(
     hits = 0
     rows = max(1, _CAP_BATCH_KEYS // size_a)
     for done in range(0, trials, rows):
-        in_b = _smallest_keys(rng.random((min(rows, trials - done), size_a)), r)
+        keys = rng.random((min(rows, trials - done), size_a))
+        in_b = np.zeros(keys.shape, dtype=bool)
+        np.put_along_axis(in_b, np.argpartition(keys, r - 1, axis=1)[:, :r], True, axis=1)
         keeps_pair = in_b[:, v1] & in_b[:, v2]
         d = in_b[:, nbrs].sum(axis=1)
         apex_pairs = d * (d - 1) // 2

@@ -227,7 +227,7 @@ def subset_pair_cap(r: int, parent_size: int, parent_apex_pairs):
     apex-pair count; pass 3*estimate for x when substituting an estimator
     value for x/3. Accepts scalar or ndarray x.
     """
-    _check_int("parent_size", parent_size, 4)
+    _check_int("parent_size", parent_size, 4, math.inf)
     _check_int("subset size r", r, 4, parent_size)
     coeff = 8.0 * (r - 2) * (r - 3) / ((parent_size - 2) * (parent_size - 3))
     cap = coeff * _checked_reals("apex-pair count", parent_apex_pairs) / 3.0 + 16.0 * r

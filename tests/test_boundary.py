@@ -341,6 +341,15 @@ ALLOWED = {
             ("QueryLedger.charge", "amount"), ("wilson_interval", "z"), ("sigma_pass_line", "z"),
         )
     },
+    # An integer of a pure formula past the largest int64: it never reaches numpy.
+    **{
+        (name, arg, "2**64"): None
+        for name, arg in (
+            ("WalkCharge", "r"), ("grover_cost", "m"), ("QueryLedger", "raw_probes"),
+            ("QueryLedger.add_raw", "count"), ("wilson_interval", "trials"),
+            ("sigma_pass_line", "trials"), ("subset_pair_cap", "parent_size"),
+        )
+    },
     # A seed of any size: numpy's SeedSequence takes big ints.
     **{
         (name, "seed", "2**64"): None

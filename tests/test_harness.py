@@ -240,7 +240,7 @@ class TestSubsetCapCampaign:
             assert report.to_json() == default, rows
 
     def test_memory_is_fixed_whatever_the_trial_count(self):
-        # Drawing every trial's keys at once peaked at 50 MiB here.
+        # Drawing up to 2^14 trials' keys at once peaked at 50 MiB traced.
         verify_subset_cap(128, 16, 10, config="er-half")  # imports and caches, untraced
         tracemalloc.start()
         try:
@@ -249,15 +249,6 @@ class TestSubsetCapCampaign:
         finally:
             tracemalloc.stop()
         assert peak < 2 * 2**20
-
-    @pytest.mark.parametrize("r", range(1, 13))
-    def test_smallest_keys_equal_argpartition_under_ties(self, r):
-        # Keys from four values tie at most ranks; a row whose r-th and
-        # (r+1)-th smallest tie takes argpartition's pick of exactly r.
-        keys = np.random.default_rng(r).integers(0, 4, size=(200, 12)).astype(float)
-        expected = np.zeros(keys.shape, dtype=bool)
-        np.put_along_axis(expected, np.argpartition(keys, r - 1, axis=1)[:, :r], True, axis=1)
-        assert np.array_equal(harness._smallest_keys(keys, r), expected)
 
     def test_contract(self):
         with pytest.raises(ValueError):
