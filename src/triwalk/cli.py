@@ -38,9 +38,17 @@ from .pipeline import AlgoParams, FailureInjection, find_triangle
 # Stage gates used by --inject on: walk 3/4 and checker 2/3, the success
 # floors of the corresponding routines.
 DEFAULT_INJECTION = FailureInjection(walk_success=0.75, check_success=2.0 / 3.0)
-# The instance run builds without --n or --family; fit and verify share the family.
+# The instance run builds without --n or --family; fit, verify and gen share the family.
 DEFAULT_N = 512
 DEFAULT_FAMILY = "er:0.5"
+# The flags several commands read, each with its one default.
+_SHARED_FLAGS = {
+    "--a": {"type": float, "default": 0.75},
+    "--k": {"type": float, "default": 0.5},
+    "--seed": {"type": int, "default": 0},
+    "--family": {"default": DEFAULT_FAMILY},
+    "--out": {"default": None},
+}
 
 
 def _bool_flag(value: str) -> bool:
@@ -121,29 +129,33 @@ def _campaign_exit(report: CampaignReport, out: Optional[str]) -> int:
 
 def _cmd_verify(args) -> int:
     t0 = time.perf_counter()
-    if args.target == "cover-sparsity":
-        report = verify_cover_sparsity(
-            args.n, args.k, args.trials, family=args.family, seed=args.seed
-        )
-        code = _campaign_exit(report, args.out)
-    elif args.target == "estimator":
-        report = verify_estimator_bounds(
-            args.n, args.a, args.k, args.trials, family=args.family, seed=args.seed
-        )
-        code = _campaign_exit(report, args.out)
-    else:  # subset-cap
-        configs = SUBSET_CAP_CONFIGS if args.config == "all" else (args.config,)
-        code = 0
-        for config in configs:
-            report = verify_subset_cap(
-                args.size_a, args.r, args.trials, config=config, seed=args.seed
-            )
-            out = None
-            if args.out:
-                stem = Path(args.out)
-                out = str(stem.with_name(f"{stem.stem}-{config}{stem.suffix}"))
-            code = max(code, _campaign_exit(report, out))
+    code = args.campaign(args)
     print(f"wall_ms={(time.perf_counter() - t0) * 1000:.1f}", file=sys.stderr)
+    return code
+
+
+def _verify_cover_sparsity(args) -> int:
+    report = verify_cover_sparsity(args.n, args.k, args.trials, family=args.family, seed=args.seed)
+    return _campaign_exit(report, args.out)
+
+
+def _verify_estimator(args) -> int:
+    report = verify_estimator_bounds(
+        args.n, args.a, args.k, args.trials, family=args.family, seed=args.seed
+    )
+    return _campaign_exit(report, args.out)
+
+
+def _verify_subset_cap(args) -> int:
+    configs = SUBSET_CAP_CONFIGS if args.config == "all" else (args.config,)
+    code = 0
+    for config in configs:
+        report = verify_subset_cap(args.size_a, args.r, args.trials, config=config, seed=args.seed)
+        out = None
+        if args.out:
+            stem = Path(args.out)
+            out = str(stem.with_name(f"{stem.stem}-{config}{stem.suffix}"))
+        code = max(code, _campaign_exit(report, out))
     return code
 
 
@@ -190,22 +202,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--a", type=float, default=0.75)
-        p.add_argument("--k", type=float, default=0.5)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--family", default=DEFAULT_FAMILY)
-        p.add_argument("--out", default=None)
+    def shared(p, *flags):
+        for flag in flags:
+            p.add_argument(flag, **_SHARED_FLAGS[flag])
 
     def log_factors(p):
         p.add_argument("--log-factors", dest="log_factors", type=_bool_flag, default=False)
 
     p_run = sub.add_parser("run", help="single charged finder run")
-    common(p_run)
+    shared(p_run, "--a", "--k", "--seed", "--out")
     log_factors(p_run)
     # None stands for DEFAULT_N and DEFAULT_FAMILY, so that --graph can refuse both flags.
     p_run.add_argument("--n", type=int, default=None)
-    p_run.set_defaults(family=None)
+    p_run.add_argument("--family", default=None)
     p_run.add_argument(
         "--graph",
         default=None,
@@ -215,22 +224,30 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--guard", type=int, default=64)
     p_run.set_defaults(func=_cmd_run)
 
+    # Each verify target declares only the flags its campaign reads.
     p_verify = sub.add_parser("verify", help="Monte Carlo verification campaigns")
-    p_verify.add_argument(
-        "target", choices=["cover-sparsity", "estimator", "subset-cap"]
-    )
-    common(p_verify)
-    p_verify.add_argument("--n", type=int, default=256)
-    p_verify.add_argument("--trials", type=int, default=100)
-    p_verify.add_argument("--size-a", dest="size_a", type=int, default=128)
-    p_verify.add_argument("--r", type=int, default=16)
-    p_verify.add_argument(
-        "--config", choices=list(SUBSET_CAP_CONFIGS) + ["all"], default="all"
-    )
-    p_verify.set_defaults(func=_cmd_verify)
+    targets = p_verify.add_subparsers(dest="target", required=True)
+
+    def target(name, campaign):
+        p = targets.add_parser(name)
+        p.add_argument("--trials", type=int, default=100)
+        shared(p, "--seed", "--out")
+        p.set_defaults(func=_cmd_verify, campaign=campaign)
+        return p
+
+    p_cover = target("cover-sparsity", _verify_cover_sparsity)
+    p_est = target("estimator", _verify_estimator)
+    p_cap = target("subset-cap", _verify_subset_cap)
+    for p in (p_cover, p_est):
+        p.add_argument("--n", type=int, default=256)
+        shared(p, "--k", "--family")
+    shared(p_est, "--a")
+    p_cap.add_argument("--size-a", dest="size_a", type=int, default=128)
+    p_cap.add_argument("--r", type=int, default=16)
+    p_cap.add_argument("--config", choices=list(SUBSET_CAP_CONFIGS) + ["all"], default="all")
 
     p_fit = sub.add_parser("fit", help="scaling-exponent fit")
-    common(p_fit)
+    shared(p_fit, "--a", "--k", "--seed", "--family", "--out")
     log_factors(p_fit)
     p_fit.add_argument("--grid", type=_numbers(int), default="128,256,512,1024,2048")
     p_fit.add_argument("--algo", choices=ALGOS, default="walk")
@@ -243,17 +260,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_corr = sub.add_parser("correctness", help="finder vs ground truth")
     p_corr.add_argument("--max-n", dest="max_n", type=int, default=64)
     p_corr.add_argument("--cases", type=int, default=200)
-    p_corr.add_argument("--seed", type=int, default=0)
+    shared(p_corr, "--seed", "--out")
     p_corr.add_argument("--planted-cases", dest="planted_cases", type=int, default=20)
     p_corr.add_argument("--planted-n", dest="planted_n", type=int, default=512)
     p_corr.add_argument("--inject", type=_bool_flag, default=False)
-    p_corr.add_argument("--out", default=None)
     p_corr.set_defaults(func=_cmd_correctness)
 
     p_gen = sub.add_parser("gen", help="write a generated graph")
     p_gen.add_argument("--n", type=int, required=True)
-    p_gen.add_argument("--family", default="er:0.5")
-    p_gen.add_argument("--seed", type=int, default=0)
+    shared(p_gen, "--family", "--seed")
     p_gen.add_argument("--out", required=True)
     p_gen.set_defaults(func=_cmd_gen)
 

@@ -27,15 +27,6 @@ import numpy as np
 
 from ._checks import _check_bool, _check_int, _check_real, _check_type, _checked_reals
 
-__all__ = [
-    "WalkCharge",
-    "log_multiplier",
-    "grover_cost",
-    "variable_search_cost",
-    "walk_cost",
-    "walk_cost_terms",
-]
-
 
 @dataclass(frozen=True)
 class WalkCharge:

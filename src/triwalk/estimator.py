@@ -53,7 +53,6 @@ import numpy as np
 from .graph import Graph, QueryLedger, _apex_column_counts, _common_counts, _degrees
 from .pairs import PairSet
 
-__all__ = ["estimator_charge"]
 
 # Round count of the coarse screen: ceil(240 ln n).
 SCREEN_ROUNDS_FACTOR = 240.0

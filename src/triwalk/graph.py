@@ -51,21 +51,6 @@ from ._checks import (
     _holds_bool,
 )
 
-__all__ = [
-    "Graph",
-    "QueryLedger",
-    "Triangle",
-    "brute_force_triangle",
-    "erdos_renyi",
-    "random_bipartite",
-    "planted_instance",
-    "planted_triple",
-    "is_triangle",
-    "read_edge_list",
-    "write_edge_list",
-    "read_packed",
-    "write_packed",
-]
 
 # Seed-stream tags so generators drawing from the same user seed stay
 # independent of each other.

@@ -15,7 +15,7 @@ import io
 import json
 import math
 from dataclasses import asdict, dataclass, field, replace
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -48,20 +48,6 @@ from .pipeline import (
     sparse_edges_baseline,
 )
 
-__all__ = [
-    "CampaignReport",
-    "FitResult",
-    "parse_family",
-    "wilson_interval",
-    "sigma_pass_line",
-    "verify_cover_sparsity",
-    "verify_estimator_bounds",
-    "verify_subset_cap",
-    "SUBSET_CAP_CONFIGS",
-    "scaling_fit",
-    "correctness_suite",
-    "fit_loglog",
-]
 
 VERDICT_Z = 5.0
 
@@ -170,10 +156,15 @@ class CampaignReport:
         return buf.getvalue()
 
 
-def _trial_seeds(seed: int, count: int) -> list[int]:
+def _trial_seeds(seed: int, count: int) -> Iterator[int]:
+    """count trial seeds, spawned one at a time from SeedSequence([seed]).
+
+    Each spawn(1) takes the next child, so the seeds equal those of one
+    spawn(count), without holding every child before the first trial.
+    """
     _check_seed(seed)
     root = np.random.SeedSequence([seed])
-    return [int(s.generate_state(1)[0]) for s in root.spawn(count)]
+    return (int(root.spawn(1)[0].generate_state(1)[0]) for _ in range(count))
 
 
 def verify_cover_sparsity(
@@ -492,39 +483,25 @@ def correctness_suite(
     if planted_cases:
         _check_int("planted_n", planted_n, params.n_min_guard)
     rng = np.random.default_rng([seed, 0x5])
-    agree = 0
-    total = 0
-    positives = 0
-    detected = 0
-    false_positives = 0
+    agree = 0  # runs whose answer matches the truth and verifies
     per_trial = []
-
-    def run_case(g: Graph, t_seed: int) -> None:
-        nonlocal agree, total, positives, detected, false_positives
+    for i in range(cases + planted_cases):
+        if i < cases:
+            spec = _MIX_FAMILIES[i % len(_MIX_FAMILIES)]
+            n = int(rng.integers(params.n_min_guard, max_n + 1))
+        else:
+            spec, n = "planted", planted_n
+        t_seed = int(rng.integers(0, 2**31))
+        g = parse_family(spec)[1](n, t_seed)
         report = find_triangle(g, replace(params, seed=t_seed))
-        truth = brute_force_triangle(g)
         found = report.outcome is not None
-        exists = truth is not None
-        ok_verified = report.outcome is None or is_triangle(g, report.outcome)
-        total += 1
-        if (found == exists) and ok_verified:
-            agree += 1
-        if exists:
-            positives += 1
-            if found:
-                detected += 1
-        elif found:
-            false_positives += 1
+        exists = brute_force_triangle(g) is not None
+        agree += found == exists and (not found or is_triangle(g, report.outcome))
         per_trial.append({"n": g.n, "exists": exists, "found": found})
-
-    for i in range(cases):
-        fam_name, fam = parse_family(_MIX_FAMILIES[i % len(_MIX_FAMILIES)])
-        n = int(rng.integers(params.n_min_guard, max_n + 1))
-        t_seed = int(rng.integers(0, 2**31))
-        run_case(fam(n, t_seed), t_seed)
-    for _ in range(planted_cases):
-        t_seed = int(rng.integers(0, 2**31))
-        run_case(planted_instance(planted_n, t_seed), t_seed)
+    total = len(per_trial)
+    positives = sum(t["exists"] for t in per_trial)
+    detected = sum(t["exists"] and t["found"] for t in per_trial)
+    false_positives = sum(t["found"] and not t["exists"] for t in per_trial)
 
     config = {
         "max_n": max_n,
@@ -543,29 +520,19 @@ def correctness_suite(
         "detection_rate": (detected / positives) if positives else None,
     }
     if injection is None:
-        return CampaignReport.from_counts(
-            "correctness",
-            config,
-            agree,
-            total,
-            bound=1.0,
-            per_trial=per_trial,
-            extras=extras,
-            verdict=(agree == total),
-        )
-    floor = 2.0 / 3.0
-    line = sigma_pass_line(floor, positives) if positives else floor
-    verdict = false_positives == 0 and (
-        positives == 0 or detected / positives >= line
-    )
-    report = CampaignReport.from_counts(
-        "detection_floor",
+        campaign, successes, trials, bound = "correctness", agree, total, 1.0
+        verdict = agree == total
+    else:
+        campaign, successes, trials, bound = "detection_floor", detected, max(positives, 1), 2 / 3
+        line = sigma_pass_line(bound, positives) if positives else bound
+        verdict = false_positives == 0 and (positives == 0 or detected / positives >= line)
+    return CampaignReport.from_counts(
+        campaign,
         config,
-        detected,
-        max(positives, 1),
-        bound=floor,
+        successes,
+        trials,
+        bound=bound,
         per_trial=per_trial,
         extras=extras,
         verdict=verdict,
     )
-    return report

@@ -37,13 +37,6 @@ from ._checks import (
 )
 from .graph import Graph, _bool_rows, _common_counts
 
-__all__ = [
-    "cover_draw_count",
-    "sample_cover",
-    "uncovered_pairs",
-    "cover_is_sparsifying",
-    "subset_pair_cap",
-]
 
 # Draw count for the sampled cover: ceil(3 * n^k * ln n), with replacement.
 COVER_DRAW_FACTOR = 3.0

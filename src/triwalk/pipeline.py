@@ -74,19 +74,6 @@ from .graph import (
 )
 from .pairs import PairSet, sample_cover, subset_pair_cap, uncovered_pairs, uncovered_pairs_at
 
-__all__ = [
-    "PHASES",
-    "AlgoParams",
-    "FailureInjection",
-    "RunReport",
-    "block_size",
-    "inner_size",
-    "sample_size",
-    "cost_envelope",
-    "find_triangle",
-    "naive_triples_baseline",
-    "sparse_edges_baseline",
-]
 
 PHASES = (
     "cover_search",
@@ -245,21 +232,6 @@ def search_cover_triangles(
     return None if hit is None else Triangle(*sorted(hit))
 
 
-@dataclass
-class CheckCharge:
-    """Charged profile of one apex scan over a block.
-
-    total is the variable-cost dispatch over all apexes, estimator_each
-    the charge of one estimator run, and subset_size and eps the inner
-    walk's subset size and marked fraction.
-    """
-
-    total: float
-    estimator_each: float
-    subset_size: int
-    eps: float
-
-
 def find_apex_witness(
     g: Graph,
     surviving: PairSet,
@@ -267,7 +239,7 @@ def find_apex_witness(
     ledger: QueryLedger,
     rng: np.random.Generator,
     charge_scale: float = 1.0,
-) -> CheckCharge:
+) -> dict:
     """Charge the block check: do a block's surviving pairs hold a triangle edge?
 
     The block is surviving.verts, of size ceil(n^a); find_triangle has
@@ -290,6 +262,11 @@ def find_apex_witness(
     dispatch total enters the charged model. The check's answer is
     search_blocks' scan hit, so no witness is searched here; the name is
     kept because perfbench's tracer wraps this function by it.
+
+    Returns the entries of the charge log's outer record that it computes:
+    check_total (the dispatch total), estimator_each (one estimator run's
+    charge), and inner_subset_size and inner_eps (the inner walk's subset
+    size r and marked fraction).
     """
     n = g.n
     bsize = surviving.verts.size
@@ -310,7 +287,12 @@ def find_apex_witness(
     walk_share = total - est_share
     ledger.charge("outer_check_estimator", charge_scale * est_share)
     ledger.charge("inner_walk", charge_scale * walk_share)
-    return CheckCharge(total=total, estimator_each=est_each, subset_size=r, eps=eps)
+    return {
+        "check_total": float(total),
+        "estimator_each": float(est_each),
+        "inner_subset_size": int(r),
+        "inner_eps": float(eps),
+    }
 
 
 def search_blocks(
@@ -351,7 +333,7 @@ def search_blocks(
 
     surviving = uncovered_pairs(g, cover, block)
     check_scale = log_multiplier(bsize, params.log_factors) / math.sqrt(eps_outer)
-    check_charge = find_apex_witness(
+    check_log = find_apex_witness(
         g, surviving, params, ledger, rng=plan_rng, charge_scale=check_scale
     )
 
@@ -359,7 +341,7 @@ def search_blocks(
     outer = WalkCharge(
         setup=bsize * x_charge,
         update=2.0 * x_charge,
-        check=check_charge.total,
+        check=check_log["check_total"],
         r=bsize,
         eps=eps_outer,
     )
@@ -373,11 +355,8 @@ def search_blocks(
         "setup": float(outer.setup),
         "update": float(outer.update),
         "cover_charge_size": int(x_charge),
-        "check_total": float(check_charge.total),
+        **check_log,
         "check_scale": float(check_scale),
-        "inner_subset_size": int(check_charge.subset_size),
-        "inner_eps": float(check_charge.eps),
-        "estimator_each": float(check_charge.estimator_each),
         "witness_exists": hit is not None,
         "check_witness_found": hit is not None,
     }
@@ -554,6 +533,22 @@ def find_triangle(g: Graph, params: AlgoParams) -> RunReport:
     )
 
 
+def _baseline_report(
+    g: Graph, algo: str, phase: str, charge: float, log_entry: dict, log_factors: bool, t0: float
+) -> RunReport:
+    """A baseline's one-phase report, its outcome the exact answer."""
+    return RunReport(
+        n=g.n,
+        algo=algo,
+        outcome=brute_force_triangle(g),
+        charges={phase: charge},
+        raw_probes=0,
+        params={"a": None, "k": None, "log_factors": log_factors, "seed": None},
+        charge_log={phase: log_entry},
+        wall_ms=(time.perf_counter() - t0) * 1000.0,
+    )
+
+
 def naive_triples_baseline(g: Graph, log_factors: bool = False) -> RunReport:
     """Plain search over all vertex triples: charge sqrt(C(n,3))."""
     _check_type("g", g, Graph)
@@ -561,16 +556,9 @@ def naive_triples_baseline(g: Graph, log_factors: bool = False) -> RunReport:
     _check_int("vertex count of a triple search", g.n, 3)
     t0 = time.perf_counter()
     domain = comb(g.n, 3)
-    outcome = brute_force_triangle(g)
-    return RunReport(
-        n=g.n,
-        algo="naive",
-        outcome=outcome,
-        charges={"triples_search": grover_cost(domain, 1.0, log_factors)},
-        raw_probes=0,
-        params={"a": None, "k": None, "log_factors": log_factors, "seed": None},
-        charge_log={"triples_search": {"domain": domain, "t": 1.0}},
-        wall_ms=(time.perf_counter() - t0) * 1000.0,
+    charge = grover_cost(domain, 1.0, log_factors)
+    return _baseline_report(
+        g, "naive", "triples_search", charge, {"domain": domain, "t": 1.0}, log_factors, t0
     )
 
 
@@ -581,14 +569,6 @@ def sparse_edges_baseline(g: Graph, log_factors: bool = False) -> RunReport:
     t0 = time.perf_counter()
     m_edges = g.edge_count
     charge = (g.n + math.sqrt(g.n * m_edges)) * log_multiplier(g.n, log_factors)
-    outcome = brute_force_triangle(g)
-    return RunReport(
-        n=g.n,
-        algo="edges",
-        outcome=outcome,
-        charges={"edge_search": charge},
-        raw_probes=0,
-        params={"a": None, "k": None, "log_factors": log_factors, "seed": None},
-        charge_log={"edge_search": {"edges": int(m_edges)}},
-        wall_ms=(time.perf_counter() - t0) * 1000.0,
+    return _baseline_report(
+        g, "edges", "edge_search", charge, {"edges": int(m_edges)}, log_factors, t0
     )

@@ -8,6 +8,7 @@ import triwalk.cli
 import triwalk.harness
 from triwalk.cli import main
 from triwalk.graph import read_edge_list, read_packed
+from triwalk.harness import verify_cover_sparsity, verify_estimator_bounds, verify_subset_cap
 
 
 def test_run_writes_deterministic_json(tmp_path, capsys):
@@ -88,6 +89,63 @@ def test_verify_estimator_csv(tmp_path):
     assert out.read_text().startswith("trial,outcome")
 
 
+@pytest.mark.parametrize(
+    "argv, reports",
+    [
+        (
+            ["cover-sparsity", "--trials", "3"],
+            {"": lambda: verify_cover_sparsity(256, 0.5, 3, family="er:0.5", seed=0)},
+        ),
+        (
+            ["cover-sparsity", "--n", "48", "--k", "0.4", "--trials", "4"]
+            + ["--family", "bipartite", "--seed", "7"],
+            {"": lambda: verify_cover_sparsity(48, 0.4, 4, family="bipartite", seed=7)},
+        ),
+        (
+            ["estimator", "--trials", "2"],
+            {"": lambda: verify_estimator_bounds(256, 0.75, 0.5, 2, family="er:0.5", seed=0)},
+        ),
+        (
+            ["estimator", "--n", "48", "--a", "0.7", "--k", "0.4", "--trials", "4"]
+            + ["--family", "er:0.3", "--seed", "7"],
+            {"": lambda: verify_estimator_bounds(48, 0.7, 0.4, 4, family="er:0.3", seed=7)},
+        ),
+        (
+            ["subset-cap"],
+            {
+                f"-{config}": lambda config=config: verify_subset_cap(
+                    128, 16, 100, config=config, seed=0
+                )
+                for config in ("er-half", "er-dense", "edgeless")
+            },
+        ),
+        (
+            ["subset-cap", "--size-a", "24", "--r", "6", "--trials", "500"]
+            + ["--config", "er-dense", "--seed", "7"],
+            {"-er-dense": lambda: verify_subset_cap(24, 6, 500, config="er-dense", seed=7)},
+        ),
+    ],
+    ids=[
+        "cover-sparsity-defaults",
+        "cover-sparsity-every-flag",
+        "estimator-defaults",
+        "estimator-every-flag",
+        "subset-cap-defaults",
+        "subset-cap-every-flag",
+    ],
+)
+def test_verify_out_is_the_library_report(tmp_path, capsys, argv, reports):
+    # Each flag reaches its own argument, and each default is the library's
+    # or the documented one: the report file equals the library call's bytes.
+    main(["verify", *argv, "--out", str(tmp_path / "r.json")])
+    assert sorted(path.name for path in tmp_path.iterdir()) == sorted(
+        f"r{suffix}.json" for suffix in reports
+    )
+    for suffix, call in reports.items():
+        assert (tmp_path / f"r{suffix}.json").read_bytes() == call().to_json().encode()
+    assert capsys.readouterr().err.startswith("wall_ms=")
+
+
 def test_fit_band_verdicts():
     base = [
         "fit",
@@ -109,13 +167,19 @@ def test_fit_usage_error_for_bad_grid():
 
 @pytest.fixture
 def no_work(monkeypatch):
-    """Fail the test if a command starts its finder run or its fit."""
+    """Fail the test if a command starts its finder run, its fit or its campaign."""
 
     def refuse(*args, **kwargs):
         raise AssertionError("work ran before the usage error")
 
-    monkeypatch.setattr(triwalk.cli, "find_triangle", refuse)
-    monkeypatch.setattr(triwalk.cli, "scaling_fit", refuse)
+    for name in (
+        "find_triangle",
+        "scaling_fit",
+        "verify_cover_sparsity",
+        "verify_estimator_bounds",
+        "verify_subset_cap",
+    ):
+        monkeypatch.setattr(triwalk.cli, name, refuse)
 
 
 def test_run_csv_out_is_usage_error_before_the_run(tmp_path, capsys, no_work):
@@ -150,8 +214,19 @@ def test_fit_bad_grid_is_usage_error_before_the_fit(capsys, no_work, grid):
     [
         ["fit", "--grid", "128,256", "--n", "64"],
         ["verify", "estimator", "--n", "64", "--log-factors", "on"],
+        ["verify", "subset-cap", "--n", "64"],
+        ["verify", "subset-cap", "--family", "er:0.9"],
+        ["verify", "cover-sparsity", "--a", "0.5"],
+        ["verify", "estimator", "--config", "edgeless"],
     ],
-    ids=["fit-n", "verify-log-factors"],
+    ids=[
+        "fit-n",
+        "verify-log-factors",
+        "subset-cap-n",
+        "subset-cap-family",
+        "cover-sparsity-a",
+        "estimator-config",
+    ],
 )
 def test_flag_a_command_never_reads_is_usage_error(capsys, no_work, argv):
     with pytest.raises(SystemExit) as info:

@@ -91,6 +91,29 @@ class TestStats:
             fit_loglog([(10, 1.0)])
 
 
+class TestTrialSeeds:
+    @pytest.mark.parametrize("seed", [0, 1, 12345, 2**40])
+    def test_seeds_are_those_of_one_spawn(self, seed):
+        children = np.random.SeedSequence([seed]).spawn(50)
+        expected = [int(child.generate_state(1)[0]) for child in children]
+        assert list(harness._trial_seeds(seed, 50)) == expected
+
+    def test_first_seed_holds_no_other_trials_seed(self):
+        # Spawning every child up front held all 10^5 before the first trial.
+        next(iter(harness._trial_seeds(0, 10)))  # imports and caches, untraced
+        tracemalloc.start()
+        try:
+            next(iter(harness._trial_seeds(0, 10**5)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**10
+
+    def test_seed_is_checked_at_the_call(self):
+        with pytest.raises(ValueError, match="seed"):
+            harness._trial_seeds(-1, 3)
+
+
 class TestFamilies:
     def test_tokens(self):
         for token in ("er:0.3", "bipartite", "planted", "edgeless", "complete"):

@@ -154,27 +154,27 @@ class TestApexWitness:
         estimates, _ = estimate_all_apexes(
             g, surviving, SamplePlan(n, m, surviving.universe_size, rng=rng)
         )
-        r = charge.subset_size
+        r = charge["inner_subset_size"]
         per_apex = []
         for w in range(n):
             # Q(w): one estimator charge plus the subset-walk formula with
             # checking cost sqrt(cap(w)).
             cap = subset_pair_cap(r, block.size, 3.0 * estimates[w])
             wc = WalkCharge(
-                setup=float(r), update=2.0, check=math.sqrt(cap), r=r, eps=charge.eps
+                setup=float(r), update=2.0, check=math.sqrt(cap), r=r, eps=charge["inner_eps"]
             )
-            per_apex.append(charge.estimator_each + walk_cost(wc))
+            per_apex.append(charge["estimator_each"] + walk_cost(wc))
         per_apex = np.array(per_apex)
         total = variable_search_cost(per_apex)
-        return total, total * (n * charge.estimator_each / per_apex.sum())
+        return total, total * (n * charge["estimator_each"] / per_apex.sum())
 
     def test_no_survivors_still_charges_floor(self):
         g, params, cover, block, surviving = self.make(64, 0.0, 1)
         ledger = QueryLedger()
         charge = self.check_charge(g, surviving, params, ledger)
-        assert charge.total > 0
+        assert charge["check_total"] > 0
         total, est_share = self.recomputed_charge(g, block, surviving, params, charge)
-        assert charge.total == total
+        assert charge["check_total"] == total
         assert ledger.charged["outer_check_estimator"] == est_share
         assert ledger.charged["inner_walk"] == total - est_share
 
@@ -183,7 +183,7 @@ class TestApexWitness:
         ledger = QueryLedger()
         charge = self.check_charge(g, surviving, params, ledger)
         charged = ledger.charged
-        assert charged["outer_check_estimator"] + charged["inner_walk"] == charge.total
+        assert charged["outer_check_estimator"] + charged["inner_walk"] == charge["check_total"]
 
     def test_per_apex_matches_walk_formula(self):
         # The dispatch total over Q(w) must match, bit for bit, and the
@@ -192,7 +192,7 @@ class TestApexWitness:
         ledger = QueryLedger()
         charge = self.check_charge(g, surviving, params, ledger)
         total, est_share = self.recomputed_charge(g, block, surviving, params, charge)
-        assert charge.total == total
+        assert charge["check_total"] == total
         assert ledger.charged["outer_check_estimator"] == est_share
         assert ledger.charged["inner_walk"] == total - est_share
 
@@ -207,7 +207,7 @@ class TestApexWitness:
             block = np.arange(block_size(n, params.a))
             surviving = uncovered_pairs(g, cover, block)
             charge = self.check_charge(g, surviving, params, QueryLedger())
-            totals[n] = charge.total
+            totals[n] = charge["check_total"]
         assert 3.5 <= totals[1024] / totals[256] <= 7.5
 
     def test_checker_gate(self):
