@@ -87,22 +87,19 @@ def _write_report(text_json: str, text_csv: Optional[str], out: Optional[str]) -
     path.write_text(text_csv if path.suffix == ".csv" else text_json)
 
 
-def _params_from_args(args) -> AlgoParams:
-    injection = DEFAULT_INJECTION if getattr(args, "inject", False) else None
-    return AlgoParams(
-        a=args.a,
-        k=args.k,
-        log_factors=args.log_factors,
-        failure_injection=injection,
-        seed=args.seed,
-        n_min_guard=getattr(args, "guard", 64),
-    )
+def _params_from_args(args, **extra) -> AlgoParams:
+    """The finder's parameters from --a --k --log-factors --seed, plus extra fields."""
+    return AlgoParams(a=args.a, k=args.k, log_factors=args.log_factors, seed=args.seed, **extra)
+
+
+def _injection(args) -> Optional[FailureInjection]:
+    return DEFAULT_INJECTION if args.inject else None
 
 
 def _run_graph(args) -> Graph:
     """The graph file --graph names, or the --family instance on --n vertices."""
     if args.graph is None:
-        _, fam = parse_family(DEFAULT_FAMILY if args.family is None else args.family)
+        fam = parse_family(DEFAULT_FAMILY if args.family is None else args.family)
         return fam(DEFAULT_N if args.n is None else args.n, args.seed)
     if args.n is not None or args.family is not None:
         raise ValueError("--graph cannot be combined with --n or --family")
@@ -116,7 +113,8 @@ def _run_graph(args) -> Graph:
 def _cmd_run(args) -> int:
     _check_out(args.out, has_csv=False)
     g = _run_graph(args)
-    report = find_triangle(g, _params_from_args(args))
+    params = _params_from_args(args, failure_injection=_injection(args), n_min_guard=args.guard)
+    report = find_triangle(g, params)
     print(f"wall_ms={report.wall_ms:.1f}", file=sys.stderr)
     _write_report(report.to_json(), None, args.out)
     return 0
@@ -172,12 +170,11 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_correctness(args) -> int:
-    injection = DEFAULT_INJECTION if args.inject else None
     report = correctness_suite(
         args.max_n,
         args.cases,
         seed=args.seed,
-        injection=injection,
+        injection=_injection(args),
         planted_cases=args.planted_cases,
         planted_n=args.planted_n,
     )
@@ -185,8 +182,7 @@ def _cmd_correctness(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    _, fam = parse_family(args.family)
-    g = fam(args.n, args.seed)
+    g = parse_family(args.family)(args.n, args.seed)
     path = Path(args.out)
     if path.suffix == ".bin":
         write_packed(g, path)
@@ -221,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="run on this graph file (.bin: packed, else edge list), not --n/--family",
     )
     p_run.add_argument("--inject", type=_bool_flag, default=False)
-    p_run.add_argument("--guard", type=int, default=64)
+    p_run.add_argument("--guard", type=int, default=AlgoParams.n_min_guard)
     p_run.set_defaults(func=_cmd_run)
 
     # Each verify target declares only the flags its campaign reads.

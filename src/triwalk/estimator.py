@@ -46,11 +46,11 @@ screen draw is scored past that one pass.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 import numpy as np
 
-from .graph import Graph, QueryLedger, _apex_column_counts, _common_counts, _degrees
+from .graph import Graph, _apex_column_counts, _common_counts, _degrees
 from .pairs import PairSet
 
 
@@ -157,21 +157,14 @@ def _apex_counts(g: Graph, surviving: PairSet, plan: SamplePlan) -> _ApexCounts:
     return _ApexCounts(c1, refined, c2, outputs, probes)
 
 
-def estimate_all_apexes(
-    g: Graph,
-    surviving: PairSet,
-    plan: SamplePlan,
-    ledger: Optional[QueryLedger] = None,
-) -> tuple[np.ndarray, int]:
+def estimate_all_apexes(g: Graph, surviving: PairSet, plan: SamplePlan) -> tuple[np.ndarray, int]:
     """Evaluate the estimator for every apex at once against one plan.
 
     Returns (outputs indexed by apex, total raw probes). Emulation-side
-    helper: raw probes are tallied on the ledger but nothing is charged;
-    the caller owns the charged model (one estimator charge per apex
-    enters the per-apex dispatch cost). Unchecked: ``plan`` must be drawn
-    for ``surviving.universe_size`` pairs.
+    helper: nothing is charged; the caller tallies the raw probes and owns
+    the charged model (one estimator charge per apex enters the per-apex
+    dispatch cost). Unchecked: ``plan`` must be drawn for
+    ``surviving.universe_size`` pairs.
     """
     counts = _apex_counts(g, surviving, plan)
-    if ledger is not None:
-        ledger.add_raw(counts.probes)
     return counts.outputs, counts.probes

@@ -12,10 +12,9 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import math
 from dataclasses import asdict, dataclass, field, replace
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -41,6 +40,7 @@ from .pipeline import (
     AlgoParams,
     FailureInjection,
     RunReport,
+    _canonical_json,
     block_size,
     find_triangle,
     naive_triples_baseline,
@@ -72,21 +72,32 @@ def sigma_pass_line(bound: float, trials: int, z: float = VERDICT_Z) -> float:
     return bound - z * math.sqrt(bound * (1.0 - bound) / trials)
 
 
-def parse_family(spec: str) -> tuple[str, Callable[[int, int], Graph]]:
-    """Graph family from a CLI-style token: er:p, bipartite, planted, ..."""
+def parse_family(spec: str) -> Callable[[int, int], Graph]:
+    """The (n, seed) generator a CLI-style token names: er:p, bipartite, planted, ..."""
     _check_type("family", spec, str)
     if spec.startswith("er:"):
         p = float(spec.split(":", 1)[1])
-        return spec, lambda n, seed: erdos_renyi(n, p, seed)
+        return lambda n, seed: erdos_renyi(n, p, seed)
     if spec == "bipartite":
-        return spec, random_bipartite
+        return random_bipartite
     if spec == "planted":
-        return spec, planted_instance
+        return planted_instance
     if spec == "edgeless":
-        return spec, lambda n, seed: erdos_renyi(n, 0.0, seed)
+        return lambda n, seed: erdos_renyi(n, 0.0, seed)
     if spec == "complete":
-        return spec, lambda n, seed: erdos_renyi(n, 1.0, seed)
+        return lambda n, seed: erdos_renyi(n, 1.0, seed)
     raise ValueError(f"unknown graph family {spec!r}")
+
+
+def _csv_text(header: Sequence, rows: Iterable[Sequence], summary: Iterable[Sequence]) -> str:
+    """A report's CSV form: header, data rows, a blank row, (name, value) rows."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows(rows)
+    writer.writerow([])
+    writer.writerows(summary)
+    return buf.getvalue()
 
 
 @dataclass
@@ -140,20 +151,16 @@ class CampaignReport:
         return asdict(self)
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
+        return _canonical_json(self.to_dict())
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["trial", "outcome"])
-        for i, value in enumerate(self.per_trial):
-            writer.writerow([i, value])
-        writer.writerow([])
-        writer.writerow(["frequency", self.frequency])
-        writer.writerow(["bound", self.bound])
-        writer.writerow(["pass_line", self.pass_line])
-        writer.writerow(["verdict", int(self.verdict)])
-        return buf.getvalue()
+        summary = [
+            ("frequency", self.frequency),
+            ("bound", self.bound),
+            ("pass_line", self.pass_line),
+            ("verdict", int(self.verdict)),
+        ]
+        return _csv_text(("trial", "outcome"), enumerate(self.per_trial), summary)
 
 
 def _trial_seeds(seed: int, count: int) -> Iterator[int]:
@@ -182,7 +189,7 @@ def verify_cover_sparsity(
     """
     _check_int("trials", trials, 1)
     AlgoParams(k=k)  # the finder's bounds on the cover exponent
-    fam_name, fam = parse_family(family)
+    fam = parse_family(family)
     outcomes = []
     for t_seed in _trial_seeds(seed, trials):
         g = fam(n, t_seed)
@@ -190,7 +197,7 @@ def verify_cover_sparsity(
         outcomes.append(bool(cover_is_sparsifying(g, cover, k)))
     return CampaignReport.from_counts(
         "cover_sparsity",
-        {"n": n, "k": k, "trials": trials, "family": fam_name, "seed": seed},
+        {"n": n, "k": k, "trials": trials, "family": family, "seed": seed},
         sum(outcomes),
         trials,
         bound=1.0 - 1.0 / n,
@@ -217,7 +224,7 @@ def verify_estimator_bounds(
     _check_int("trials", trials, 1)
     _check_int("n", n, 4)  # so the bound 1 - 3/n is positive
     AlgoParams(a=a, k=k)  # the finder's bounds on both exponents
-    fam_name, fam = parse_family(family)
+    fam = parse_family(family)
     m = sample_size(n, k)
     bsize = block_size(n, a)
     outcomes = []
@@ -245,7 +252,7 @@ def verify_estimator_bounds(
             "k": k,
             "m": m,
             "trials": trials,
-            "family": fam_name,
+            "family": family,
             "seed": seed,
         },
         sum(outcomes),
@@ -266,8 +273,7 @@ def _subset_cap_setup(config: str, size_a: int, seed: int):
     """Graph on size_a + 16 vertices, no cover, block [0, size_a), apex size_a."""
     if config not in SUBSET_CAP_CONFIGS:  # a dict lookup of a list raises TypeError
         raise ValueError(f"unknown subset-cap config {config!r}")
-    _, fam = parse_family(_SUBSET_CAP_FAMILIES[config])
-    g = fam(size_a + 16, seed)
+    g = parse_family(_SUBSET_CAP_FAMILIES[config])(size_a + 16, seed)
     block = np.arange(size_a)
     cover = np.array([], dtype=np.int64)
     return g, cover, block, size_a
@@ -376,19 +382,15 @@ class FitResult:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
+        return _canonical_json(self.to_dict())
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["n", "mean", "std", "trials"])
-        for n, mean, std, trials in self.points:
-            writer.writerow([n, mean, std, trials])
-        writer.writerow([])
-        writer.writerow(["slope", self.slope])
-        writer.writerow(["intercept", self.intercept])
-        writer.writerow(["r_squared", self.r_squared])
-        return buf.getvalue()
+        summary = [
+            ("slope", self.slope),
+            ("intercept", self.intercept),
+            ("r_squared", self.r_squared),
+        ]
+        return _csv_text(("n", "mean", "std", "trials"), self.points, summary)
 
 
 def fit_loglog(points: Sequence[tuple[float, float]]) -> tuple[float, float, float]:
@@ -439,7 +441,7 @@ def scaling_fit(
     low = {"walk": params.n_min_guard, "naive": 3}.get(algo, 1)  # the least n a run takes
     for n in n_grid:
         _check_int("grid point n", n, low)
-    fam_name, fam = parse_family(family)
+    fam = parse_family(family)
     points = []
     for idx, n in enumerate(n_grid):
         totals = []
@@ -449,7 +451,7 @@ def scaling_fit(
         arr = np.asarray(totals)
         points.append((int(n), float(arr.mean()), float(arr.std()), trials_per_n))
     slope, intercept, r2 = fit_loglog([(n, mean) for n, mean, _, _ in points])
-    return FitResult(slope, intercept, r2, points, algo=algo, family=fam_name)
+    return FitResult(slope, intercept, r2, points, algo=algo, family=family)
 
 
 _MIX_FAMILIES = ("er:0.1", "er:0.5", "er:0.9", "bipartite", "planted")
@@ -492,7 +494,7 @@ def correctness_suite(
         else:
             spec, n = "planted", planted_n
         t_seed = int(rng.integers(0, 2**31))
-        g = parse_family(spec)[1](n, t_seed)
+        g = parse_family(spec)(n, t_seed)
         report = find_triangle(g, replace(params, seed=t_seed))
         found = report.outcome is not None
         exists = brute_force_triangle(g) is not None

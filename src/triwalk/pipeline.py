@@ -24,7 +24,11 @@ budget while computing exact answers classically:
 4. Extract the triangle with one last search over the inner subset's
    surviving pairs at the apex, plus a completion search.
 
-Charged totals live on a per-phase ledger. With log factors disabled
+Charged totals live on a per-phase ledger. find_triangle charges and logs
+each plain search itself (cover search, extraction, completion search),
+so search_cover_triangles only scans; search_blocks and find_apex_witness
+charge the walk phases. After each level find_triangle returns early
+once the ledger's total exceeds the budget. With log factors disabled
 (default) the charges use the power-law skeletons of the log-sized
 quantities (cover size -> ceil(n^k), estimator run -> ceil(m)), so the
 fitted exponent reads the power law; enabling log factors restores the
@@ -166,10 +170,6 @@ def _cover_charge_size(n: int, k: float, cover, log_factors: bool) -> int:
     return len(cover) if log_factors else sample_size(n, k)
 
 
-def _estimator_charge_each(n: int, m: int, log_factors: bool) -> float:
-    return float(estimator_charge(n, m) if log_factors else m)
-
-
 def _suppressed(p: Optional[float], rng: np.random.Generator) -> bool:
     """True when a stage gate of success probability p suppresses a witness.
 
@@ -196,34 +196,34 @@ def _first_surviving_triangle_edge(
     return _first_closed_pair(g, np.arange(g.n), exclude=g.pack_set(cover))
 
 
-def _fill_vertices(candidates: np.ndarray, required: tuple[int, ...], size: int) -> np.ndarray:
-    """required plus the smallest remaining candidates, sorted, as a set of size."""
+def _fill_vertices(n: int, required: tuple[int, ...], size: int) -> np.ndarray:
+    """required plus the smallest other vertices of [0, n), sorted, size in all."""
     required_arr = np.asarray(sorted(required), dtype=np.int64)
-    rest = candidates[~np.isin(candidates, required_arr)]
-    out = np.concatenate([required_arr, rest[: size - required_arr.size]])
-    if out.size != size:
-        raise ValueError("not enough vertices to fill the subset")
-    return np.sort(out)
+    rest = np.ones(n, dtype=bool)
+    rest[required_arr] = False
+    return np.sort(np.concatenate([required_arr, np.flatnonzero(rest)[: size - required_arr.size]]))
 
 
-def search_cover_triangles(
-    g: Graph,
-    cover,
-    params: AlgoParams,
-    ledger: QueryLedger,
-) -> Optional[Triangle]:
-    """Phase-one search over (cover vertex, vertex pair) for a triangle.
+def _plain_search(
+    ledger: QueryLedger, log: dict, phase: str, domain: int, log_factors: bool
+) -> None:
+    """Charge one plain search over domain to phase and log its domain."""
+    ledger.charge(phase, grover_cost(domain, 1.0, log_factors))
+    log[phase] = {"domain": domain, "t": 1.0}
 
-    Charges one plain search over the product domain. Exact emulation
-    returns the smallest cover vertex c in a triangle, closed by the
-    smallest edge inside N(c): the first pair (c, x), with the cover as
-    heads, whose rows share a vertex gives the smallest x of N(c) with a
-    neighbour in N(c), and its lowest shared bit y lies above x (a smaller
-    y would itself be such a vertex). The x that the pair stream skips,
-    earlier cover vertices, have none: their pair with c was read first.
+
+def search_cover_triangles(g: Graph, cover) -> Optional[Triangle]:
+    """Phase-one scan over (cover vertex, vertex pair) for a triangle.
+
+    find_triangle charges the plain search over the product domain; this
+    scan only computes its answer. Exact emulation returns the smallest
+    cover vertex c in a triangle, closed by the smallest edge inside N(c):
+    the first pair (c, x), with the cover as heads, whose rows share a
+    vertex gives the smallest x of N(c) with a neighbour in N(c), and its
+    lowest shared bit y lies above x (a smaller y would itself be such a
+    vertex). The x that the pair stream skips, earlier cover vertices,
+    have none: their pair with c was read first.
     """
-    domain = _cover_charge_size(g.n, params.k, cover, params.log_factors) * comb(g.n, 2)
-    ledger.charge("cover_search", grover_cost(domain, 1.0, params.log_factors))
     # The cover's distinct vertices in order; a mask over n is ~7x faster
     # than np.unique on a finder's cover.
     in_cover = np.zeros(g.n, dtype=bool)
@@ -258,8 +258,8 @@ def find_apex_witness(
     this as a walk's checking step pass their amplification factor).
 
     The function only charges: estimator runs for every apex, planned from
-    rng, execute on the raw side (probes land on the ledger), and only the
-    dispatch total enters the charged model. The check's answer is
+    rng, execute on the raw side (their probes are added to the ledger's
+    raw count), and only the dispatch total enters the charged model. The check's answer is
     search_blocks' scan hit, so no witness is searched here; the name is
     kept because perfbench's tracer wraps this function by it.
 
@@ -274,9 +274,10 @@ def find_apex_witness(
     m = sample_size(n, params.k)
 
     plan = SamplePlan(n, m, surviving.universe_size, rng=rng)
-    estimates, _ = estimate_all_apexes(g, surviving, plan, ledger)
+    estimates, probes = estimate_all_apexes(g, surviving, plan)
+    ledger.add_raw(probes)
 
-    est_each = _estimator_charge_each(n, m, params.log_factors)
+    est_each = float(estimator_charge(n, m) if params.log_factors else m)
     caps = subset_pair_cap(r, bsize, 3.0 * estimates)
     eps = (r - 1) ** 2 / (2.0 * bsize**2)
     per_apex = est_each + walk_cost(
@@ -303,7 +304,7 @@ def search_blocks(
     plan_rng: np.random.Generator,
     block_rng: np.random.Generator,
     cover_negative: bool = False,
-) -> tuple[Optional[tuple[np.ndarray, int, tuple[int, int]]], dict]:
+) -> tuple[Optional[tuple[int, tuple[int, int]]], dict]:
     """Walk over blocks of size ceil(n^a), looking for a surviving triangle edge.
 
     Charges the walk's setup (block x cover loads), update and checking
@@ -312,13 +313,14 @@ def search_blocks(
     witness block when one exists and on a block drawn from block_rng
     otherwise. Emulation reduces "some block's surviving pairs contain a
     triangle edge" to "the vertex set's surviving pairs contain a triangle
-    edge" and returns the smallest such edge, its smallest apex, and the
-    witness block (edge endpoints plus smallest-index fill). The block
-    check's answer is that scan's hit: the witness block holds the hit
-    edge, and with no hit in V no block holds one, so the log's
-    check_witness_found equals witness_exists. Pass cover_negative=True
-    only when no cover vertex lies in a triangle (the cover scan found
-    nothing); the edge scan then skips every edge that touches the cover.
+    edge" and returns the smallest such edge (u, v) with its smallest apex,
+    as (apex, (u, v)); the witness block is the edge endpoints plus
+    smallest-index fill. The block check's answer is that scan's hit: the
+    witness block holds the hit edge, and with no hit in V no block holds
+    one, so the log's check_witness_found equals witness_exists. Pass
+    cover_negative=True only when no cover vertex lies in a triangle (the
+    cover scan found nothing); the edge scan then skips every edge that
+    touches the cover.
     """
     n = g.n
     bsize = block_size(n, params.a)
@@ -327,7 +329,7 @@ def search_blocks(
     hit = _first_surviving_triangle_edge(g, cover, cover_negative)
     if hit is not None:
         u, v, apex = hit
-        block = _fill_vertices(np.arange(n), (u, v), bsize)
+        block = _fill_vertices(n, (u, v), bsize)
     else:
         block = np.sort(block_rng.choice(n, size=bsize, replace=False))
 
@@ -360,11 +362,12 @@ def search_blocks(
         "witness_exists": hit is not None,
         "check_witness_found": hit is not None,
     }
+    return (None if hit is None else (apex, (u, v))), log
 
-    if hit is None:
-        return None, log
-    u, v, apex = hit
-    return (block, apex, (u, v)), log
+
+def _canonical_json(blob: dict) -> str:
+    """A report's JSON form: sorted keys, two-space indent, one final newline."""
+    return json.dumps(blob, sort_keys=True, indent=2) + "\n"
 
 
 @dataclass
@@ -409,7 +412,7 @@ class RunReport:
         }
 
     def to_json(self, include_timing: bool = False) -> str:
-        return json.dumps(self.to_dict(include_timing), sort_keys=True, indent=2) + "\n"
+        return _canonical_json(self.to_dict(include_timing))
 
 
 def _params_dict(params: AlgoParams) -> dict:
@@ -450,6 +453,7 @@ def find_triangle(g: Graph, params: AlgoParams) -> RunReport:
     rng_plan = np.random.default_rng(seeds[1])
     rng_block = np.random.default_rng(seeds[2])
     rng_inj = np.random.default_rng(seeds[3])
+    inj = params.failure_injection or _NO_INJECTION
 
     ledger = QueryLedger()
     budget = BUDGET_MULTIPLIER * cost_envelope(n, params.a, params.k)
@@ -458,79 +462,63 @@ def find_triangle(g: Graph, params: AlgoParams) -> RunReport:
         # inner walk) stack their repetition factors, so the budget's
         # polylog must too.
         budget *= max(1, math.ceil(math.log(n))) ** 3
-
     charge_log: dict = {"budget": float(budget)}
+
+    def report(outcome: Optional[Triangle], stopped: bool = False) -> RunReport:
+        if outcome is not None and not is_triangle(g, outcome):
+            # Verification before emission; exact emulation never gets here.
+            outcome = None
+        return RunReport(
+            n=n,
+            algo="walk",
+            outcome=outcome,
+            charges={phase: ledger.charged.get(phase, 0.0) for phase in PHASES},
+            raw_probes=ledger.raw_probes,
+            params=_params_dict(params),
+            charge_log=charge_log,
+            stopped_early=stopped,
+            wall_ms=(time.perf_counter() - t0) * 1000.0,
+        )
+
     cover = sample_cover(n, params.k, rng=rng_cover)
     charge_log["cover_size"] = int(cover.size)
-    outcome: Optional[Triangle] = None
-    stopped = False
-    inj = params.failure_injection or _NO_INJECTION
-
-    found = search_cover_triangles(g, cover, params, ledger)
-    charge_log["cover_search"] = {
-        "domain": _cover_charge_size(n, params.k, cover, log_factors) * comb(n, 2),
-        "t": 1.0,
-    }
-    # Taken before the search gate: a suppressed hit still puts a cover
-    # vertex in a triangle, so the walk must scan the edges at the cover.
-    cover_negative = found is None
-    if found is not None and _suppressed(inj.search_success, rng_inj):
-        found = None
+    cover_domain = _cover_charge_size(n, params.k, cover, log_factors) * comb(n, 2)
+    _plain_search(ledger, charge_log, "cover_search", cover_domain, log_factors)
+    found = search_cover_triangles(g, cover)
     if ledger.total > budget:
-        stopped = True
-    elif found is not None:
-        outcome = found
-    else:
-        witness, outer_log = search_blocks(
-            g,
-            cover,
-            params,
-            ledger,
-            plan_rng=rng_plan,
-            block_rng=rng_block,
-            cover_negative=cover_negative,
-        )
-        if outer_log["check_witness_found"] and _suppressed(inj.check_success, rng_inj):
-            outer_log["check_witness_found"] = False
-        outer_log["suppressed"] = witness is not None and _suppressed(inj.walk_success, rng_inj)
-        if outer_log["suppressed"]:
-            witness = None
-        charge_log["outer"] = outer_log
-        if ledger.total > budget:
-            stopped = True
-        elif witness is not None:
-            block, apex, pair = witness
-            inner = _fill_vertices(block, pair, r)
-            at_apex = uncovered_pairs_at(g, cover, inner, apex)
-            extraction_domain = max(1, len(at_apex))
-            ledger.charge("extraction", grover_cost(extraction_domain, 1.0, log_factors))
-            completion_domain = n * comb(bsize, 2)
-            ledger.charge("final_search", grover_cost(completion_domain, 1.0, log_factors))
-            charge_log["extraction"] = {"domain": extraction_domain, "t": 1.0}
-            charge_log["final_search"] = {"domain": completion_domain, "t": 1.0}
-            if ledger.total > budget:
-                stopped = True
-            elif not _suppressed(inj.search_success, rng_inj):
-                outcome = Triangle(*sorted((pair[0], pair[1], apex)))
+        return report(None, stopped=True)
+    if found is not None and not _suppressed(inj.search_success, rng_inj):
+        return report(found)
 
-    if stopped:
-        outcome = None
-    if outcome is not None and not is_triangle(g, outcome):
-        # Verification before emission; exact emulation never gets here.
-        outcome = None
-
-    charges = {phase: ledger.charged.get(phase, 0.0) for phase in PHASES}
-    return RunReport(
-        n=n,
-        algo="walk",
-        outcome=outcome,
-        charges=charges,
-        raw_probes=ledger.raw_probes,
-        params=_params_dict(params),
-        charge_log=charge_log,
-        stopped_early=stopped,
-        wall_ms=(time.perf_counter() - t0) * 1000.0,
+    # A suppressed hit still puts a cover vertex in a triangle, so only a
+    # negative scan lets the walk skip the edges at the cover.
+    witness, outer_log = search_blocks(
+        g,
+        cover,
+        params,
+        ledger,
+        plan_rng=rng_plan,
+        block_rng=rng_block,
+        cover_negative=found is None,
     )
+    charge_log["outer"] = outer_log
+    if outer_log["check_witness_found"] and _suppressed(inj.check_success, rng_inj):
+        outer_log["check_witness_found"] = False
+    outer_log["suppressed"] = witness is not None and _suppressed(inj.walk_success, rng_inj)
+    if ledger.total > budget:
+        return report(None, stopped=True)
+    if witness is None or outer_log["suppressed"]:
+        return report(None)
+
+    apex, pair = witness
+    at_apex = uncovered_pairs_at(g, cover, _fill_vertices(n, pair, r), apex)
+    _plain_search(ledger, charge_log, "extraction", max(1, len(at_apex)), log_factors)
+    _plain_search(ledger, charge_log, "final_search", n * comb(bsize, 2), log_factors)
+    if ledger.total > budget:
+        return report(None, stopped=True)
+    if _suppressed(inj.search_success, rng_inj):
+        return report(None)
+    return report(Triangle(*sorted((*pair, apex))))
 
 
 def _baseline_report(

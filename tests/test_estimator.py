@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from triwalk import Graph, QueryLedger, erdos_renyi, random_bipartite
+from triwalk import Graph, erdos_renyi, random_bipartite
 from triwalk import estimator as estimator_module
 from triwalk import graph as graph_module
 from triwalk.graph import _SCAN_CAP, _common_counts
@@ -168,14 +168,12 @@ class TestEstimator:
         plan = SamplePlan(20, 5, surv.universe_size, rng=plan_rng(1))
         assert kernel_runs(g, surv, plan) == kernel_runs(g, surv, plan)
 
-    def test_ledger_accounting(self):
-        # The raw probes land on the ledger; the charge is the caller's.
+    def test_probe_total_and_charge(self):
+        # The probe total is the reference's; the charge is the caller's.
         g, surv = make_case(20, 0.6, 5, np.arange(10))
         plan = SamplePlan(20, 5, surv.universe_size, rng=plan_rng(1))
-        ledger = QueryLedger()
-        _, probes = estimate_all_apexes(g, surv, plan, ledger=ledger)
-        assert ledger.raw_probes == probes == reference_probes(g, surv, plan)
-        assert ledger.charged == {}
+        _, probes = estimate_all_apexes(g, surv, plan)
+        assert probes == reference_probes(g, surv, plan)
         assert estimator_charge(20, 5) == math.ceil(5 * math.log(20))
 
     def test_m_beyond_pair_universe_is_fine(self):

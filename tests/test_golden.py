@@ -6,7 +6,9 @@ gate and baseline cases from the inline gates and the ledger-threaded
 baselines, the dense, covered-edge and cover-avoiding cases from the
 full-edge triangle scans, and the three subset-cap campaigns from the
 pair-gather count of each subset's apex pairs, before it became a degree
-count. The four injected runs were re-recorded with
+count. The two CSV cases were recorded from the separate ``to_csv``
+writers of ``CampaignReport`` and ``FitResult``, before they shared one
+writer. The four injected runs were re-recorded with
 ``record_golden.py`` when reports began to record their failure
 injection in ``params``. Criterion 8 only compares two runs of the same
 code; these digests compare the current code with that reference, so an
@@ -28,6 +30,7 @@ from triwalk import (
     naive_triples_baseline,
     planted_instance,
     random_bipartite,
+    scaling_fit,
     sparse_edges_baseline,
     verify_estimator_bounds,
     verify_subset_cap,
@@ -100,6 +103,14 @@ CASES = {
         )
         for config in ("er-half", "er-dense", "edgeless")
     },
+    # The two CSV forms: a campaign's per-trial rows and a fit's points,
+    # each followed by a blank row and the summary rows.
+    "estimator-bounds-64-csv": lambda: verify_estimator_bounds(
+        64, 0.75, 0.5, 5, seed=1
+    ).to_csv(),
+    "naive-fit-edgeless-csv": lambda: scaling_fit(
+        [128, 256, 512], "naive", 1, family="edgeless"
+    ).to_csv(),
 }
 
 GOLDEN = {
@@ -113,8 +124,10 @@ GOLDEN = {
     "edges-baseline-96": "56e38db0d86ead856da101044fab162fdac55be22a093702e0cef4cb5c8a7cb7",
     "er-1024-s0": "eee10256120d03c4445b4bbfac6a7f7102017d100357ca7adee6ce4a47ad14fa",
     "er-1024-s1": "c0cc7da5e8132a408a969657a7ebd1e80b51f68f52320ec0717337238c6ab3ed",
+    "estimator-bounds-64-csv": "606c6d52add5dd826f995af32fd0b2b90f88caf170d7b29ed79b12a3b1810e4e",
     "er-128-covered-edges": "b02c635027900164709bb8fbc13ad515522a92604225779d21d46e99be598436",
     "estimator-bounds-256": "44884c36636e5336ad39fa3f39e521fd2a48dd296ae072a91ad4691577a8cbe8",
+    "naive-fit-edgeless-csv": "c8eda9bbac62ea9367c676d900d18139c4cfcd9ad261db2ad41d83ab51ee1020",
     "naive-baseline-96": "15f920ab330aef15ae498e9ccdab5db197b8fc3b3ad5bbbaf84f935d77f35307",
     "naive-baseline-er-256": "0292dda6e7e24c1f3b777261cab398a416196abba2b78fa57aa30d42c215627d",
     "suite-all-gates": "3aa80b1a6b1e33c6df57bd1773d46522b19ebd3e0d1586ae7855f35d7d66e524",

@@ -993,3 +993,31 @@ def test_only_graph_touches_the_packed_rows():
     assert uses.pop("graph.py")  # the check sees the owner's own uses
     assert uses.keys() >= {"pairs.py", "estimator.py", "harness.py"}
     assert {name: found for name, found in uses.items() if found} == {}
+
+
+def unused_imports(tree):
+    """Names an import in ``tree`` binds that no name in it reads, not
+    counting ``from __future__`` imports."""
+    imports = [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Import)
+        or (isinstance(node, ast.ImportFrom) and node.module != "__future__")
+    ]
+    bound = [alias.asname or alias.name.split(".")[0] for node in imports for alias in node.names]
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(set(bound) - read)
+
+
+def test_every_import_is_used():
+    # __init__.py imports to export, so its names are read by callers.
+    package = Path(triwalk.graph.__file__).parent
+    unused = {
+        path.name: unused_imports(ast.parse(path.read_text(), path.name))
+        for path in sorted(package.glob("*.py"))
+        if path.name != "__init__.py"
+    }
+    assert unused.keys() >= {"graph.py", "pipeline.py", "estimator.py", "harness.py", "cli.py"}
+    assert {name: names for name, names in unused.items() if names} == {}
+    sample = "from __future__ import annotations\nimport json, typing\nx: typing.Any = 1\n"
+    assert unused_imports(ast.parse(sample)) == ["json"]

@@ -233,7 +233,7 @@ def oracle_cases(n, seed):
     }
     withins = {"V": np.arange(n), "block": np.sort(rng.choice(n, size=n // 3, replace=False))}
     for family in FAMILIES:
-        g = parse_family(family)[1](n, seed)
+        g = parse_family(family)(n, seed)
         for cname, cover in covers.items():
             for wname, within in withins.items():
                 yield f"{family}/{cname}/{wname}", g, cover, within

@@ -82,41 +82,38 @@ class TestCoverSearch:
     def test_complete_graph_any_cover(self):
         g = erdos_renyi(4, 1.0, seed=0)
         for cover in ([0], [2], [1, 3]):
-            ledger = QueryLedger()
-            tri = search_cover_triangles(g, np.array(cover), AlgoParams(), ledger)
+            tri = search_cover_triangles(g, np.array(cover))
             assert tri is not None and is_triangle(g, tri)
             assert min(cover) in tri
 
     def test_triangle_free_charges_anyway(self):
+        # The finder charges the plain search over the cover's skeleton size
+        # times the pairs, whatever the scan finds.
         g = random_bipartite(64, seed=1)
-        params = AlgoParams()
-        cover = sample_cover(64, params.k, seed=2)
-        ledger = QueryLedger()
-        assert search_cover_triangles(g, cover, params, ledger) is None
-        expected = grover_cost(sample_size(64, params.k) * comb(64, 2), 1.0)
-        assert ledger.charged["cover_search"] == expected
+        params = AlgoParams(seed=2)
+        assert search_cover_triangles(g, sample_cover(64, params.k, seed=2)) is None
+        report = find_triangle(g, params)
+        domain = sample_size(64, params.k) * comb(64, 2)
+        assert report.charge_log["cover_search"] == {"domain": domain, "t": 1.0}
+        assert report.charges["cover_search"] == grover_cost(domain, 1.0)
 
     def test_log_factors_use_actual_cover_size(self):
         g = random_bipartite(64, seed=1)
-        params = AlgoParams(log_factors=True)
-        cover = sample_cover(64, params.k, seed=2)
-        ledger = QueryLedger()
-        search_cover_triangles(g, cover, params, ledger)
-        expected = grover_cost(cover.size * comb(64, 2), 1.0, log_factors=True)
-        assert ledger.charged["cover_search"] == expected
+        report = find_triangle(g, AlgoParams(seed=2, log_factors=True))
+        domain = report.charge_log["cover_size"] * comb(64, 2)
+        assert report.charge_log["cover_search"]["domain"] == domain
+        assert report.charges["cover_search"] == grover_cost(domain, 1.0, log_factors=True)
 
     def test_plant_out_of_reach(self):
         g = plant_only_graph()
-        ledger = QueryLedger()
-        assert search_cover_triangles(g, np.array([0]), AlgoParams(), ledger) is None
+        assert search_cover_triangles(g, np.array([0])) is None
 
     def test_lexicographically_smallest_hit(self):
         # Cover vertex 5 closes (0,1) and (2,3); vertex 4 closes only (2,3).
         g = Graph.from_edges(
             8, [(0, 1), (2, 3), (5, 0), (5, 1), (5, 2), (5, 3), (4, 2), (4, 3)]
         )
-        ledger = QueryLedger()
-        tri = search_cover_triangles(g, np.array([4, 5]), AlgoParams(), ledger)
+        tri = search_cover_triangles(g, np.array([4, 5]))
         assert tri == Triangle(2, 3, 4)
 
     def test_search_gate_suppression(self):
@@ -178,6 +175,18 @@ class TestApexWitness:
         assert ledger.charged["outer_check_estimator"] == est_share
         assert ledger.charged["inner_walk"] == total - est_share
 
+    def test_raw_probes_land_on_the_ledger(self):
+        # The estimator's probes for the plan the check draws are the ledger's
+        # raw count; the estimator itself charges nothing.
+        g, params, cover, block, surviving = self.make(64, 0.5, 2)
+        ledger = QueryLedger()
+        self.check_charge(g, surviving, params, ledger)
+        m = sample_size(64, params.k)
+        plan = SamplePlan(64, m, surviving.universe_size, rng=block_rngs(params.seed)[0])
+        _, probes = estimate_all_apexes(g, surviving, plan)
+        assert probes > 0 and ledger.raw_probes == probes
+        assert set(ledger.charged) == {"outer_check_estimator", "inner_walk"}
+
     def test_share_split_is_additive(self):
         g, params, cover, block, surviving = self.make(64, 0.5, 2, cover_seed=3)
         ledger = QueryLedger()
@@ -233,18 +242,35 @@ class TestBlockWalk:
         for phase in ("outer_setup", "outer_update", "outer_check_estimator", "inner_walk"):
             assert ledger.charged[phase] > 0
 
-    def test_witness_block_contains_edge(self):
+    def test_witness_block_contains_edge(self, monkeypatch):
         g = plant_only_graph()
         params = AlgoParams(seed=1)
+        blocks = []
+        real = pipeline_module.uncovered_pairs
+
+        def recording(g, cover, block):
+            blocks.append(block)
+            return real(g, cover, block)
+
+        monkeypatch.setattr(pipeline_module, "uncovered_pairs", recording)
         ledger = QueryLedger()
         witness, log = search_blocks(g, np.array([0]), params, ledger, *block_rngs(params.seed))
-        assert witness is not None
-        block, apex, pair = witness
-        assert pair == (61, 62) and apex == 63
+        assert witness == (63, (61, 62))
+        (block,) = blocks
         assert block.size == block_size(64, params.a)
         assert np.isin([61, 62], block).all()
         # smallest-index fill
         assert np.array_equal(block[:3], [0, 1, 2])
+        # The inner subset extraction searches holds the edge and lies in the block.
+        inner = pipeline_module._fill_vertices(64, (61, 62), inner_size(64, params.a))
+        assert np.isin([61, 62], inner).all() and np.isin(inner, block).all()
+
+    def test_fill_vertices(self):
+        # The required vertices plus the smallest others, each vertex once.
+        fill = pipeline_module._fill_vertices
+        assert fill(64, (5, 2), 6).tolist() == [0, 1, 2, 3, 4, 5]
+        assert fill(64, (60, 2), 6).tolist() == [0, 1, 2, 3, 4, 60]
+        assert fill(6, (0, 5), 6).tolist() == [0, 1, 2, 3, 4, 5]
 
     def test_exact_marked_fraction(self):
         g = random_bipartite(256, seed=4)
@@ -423,8 +449,7 @@ class TestFindTriangle:
     def test_agreement_property(self, graph_seed, run_seed, family, n):
         from triwalk.harness import parse_family
 
-        _, fam = parse_family(family)
-        g = fam(n, graph_seed)
+        g = parse_family(family)(n, graph_seed)
         report = find_triangle(g, AlgoParams(seed=run_seed, n_min_guard=12))
         exists = brute_force_triangle(g) is not None
         assert (report.outcome is not None) == exists
@@ -610,6 +635,35 @@ class TestFindTriangle:
         assert report.stopped_early and report.outcome is None
         assert not normal.stopped_early
         assert normal.total < normal.charge_log["budget"]
+
+    @pytest.mark.parametrize(
+        "stop, present, absent",
+        [
+            (0, {"cover_search"}, {"outer", "extraction", "final_search"}),
+            (1, {"cover_search", "outer"}, {"extraction", "final_search"}),
+            (2, {"cover_search", "outer", "extraction", "final_search"}, set()),
+        ],
+    )
+    def test_budget_stop_at_each_check(self, monkeypatch, stop, present, absent):
+        # A budget between two of the walk path's running totals stops the
+        # run at the first budget check past it, with no triangle reported.
+        g = plant_only_graph()
+        params = AlgoParams(seed=WALK_PATH_SEED)
+        charges = find_triangle(g, params).charges
+        outer = ("outer_setup", "outer_update", "outer_check_estimator", "inner_walk")
+        checks = [
+            0.0,
+            charges["cover_search"],
+            charges["cover_search"] + sum(charges[phase] for phase in outer),
+            sum(charges.values()),
+        ]
+        budget = (checks[stop] + checks[stop + 1]) / 2.0
+        envelope = cost_envelope(g.n, params.a, params.k)
+        monkeypatch.setattr(pipeline_module, "BUDGET_MULTIPLIER", budget / envelope)
+        report = find_triangle(g, params)
+        assert report.stopped_early and report.outcome is None
+        assert present <= set(report.charge_log) and not absent & set(report.charge_log)
+        assert report.total > report.charge_log["budget"] > checks[stop]
 
     def test_walk_path_checker_gate_draws_first(self, monkeypatch):
         # On the walk path the checker gate suppresses nothing, but it

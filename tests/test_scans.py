@@ -19,7 +19,6 @@ from hypothesis import strategies as st
 from triwalk import (
     AlgoParams,
     FailureInjection,
-    QueryLedger,
     Triangle,
     brute_force_triangle,
     erdos_renyi,
@@ -41,7 +40,7 @@ def dense_edges(g):
 
 
 def cover_scan(g, cover):
-    return search_cover_triangles(g, cover, AlgoParams(), QueryLedger())
+    return search_cover_triangles(g, cover)
 
 
 def reference_cover_triangle(g, cover):
@@ -249,5 +248,5 @@ def test_suppressed_cover_hit_keeps_the_exclude_scan(n, p, seed, monkeypatch):
     params = AlgoParams(seed=seed, failure_injection=FailureInjection(search_success=0.02))
     find_triangle(g, params)
     (witness,) = witnesses
-    _, apex, (u, v) = witness
+    apex, (u, v) = witness
     assert (u, v, apex) == expected
