@@ -5,11 +5,13 @@ For each n in SIZES and each seed in SEEDS, runs one whole trial
 ``find_triangle``) REPEATS times. During each trial,
 ``triwalk.pipeline.estimate_all_apexes`` is wrapped to time every call
 and keep its (outputs, probes), so the estimator is timed on exactly the
-inputs the finder hands it. Per input the fastest repeat counts, for the
-trial and for the estimator's summed call time. Prints one JSON object
-per n: the median milliseconds over seeds, the estimator call count, and
-a digest of every call's (outputs, probes), so two versions can be
-checked for identical results as well as compared for speed.
+inputs the finder hands it. Its call time includes the plan's draws,
+which the plan takes on first read inside the call. Per input the
+fastest repeat counts, for the trial and for the estimator's summed call
+time. Prints one JSON object per n: the median milliseconds over seeds,
+the estimator call count, and a digest of every call's (outputs,
+probes), so two versions can be checked for identical results as well as
+compared for speed.
 
     PYTHONPATH=src python bench/estimator.py
 

@@ -14,11 +14,13 @@ adjacency probes against w:
 3. Otherwise refine: ceil(72 m ln n) single draws, counting qualifying
    ones; output qualifying_fraction * |pairs(A)|.
 
-The randomness is a fixed draw plan materialized once per (block, m) from
-one rng and shared by every apex, which is what makes "the bounds hold for
-all apexes simultaneously for most plans" a meaningful, testable event.
-Guarantee over the plan draw: with probability at least 1 - 3/n, for every
-apex w the output lies in
+The randomness is a fixed draw plan per (block, m), shared by every apex,
+which is what makes "the bounds hold for all apexes simultaneously for
+most plans" a meaningful, testable event. The plan owns its generator and
+draws each stage from it on first read, the screen always before the
+refinement, so a run that reads no stage draws nothing and the arrays
+never depend on which stage is read first. Guarantee over the plan draw:
+with probability at least 1 - 3/n, for every apex w the output lies in
     [count(w) / 3,  1.5 * max(|A|(|A|-1)/(2m), count(w))].
 
 Since the plan is shared, one pass scores every apex: a drawn pair (u, v)
@@ -33,7 +35,8 @@ apexes reaches a report, and summed over w, F1 is the total degree of
 the screen draws' first endpoints and F3, over the refined apexes, the
 total of |N(first endpoint) & refined|: first-endpoint counts times the
 block's degrees. The refinement draws (c2, S3, F3) are scored only when
-some apex reaches stage 3; otherwise every output is the floor.
+some apex reaches stage 3; otherwise every output is the floor, and with
+no surviving pair at all no draw is read.
 
 A pair whose endpoints have no common neighbour (an open pair) qualifies
 at no apex. So the screen counts the common neighbours of each distinct
@@ -46,6 +49,7 @@ screen draw is scored past that one pass.
 from __future__ import annotations
 
 import math
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -74,24 +78,33 @@ def estimator_charge(n: int, m: int) -> int:
 
 
 class SamplePlan:
-    """The estimator's random draws, materialized once and shared by apexes.
+    """The estimator's random draws, shared by every apex.
 
-    Both stages' pair indices are drawn eagerly at construction (the
-    refinement draws exist in the plan whether or not a given apex reaches
-    stage 3), so two apexes evaluated against the same plan consume
-    identical draws and the whole run is a deterministic function of
-    (plan, apex). Unchecked: callers pass n >= 2, m >= 1 and the universe
-    size of the pair set the plan is scored against.
+    The plan owns ``rng``: callers hand it a generator they never draw from
+    again. Each stage's pair indices are drawn from it on first read of
+    ``screen_draws`` or ``refine_draws``, the screen always first, so the
+    arrays equal an eager draw of both stages at construction, two apexes
+    evaluated against the same plan consume identical draws, and the whole
+    run is a deterministic function of (plan, apex). Unchecked: callers
+    pass n >= 2, m >= 1 and the universe size of the pair set the plan is
+    scored against.
     """
-
-    __slots__ = ("m", "rounds", "refine", "screen_draws", "refine_draws")
 
     def __init__(self, n: int, m: int, pair_universe: int, rng: np.random.Generator):
         self.m = m
         self.rounds = screen_rounds(n)
         self.refine = refine_draws(n, m)
-        self.screen_draws = rng.integers(0, pair_universe, size=(self.rounds, m))
-        self.refine_draws = rng.integers(0, pair_universe, size=self.refine)
+        self._universe = pair_universe
+        self._rng = rng
+
+    @cached_property
+    def screen_draws(self) -> np.ndarray:
+        return self._rng.integers(0, self._universe, size=(self.rounds, self.m))
+
+    @cached_property
+    def refine_draws(self) -> np.ndarray:
+        self.screen_draws  # the screen comes first in the plan's stream
+        return self._rng.integers(0, self._universe, size=self.refine)
 
 
 class _ApexCounts(NamedTuple):
@@ -117,14 +130,15 @@ def _apex_counts(g: Graph, surviving: PairSet, plan: SamplePlan) -> _ApexCounts:
     n, m = g.n, plan.m
     pu, pv = surviving.endpoint_arrays()
     universe = surviving.universe_size
-    # Flat plan positions (round * m + column) of the surviving screen draws.
-    draws1 = plan.screen_draws.ravel()
+    # Flat plan positions (round * m + column) of the surviving screen draws;
+    # an empty surviving set reads no draw of the plan.
+    draws1 = plan.screen_draws.ravel() if surviving.mask.any() else np.empty(0, dtype=np.int64)
     kept1 = np.flatnonzero(surviving.mask[draws1])
     zeros = np.zeros(n, dtype=np.int64)
     outputs = np.full(n, universe / m)
     if kept1.size == 0:
-        # No draw lands in the surviving set: every apex screens to the
-        # floor without a single adjacency probe.
+        # No draw lands in the surviving set (or none was read): every apex
+        # screens to the floor without a single adjacency probe.
         return _ApexCounts(zeros, zeros.astype(bool), zeros, outputs, 0)
 
     slots1 = draws1[kept1]

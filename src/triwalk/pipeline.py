@@ -165,16 +165,17 @@ def cost_envelope(n: int, a: float, k: float) -> float:
     )
 
 
-def _cover_charge_size(n: int, k: float, cover, log_factors: bool) -> int:
-    """Charge-side size of the cover: actual set with logs, skeleton without."""
-    return len(cover) if log_factors else sample_size(n, k)
+def _substream(seed: int, index: int) -> np.random.Generator:
+    """Generator of find_triangle's seed substream ``index``: the same stream
+    as child ``index`` of SeedSequence([seed]).spawn(4), built on its own."""
+    return np.random.default_rng(np.random.SeedSequence([seed], spawn_key=(index,)))
 
 
-def _suppressed(p: Optional[float], rng: np.random.Generator) -> bool:
+def _suppressed(p: Optional[float], rng: Optional[np.random.Generator]) -> bool:
     """True when a stage gate of success probability p suppresses a witness.
 
-    None means no gate and no draw; a configured gate draws once from rng
-    and suppresses with chance 1 - p.
+    None means no gate and no draw (an uninjected run passes no rng); a
+    configured gate draws once from rng and suppresses with chance 1 - p.
     """
     return p is not None and rng.random() >= p
 
@@ -235,15 +236,19 @@ def search_cover_triangles(g: Graph, cover) -> Optional[Triangle]:
 def find_apex_witness(
     g: Graph,
     surviving: PairSet,
-    params: AlgoParams,
     ledger: QueryLedger,
     rng: np.random.Generator,
+    *,
+    r: int,
+    m: int,
+    log_factors: bool,
     charge_scale: float = 1.0,
 ) -> dict:
     """Charge the block check: do a block's surviving pairs hold a triangle edge?
 
-    The block is surviving.verts, of size ceil(n^a); find_triangle has
-    checked that the inner subset size r lies in [4, ceil(n^a)].
+    The block is surviving.verts, of size ceil(n^a); r is the inner subset
+    size ceil(n^(2a/3)), which find_triangle has checked lies in
+    [4, ceil(n^a)], and m the estimator sample count ceil(n^k).
 
     Charged model, per apex w:
       Q(w) = estimator charge
@@ -258,8 +263,9 @@ def find_apex_witness(
     this as a walk's checking step pass their amplification factor).
 
     The function only charges: estimator runs for every apex, planned from
-    rng, execute on the raw side (their probes are added to the ledger's
-    raw count), and only the dispatch total enters the charged model. The check's answer is
+    rng (handed to the plan, which owns it), execute on the raw side
+    (their probes are added to the ledger's raw count), and only the
+    dispatch total enters the charged model. The check's answer is
     search_blocks' scan hit, so no witness is searched here; the name is
     kept because perfbench's tracer wraps this function by it.
 
@@ -270,20 +276,18 @@ def find_apex_witness(
     """
     n = g.n
     bsize = surviving.verts.size
-    r = inner_size(n, params.a)
-    m = sample_size(n, params.k)
 
     plan = SamplePlan(n, m, surviving.universe_size, rng=rng)
     estimates, probes = estimate_all_apexes(g, surviving, plan)
     ledger.add_raw(probes)
 
-    est_each = float(estimator_charge(n, m) if params.log_factors else m)
+    est_each = float(estimator_charge(n, m) if log_factors else m)
     caps = subset_pair_cap(r, bsize, 3.0 * estimates)
     eps = (r - 1) ** 2 / (2.0 * bsize**2)
     per_apex = est_each + walk_cost(
-        WalkCharge(r, 2.0, np.sqrt(caps), r, eps), params.log_factors
+        WalkCharge(r, 2.0, np.sqrt(caps), r, eps), log_factors
     )
-    total = variable_search_cost(per_apex, params.log_factors)
+    total = variable_search_cost(per_apex, log_factors)
     est_share = total * (n * est_each / float(per_apex.sum()))
     walk_share = total - est_share
     ledger.charge("outer_check_estimator", charge_scale * est_share)
@@ -299,14 +303,22 @@ def find_apex_witness(
 def search_blocks(
     g: Graph,
     cover,
-    params: AlgoParams,
     ledger: QueryLedger,
     plan_rng: np.random.Generator,
     block_rng: np.random.Generator,
+    *,
+    r: int,
+    bsize: int,
+    m: int,
+    x_charge: int,
+    log_factors: bool,
     cover_negative: bool = False,
 ) -> tuple[Optional[tuple[int, tuple[int, int]]], dict]:
-    """Walk over blocks of size ceil(n^a), looking for a surviving triangle edge.
+    """Walk over blocks of size bsize = ceil(n^a), looking for a surviving triangle edge.
 
+    find_triangle computes the sizes once: the block size, the inner subset
+    size r and sample count m (passed on to find_apex_witness), and the
+    cover's charge size x_charge, which its cover search also charges.
     Charges the walk's setup (block x cover loads), update and checking
     terms; the checking cost comes from one representative apex scan
     (find_apex_witness, estimator plan from plan_rng), run on the found
@@ -323,7 +335,6 @@ def search_blocks(
     touches the cover.
     """
     n = g.n
-    bsize = block_size(n, params.a)
     eps_outer = bsize * (bsize - 1) / (n * (n - 1))
 
     hit = _first_surviving_triangle_edge(g, cover, cover_negative)
@@ -334,12 +345,12 @@ def search_blocks(
         block = np.sort(block_rng.choice(n, size=bsize, replace=False))
 
     surviving = uncovered_pairs(g, cover, block)
-    check_scale = log_multiplier(bsize, params.log_factors) / math.sqrt(eps_outer)
+    check_scale = log_multiplier(bsize, log_factors) / math.sqrt(eps_outer)
     check_log = find_apex_witness(
-        g, surviving, params, ledger, rng=plan_rng, charge_scale=check_scale
+        g, surviving, ledger, plan_rng, r=r, m=m, log_factors=log_factors,
+        charge_scale=check_scale,
     )
 
-    x_charge = _cover_charge_size(n, params.k, cover, params.log_factors)
     outer = WalkCharge(
         setup=bsize * x_charge,
         update=2.0 * x_charge,
@@ -347,7 +358,7 @@ def search_blocks(
         r=bsize,
         eps=eps_outer,
     )
-    term_setup, term_update, _ = walk_cost_terms(outer, params.log_factors)
+    term_setup, term_update, _ = walk_cost_terms(outer, log_factors)
     ledger.charge("outer_setup", term_setup)
     ledger.charge("outer_update", term_update)
 
@@ -433,10 +444,10 @@ def find_triangle(g: Graph, params: AlgoParams) -> RunReport:
 
     Deterministic given (graph, params): the seed drives the cover sample,
     the estimator plan, the representative block and any injection draws
-    through split substreams. Stops early, reporting no triangle, if the
-    charged total ever exceeds BUDGET_MULTIPLIER times the closed-form
-    envelope (times ceil(ln n)^3 when log factors are on); the stop never
-    fires on honest inputs.
+    through split substreams, each built only when the run reads it. Stops
+    early, reporting no triangle, if the charged total ever exceeds
+    BUDGET_MULTIPLIER times the closed-form envelope (times ceil(ln n)^3
+    when log factors are on); the stop never fires on honest inputs.
     """
     _check_type("g", g, Graph)
     _check_type("params", params, AlgoParams)
@@ -448,12 +459,12 @@ def find_triangle(g: Graph, params: AlgoParams) -> RunReport:
 
     t0 = time.perf_counter()
     log_factors = params.log_factors
-    seeds = np.random.SeedSequence([params.seed]).spawn(4)
-    rng_cover = np.random.default_rng(seeds[0])
-    rng_plan = np.random.default_rng(seeds[1])
-    rng_block = np.random.default_rng(seeds[2])
-    rng_inj = np.random.default_rng(seeds[3])
+    seed = params.seed
+    # Each substream is built where it is first read: the injection stream
+    # only when injection is configured, the plan and block streams only on
+    # the walk path.
     inj = params.failure_injection or _NO_INJECTION
+    rng_inj = None if params.failure_injection is None else _substream(seed, 3)
 
     ledger = QueryLedger()
     budget = BUDGET_MULTIPLIER * cost_envelope(n, params.a, params.k)
@@ -480,10 +491,11 @@ def find_triangle(g: Graph, params: AlgoParams) -> RunReport:
             wall_ms=(time.perf_counter() - t0) * 1000.0,
         )
 
-    cover = sample_cover(n, params.k, rng=rng_cover)
+    cover = sample_cover(n, params.k, rng=_substream(seed, 0))
     charge_log["cover_size"] = int(cover.size)
-    cover_domain = _cover_charge_size(n, params.k, cover, log_factors) * comb(n, 2)
-    _plain_search(ledger, charge_log, "cover_search", cover_domain, log_factors)
+    # The cover's charge-side size: the sampled set with logs, its skeleton without.
+    x_charge = len(cover) if log_factors else sample_size(n, params.k)
+    _plain_search(ledger, charge_log, "cover_search", x_charge * comb(n, 2), log_factors)
     found = search_cover_triangles(g, cover)
     if ledger.total > budget:
         return report(None, stopped=True)
@@ -495,10 +507,14 @@ def find_triangle(g: Graph, params: AlgoParams) -> RunReport:
     witness, outer_log = search_blocks(
         g,
         cover,
-        params,
         ledger,
-        plan_rng=rng_plan,
-        block_rng=rng_block,
+        plan_rng=_substream(seed, 1),
+        block_rng=_substream(seed, 2),
+        r=r,
+        bsize=bsize,
+        m=sample_size(n, params.k),
+        x_charge=x_charge,
+        log_factors=log_factors,
         cover_negative=found is None,
     )
     charge_log["outer"] = outer_log

@@ -118,6 +118,38 @@ class TestPlan:
         assert np.array_equal(p1.screen_draws, p2.screen_draws)
         assert np.array_equal(p1.refine_draws, p2.refine_draws)
 
+    @pytest.mark.parametrize("refine_first", [False, True])
+    def test_lazy_draws_equal_an_eager_draw(self, refine_first):
+        # Whichever stage is read first, the arrays are the screen then the
+        # refinement drawn eagerly from an identically seeded generator.
+        plan = SamplePlan(64, 8, 50, rng=plan_rng(5))
+        eager = plan_rng(5)
+        screen = eager.integers(0, 50, size=(plan.rounds, 8))
+        refine = eager.integers(0, 50, size=plan.refine)
+        if refine_first:
+            assert np.array_equal(plan.refine_draws, refine)
+        assert np.array_equal(plan.screen_draws, screen)
+        assert np.array_equal(plan.refine_draws, refine)
+
+    def test_empty_surviving_set_reads_no_draw(self):
+        rng = plan_rng(3)
+        state = rng.bit_generator.state
+        surv = PairSet(np.arange(8), np.zeros(28, dtype=bool))
+        outputs, probes = estimate_all_apexes(
+            Graph.from_edges(16, [(0, 1)]), surv, SamplePlan(16, 4, 28, rng=rng)
+        )
+        assert np.array_equal(outputs, np.full(16, 28 / 4)) and probes == 0
+        assert rng.bit_generator.state == state
+
+    def test_no_refinement_reads_only_the_screen(self):
+        g, surv = all_open_case()
+        rng, screen_only = plan_rng(7), plan_rng(7)
+        plan = SamplePlan(64, 8, surv.universe_size, rng=rng)
+        counts = _apex_counts(g, surv, plan)
+        assert counts.probes > 0 and not counts.refined.any()
+        screen_only.integers(0, surv.universe_size, size=(plan.rounds, 8))
+        assert rng.bit_generator.state == screen_only.bit_generator.state
+
 
 class TestEstimator:
     def test_isolated_apex_gets_floor(self):

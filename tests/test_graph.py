@@ -995,6 +995,109 @@ def test_only_graph_touches_the_packed_rows():
     assert {name: found for name, found in uses.items() if found} == {}
 
 
+def _called_name(call):
+    func = call.func
+    return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+
+
+def _handed_names(call, consumers):
+    """Names that ``call`` passes as a plan consumer's generator argument."""
+    if _called_name(call) not in consumers:
+        return
+    param, index = consumers[_called_name(call)]
+    values = [kw.value for kw in call.keywords if kw.arg == param]
+    if index is not None and len(call.args) > index:
+        values.append(call.args[index])
+    for value in values:
+        if isinstance(value, ast.Name):
+            yield value.id
+
+
+def plan_consumers(trees):
+    """Functions that hand a generator to SamplePlan, directly or through
+    another consumer: name -> (generator parameter, its position or None)."""
+    consumers = {"SamplePlan": ("rng", 3)}
+    functions = [
+        node for tree in trees for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
+    ]
+    grown = True
+    while grown:
+        grown = False
+        for fn in functions:
+            positional = [arg.arg for arg in fn.args.args]
+            params = positional + [arg.arg for arg in fn.args.kwonlyargs]
+            for call in (node for node in ast.walk(fn) if isinstance(node, ast.Call)):
+                for name in _handed_names(call, consumers):
+                    if name in params and fn.name not in consumers:
+                        index = positional.index(name) if name in positional else None
+                        consumers[fn.name] = (name, index)
+                        grown = True
+    return consumers
+
+
+def generator_reuses(tree, consumers):
+    """(function, name, line) of each read of a generator in ``tree`` after
+    the function handed it to a plan consumer: a read later in the text, or,
+    when the handoff sits in a loop that does not rebind the name, any
+    other read in that loop."""
+    parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+    for fn in (node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)):
+        names = [node for node in ast.walk(fn) if isinstance(node, ast.Name)]
+        for call in (node for node in ast.walk(fn) if isinstance(node, ast.Call)):
+            loop = parents.get(call)
+            while loop is not fn and not isinstance(loop, (ast.For, ast.While)):
+                loop = parents[loop]
+            in_loop = set() if loop is fn else set(ast.walk(loop)) - set(ast.walk(call))
+            end = (call.end_lineno, call.end_col_offset)
+            for name in _handed_names(call, consumers):
+                uses = [node for node in names if node.id == name]
+                rebound = any(isinstance(node.ctx, ast.Store) for node in in_loop & set(uses))
+                for node in uses:
+                    later = (node.lineno, node.col_offset) > end
+                    looped = node in in_loop and not rebound
+                    if isinstance(node.ctx, ast.Load) and (later or looped):
+                        yield fn.name, name, node.lineno
+
+
+def test_no_generator_is_read_after_a_plan_takes_it():
+    # A SamplePlan draws from its generator on first read of a stage, so the
+    # plan's arrays match an eager draw only if no one else draws from that
+    # generator after handing it over.
+    package = Path(triwalk.graph.__file__).parent
+    trees = {path.name: ast.parse(path.read_text(), path.name) for path in package.glob("*.py")}
+    consumers = plan_consumers(trees.values())
+    assert consumers.keys() >= {"SamplePlan", "find_apex_witness", "search_blocks"}
+    handoffs = {
+        (name, fn.name)
+        for name, tree in trees.items()
+        for fn in ast.walk(tree)
+        if isinstance(fn, ast.FunctionDef)
+        for call in ast.walk(fn)
+        if isinstance(call, ast.Call) and any(_handed_names(call, consumers))
+    }
+    assert handoffs >= {
+        ("harness.py", "verify_estimator_bounds"), ("pipeline.py", "search_blocks"),
+    }
+    reuses = {name: list(generator_reuses(tree, consumers)) for name, tree in trees.items()}
+    assert {name: found for name, found in reuses.items() if found} == {}
+
+    later = "def f(rng):\n    p = SamplePlan(2, 1, 1, rng)\n    rng.random()\n"
+    looped = (
+        "def f(rng):\n    for _ in x:\n        rng.random()\n"
+        "        p = SamplePlan(2, 1, 1, rng=rng)\n"
+    )
+    rebound = looped.replace("rng.random()", "rng = make()")
+    relayed = (
+        "def g(x, gen):\n    SamplePlan(2, 1, 1, gen)\n"
+        "def f(rng):\n    g(0, rng)\n    rng.random()\n"
+    )
+    assert list(generator_reuses(ast.parse(later), consumers)) == [("f", "rng", 3)]
+    assert list(generator_reuses(ast.parse(looped), consumers)) == [("f", "rng", 3)]
+    assert list(generator_reuses(ast.parse(rebound), consumers)) == []
+    tree = ast.parse(relayed)
+    assert list(generator_reuses(tree, plan_consumers([tree]))) == [("f", "rng", 5)]
+
+
 def unused_imports(tree):
     """Names an import in ``tree`` binds that no name in it reads, not
     counting ``from __future__`` imports."""

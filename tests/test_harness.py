@@ -189,6 +189,23 @@ class TestEstimatorCampaign:
         with pytest.raises(ValueError, match=message):
             verify_estimator_bounds(64, a, k, 10)
 
+    def test_sparse_family_probes_apexes(self, monkeypatch):
+        # On er:0.5 at n=256 the cover prunes every pair, so criterion 3's
+        # campaign never probes an apex. On er:0.1 pairs survive (a median
+        # of about 379 a trial) and the screen probes them.
+        probes = []
+        real = harness.estimate_all_apexes
+
+        def recording(g, surviving, plan):
+            outputs, total = real(g, surviving, plan)
+            probes.append(total)
+            return outputs, total
+
+        monkeypatch.setattr(harness, "estimate_all_apexes", recording)
+        report = verify_estimator_bounds(256, 0.75, 0.5, 20, family="er:0.1")
+        assert report.verdict
+        assert len(probes) == 20 and max(probes) > 0
+
     def test_complete_family_prunes_everything(self):
         # In a complete graph any cover vertex outside a pair prunes it, so
         # the surviving set is empty, every apex screens to the floor, and

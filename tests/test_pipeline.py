@@ -63,6 +63,17 @@ def block_rngs(seed):
     return np.random.default_rng([seed, 0xA9]), np.random.default_rng([seed, 0xB1])
 
 
+def stage_sizes(n, params):
+    """The sizes find_triangle hands search_blocks at n (log factors off,
+    so the cover's charge size is its skeleton ceil(n^k))."""
+    assert not params.log_factors
+    m = sample_size(n, params.k)
+    return dict(
+        r=inner_size(n, params.a), bsize=block_size(n, params.a), m=m, x_charge=m,
+        log_factors=False,
+    )
+
+
 def apex_witness_oracle(g, surviving):
     """Independent scan: smallest apex with a surviving edge pair at it."""
     best = None
@@ -128,7 +139,11 @@ class TestCoverSearch:
 class TestApexWitness:
     @staticmethod
     def check_charge(g, surviving, params, ledger):
-        return find_apex_witness(g, surviving, params, ledger, block_rngs(params.seed)[0])
+        sizes = stage_sizes(g.n, params)
+        return find_apex_witness(
+            g, surviving, ledger, block_rngs(params.seed)[0],
+            r=sizes["r"], m=sizes["m"], log_factors=False,
+        )
 
     def make(self, n, p, seed, cover_seed=None):
         g = erdos_renyi(n, p, seed)
@@ -237,7 +252,9 @@ class TestBlockWalk:
         params = AlgoParams(seed=7)
         cover = sample_cover(128, params.k, seed=8)
         ledger = QueryLedger()
-        witness, log = search_blocks(g, cover, params, ledger, *block_rngs(params.seed))
+        witness, log = search_blocks(
+            g, cover, ledger, *block_rngs(params.seed), **stage_sizes(128, params)
+        )
         assert witness is None and not log["witness_exists"]
         for phase in ("outer_setup", "outer_update", "outer_check_estimator", "inner_walk"):
             assert ledger.charged[phase] > 0
@@ -254,7 +271,9 @@ class TestBlockWalk:
 
         monkeypatch.setattr(pipeline_module, "uncovered_pairs", recording)
         ledger = QueryLedger()
-        witness, log = search_blocks(g, np.array([0]), params, ledger, *block_rngs(params.seed))
+        witness, log = search_blocks(
+            g, np.array([0]), ledger, *block_rngs(params.seed), **stage_sizes(64, params)
+        )
         assert witness == (63, (61, 62))
         (block,) = blocks
         assert block.size == block_size(64, params.a)
@@ -276,7 +295,9 @@ class TestBlockWalk:
         g = random_bipartite(256, seed=4)
         params = AlgoParams(seed=2)
         cover = sample_cover(256, 0.5, seed=9)
-        _, log = search_blocks(g, cover, params, QueryLedger(), *block_rngs(params.seed))
+        _, log = search_blocks(
+            g, cover, QueryLedger(), *block_rngs(params.seed), **stage_sizes(256, params)
+        )
         assert log["eps"] == 64 * 63 / (256 * 255)
         assert log["eps"] == pytest.approx(0.061764, abs=1e-6)
 
@@ -285,7 +306,9 @@ class TestBlockWalk:
         params = AlgoParams(seed=3)
         cover = sample_cover(128, params.k, seed=6)
         ledger = QueryLedger()
-        _, log = search_blocks(g, cover, params, ledger, *block_rngs(params.seed))
+        _, log = search_blocks(
+            g, cover, ledger, *block_rngs(params.seed), **stage_sizes(128, params)
+        )
         bsize = block_size(128, params.a)
         x_charge = sample_size(128, params.k)  # log factors off
         assert log["cover_charge_size"] == x_charge
@@ -387,7 +410,7 @@ class TestBlockCheckAnswer:
             finder_cover = runs[-1][1]
             # The exclude scan, on the finder's own cover and a smaller random one.
             for cover in (finder_cover, sample_cover(64, 0.25, seed=100 + seed)):
-                spy(g, cover, AlgoParams(seed=seed), QueryLedger(), *block_rngs(seed))
+                spy(g, cover, QueryLedger(), *block_rngs(seed), **stage_sizes(64, AlgoParams()))
         answers = set()
         for g, cover, log in runs:
             exists = apex_witness_oracle(g, uncovered_pairs(g, cover, np.arange(g.n))) is not None
@@ -398,6 +421,28 @@ class TestBlockCheckAnswer:
 
 
 class TestFindTriangle:
+    @pytest.mark.parametrize("seed", [0, 91, 2**40 + 3])
+    def test_substreams_are_the_spawned_children(self, seed):
+        children = np.random.SeedSequence([seed]).spawn(4)
+        for index, child in enumerate(children):
+            built = pipeline_module._substream(seed, index).integers(0, 2**62, size=4)
+            assert np.array_equal(built, np.random.default_rng(child).integers(0, 2**62, size=4))
+
+    def test_substreams_are_built_only_where_read(self, monkeypatch):
+        built = []
+        real = pipeline_module._substream
+
+        def recording(seed, index):
+            built.append(index)
+            return real(seed, index)
+
+        monkeypatch.setattr(pipeline_module, "_substream", recording)
+        find_triangle(erdos_renyi(64, 1.0, seed=0), AlgoParams())  # exits at the cover
+        find_triangle(plant_only_graph(), AlgoParams(seed=WALK_PATH_SEED))  # the walk path
+        inj = FailureInjection(walk_success=1.0)
+        find_triangle(plant_only_graph(), AlgoParams(seed=WALK_PATH_SEED, failure_injection=inj))
+        assert built == [0, 0, 1, 2, 3, 0, 1, 2]
+
     def test_size_guard(self):
         g = erdos_renyi(32, 0.5, seed=0)
         with pytest.raises(ValueError):
