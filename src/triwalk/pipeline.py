@@ -305,7 +305,7 @@ def search_blocks(
     cover,
     ledger: QueryLedger,
     plan_rng: np.random.Generator,
-    block_rng: np.random.Generator,
+    seed: int,
     *,
     r: int,
     bsize: int,
@@ -322,10 +322,10 @@ def search_blocks(
     Charges the walk's setup (block x cover loads), update and checking
     terms; the checking cost comes from one representative apex scan
     (find_apex_witness, estimator plan from plan_rng), run on the found
-    witness block when one exists and on a block drawn from block_rng
-    otherwise. Emulation reduces "some block's surviving pairs contain a
-    triangle edge" to "the vertex set's surviving pairs contain a triangle
-    edge" and returns the smallest such edge (u, v) with its smallest apex,
+    witness block when one exists and otherwise on a block drawn from
+    find_triangle's seed substream 2, built only then. Emulation reduces
+    "some block's surviving pairs contain a triangle edge" to "the vertex
+    set's surviving pairs contain a triangle edge" and returns the smallest such edge (u, v) with its smallest apex,
     as (apex, (u, v)); the witness block is the edge endpoints plus
     smallest-index fill. The block check's answer is that scan's hit: the
     witness block holds the hit edge, and with no hit in V no block holds
@@ -342,7 +342,7 @@ def search_blocks(
         u, v, apex = hit
         block = _fill_vertices(n, (u, v), bsize)
     else:
-        block = np.sort(block_rng.choice(n, size=bsize, replace=False))
+        block = np.sort(_substream(seed, 2).choice(n, size=bsize, replace=False))
 
     surviving = uncovered_pairs(g, cover, block)
     check_scale = log_multiplier(bsize, log_factors) / math.sqrt(eps_outer)
@@ -461,8 +461,9 @@ def find_triangle(g: Graph, params: AlgoParams) -> RunReport:
     log_factors = params.log_factors
     seed = params.seed
     # Each substream is built where it is first read: the injection stream
-    # only when injection is configured, the plan and block streams only on
-    # the walk path.
+    # only when injection is configured, the plan stream only on the walk
+    # path, and the block stream (in search_blocks) only when its edge scan
+    # finds no hit.
     inj = params.failure_injection or _NO_INJECTION
     rng_inj = None if params.failure_injection is None else _substream(seed, 3)
 
@@ -509,7 +510,7 @@ def find_triangle(g: Graph, params: AlgoParams) -> RunReport:
         cover,
         ledger,
         plan_rng=_substream(seed, 1),
-        block_rng=_substream(seed, 2),
+        seed=seed,
         r=r,
         bsize=bsize,
         m=sample_size(n, params.k),

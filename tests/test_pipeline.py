@@ -58,9 +58,9 @@ def plant_only_graph(n=64, triple=(61, 62, 63)):
     return Graph.from_edges(n, [(a, b), (a, c), (b, c)])
 
 
-def block_rngs(seed):
-    """Estimator-plan and block streams for a direct search_blocks call."""
-    return np.random.default_rng([seed, 0xA9]), np.random.default_rng([seed, 0xB1])
+def block_args(seed):
+    """Estimator-plan stream and block seed for a direct search_blocks call."""
+    return np.random.default_rng([seed, 0xA9]), seed
 
 
 def stage_sizes(n, params):
@@ -141,7 +141,7 @@ class TestApexWitness:
     def check_charge(g, surviving, params, ledger):
         sizes = stage_sizes(g.n, params)
         return find_apex_witness(
-            g, surviving, ledger, block_rngs(params.seed)[0],
+            g, surviving, ledger, block_args(params.seed)[0],
             r=sizes["r"], m=sizes["m"], log_factors=False,
         )
 
@@ -162,7 +162,7 @@ class TestApexWitness:
         estimate_all_apexes on the plan check_charge draws."""
         n = g.n
         m = sample_size(n, params.k)
-        rng = block_rngs(params.seed)[0]
+        rng = block_args(params.seed)[0]
         estimates, _ = estimate_all_apexes(
             g, surviving, SamplePlan(n, m, surviving.universe_size, rng=rng)
         )
@@ -197,7 +197,7 @@ class TestApexWitness:
         ledger = QueryLedger()
         self.check_charge(g, surviving, params, ledger)
         m = sample_size(64, params.k)
-        plan = SamplePlan(64, m, surviving.universe_size, rng=block_rngs(params.seed)[0])
+        plan = SamplePlan(64, m, surviving.universe_size, rng=block_args(params.seed)[0])
         _, probes = estimate_all_apexes(g, surviving, plan)
         assert probes > 0 and ledger.raw_probes == probes
         assert set(ledger.charged) == {"outer_check_estimator", "inner_walk"}
@@ -253,7 +253,7 @@ class TestBlockWalk:
         cover = sample_cover(128, params.k, seed=8)
         ledger = QueryLedger()
         witness, log = search_blocks(
-            g, cover, ledger, *block_rngs(params.seed), **stage_sizes(128, params)
+            g, cover, ledger, *block_args(params.seed), **stage_sizes(128, params)
         )
         assert witness is None and not log["witness_exists"]
         for phase in ("outer_setup", "outer_update", "outer_check_estimator", "inner_walk"):
@@ -272,7 +272,7 @@ class TestBlockWalk:
         monkeypatch.setattr(pipeline_module, "uncovered_pairs", recording)
         ledger = QueryLedger()
         witness, log = search_blocks(
-            g, np.array([0]), ledger, *block_rngs(params.seed), **stage_sizes(64, params)
+            g, np.array([0]), ledger, *block_args(params.seed), **stage_sizes(64, params)
         )
         assert witness == (63, (61, 62))
         (block,) = blocks
@@ -296,7 +296,7 @@ class TestBlockWalk:
         params = AlgoParams(seed=2)
         cover = sample_cover(256, 0.5, seed=9)
         _, log = search_blocks(
-            g, cover, QueryLedger(), *block_rngs(params.seed), **stage_sizes(256, params)
+            g, cover, QueryLedger(), *block_args(params.seed), **stage_sizes(256, params)
         )
         assert log["eps"] == 64 * 63 / (256 * 255)
         assert log["eps"] == pytest.approx(0.061764, abs=1e-6)
@@ -307,7 +307,7 @@ class TestBlockWalk:
         cover = sample_cover(128, params.k, seed=6)
         ledger = QueryLedger()
         _, log = search_blocks(
-            g, cover, ledger, *block_rngs(params.seed), **stage_sizes(128, params)
+            g, cover, ledger, *block_args(params.seed), **stage_sizes(128, params)
         )
         bsize = block_size(128, params.a)
         x_charge = sample_size(128, params.k)  # log factors off
@@ -410,7 +410,7 @@ class TestBlockCheckAnswer:
             finder_cover = runs[-1][1]
             # The exclude scan, on the finder's own cover and a smaller random one.
             for cover in (finder_cover, sample_cover(64, 0.25, seed=100 + seed)):
-                spy(g, cover, QueryLedger(), *block_rngs(seed), **stage_sizes(64, AlgoParams()))
+                spy(g, cover, QueryLedger(), *block_args(seed), **stage_sizes(64, AlgoParams()))
         answers = set()
         for g, cover, log in runs:
             exists = apex_witness_oracle(g, uncovered_pairs(g, cover, np.arange(g.n))) is not None
@@ -441,7 +441,9 @@ class TestFindTriangle:
         find_triangle(plant_only_graph(), AlgoParams(seed=WALK_PATH_SEED))  # the walk path
         inj = FailureInjection(walk_success=1.0)
         find_triangle(plant_only_graph(), AlgoParams(seed=WALK_PATH_SEED, failure_injection=inj))
-        assert built == [0, 0, 1, 2, 3, 0, 1, 2]
+        # The block stream only where the walk's edge scan finds no hit.
+        find_triangle(random_bipartite(64, seed=0), AlgoParams())
+        assert built == [0, 0, 1, 3, 0, 1, 0, 1, 2]
 
     def test_size_guard(self):
         g = erdos_renyi(32, 0.5, seed=0)
