@@ -151,8 +151,7 @@ def _row(group: str, name: str, n: Optional[int], build: Callable, *args, **fiel
 # -- the rows' calls -------------------------------------------------------
 
 FAMILIES = {
-    "bipartite": tw.random_bipartite,
-    "er:0.5": lambda n, seed: tw.erdos_renyi(n, 0.5, seed),
+    **{family: harness.parse_family(family) for family in ("bipartite", "er:0.5")},
     "isolated": lambda n, seed: isolated_triangle(
         n, seed, pick_isolated(n, seed, finder_cover(n, seed), on_cover=False)
     ),
@@ -165,9 +164,7 @@ SCAN_PARTS = (
 )
 GENERATORS = {
     "rng": lambda n, seed: np.random.default_rng([seed, graph._TAG_ER]).random((n, n)),
-    "er:0.5": FAMILIES["er:0.5"],
-    "bipartite": tw.random_bipartite,
-    "planted": tw.planted_instance,
+    **{family: harness.parse_family(family) for family in ("er:0.5", "bipartite", "planted")},
 }
 
 
@@ -210,9 +207,8 @@ def finder_block(n: int, algo_seed: int) -> np.ndarray:
     """The block search_blocks draws for AlgoParams(seed=algo_seed) on n
     vertices when no surviving edge closes a triangle: the first draw of
     find_triangle's third seed substream."""
-    rng = np.random.default_rng(np.random.SeedSequence([algo_seed]).spawn(4)[2])
     size = pipeline.block_size(n, pipeline.AlgoParams().a)
-    return np.sort(rng.choice(n, size=size, replace=False))
+    return np.sort(pipeline._substream(algo_seed, 2).choice(n, size=size, replace=False))
 
 
 def _block(family: str, n: int, seed: int):

@@ -119,8 +119,8 @@ class _ApexCounts(NamedTuple):
 
 def _second_probes(g: Graph, first: np.ndarray, verts: np.ndarray, within=None) -> int:
     """Sum over apexes w of the draws whose first endpoint neighbours w: over
-    draws, the first endpoint's degree (within the packed apex mask ``within``
-    when given). ``first`` holds block vertices, so only their degrees are taken."""
+    draws, the first endpoint's degree (among the apex ids ``within`` when
+    given). ``first`` holds block vertices, so only their degrees are taken."""
     weights = np.bincount(first, minlength=g.n)[verts]
     return int(weights @ _degrees(g, verts, within))
 
@@ -166,8 +166,8 @@ def _apex_counts(g: Graph, surviving: PairSet, plan: SamplePlan) -> _ApexCounts:
         first3 = pu[slots3]
         c2 = _apex_column_counts(g, first3, pv[slots3])
         outputs[refined] = c2[refined] * universe / plan.refine
-        within = g.pack_set(np.flatnonzero(refined))
-        probes += int(refined.sum()) * slots3.size + _second_probes(g, first3, verts, within)
+        within = np.flatnonzero(refined)
+        probes += within.size * slots3.size + _second_probes(g, first3, verts, within)
     return _ApexCounts(c1, refined, c2, outputs, probes)
 
 

@@ -4,7 +4,8 @@ Adjacency is held in packed 64-bit rows so neighborhood intersections,
 common-neighbor counts and lexicographic scans run word-parallel. Graphs
 are immutable after construction and safe for concurrent readers; all
 randomness flows through explicit integer seeds. No other module reads
-the rows: each reduction over them is written here once.
+the rows or packs a vertex set: each reduction over them is written here
+once, and its kernels take vertex sets as id arrays.
 
 No constructor builds an n x n matrix beyond the one a caller passes to
 ``Graph(dense)``. The generators write packed rows directly, 128 drawn
@@ -137,9 +138,6 @@ class QueryLedger:
     @property
     def total(self) -> float:
         return sum(self.charged.values())
-
-    def snapshot(self) -> dict[str, float]:
-        return dict(sorted(self.charged.items()))
 
 
 def _pack_bool_rows(dense: np.ndarray) -> np.ndarray:
@@ -369,13 +367,6 @@ class Graph:
         blocks = [(u[head], x) for u, _, head, x in _pair_stream(self, np.arange(self.n))]
         return tuple(map(np.concatenate, zip(*blocks)))
 
-    def pack_set(self, vertices) -> np.ndarray:
-        """Bitmask of a vertex subset in the row word layout; ValueError for
-        float or bool ids, or ids outside [0, n)."""
-        bits = np.zeros((1, self.n), dtype=bool)
-        bits[0, _checked_vertices(self.n, vertices)] = True
-        return _pack_bool_rows(bits)[0]
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Graph)
@@ -405,11 +396,19 @@ def _bool_rows(g: Graph, verts) -> np.ndarray:
     return _bits(np.take(g._rows, verts, axis=0), g.n)
 
 
+def _packed_ids(n: int, ids) -> np.ndarray:
+    """The vertex set ``ids`` as one packed row, its pad bits zero."""
+    bits = np.zeros((1, n), dtype=bool)
+    bits[0, ids] = True
+    return _pack_bool_rows(bits)[0]
+
+
 def _degrees(g: Graph, verts: np.ndarray, within=None) -> np.ndarray:
-    """Per vertex of ``verts``, its neighbour count (within the packed set ``within``), int64."""
+    """Per vertex of ``verts``, its neighbour count (among the ids ``within``
+    when given), int64."""
     rows = np.take(g._rows, verts, axis=0)
     if within is not None:
-        rows &= within
+        rows &= _packed_ids(g.n, within)
     return _popcounts(rows)
 
 
@@ -442,10 +441,10 @@ def _apex_column_counts(g: Graph, pu: np.ndarray, pv: np.ndarray, group=None) ->
 def _pair_stream(g: Graph, heads: np.ndarray, within: Optional[np.ndarray] = None):
     """Yield (u, rows, head, x) for consecutive, growing blocks u of ``heads``.
 
-    ``heads`` is a sorted, duplicate-free vertex array and ``within`` a
-    packed vertex set (default: every vertex). ``rows`` holds the full
-    packed rows of the block's heads u. The pairs (u[head], x) are, for
-    each head, its neighbours x in ``within``, head-major with x ascending.
+    ``heads`` is a sorted, duplicate-free vertex array and ``within`` an id
+    array (default: every vertex). ``rows`` holds the full packed rows of
+    the block's heads u. The pairs (u[head], x) are, for each head, its
+    neighbours x in ``within``, head-major with x ascending.
     A pair whose x is an earlier head is skipped: it was read from x's
     side. With heads = within that leaves the edges u < x in canonical
     order. Blocks are read straight from the packed rows, so a caller that
@@ -453,10 +452,9 @@ def _pair_stream(g: Graph, heads: np.ndarray, within: Optional[np.ndarray] = Non
     """
     n = g.n
     word_start = 64 * np.arange(g._rows.shape[1])
-    if within is None:
-        within = ~np.zeros(word_start.size, dtype=np.uint64)
+    within = ~np.zeros(word_start.size, np.uint64) if within is None else _packed_ids(n, within)
     # A head keeps its neighbours in within that lie above it or are no head.
-    others = ~g.pack_set(heads) & within
+    others = ~_packed_ids(n, heads) & within
     start, size, cap = 0, max(1, _BLOCK_FIRST_BITS // n), max(1, _BLOCK_CAP_BITS // n)
     while start < heads.size:
         u = heads[start : start + size]
@@ -476,8 +474,8 @@ def _first_closed_pair(
     g: Graph, heads: np.ndarray, within=None, exclude=None
 ) -> Optional[tuple[int, int, int]]:
     """First pair (h, x) of _pair_stream(g, heads, within) with a common
-    neighbour, none of them in the packed set ``exclude`` if given, plus
-    its smallest common neighbour.
+    neighbour, none of them among the ids ``exclude`` if given, plus its
+    smallest common neighbour.
 
     A head's row is taken from its block's rows, which is cheaper than a
     gather from all of g's rows. The ANDs run in slices of _AND_FIRST
@@ -485,6 +483,8 @@ def _first_closed_pair(
     after little work, and a negative keeps its temporaries cache-sized.
     """
     size = _AND_FIRST
+    if exclude is not None:
+        exclude = _packed_ids(g.n, exclude)
     for u, rows, head, x in _pair_stream(g, heads, within):
         start = 0
         while start < x.size:

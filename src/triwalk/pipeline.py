@@ -192,9 +192,10 @@ def _first_surviving_triangle_edge(
     """
     if cover_negative:
         keep = np.ones(g.n, dtype=bool)
-        keep[np.asarray(cover, dtype=np.int64)] = False
-        return _first_closed_pair(g, np.flatnonzero(keep), within=~g.pack_set(cover))
-    return _first_closed_pair(g, np.arange(g.n), exclude=g.pack_set(cover))
+        keep[cover] = False
+        rest = np.flatnonzero(keep)
+        return _first_closed_pair(g, rest, within=rest)
+    return _first_closed_pair(g, np.arange(g.n), exclude=cover)
 
 
 def _fill_vertices(n: int, required: tuple[int, ...], size: int) -> np.ndarray:
@@ -223,13 +224,10 @@ def search_cover_triangles(g: Graph, cover) -> Optional[Triangle]:
     vertex gives the smallest x of N(c) with a neighbour in N(c), and its
     lowest shared bit y lies above x (a smaller y would itself be such a
     vertex). The x that the pair stream skips, earlier cover vertices,
-    have none: their pair with c was read first.
+    have none: their pair with c was read first. The cover must be sorted
+    and duplicate-free, as sample_cover returns it.
     """
-    # The cover's distinct vertices in order; a mask over n is ~7x faster
-    # than np.unique on a finder's cover.
-    in_cover = np.zeros(g.n, dtype=bool)
-    in_cover[cover] = True
-    hit = _first_closed_pair(g, np.flatnonzero(in_cover))
+    hit = _first_closed_pair(g, cover)
     return None if hit is None else Triangle(*sorted(hit))
 
 

@@ -18,7 +18,7 @@ from triwalk import (
     uncovered_pairs,
 )
 from triwalk import pairs
-from triwalk.graph import _common_counts
+from triwalk.graph import _common_counts, _packed_ids
 from triwalk.harness import parse_family
 from triwalk.pairs import cover_draw_count, uncovered_pairs_at
 
@@ -205,7 +205,7 @@ def covered_by_and(g, cover, verts):
     """Per-pair AND reference: per canonical pair of ``verts``, whether the
     two packed rows and the cover's bitmask share a bit."""
     iu, jv = np.triu_indices(verts.size, k=1)
-    words = g.pack_set(cover)
+    words = _packed_ids(g.n, cover)
     return (g._rows[verts[iu]] & g._rows[verts[jv]] & words).any(axis=1)
 
 
