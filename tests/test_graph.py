@@ -37,8 +37,12 @@ from triwalk.graph import (
     _TAG_ER,
     _anded_rows,
     _apex_column_counts,
+    _degrees,
+    _first_closed_pair,
     _fold_words,
     _pack_bool_rows,
+    _packed_ids,
+    _pair_stream,
     _popcounts,
 )
 from triwalk.pairs import uncovered_pairs_at
@@ -952,6 +956,81 @@ class TestApexColumnCounts:
     def test_empty_input_counts_nothing(self, monkeypatch, group):
         empty = np.array([], dtype=np.int64)
         assert self.run(monkeypatch, empty, empty, group) == []
+
+
+
+def id_subset(n, seed, share=0.5):
+    """A sorted, duplicate-free random subset of range(n)."""
+    return np.flatnonzero(np.random.default_rng(seed).random(n) < share)
+
+
+class TestIdKernels:
+    """The kernels that take vertex sets as id arrays, against the bool matrix."""
+
+    # A word's edges: one id, a full word, one bit past it, two words and more.
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 127, 128, 129, 200])
+    def test_packed_ids_set_exactly_the_ids(self, n):
+        ids = id_subset(n, n)
+        words = _packed_ids(n, ids)
+        assert words.dtype == np.uint64 and words.shape == (-(-n // 64),)
+        bits = np.unpackbits(words.view(np.uint8), bitorder="little")
+        assert np.array_equal(np.flatnonzero(bits), ids)  # pad bits past n are zero
+
+    def test_packed_ids_ignore_order_and_repeats(self):
+        assert np.array_equal(_packed_ids(70, [69, 3, 69, 0, 3]), _packed_ids(70, [0, 3, 69]))
+        assert not _packed_ids(70, np.array([], dtype=np.int64)).any()
+
+    GRAPHS = [(40, 0.3, 1), (65, 0.2, 2), (130, 0.1, 3), (200, 0.05, 4)]
+
+    @pytest.mark.parametrize("n, p, seed", GRAPHS)
+    def test_degrees_within_ids_equal_bool_matrix_counts(self, n, p, seed):
+        g = erdos_renyi(n, p, seed)
+        adj = g.bool_matrix
+        verts, within = id_subset(n, seed), id_subset(n, seed + 100)
+        mask = np.zeros(n, dtype=bool)
+        mask[within] = True
+        assert np.array_equal(_degrees(g, verts), adj[verts].sum(axis=1))
+        assert np.array_equal(_degrees(g, verts, within), (adj[verts] & mask).sum(axis=1))
+
+    @staticmethod
+    def reference_pairs(g, heads, within):
+        """Per head in order, its neighbours in ``within`` ascending, less
+        the earlier heads."""
+        adj = g.bool_matrix
+        inside = np.zeros(g.n, dtype=bool)
+        inside[within] = True
+        return [
+            (int(h), int(x))
+            for h in heads
+            for x in np.flatnonzero(adj[h] & inside)
+            if not (x < h and x in heads)
+        ]
+
+    @pytest.mark.parametrize("n, p, seed", GRAPHS[1:])
+    def test_pair_stream_within_ids_equal_reference(self, n, p, seed):
+        g = erdos_renyi(n, p, seed)
+        heads, within = id_subset(n, seed), id_subset(n, seed + 100)
+        pairs = [
+            (int(u[h]), int(x)) for u, _, head, xs in _pair_stream(g, heads, within)
+            for h, x in zip(head, xs)
+        ]
+        assert pairs == self.reference_pairs(g, heads, within)
+
+    @pytest.mark.parametrize("n, p, seed", GRAPHS)
+    def test_first_closed_pair_ids_equal_reference(self, n, p, seed):
+        g = erdos_renyi(n, p, seed)
+        adj = g.bool_matrix
+        heads, within = id_subset(n, seed), id_subset(n, seed + 100)
+        exclude = id_subset(n, seed + 200, share=0.3)
+        banned = np.zeros(n, dtype=bool)
+        banned[exclude] = True
+        expected = None
+        for h, x in self.reference_pairs(g, heads, within):
+            common = adj[h] & adj[x]
+            if common.any() and not (common & banned).any():
+                expected = (h, x, int(np.flatnonzero(common)[0]))
+                break
+        assert _first_closed_pair(g, heads, within, exclude) == expected
 
 
 # Graph's members that hand out no row word; any other member is row layout.
