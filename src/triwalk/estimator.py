@@ -31,19 +31,21 @@ as groups). Adjacency probes short-circuit, which gives the closed form
     probes(w) = S1 + F1(w) + [2 c1(w) > rounds] * (S3 + F3(w)),
 with S1, S3 the surviving screen / refinement draws and F1(w), F3(w)
 those of them whose first endpoint neighbours w. Only the total over
-apexes reaches a report, and summed over w, F1 is the total degree of
-the screen draws' first endpoints and F3, over the refined apexes, the
-total of |N(first endpoint) & refined|: first-endpoint counts times the
-block's degrees. The refinement draws (c2, S3, F3) are scored only when
-some apex reaches stage 3; otherwise every output is the floor, and with
-no surviving pair at all no draw is read.
+apexes reaches a report. A stage's terms are read off the surviving slots
+it drew, each weighted by its hit count from one bincount of the stage's
+draws: S is the hits' sum, and summed over w, F1 is the hit-weighted
+degree of the slots' first endpoints and F3, over the refined apexes, the
+hit-weighted |N(first endpoint) & refined|. The refinement draws (c2, S3,
+F3) are scored only when some apex reaches stage 3; otherwise every
+output is the floor, and with no surviving pair at all no draw is read.
 
 A pair whose endpoints have no common neighbour (an open pair) qualifies
-at no apex. So the screen counts the common neighbours of each distinct
-surviving pair it drew once, then scores only the draws of the other
-(closed) pairs; the probe total still counts every surviving draw. Where
-the cover prunes the closed pairs, as on random_bipartite inputs, no
-screen draw is scored past that one pass.
+at no apex. So the screen counts the common neighbours of each surviving
+slot it drew once, and only when some of them are closed does it find the
+plan positions of those slots' draws, which c1 groups by round. Where the
+cover prunes the closed pairs, as on random_bipartite inputs, the screen
+reads no draw one by one: it is the bincount and one pass over the drawn
+slots.
 """
 
 from __future__ import annotations
@@ -55,7 +57,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .graph import Graph, _apex_column_counts, _common_counts, _degrees
-from .pairs import PairSet
+from .pairs import PairSet, _tri_indices
 
 
 # Round count of the coarse screen: ceil(240 ln n).
@@ -117,43 +119,54 @@ class _ApexCounts(NamedTuple):
     probes: int
 
 
-def _second_probes(g: Graph, first: np.ndarray, verts: np.ndarray, within=None) -> int:
-    """Sum over apexes w of the draws whose first endpoint neighbours w: over
-    draws, the first endpoint's degree (among the apex ids ``within`` when
-    given). ``first`` holds block vertices, so only their degrees are taken."""
-    weights = np.bincount(first, minlength=g.n)[verts]
-    return int(weights @ _degrees(g, verts, within))
+def _drawn_slots(surviving: PairSet, draws: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The surviving slots among ``draws``, ascending, and how often each was drawn."""
+    hits = np.bincount(draws.ravel(), minlength=surviving.universe_size)
+    slots = np.flatnonzero(surviving.mask & hits.astype(bool))
+    return slots, hits[slots]
+
+
+def _stage_probes(g: Graph, verts: np.ndarray, first: np.ndarray, hits: np.ndarray, within=None) -> int:
+    """Raw probes of one stage's surviving draws, summed over the apexes (the
+    ids ``within`` when given, else every vertex): each draw probes its first
+    endpoint at every apex, and its second at the apexes the first neighbours.
+    ``first`` holds each drawn slot's first endpoint as an index into
+    ``verts``, and ``hits`` how often the slot was drawn."""
+    apexes = g.n if within is None else within.size
+    return int(hits.sum()) * apexes + int(hits @ _degrees(g, verts, within)[first])
 
 
 def _apex_counts(g: Graph, surviving: PairSet, plan: SamplePlan) -> _ApexCounts:
     """Run the estimator for every apex at once over the packed rows."""
     n, m = g.n, plan.m
-    pu, pv = surviving.endpoint_arrays()
     universe = surviving.universe_size
-    # Flat plan positions (round * m + column) of the surviving screen draws;
-    # an empty surviving set reads no draw of the plan.
-    draws1 = plan.screen_draws.ravel() if surviving.mask.any() else np.empty(0, dtype=np.int64)
-    kept1 = np.flatnonzero(surviving.mask[draws1])
     zeros = np.zeros(n, dtype=np.int64)
     outputs = np.full(n, universe / m)
-    if kept1.size == 0:
-        # No draw lands in the surviving set (or none was read): every apex
-        # screens to the floor without a single adjacency probe.
-        return _ApexCounts(zeros, zeros.astype(bool), zeros, outputs, 0)
+    floor = _ApexCounts(zeros, zeros.astype(bool), zeros, outputs, 0)
+    # An empty surviving set reads no draw of the plan.
+    if not surviving.mask.any():
+        return floor
 
-    slots1 = draws1[kept1]
+    slots, hits = _drawn_slots(surviving, plan.screen_draws)
     verts = surviving.verts
+    iu, jv = _tri_indices(verts.size)
+    first = iu[slots]
     # Every surviving draw is probed, closed or open.
-    probes = n * slots1.size + _second_probes(g, pu[slots1], verts)
-    # Only the draws of closed pairs can qualify at an apex. Each distinct
-    # drawn pair's common neighbours are counted once.
-    closed = np.zeros(universe, dtype=bool)
-    closed[slots1] = True
-    distinct = np.flatnonzero(closed)
-    closed[distinct] = _common_counts(g, pu[distinct], pv[distinct]) > 0
-    closed1 = kept1[closed[slots1]]
-    slots1 = draws1[closed1]  # a round's draws form one group
-    c1 = _apex_column_counts(g, pu[slots1], pv[slots1], group=closed1 // m)
+    probes = _stage_probes(g, verts, first, hits)
+    # Only the draws of closed pairs can qualify at an apex.
+    closed = slots[_common_counts(g, verts[first], verts[jv[slots]]) > 0]
+    if closed.size == 0:
+        # Every apex screens to the floor; with no surviving draw, after
+        # no probe at all.
+        return floor._replace(probes=probes)
+    is_closed = np.zeros(universe, dtype=bool)
+    is_closed[closed] = True
+    draws = plan.screen_draws.ravel()
+    # Flat plan positions (round * m + column) of the closed draws; a
+    # round's draws form one group.
+    at = np.flatnonzero(is_closed[draws])
+    drawn = draws[at]
+    c1 = _apex_column_counts(g, verts[iu[drawn]], verts[jv[drawn]], group=at // m)
     refined = 2 * c1 > plan.rounds
 
     c2 = zeros
@@ -162,12 +175,11 @@ def _apex_counts(g: Graph, surviving: PairSet, plan: SamplePlan) -> _ApexCounts:
     # a block dense in closed pairs, so the pass would add a gather and
     # skip little.
     if refined.any():
-        slots3 = plan.refine_draws[surviving.mask[plan.refine_draws]]
-        first3 = pu[slots3]
-        c2 = _apex_column_counts(g, first3, pv[slots3])
+        draws3 = plan.refine_draws[surviving.mask[plan.refine_draws]]
+        c2 = _apex_column_counts(g, verts[iu[draws3]], verts[jv[draws3]])
         outputs[refined] = c2[refined] * universe / plan.refine
-        within = np.flatnonzero(refined)
-        probes += within.size * slots3.size + _second_probes(g, first3, verts, within)
+        slots3, hits3 = _drawn_slots(surviving, plan.refine_draws)
+        probes += _stage_probes(g, verts, iu[slots3], hits3, np.flatnonzero(refined))
     return _ApexCounts(c1, refined, c2, outputs, probes)
 
 

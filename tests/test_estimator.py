@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from triwalk import Graph, erdos_renyi, random_bipartite
+from triwalk import AlgoParams, Graph, erdos_renyi, random_bipartite
 from triwalk import estimator as estimator_module
 from triwalk import graph as graph_module
+from triwalk import pipeline as pipeline_module
 from triwalk.graph import _SCAN_CAP, _common_counts
 from triwalk.estimator import (
     SamplePlan,
@@ -17,7 +18,8 @@ from triwalk.estimator import (
     estimate_all_apexes,
     estimator_charge,
 )
-from triwalk.pairs import PairSet, uncovered_pairs
+from triwalk.pairs import PairSet, sample_cover, uncovered_pairs
+from triwalk.pipeline import block_size, sample_size
 
 EMPTY = np.array([], dtype=np.int64)
 
@@ -352,6 +354,60 @@ class TestKernelMatchesReference:
         assert 1 in seen and max(seen) == _SCAN_CAP
 
 
+def finder_case(block):
+    """random_bipartite(448, 0) with find_triangle's cover, block size, m and
+    plan stream at seed 0 (perfbench walk-negative's size), on one block:
+
+    - "random": a block drawn as search_blocks draws it; about half its
+      pairs survive, and the screen draws each surviving slot ~7 times.
+    - "fill": the smallest ids plus the two largest, from the other side, as
+      _fill_vertices builds it; only the pairs across the sides survive, a
+      few percent of the block's.
+    - "triangle": as "fill", with three vertices off the cover cut from the
+      graph and joined into a triangle, and two of them in the block: the
+      surviving pair of those two is the block's one closed pair, as on
+      perfbench walk-positive.
+    """
+    n, seed = 448, 0
+    params = AlgoParams(seed=seed)
+    g = random_bipartite(n, seed)
+    cover = sample_cover(n, params.k, rng=pipeline_module._substream(seed, 0))
+    bsize = block_size(n, params.a)
+    if block == "random":
+        verts = np.sort(pipeline_module._substream(seed, 2).choice(n, size=bsize, replace=False))
+    elif block == "fill":
+        verts = pipeline_module._fill_vertices(n, (n - 2, n - 1), bsize)
+    else:
+        a, b, c = np.setdiff1d(np.arange(n), cover)[-3:]
+        dense = np.array(g.bool_matrix)
+        dense[[a, b, c], :] = dense[:, [a, b, c]] = False
+        for x, y in ((a, b), (a, c), (b, c)):
+            dense[x, y] = dense[y, x] = True
+        g = Graph(dense)
+        verts = pipeline_module._fill_vertices(n, (a, b), bsize)
+    surv = uncovered_pairs(g, cover, verts)
+    m = sample_size(n, params.k)
+    return g, surv, SamplePlan(n, m, surv.universe_size, rng=pipeline_module._substream(seed, 1))
+
+
+class TestFinderSizedBlocks:
+    """The kernel against reference_apex at the finder's own sizes."""
+
+    @pytest.mark.parametrize("block", ["random", "fill", "triangle"])
+    def test_matches_reference(self, block):
+        g, surv, plan = finder_case(block)
+        hits = np.bincount(plan.screen_draws.ravel(), minlength=surv.universe_size)
+        share = surv.mask.mean()
+        if block == "random":
+            assert 0.4 < share < 0.6 and hits[surv.mask].max() > 7
+        else:
+            assert 0 < share < 0.1
+        ref = assert_matches_reference(g, surv, plan)
+        assert closed_surviving(g, surv).sum() == int(block == "triangle")
+        assert any(r[1] for r in ref) == (block == "triangle")
+        assert all(r[2] is None for r in ref)
+
+
 class TestUnreadWorkSkipped:
     """The kernel gathers only the screen draws of pairs with a common
     neighbour, and scores the refinement draws only when some apex reaches
@@ -380,39 +436,51 @@ class TestUnreadWorkSkipped:
         assert not counts.c1.any() and not counts.refined.any()
         assert counts.probes == reference_probes(g, surv, plan)
 
-    def second_probe_sizes(self, monkeypatch, g, surv, plan):
-        """The draw counts _second_probes was called with in one kernel run."""
-        sizes = []
-        second_probes = estimator_module._second_probes
+    def scored_stages(self, monkeypatch, g, surv, plan):
+        """One kernel run, with the draw arrays whose surviving slots it
+        scored and the apexes each stage's probes were summed over (None:
+        every vertex)."""
+        scored, apexes = [], []
+        drawn_slots = estimator_module._drawn_slots
+        stage_probes = estimator_module._stage_probes
 
-        def recording(g, first, verts, within=None):
-            sizes.append(first.size)
-            return second_probes(g, first, verts, within)
+        def recording_slots(surviving, draws):
+            scored.append(draws)
+            return drawn_slots(surviving, draws)
 
-        monkeypatch.setattr(estimator_module, "_second_probes", recording)
-        counts = _apex_counts(g, surv, plan)
-        return counts, sizes
+        def recording_probes(g, verts, first, hits, within=None):
+            apexes.append(within)
+            return stage_probes(g, verts, first, hits, within)
+
+        monkeypatch.setattr(estimator_module, "_drawn_slots", recording_slots)
+        monkeypatch.setattr(estimator_module, "_stage_probes", recording_probes)
+        return _apex_counts(g, surv, plan), scored, apexes
 
     def test_no_refined_apex_scores_only_the_screen(self, monkeypatch):
         g, surv = make_case(40, 0.2, 1, np.arange(10))
         plan = SamplePlan(40, 4, surv.universe_size, rng=plan_rng(1))
-        counts, sizes = self.second_probe_sizes(monkeypatch, g, surv, plan)
+        counts, scored, apexes = self.scored_stages(monkeypatch, g, surv, plan)
         assert not counts.refined.any()
-        assert sizes == [np.count_nonzero(surv.mask[plan.screen_draws])]
+        assert "refine_draws" not in plan.__dict__  # never drawn
+        assert len(scored) == 1 and scored[0] is plan.screen_draws
+        assert apexes == [None]
         assert not counts.c2.any()
+        assert counts.probes == reference_probes(g, surv, plan)
         ref = assert_matches_reference(g, surv, plan)
         assert all(c2 is None for _, _, c2, _ in ref)
 
     def test_refined_apexes_score_the_refinement_draws(self, monkeypatch):
         # 47 of the 48 apexes reach stage 3; the other stays at the floor.
+        # Stage 3's probes are summed over the refined apexes only.
         g, surv = make_case(48, 0.6, 4, np.arange(16))
         plan = SamplePlan(48, 6, surv.universe_size, rng=plan_rng(4))
-        counts, sizes = self.second_probe_sizes(monkeypatch, g, surv, plan)
+        counts, scored, apexes = self.scored_stages(monkeypatch, g, surv, plan)
         assert 0 < counts.refined.sum() < 48
-        assert sizes == [
-            np.count_nonzero(surv.mask[plan.screen_draws]),
-            np.count_nonzero(surv.mask[plan.refine_draws]),
-        ]
+        assert len(scored) == 2
+        assert scored[0] is plan.screen_draws and scored[1] is plan.refine_draws
+        assert apexes[0] is None
+        assert np.array_equal(apexes[1], np.flatnonzero(counts.refined))
+        assert counts.probes == reference_probes(g, surv, plan)
         assert_matches_reference(g, surv, plan)
 
 
