@@ -8,13 +8,14 @@ the rows or packs a vertex set: each reduction over them is written here
 once, and its kernels take vertex sets as id arrays.
 
 No constructor builds an n x n matrix beyond the one a caller passes to
-``Graph(dense)``. The generators write packed rows directly, 128 drawn
-rows at a time; their output is symmetric by construction, so it skips
-validation. A draw of at least 2^19 uniforms (_SPLIT_DRAW: erdos_renyi
-from n = 725, random_bipartite from n = 1449) is filled in two row ranges
-at once, the second on one helper thread that the call joins before it
-returns; each range advances its own copy of the seeded PCG64 stream to
-its first row, so every graph is bit for bit the one sequential draw. The
+``Graph(dense)``, or its bool copy when that matrix holds numbers. The
+generators write packed rows directly, 128 drawn rows at a time; their
+output is symmetric by construction, so it skips validation. A draw of at
+least 2^19 uniforms (_SPLIT_DRAW: erdos_renyi from n = 725,
+random_bipartite from n = 1449) is filled in two row ranges at once, the
+second on one helper thread that the call joins before it returns; each
+range advances its own copy of the seeded PCG64 stream to its first row,
+so every graph is bit for bit the one sequential draw. The
 ranges never write the same word: the row block and the column block that
 a chunk writes share no word with another chunk's (see erdos_renyi and
 _bipartite_rows).
@@ -22,8 +23,10 @@ _bipartite_rows).
 of every edge into packed rows, so they check only self loops and vertex
 ranges. ``Graph(dense)`` (after packing) and ``read_packed`` hand their
 rows to one validator, which rejects bits past column n, set diagonal
-bits and asymmetry, comparing each 128-row chunk's column pack with the
-matching word columns of the rows.
+bits and asymmetry, comparing the column pack of each chunk of
+_CHECK_ROWS rows with the matching word columns of the rows. It reads a
+chunk's bits from the caller's matrix for ``Graph(dense)``, and unpacks
+them from the rows for ``read_packed``, which has no matrix.
 
 Classical probes of the adjacency relation are tallied as ``raw_probes``
 on a :class:`QueryLedger`. No library code probes pair by pair: the
@@ -86,6 +89,11 @@ _GEN_ROWS = 128
 # erdos_renyi(448) (200k uniforms) and random_bipartite(768) (147k) in two
 # ranges gained nothing or was slower (BENCH_graph.json, "split_draw").
 _SPLIT_DRAW = 1 << 19
+# Rows that _check_rows compares at a time; a multiple of 64, so each
+# chunk starts on a word column. From n = 768 to 4096, 256 rows check
+# 1.1-1.3x faster than 128, and 512 or 1024 are no faster
+# (BENCH_graph.json, "dense_check", "chunk_rows").
+_CHECK_ROWS = 256
 # The strict upper triangle of a chunk's diagonal block.
 _ABOVE = np.triu(np.ones((_GEN_ROWS, _GEN_ROWS), dtype=bool), 1)
 _OCTET_WEIGHTS = np.uint8(1) << np.arange(8, dtype=np.uint8)
@@ -145,6 +153,8 @@ def _pack_bool_rows(dense: np.ndarray) -> np.ndarray:
     rows, bits = dense.shape
     words = (bits + 63) // 64
     packed_bytes = np.packbits(dense, axis=1, bitorder="little")
+    if bits % 64 == 0:  # whole words already: no padded copy
+        return packed_bytes.view("<u8")
     padded = np.zeros((rows, words * 8), dtype=np.uint8)
     padded[:, : packed_bytes.shape[1]] = packed_bytes
     return padded.view("<u8")
@@ -185,25 +195,32 @@ def _zero_rows(n: int) -> np.ndarray:
         raise ValueError(f"n={n} is too large: its adjacency cannot be allocated") from None
 
 
-def _check_rows(n: int, rows: np.ndarray) -> None:
+def _check_rows(n: int, rows: np.ndarray, dense: Optional[np.ndarray] = None) -> None:
     """Raise ValueError unless packed rows hold a valid adjacency on n vertices.
 
     Rejects bits past column n, set diagonal bits and asymmetry. Row i must
-    equal column i: for each _GEN_ROWS chunk starting at r0, the column pack
-    of the chunk's columns from r0 on must equal the chunk's word columns of
-    rows r0 and later, so each pair is compared once, at its lower end.
+    equal column i: for each _CHECK_ROWS chunk starting at r0, the column
+    pack of the chunk's columns from r0 on must equal the chunk's word
+    columns of rows r0 and later, so each pair is compared once, at its
+    lower end. A chunk's bits are read from ``dense``, the boolean matrix
+    the rows were packed from, when there is one, and else unpacked from
+    the rows.
     """
     if n % 64 and (rows[:, -1] >> np.uint64(n % 64)).any():
         raise ValueError(f"packed rows have bits set past column n={n}")
     v = np.arange(n)
     if ((rows[v, v >> 6] >> (v & 63).astype(np.uint64)) & np.uint64(1)).any():
         raise ValueError("self loops are not representable")
-    for r0 in range(0, n, _GEN_ROWS):
-        chunk = rows[r0 : r0 + _GEN_ROWS]
-        bits = _bits(chunk[:, r0 >> 6 :], n - r0)
-        words = rows[r0:, r0 >> 6 : (r0 + chunk.shape[0] + 63) >> 6]
+    for r0 in range(0, n, _CHECK_ROWS):
+        h = min(_CHECK_ROWS, n - r0)
+        if dense is None:
+            bits = _bits(rows[r0 : r0 + h, r0 >> 6 :], n - r0)
+        else:
+            bits = dense[r0 : r0 + h, r0:]
+        words = rows[r0:, r0 >> 6 : (r0 + h + 63) >> 6]
         if not np.array_equal(_pack_bool_columns(bits), words):
             raise ValueError("adjacency must be symmetric")
+        del bits  # freed before the next chunk's bits are unpacked
 
 
 def _or_edges(rows: np.ndarray, n: int, pairs: list) -> None:
@@ -284,8 +301,9 @@ class Graph:
     """Undirected unweighted graph over vertices 0..n-1.
 
     The adjacency relation is symmetric with no self loops. ``Graph(dense)``
-    packs a square boolean matrix into 64-bit rows and checks the packed
-    rows (see ``_check_rows``); ``from_edges`` and the readers build packed
+    packs a square matrix of bools, or of numbers that are each 0 or 1,
+    into 64-bit rows and checks the packed rows against it (see
+    ``_check_rows``); ``from_edges`` and the readers build packed
     rows without any n x n matrix. Use :meth:`query` for oracle-style
     access that tallies raw probes on a ledger; emulation-side bulk scans
     are this module's reductions over the ``_rows`` bitset view.
@@ -294,14 +312,19 @@ class Graph:
     __slots__ = ("n", "_rows")
 
     def __init__(self, dense: np.ndarray):
-        dense = np.asarray(dense, dtype=bool)
+        dense = np.asarray(dense)
         if dense.ndim != 2 or dense.shape[0] != dense.shape[1]:
             raise ValueError("adjacency must be a square matrix")
         if dense.shape[0] < 1:
             raise ValueError("graph needs at least one vertex")
+        if dense.dtype != bool:
+            bits = dense != 0 if dense.dtype.kind in "iufc" else None
+            if bits is None or not np.array_equal(dense, bits):
+                raise ValueError("adjacency entries must be 0 or 1")
+            dense = bits
         self.n: int = int(dense.shape[0])
         self._rows: np.ndarray = _pack_bool_rows(dense)
-        _check_rows(self.n, self._rows)
+        _check_rows(self.n, self._rows, dense)
 
     # -- construction -------------------------------------------------
 
@@ -728,7 +751,7 @@ def read_packed(path) -> Graph:
     if len(payload) != n * row_bytes:
         raise ValueError(f"packed payload does not match the header's n={n}")
     rows = _zero_rows(n)
-    raw = np.frombuffer(payload, dtype=np.uint8)
-    rows.view(np.uint8)[:, :row_bytes] = raw.reshape(n, row_bytes)
+    rows.view(np.uint8)[:, :row_bytes] = np.frombuffer(payload, np.uint8).reshape(n, row_bytes)
+    del payload  # the check then holds the rows and one chunk's bits, not the file too
     _check_rows(n, rows)
     return Graph._from_rows(n, rows)

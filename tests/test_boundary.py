@@ -131,6 +131,16 @@ BAD_CALLS = {
     "from_edges bool in a pair": lambda: Graph.from_edges(4, [(0, 1), (True, 2)]),
     "variable costs bool entry": lambda: variable_search_cost([True, 1.0]),
     "variable costs nan entry": lambda: variable_search_cost([math.nan, 1.0]),
+    # An adjacency entry other than 0 or 1, which Graph read as an edge when
+    # truthy; "0" as a str read as a self loop.
+    "Graph nan entry": lambda: Graph([[0, math.nan], [math.nan, 0]]),
+    "Graph inf entry": lambda: Graph([[0, math.inf], [math.inf, 0]]),
+    "Graph 0.5 entry": lambda: Graph([[0, 0.5], [0.5, 0]]),
+    "Graph 2 entry": lambda: Graph([[0, 2], [2, 0]]),
+    "Graph -1 entry": lambda: Graph([[0, -1], [-1, 0]]),
+    "Graph 1j entry": lambda: Graph([[0, 1j], [1j, 0]]),
+    "Graph object entries": lambda: Graph(np.array([[0, 1], [1, 0]], dtype=object)),
+    "Graph str entries": lambda: Graph([["0", "1"], ["1", "0"]]),
     **WRONG_SHAPE_CALLS,
     # A division by zero trials.
     "campaign report zero trials": lambda: CampaignReport.from_counts("c", {}, 0, 0, 0.5),

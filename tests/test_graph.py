@@ -6,6 +6,7 @@ import math
 import os
 import sys
 import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +32,7 @@ from triwalk import (
 )
 import triwalk.graph
 from triwalk.graph import (
+    _CHECK_ROWS,
     _SCAN_CAP,
     _SPLIT_DRAW,
     _TAG_BIPARTITE,
@@ -622,14 +624,31 @@ def random_symmetric(n, seed, p=0.5):
     return upper | upper.T
 
 
-# Rows and columns at the 64-bit word and 128-row chunk edges of n=200.
-VALIDATOR_N = 200
-FLIPS = [
-    (r, c)
-    for r in (0, 63, 64, 127, 128, 129, VALIDATOR_N - 1)
-    for c in (0, 63, 64, 127, 128, 129, VALIDATOR_N - 1)
-    if r != c
+# Rows and columns at 64-bit word edges and at chunk edges: VALIDATOR_N
+# fits in one partial chunk, CHUNK_N spans two full _CHECK_ROWS chunks and
+# a partial one.
+C = _CHECK_ROWS
+VALIDATOR_N, CHUNK_N = 200, 2 * C + 8
+EDGES = {
+    VALIDATOR_N: (0, 63, 64, 127, 128, 129, VALIDATOR_N - 1),
+    CHUNK_N: (0, 63, 64, C - 1, C, C + 1, 2 * C - 1, 2 * C, CHUNK_N - 1),
+}
+FLIPS = [(n, r, c) for n, edges in EDGES.items() for r in edges for c in edges if r != c]
+# A diagonal bit in each chunk.
+LOOPS = [(VALIDATOR_N, v) for v in EDGES[VALIDATOR_N]] + [
+    (CHUNK_N, v) for v in (0, C - 1, C, 2 * C - 1, 2 * C, CHUNK_N - 1)
 ]
+
+# The same n x n matrix in each layout Graph(dense) may be handed: a view
+# or a copy, strided or not, bool or 0/1 numbers.
+LAYOUTS = {
+    "fortran": np.asfortranarray,
+    "transposed view": lambda d: d.T,
+    "stepped slice": lambda d: np.kron(d, np.ones((2, 2), dtype=bool))[::2, ::2],
+    "int": lambda d: d.astype(np.int64),
+    "uint8": lambda d: d.astype(np.uint8),
+    "float": lambda d: d.astype(np.float64),
+}
 
 
 class TestUserInputValidation:
@@ -642,18 +661,63 @@ class TestUserInputValidation:
         with pytest.raises(ValueError, match=message):
             read_packed(packed_file(path, dense))
 
-    @pytest.mark.parametrize("r, c", FLIPS)
-    def test_one_flipped_bit_is_rejected_at_word_and_chunk_edges(self, tmp_path, r, c):
+    @pytest.mark.parametrize("n, r, c", FLIPS)
+    def test_one_flipped_bit_is_rejected_at_word_and_chunk_edges(self, tmp_path, n, r, c):
         for p in (0.0, 0.5, 1.0):
-            dense = random_symmetric(VALIDATOR_N, seed=r * 1000 + c, p=p)
+            dense = random_symmetric(n, seed=r * 1000 + c, p=p)
             dense[r, c] = not dense[r, c]
             self.assert_both_reject(tmp_path / "g.bin", dense, "must be symmetric")
 
-    @pytest.mark.parametrize("v", [0, 63, 64, 127, 128, 129, VALIDATOR_N - 1])
-    def test_one_diagonal_bit_is_rejected(self, tmp_path, v):
-        dense = random_symmetric(VALIDATOR_N, seed=v)
+    @pytest.mark.parametrize("n, v", LOOPS)
+    def test_one_diagonal_bit_is_rejected(self, tmp_path, n, v):
+        dense = random_symmetric(n, seed=v)
         dense[v, v] = True
         self.assert_both_reject(tmp_path / "g.bin", dense, "self loops")
+
+    @pytest.mark.parametrize("layout", LAYOUTS.values(), ids=LAYOUTS.keys())
+    @pytest.mark.parametrize("n", [VALIDATOR_N, CHUNK_N])
+    def test_the_matrix_layout_does_not_matter(self, layout, n):
+        dense = random_symmetric(n, seed=n)
+        assert np.array_equal(Graph(layout(dense))._rows, _pack_bool_rows(dense))
+        for r, c in ((0, n - 1), (n - 1, 0), (300 % n, 64)):
+            flipped = dense.copy()
+            flipped[r, c] = not flipped[r, c]
+            with pytest.raises(ValueError, match="must be symmetric"):
+                Graph(layout(flipped))
+
+    @pytest.mark.parametrize("entry", [math.nan, math.inf, 0.5, 2, -1, 1j, "1", None])
+    def test_entries_other_than_0_or_1_are_rejected(self, entry):
+        dense = np.zeros((3, 3), dtype=object if entry is None else np.asarray(entry).dtype)
+        if entry is not None:
+            dense[0, 1] = dense[1, 0] = entry
+        with pytest.raises(ValueError, match="adjacency entries must be 0 or 1"):
+            Graph(dense)
+
+    def test_dense_input_is_read_not_unpacked(self, tmp_path, monkeypatch):
+        """Graph(dense) compares the caller's matrix with the packed rows;
+        only read_packed, which has no matrix, unpacks its rows."""
+        calls = []
+        bits = triwalk.graph._bits
+        monkeypatch.setattr(triwalk.graph, "_bits", lambda *a: calls.append(a) or bits(*a))
+        dense = random_symmetric(CHUNK_N, seed=1)
+        Graph(dense)
+        assert calls == []
+        read_packed(packed_file(tmp_path / "g.bin", dense))
+        assert len(calls) == -(-CHUNK_N // _CHECK_ROWS)
+
+    def test_dense_check_holds_one_chunk_at_a_time(self):
+        """Beside its rows, Graph(dense) holds at most one chunk of bits: a
+        column pack of the whole matrix would copy it at n = 1000, which is
+        not a multiple of 64."""
+        n = 1000
+        dense = random_symmetric(n, seed=2)
+        tracemalloc.start()
+        try:
+            g = Graph(dense)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < g._rows.nbytes + _CHECK_ROWS * n
 
     @settings(max_examples=60, deadline=None)
     @given(n=sizes.filter(lambda n: n >= 2), p=probabilities, seed=st.integers(0, 2**32 - 1),
