@@ -91,7 +91,7 @@ _GEN_ROWS = 128
 _SPLIT_DRAW = 1 << 19
 # Rows that _check_rows compares at a time; a multiple of 64, so each
 # chunk starts on a word column. From n = 768 to 4096, 256 rows check
-# 1.1-1.3x faster than 128, and 512 or 1024 are no faster
+# 1.15-1.8x faster than 128, and 512 or 1024 are slower from n = 2048
 # (BENCH_graph.json, "dense_check", "chunk_rows").
 _CHECK_ROWS = 256
 # The strict upper triangle of a chunk's diagonal block.
@@ -154,23 +154,31 @@ def _pack_bool_rows(dense: np.ndarray) -> np.ndarray:
     words = (bits + 63) // 64
     packed_bytes = np.packbits(dense, axis=1, bitorder="little")
     if bits % 64 == 0:  # whole words already: no padded copy
-        return packed_bytes.view("<u8")
+        # packbits keeps a Fortran-ordered input's order; the view needs C.
+        return np.ascontiguousarray(packed_bytes).view("<u8")
     padded = np.zeros((rows, words * 8), dtype=np.uint8)
     padded[:, : packed_bytes.shape[1]] = packed_bytes
     return padded.view("<u8")
 
 
-def _pack_bool_columns(bits: np.ndarray) -> np.ndarray:
+def _pack_bool_columns(bits: np.ndarray, any_bytes: bool = False) -> np.ndarray:
     """Pack the columns of a (rows, bits) boolean matrix: _pack_bool_rows(bits.T).
 
     Weighting each octet of rows with einsum packs a (128, 1024) chunk 16x
     faster than packbits of the transposed view, and makes the generators
     1.5-2x faster at n=768-2048 (BENCH_graph.json, "column_packer").
+    The weights read each bool's byte, which must be 0 or 1: a byte of 64
+    weighted by 4 wraps to 0. With ``any_bytes`` (a caller's matrix, which
+    .view(bool) can fill with any nonzero byte for True, as packbits reads
+    it) they read the bools themselves, which numpy casts to 0 or 1, about
+    25% slower.
     """
     h, w = bits.shape
     if h % 64:
         bits = np.concatenate([bits, np.zeros((-h % 64, w), dtype=bool)])
-    octets = np.einsum("kbj,b->jk", bits.view(np.uint8).reshape(-1, 8, w), _OCTET_WEIGHTS)
+    if not any_bytes:
+        bits = bits.view(np.uint8)
+    octets = np.einsum("kbj,b->jk", bits.reshape(-1, 8, w), _OCTET_WEIGHTS)
     return np.ascontiguousarray(octets).view("<u8")
 
 
@@ -201,10 +209,10 @@ def _check_rows(n: int, rows: np.ndarray, dense: Optional[np.ndarray] = None) ->
     Rejects bits past column n, set diagonal bits and asymmetry. Row i must
     equal column i: for each _CHECK_ROWS chunk starting at r0, the column
     pack of the chunk's columns from r0 on must equal the chunk's word
-    columns of rows r0 and later, so each pair is compared once, at its
-    lower end. A chunk's bits are read from ``dense``, the boolean matrix
-    the rows were packed from, when there is one, and else unpacked from
-    the rows.
+    columns of rows r0 and later, so every pair is compared in the chunk
+    of its lower end. A chunk's bits are read from ``dense``, the boolean
+    matrix the rows were packed from, when there is one, any nonzero byte
+    as True as packbits read it; else they are unpacked from the rows.
     """
     if n % 64 and (rows[:, -1] >> np.uint64(n % 64)).any():
         raise ValueError(f"packed rows have bits set past column n={n}")
@@ -217,8 +225,8 @@ def _check_rows(n: int, rows: np.ndarray, dense: Optional[np.ndarray] = None) ->
             bits = _bits(rows[r0 : r0 + h, r0 >> 6 :], n - r0)
         else:
             bits = dense[r0 : r0 + h, r0:]
-        words = rows[r0:, r0 >> 6 : (r0 + h + 63) >> 6]
-        if not np.array_equal(_pack_bool_columns(bits), words):
+        columns = _pack_bool_columns(bits, any_bytes=dense is not None)
+        if not np.array_equal(columns, rows[r0:, r0 >> 6 : (r0 + h + 63) >> 6]):
             raise ValueError("adjacency must be symmetric")
         del bits  # freed before the next chunk's bits are unpacked
 
@@ -301,8 +309,9 @@ class Graph:
     """Undirected unweighted graph over vertices 0..n-1.
 
     The adjacency relation is symmetric with no self loops. ``Graph(dense)``
-    packs a square matrix of bools, or of numbers that are each 0 or 1,
-    into 64-bit rows and checks the packed rows against it (see
+    packs a square matrix of bools (any nonzero byte is True), or of
+    numbers that are each 0 or 1, into 64-bit rows and checks the packed
+    rows against it (see
     ``_check_rows``); ``from_edges`` and the readers build packed
     rows without any n x n matrix. Use :meth:`query` for oracle-style
     access that tallies raw probes on a ledger; emulation-side bulk scans

@@ -79,6 +79,35 @@ WRONG_SHAPE_CALLS = {
     "cover_is_sparsifying scalar cover": lambda: cover_is_sparsifying(G, 5, 0.5),
 }
 
+# An adjacency entry other than 0 or 1, which Graph read as an edge when
+# truthy; "0" as a str read as a self loop.
+BAD_ENTRY_CALLS = {
+    "Graph nan entry": lambda: Graph([[0, math.nan], [math.nan, 0]]),
+    "Graph inf entry": lambda: Graph([[0, math.inf], [math.inf, 0]]),
+    "Graph 0.5 entry": lambda: Graph([[0, 0.5], [0.5, 0]]),
+    "Graph 2 entry": lambda: Graph([[0, 2], [2, 0]]),
+    "Graph -1 entry": lambda: Graph([[0, -1], [-1, 0]]),
+    "Graph 1j entry": lambda: Graph([[0, 1j], [1j, 0]]),
+    "Graph object entries": lambda: Graph(np.array([[0, 1], [1, 0]], dtype=object)),
+    "Graph str entries": lambda: Graph([["0", "1"], ["1", "0"]]),
+}
+
+
+def asymmetric_in_bool_bytes():
+    """A bool matrix with edge {0, 256} only in row 0, held as byte 2, and
+    edge {1, 256} only in row 256.
+
+    Both pairs are compared once, in the chunk of rows 0-255, with column
+    256's pack of those rows. Weighting the raw bytes there reads byte 2 at
+    bit 0 as bit 1, which row 256 has, so rows with (0, 256) set and
+    (256, 0) clear passed as symmetric.
+    """
+    dense = np.zeros((260, 260), dtype=np.uint8)
+    dense[0, 256] = 2
+    dense[256, 1] = 1
+    return dense.view(bool)
+
+
 BAD_CALLS = {
     # Graph vertex ids.
     "has_edge float id": lambda: G.has_edge(0, 1.5),
@@ -131,16 +160,10 @@ BAD_CALLS = {
     "from_edges bool in a pair": lambda: Graph.from_edges(4, [(0, 1), (True, 2)]),
     "variable costs bool entry": lambda: variable_search_cost([True, 1.0]),
     "variable costs nan entry": lambda: variable_search_cost([math.nan, 1.0]),
-    # An adjacency entry other than 0 or 1, which Graph read as an edge when
-    # truthy; "0" as a str read as a self loop.
-    "Graph nan entry": lambda: Graph([[0, math.nan], [math.nan, 0]]),
-    "Graph inf entry": lambda: Graph([[0, math.inf], [math.inf, 0]]),
-    "Graph 0.5 entry": lambda: Graph([[0, 0.5], [0.5, 0]]),
-    "Graph 2 entry": lambda: Graph([[0, 2], [2, 0]]),
-    "Graph -1 entry": lambda: Graph([[0, -1], [-1, 0]]),
-    "Graph 1j entry": lambda: Graph([[0, 1j], [1j, 0]]),
-    "Graph object entries": lambda: Graph(np.array([[0, 1], [1, 0]], dtype=object)),
-    "Graph str entries": lambda: Graph([["0", "1"], ["1", "0"]]),
+    **BAD_ENTRY_CALLS,
+    # An asymmetric bool matrix whose column pack, weighting each byte,
+    # read as symmetric: see asymmetric_in_bool_bytes.
+    "Graph bool bytes other than 1": lambda: Graph(asymmetric_in_bool_bytes()),
     **WRONG_SHAPE_CALLS,
     # A division by zero trials.
     "campaign report zero trials": lambda: CampaignReport.from_counts("c", {}, 0, 0, 0.5),
@@ -158,6 +181,12 @@ def test_bad_input_raises_value_error(call):
 @pytest.mark.parametrize("call", WRONG_SHAPE_CALLS.values(), ids=WRONG_SHAPE_CALLS.keys())
 def test_wrong_shape_is_named(call):
     with pytest.raises(ValueError, match=r"vertex ids must be a 1-D list of ids, got shape"):
+        call()
+
+
+@pytest.mark.parametrize("call", BAD_ENTRY_CALLS.values(), ids=BAD_ENTRY_CALLS.keys())
+def test_bad_entries_are_named(call):
+    with pytest.raises(ValueError, match="adjacency entries must be 0 or 1"):
         call()
 
 
