@@ -24,28 +24,28 @@ with probability at least 1 - 3/n, for every apex w the output lies in
     [count(w) / 3,  1.5 * max(|A|(|A|-1)/(2m), count(w))].
 
 Since the plan is shared, one pass scores every apex: a drawn pair (u, v)
-qualifies exactly at the common neighbours of u and v. c1 counts, per
-apex, the rounds with a qualifying surviving draw, and c2 the qualifying
-surviving refinement draws (graph._apex_column_counts, c1 with the rounds
-as groups). Adjacency probes short-circuit, which gives the closed form
+qualifies exactly at the common neighbours of u and v. Adjacency probes
+short-circuit, which gives the closed form
     probes(w) = S1 + F1(w) + [2 c1(w) > rounds] * (S3 + F3(w)),
 with S1, S3 the surviving screen / refinement draws and F1(w), F3(w)
 those of them whose first endpoint neighbours w. Only the total over
-apexes reaches a report. A stage's terms are read off the surviving slots
-it drew, each weighted by its hit count from one bincount of the stage's
-draws: S is the hits' sum, and summed over w, F1 is the hit-weighted
-degree of the slots' first endpoints and F3, over the refined apexes, the
-hit-weighted |N(first endpoint) & refined|. The refinement draws (c2, S3,
-F3) are scored only when some apex reaches stage 3; otherwise every
-output is the floor, and with no surviving pair at all no draw is read.
+apexes reaches a report.
 
-A pair whose endpoints have no common neighbour (an open pair) qualifies
-at no apex. So the screen counts the common neighbours of each surviving
-slot it drew once, and only when some of them are closed does it find the
-plan positions of those slots' draws, which c1 groups by round. Where the
-cover prunes the closed pairs, as on random_bipartite inputs, the screen
-reads no draw one by one: it is the bincount and one pass over the drawn
-slots.
+Both stages are scored by one function, with the draws as groups: c1
+counts, per apex, the screen rounds holding a qualifying draw, and c2 the
+qualifying refinement draws, each draw its own group. A stage is one
+bincount of its draws: the surviving slots it drew, each weighted by its
+hit count, give S (the hits' sum) and F summed over the apexes (the
+hit-weighted degree of the slots' first endpoints; for stage 3 only
+within the refined apexes). A pair whose endpoints have no common
+neighbour (an open pair) qualifies at no apex, so the stage counts the
+common neighbours of each surviving slot it drew once, and only when
+some are closed takes the plan positions of their draws for
+graph._apex_column_counts. Where the cover prunes the closed pairs, as
+on random_bipartite inputs, a stage reads no draw one by one. The
+refinement is drawn and scored only when some apex reaches stage 3;
+otherwise every output is the floor, and with no surviving pair at all
+no draw is read.
 """
 
 from __future__ import annotations
@@ -119,67 +119,51 @@ class _ApexCounts(NamedTuple):
     probes: int
 
 
-def _drawn_slots(surviving: PairSet, draws: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The surviving slots among ``draws``, ascending, and how often each was drawn."""
+def _stage_counts(g: Graph, surviving: PairSet, draws: np.ndarray, within=None) -> tuple[np.ndarray, int]:
+    """Score one stage's draws, a (groups, size) array of pair slots, for
+    every apex: per apex, the groups holding a draw that qualifies there,
+    as int64, and the stage's raw probes summed over the apexes (the ids
+    ``within`` when given, else every vertex)."""
     hits = np.bincount(draws.ravel(), minlength=surviving.universe_size)
     slots = np.flatnonzero(surviving.mask & hits.astype(bool))
-    return slots, hits[slots]
-
-
-def _stage_probes(g: Graph, verts: np.ndarray, first: np.ndarray, hits: np.ndarray, within=None) -> int:
-    """Raw probes of one stage's surviving draws, summed over the apexes (the
-    ids ``within`` when given, else every vertex): each draw probes its first
-    endpoint at every apex, and its second at the apexes the first neighbours.
-    ``first`` holds each drawn slot's first endpoint as an index into
-    ``verts``, and ``hits`` how often the slot was drawn."""
+    hits = hits[slots]
+    verts = surviving.verts
+    iu, jv = _tri_indices(verts.size)
+    first = iu[slots]
+    # Every surviving draw is probed, closed or open: its first endpoint at
+    # every apex, its second at the apexes the first neighbours.
     apexes = g.n if within is None else within.size
-    return int(hits.sum()) * apexes + int(hits @ _degrees(g, verts, within)[first])
+    probes = int(hits.sum()) * apexes + int(hits @ _degrees(g, verts, within)[first])
+    # Only the draws of closed pairs can qualify at an apex.
+    closed = slots[_common_counts(g, verts[first], verts[jv[slots]]) > 0]
+    if closed.size == 0:
+        return np.zeros(g.n, dtype=np.int64), probes
+    is_closed = np.zeros(surviving.universe_size, dtype=bool)
+    is_closed[closed] = True
+    flat = draws.ravel()
+    # Flat positions (group * size + column) of the closed draws.
+    at = np.flatnonzero(is_closed[flat])
+    drawn = flat[at]
+    return _apex_column_counts(g, verts[iu[drawn]], verts[jv[drawn]], at // draws.shape[1]), probes
 
 
 def _apex_counts(g: Graph, surviving: PairSet, plan: SamplePlan) -> _ApexCounts:
     """Run the estimator for every apex at once over the packed rows."""
-    n, m = g.n, plan.m
-    universe = surviving.universe_size
+    n, universe = g.n, surviving.universe_size
     zeros = np.zeros(n, dtype=np.int64)
-    outputs = np.full(n, universe / m)
-    floor = _ApexCounts(zeros, zeros.astype(bool), zeros, outputs, 0)
+    outputs = np.full(n, universe / plan.m)
     # An empty surviving set reads no draw of the plan.
     if not surviving.mask.any():
-        return floor
-
-    slots, hits = _drawn_slots(surviving, plan.screen_draws)
-    verts = surviving.verts
-    iu, jv = _tri_indices(verts.size)
-    first = iu[slots]
-    # Every surviving draw is probed, closed or open.
-    probes = _stage_probes(g, verts, first, hits)
-    # Only the draws of closed pairs can qualify at an apex.
-    closed = slots[_common_counts(g, verts[first], verts[jv[slots]]) > 0]
-    if closed.size == 0:
-        # Every apex screens to the floor; with no surviving draw, after
-        # no probe at all.
-        return floor._replace(probes=probes)
-    is_closed = np.zeros(universe, dtype=bool)
-    is_closed[closed] = True
-    draws = plan.screen_draws.ravel()
-    # Flat plan positions (round * m + column) of the closed draws; a
-    # round's draws form one group.
-    at = np.flatnonzero(is_closed[draws])
-    drawn = draws[at]
-    c1 = _apex_column_counts(g, verts[iu[drawn]], verts[jv[drawn]], group=at // m)
+        return _ApexCounts(zeros, zeros.astype(bool), zeros, outputs, 0)
+    # A screen round is one group of draws.
+    c1, probes = _stage_counts(g, surviving, plan.screen_draws)
     refined = 2 * c1 > plan.rounds
-
     c2 = zeros
-    # Refinement scores every surviving draw, with no closed-pair pass: it
-    # runs only when some apex saw a closed draw in most rounds, which takes
-    # a block dense in closed pairs, so the pass would add a gather and
-    # skip little.
     if refined.any():
-        draws3 = plan.refine_draws[surviving.mask[plan.refine_draws]]
-        c2 = _apex_column_counts(g, verts[iu[draws3]], verts[jv[draws3]])
+        # A refinement draw is its own group, probed at the refined apexes.
+        c2, probes3 = _stage_counts(g, surviving, plan.refine_draws[:, None], np.flatnonzero(refined))
         outputs[refined] = c2[refined] * universe / plan.refine
-        slots3, hits3 = _drawn_slots(surviving, plan.refine_draws)
-        probes += _stage_probes(g, verts, iu[slots3], hits3, np.flatnonzero(refined))
+        probes += probes3
     return _ApexCounts(c1, refined, c2, outputs, probes)
 
 

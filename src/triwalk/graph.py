@@ -161,24 +161,19 @@ def _pack_bool_rows(dense: np.ndarray) -> np.ndarray:
     return padded.view("<u8")
 
 
-def _pack_bool_columns(bits: np.ndarray, any_bytes: bool = False) -> np.ndarray:
+def _pack_bool_columns(bits: np.ndarray) -> np.ndarray:
     """Pack the columns of a (rows, bits) boolean matrix: _pack_bool_rows(bits.T).
 
     Weighting each octet of rows with einsum packs a (128, 1024) chunk 16x
     faster than packbits of the transposed view, and makes the generators
     1.5-2x faster at n=768-2048 (BENCH_graph.json, "column_packer").
     The weights read each bool's byte, which must be 0 or 1: a byte of 64
-    weighted by 4 wraps to 0. With ``any_bytes`` (a caller's matrix, which
-    .view(bool) can fill with any nonzero byte for True, as packbits reads
-    it) they read the bools themselves, which numpy casts to 0 or 1, about
-    25% slower.
+    weighted by 4 wraps to 0.
     """
     h, w = bits.shape
     if h % 64:
         bits = np.concatenate([bits, np.zeros((-h % 64, w), dtype=bool)])
-    if not any_bytes:
-        bits = bits.view(np.uint8)
-    octets = np.einsum("kbj,b->jk", bits.reshape(-1, 8, w), _OCTET_WEIGHTS)
+    octets = np.einsum("kbj,b->jk", bits.view(np.uint8).reshape(-1, 8, w), _OCTET_WEIGHTS)
     return np.ascontiguousarray(octets).view("<u8")
 
 
@@ -211,8 +206,10 @@ def _check_rows(n: int, rows: np.ndarray, dense: Optional[np.ndarray] = None) ->
     pack of the chunk's columns from r0 on must equal the chunk's word
     columns of rows r0 and later, so every pair is compared in the chunk
     of its lower end. A chunk's bits are read from ``dense``, the boolean
-    matrix the rows were packed from, when there is one, any nonzero byte
-    as True as packbits read it; else they are unpacked from the rows.
+    matrix the rows were packed from, when there is one; a chunk holding
+    bytes other than 0 and 1 (any nonzero byte is True, as packbits read
+    it) is first copied to 0 and 1, which _pack_bool_columns weights. Else
+    the bits are unpacked from the rows.
     """
     if n % 64 and (rows[:, -1] >> np.uint64(n % 64)).any():
         raise ValueError(f"packed rows have bits set past column n={n}")
@@ -225,7 +222,9 @@ def _check_rows(n: int, rows: np.ndarray, dense: Optional[np.ndarray] = None) ->
             bits = _bits(rows[r0 : r0 + h, r0 >> 6 :], n - r0)
         else:
             bits = dense[r0 : r0 + h, r0:]
-        columns = _pack_bool_columns(bits, any_bytes=dense is not None)
+            if bits.view(np.uint8).max() > 1:  # a .view(bool) of other bytes
+                bits = bits != 0
+        columns = _pack_bool_columns(bits)
         if not np.array_equal(columns, rows[r0:, r0 >> 6 : (r0 + h + 63) >> 6]):
             raise ValueError("adjacency must be symmetric")
         del bits  # freed before the next chunk's bits are unpacked

@@ -6,7 +6,8 @@ import pytest
 
 import triwalk.cli
 import triwalk.harness
-from triwalk.cli import main
+from triwalk import AlgoParams, find_triangle, random_bipartite
+from triwalk.cli import DEFAULT_INJECTION, main
 from triwalk.graph import read_edge_list, read_packed
 from triwalk.harness import verify_cover_sparsity, verify_estimator_bounds, verify_subset_cap
 
@@ -36,6 +37,28 @@ def test_run_prints_to_stdout(capsys):
         "extraction",
         "final_search",
     }
+
+
+def test_run_on_off_flags_give_the_library_report(tmp_path):
+    out = tmp_path / "report.json"
+    args = ["run", "--n", "64", "--family", "bipartite", "--seed", "2", "--out", str(out)]
+
+    def library(**fields):
+        return find_triangle(random_bipartite(64, 2), AlgoParams(seed=2, **fields)).to_json()
+
+    on = library(log_factors=True, failure_injection=DEFAULT_INJECTION)
+    assert on != library()
+    assert main(args + ["--inject", "on", "--log-factors", "on"]) == 0
+    assert out.read_text() == on
+    assert main(args + ["--inject", "off", "--log-factors", "off"]) == 0
+    assert out.read_text() == library()
+
+
+def test_run_flag_other_than_on_or_off_is_usage_error(capsys, no_work):
+    with pytest.raises(SystemExit) as info:
+        main(["run", "--n", "64", "--inject", "yes"])
+    assert info.value.code == 2
+    assert "expected 'on' or 'off'" in capsys.readouterr().err
 
 
 def test_verify_cover_sparsity_passes(tmp_path):
@@ -157,6 +180,7 @@ def test_fit_band_verdicts():
     ]
     assert main(base + ["--band", "1.49,1.51", "--out", "/dev/null"]) == 0
     assert main(base + ["--band", "2.0,3.0", "--out", "/dev/null"]) == 1
+    assert main(base + ["--out", "/dev/null"]) == 0
 
 
 def test_fit_usage_error_for_bad_grid():

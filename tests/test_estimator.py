@@ -409,9 +409,9 @@ class TestFinderSizedBlocks:
 
 
 class TestUnreadWorkSkipped:
-    """The kernel gathers only the screen draws of pairs with a common
-    neighbour, and scores the refinement draws only when some apex reaches
-    stage 3."""
+    """The kernel gathers only the draws of pairs with a common neighbour,
+    in either stage, and scores the refinement draws only when some apex
+    reaches stage 3."""
 
     def test_open_draws_are_not_gathered(self, monkeypatch):
         # Each distinct drawn pair is ANDed once to find it open; no draw row
@@ -436,24 +436,48 @@ class TestUnreadWorkSkipped:
         assert not counts.c1.any() and not counts.refined.any()
         assert counts.probes == reference_probes(g, surv, plan)
 
+    def test_open_refinement_draws_are_not_gathered(self, monkeypatch):
+        # Hub 0 neighbours every right-side vertex, so the block's right-side
+        # pairs are closed and its pairs across the sides are open. Apex 0
+        # refines, and stage 3 gathers the refinement draws of closed pairs
+        # only, in plan order; the open ones are scored by their slots.
+        edges = [(0, v) for v in range(16, 32)] + [(u, 16 + u * 5 % 16) for u in range(1, 16)]
+        g = Graph.from_edges(32, edges)
+        surv = uncovered_pairs(g, EMPTY, np.r_[1:5, 16:28])
+        pu, pv = surv.endpoint_arrays()
+        closed = surv.mask & (_common_counts(g, pu, pv) > 0)
+        plan = SamplePlan(32, 2, surv.universe_size, rng=plan_rng(0))
+        draws = plan.refine_draws
+        kept = draws[closed[draws]]
+        assert 0 < kept.size < surv.mask[draws].sum()  # some surviving draws are open
+        gathered = []
+        anded_rows = graph_module._anded_rows
+
+        def recording_gather(rows, iu, iv, stops=None):
+            gathered.append((iu, iv))
+            return anded_rows(rows, iu, iv, stops)
+
+        monkeypatch.setattr(graph_module, "_anded_rows", recording_gather)
+        counts = _apex_counts(g, surv, plan)
+        assert np.array_equal(np.flatnonzero(counts.refined), [0])
+        iu, iv = gathered[-1]  # stage 3's gather for c2
+        assert np.array_equal(iu, pu[kept]) and np.array_equal(iv, pv[kept])
+        monkeypatch.undo()
+        assert_matches_reference(g, surv, plan)
+
     def scored_stages(self, monkeypatch, g, surv, plan):
         """One kernel run, with the draw arrays whose surviving slots it
         scored and the apexes each stage's probes were summed over (None:
         every vertex)."""
         scored, apexes = [], []
-        drawn_slots = estimator_module._drawn_slots
-        stage_probes = estimator_module._stage_probes
+        stage_counts = estimator_module._stage_counts
 
-        def recording_slots(surviving, draws):
+        def recording_stage(g, surviving, draws, within=None):
             scored.append(draws)
-            return drawn_slots(surviving, draws)
-
-        def recording_probes(g, verts, first, hits, within=None):
             apexes.append(within)
-            return stage_probes(g, verts, first, hits, within)
+            return stage_counts(g, surviving, draws, within)
 
-        monkeypatch.setattr(estimator_module, "_drawn_slots", recording_slots)
-        monkeypatch.setattr(estimator_module, "_stage_probes", recording_probes)
+        monkeypatch.setattr(estimator_module, "_stage_counts", recording_stage)
         return _apex_counts(g, surv, plan), scored, apexes
 
     def test_no_refined_apex_scores_only_the_screen(self, monkeypatch):
@@ -477,7 +501,9 @@ class TestUnreadWorkSkipped:
         counts, scored, apexes = self.scored_stages(monkeypatch, g, surv, plan)
         assert 0 < counts.refined.sum() < 48
         assert len(scored) == 2
-        assert scored[0] is plan.screen_draws and scored[1] is plan.refine_draws
+        # A refinement draw is its own group: one column of the plan's draws.
+        assert scored[0] is plan.screen_draws and scored[1].base is plan.refine_draws
+        assert scored[1].shape == (plan.refine, 1)
         assert apexes[0] is None
         assert np.array_equal(apexes[1], np.flatnonzero(counts.refined))
         assert counts.probes == reference_probes(g, surv, plan)

@@ -583,6 +583,16 @@ class TestBoundaryRejection:
         with pytest.raises(ValueError, match="payload"):
             read_packed(path)
 
+    def test_empty_matrix_is_rejected(self):
+        with pytest.raises(ValueError, match="graph needs at least one vertex"):
+            Graph(np.zeros((0, 0), dtype=bool))
+
+    def test_packed_rejects_truncated_header(self, tmp_path):
+        path = tmp_path / "g.bin"
+        path.write_bytes(b"TWGB" + (3).to_bytes(8, "little")[:3])
+        with pytest.raises(ValueError, match="packed graph header is truncated"):
+            read_packed(path)
+
     def test_packed_rejects_huge_header_n(self, tmp_path):
         path = tmp_path / "g.bin"
         path.write_bytes(b"TWGB" + (2**62).to_bytes(8, "little") + b"\0" * 16)
