@@ -395,7 +395,10 @@ class Graph:
 
     def edges(self) -> tuple[np.ndarray, np.ndarray]:
         """Canonically ordered edge endpoints (u < v, lexicographic)."""
-        blocks = [(u[head], x) for u, _, head, x in _pair_stream(self, np.arange(self.n))]
+        blocks = []
+        for u, _, keep in _pair_stream(self, np.arange(self.n)):
+            head, x = _block_pairs(keep, self.n)
+            blocks.append((u[head], x))
         return tuple(map(np.concatenate, zip(*blocks)))
 
     def __eq__(self, other) -> bool:
@@ -470,16 +473,17 @@ def _apex_column_counts(g: Graph, pu: np.ndarray, pv: np.ndarray, group=None) ->
 
 
 def _pair_stream(g: Graph, heads: np.ndarray, within: Optional[np.ndarray] = None):
-    """Yield (u, rows, head, x) for consecutive, growing blocks u of ``heads``.
+    """Yield (u, rows, keep) for consecutive, growing blocks u of ``heads``.
 
     ``heads`` is a sorted, duplicate-free vertex array and ``within`` an id
     array (default: every vertex). ``rows`` holds the full packed rows of
-    the block's heads u. The pairs (u[head], x) are, for each head, its
-    neighbours x in ``within``, head-major with x ascending.
-    A pair whose x is an earlier head is skipped: it was read from x's
-    side. With heads = within that leaves the edges u < x in canonical
-    order. Blocks are read straight from the packed rows, so a caller that
-    stops early never touches the later rows.
+    the block's heads u, and ``keep`` the packed pairs of the block: bit x
+    of keep[i] is set for each neighbour x of u[i] in ``within``, except an
+    x that is an earlier head: its pair was read from x's side. The pairs,
+    read by _block_pairs, run head-major with x ascending; with heads =
+    within they are the edges u < x in canonical order. Blocks are read
+    straight from the packed rows, so a caller that stops early never
+    touches the later rows.
     """
     n = g.n
     word_start = 64 * np.arange(g._rows.shape[1])
@@ -496,9 +500,45 @@ def _pair_stream(g: Graph, heads: np.ndarray, within: Optional[np.ndarray] = Non
         low = np.maximum((u + 1)[:, None] - word_start, 0).astype(np.uint64)
         keep = (~np.uint64(0) << low) & within | others
         keep &= rows
-        # Split flat indices into (row, column) without a division.
-        head = np.repeat(np.arange(u.size), _popcounts(keep))
-        yield u, rows, head, np.flatnonzero(_bits(keep, n)) - head * n
+        yield u, rows, keep
+
+
+def _block_pairs(keep: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs of a block's ``keep`` words: (head, x), each head an index
+    into the block, head-major with x ascending."""
+    # Split flat indices into (row, column) without a division.
+    head = np.repeat(np.arange(keep.shape[0]), _popcounts(keep))
+    return head, np.flatnonzero(_bits(keep, n)) - head * n
+
+
+def _slice_sizes():
+    """The pair counts of a scan's AND slices: _AND_FIRST, doubling up to _SCAN_CAP."""
+    size = _AND_FIRST
+    while True:
+        yield size
+        size = min(2 * size, _SCAN_CAP)
+
+
+def _first_closed(rows, head_rows, head, x, sizes, exclude=None) -> Optional[int]:
+    """Index j of the first pair whose rows rows[x[j]] and head_rows[head[j]]
+    share a bit, none of them in the packed set ``exclude`` if given.
+
+    The one first-closed-pair kernel: it ANDs the pairs in stream order, in
+    slices of next(sizes) pairs, and stops at the first slice with a hit.
+    """
+    start = 0
+    while start < x.size:
+        stop = start + next(sizes)
+        common = np.take(rows, x[start:stop], axis=0)
+        common &= np.take(head_rows, head[start:stop], axis=0)
+        if common.max(initial=0):  # a whole-array test is ~10x faster than per row
+            hit = np.flatnonzero(_fold_words(np.bitwise_or, common))
+            if exclude is not None:
+                hit = hit[_fold_words(np.bitwise_or, common[hit] & exclude) == 0]
+            if hit.size:
+                return start + int(hit[0])
+        start = stop
+    return None
 
 
 def _first_closed_pair(
@@ -513,24 +553,15 @@ def _first_closed_pair(
     pairs, doubling up to _SCAN_CAP over the stream: a positive stops
     after little work, and a negative keeps its temporaries cache-sized.
     """
-    size = _AND_FIRST
+    sizes = _slice_sizes()
     if exclude is not None:
         exclude = _packed_ids(g.n, exclude)
-    for u, rows, head, x in _pair_stream(g, heads, within):
-        start = 0
-        while start < x.size:
-            sl = slice(start, start + size)
-            start, size = sl.stop, min(2 * size, _SCAN_CAP)
-            common = np.take(g._rows, x[sl], axis=0)
-            common &= np.take(rows, head[sl], axis=0)
-            if not common.max(initial=0):  # a whole-array test is ~10x faster than per row
-                continue
-            hit = np.flatnonzero(_fold_words(np.bitwise_or, common))
-            if exclude is not None:
-                hit = hit[_fold_words(np.bitwise_or, common[hit] & exclude) == 0]
-            if hit.size:
-                i = int(hit[0])
-                return int(u[head[sl][i]]), int(x[sl][i]), _first_bit(common[i])
+    for u, rows, keep in _pair_stream(g, heads, within):
+        head, x = _block_pairs(keep, g.n)
+        j = _first_closed(g._rows, rows, head, x, sizes, exclude)
+        if j is not None:
+            h, x = int(u[head[j]]), int(x[j])
+            return h, x, _first_bit(g._rows[h] & g._rows[x])
     return None
 
 

@@ -39,6 +39,7 @@ from triwalk.graph import (
     _TAG_ER,
     _anded_rows,
     _apex_column_counts,
+    _block_pairs,
     _degrees,
     _first_closed_pair,
     _fold_words,
@@ -1082,8 +1083,8 @@ class TestIdKernels:
         g = erdos_renyi(n, p, seed)
         heads, within = id_subset(n, seed), id_subset(n, seed + 100)
         pairs = [
-            (int(u[h]), int(x)) for u, _, head, xs in _pair_stream(g, heads, within)
-            for h, x in zip(head, xs)
+            (int(u[h]), int(x)) for u, _, keep in _pair_stream(g, heads, within)
+            for h, x in zip(*_block_pairs(keep, n))
         ]
         assert pairs == self.reference_pairs(g, heads, within)
 
