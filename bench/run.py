@@ -46,7 +46,8 @@ The groups:
   ``erdos_renyi(n, 0.5)``, whose first cover vertex closes a triangle;
   ``isolated`` is the bipartite base with one triangle off the finder's
   cover, built as perfbench's walk-positive workload builds it, so cover
-  search misses and the surviving-edge scan finds it.
+  search misses and the surviving-edge scan finds it; ``c5`` is a C5
+  blow-up (c5_blowup), triangle-free but not bipartite.
 - pairs: ``uncovered_pairs`` on the cover ``find_triangle`` draws and the
   block ``search_blocks`` draws when no surviving edge closes a triangle
   (on ``er:0.5`` the finder's cover search ends the run first, so the same
@@ -150,11 +151,23 @@ def _row(group: str, name: str, n: Optional[int], build: Callable, *args, **fiel
 
 # -- the rows' calls -------------------------------------------------------
 
+def c5_blowup(n: int, seed: int) -> tw.Graph:
+    """Five parts of a seeded random split of the vertices, each pair of
+    vertices in consecutive parts (mod 5) an edge with probability 1/2:
+    triangle-free, and not bipartite, so no 2-colouring proves it."""
+    rng = np.random.default_rng([seed, 0xC5])
+    part = rng.permutation(np.arange(n, dtype=np.int16) * 5 // n).astype(np.int8)
+    step = (part[:, None] - part) % 5
+    upper = np.triu(rng.integers(0, 2, size=(n, n), dtype=bool), 1) & ((step == 1) | (step == 4))
+    return tw.Graph(upper | upper.T)
+
+
 FAMILIES = {
     **{family: harness.parse_family(family) for family in ("bipartite", "er:0.5")},
     "isolated": lambda n, seed: isolated_triangle(
         n, seed, pick_isolated(n, seed, finder_cover(n, seed), on_cover=False)
     ),
+    "c5": c5_blowup,
 }
 SCAN_PARTS = (
     "pipeline.find_triangle",

@@ -144,7 +144,9 @@ def _stage_counts(g: Graph, surviving: PairSet, draws: np.ndarray, within=None) 
     # Flat positions (group * size + column) of the closed draws.
     at = np.flatnonzero(is_closed[flat])
     drawn = flat[at]
-    return _apex_column_counts(g, verts[iu[drawn]], verts[jv[drawn]], at // draws.shape[1]), probes
+    # One-draw groups merge nothing: count their pairs with no group.
+    group = None if draws.shape[1] == 1 else at // draws.shape[1]
+    return _apex_column_counts(g, verts[iu[drawn]], verts[jv[drawn]], group), probes
 
 
 def _apex_counts(g: Graph, surviving: PairSet, plan: SamplePlan) -> _ApexCounts:

@@ -28,6 +28,23 @@ _CHECK_ROWS rows with the matching word columns of the rows. It reads a
 chunk's bits from the caller's matrix for ``Graph(dense)``, and unpacks
 them from the rows for ``read_packed``, which has no matrix.
 
+The cover scan, the surviving-edge scans and brute force are one
+first-closed-pair kernel over the (head, x) pairs of head blocks. Three of
+them rest on a minimality argument: brute force (every vertex a head), the
+cover scan (the cover as heads) and the scan of G[V - C], which the finder
+calls only after a negative cover scan, so every common neighbour of an
+edge of G[V - C] lies off the cover. In each, the first closed pair (h, x)
+has every common neighbour above x: a lower one, y, would close the pair
+(h, y), or (y, h) when y is an earlier head, and that pair comes first.
+So an AND needs only the words from x's on; every earlier pair is open in
+full, so none can look closed. Those scans AND each block after the first
+in T = clamp(W // 4, 1, 3) upper-word tiles, W the words of a row, each
+gathered from a copy of the rows from its first word: the copies and the
+rows hold (T + 1)/2 x the rows' size, and rows under 8 words never tile.
+The gated scan with ``exclude`` stays full: it must see every common
+neighbour, since an excluded one below x rejects the pair. So does every
+first block, where a dense cover scan hits after a few hundred pairs.
+
 Classical probes of the adjacency relation are tallied as ``raw_probes``
 on a :class:`QueryLedger`. No library code probes pair by pair: the
 estimator counts its probes in closed form and adds the total with
@@ -80,6 +97,12 @@ _AND_FIRST = 256
 # per-block overhead only a few times (BENCH_scans.json, "one_kernel").
 _BLOCK_FIRST_BITS = 1 << 13
 _BLOCK_CAP_BITS = 1 << 18
+# A first-closed-pair scan over rows of W words ANDs the blocks after its
+# first in clamp(W // _TILE_WORDS, 1, _TILES) upper-word tiles: graphs
+# below 512 vertices never tile, and the rows' copies stay at most the
+# rows' size (_first_closed_pair).
+_TILE_WORDS = 4
+_TILES = 3
 # Rows of the random matrix a generator draws and packs at a time; a
 # multiple of 64, so each chunk's transpose fills whole words.
 _GEN_ROWS = 128
@@ -503,12 +526,15 @@ def _pair_stream(g: Graph, heads: np.ndarray, within: Optional[np.ndarray] = Non
         yield u, rows, keep
 
 
-def _block_pairs(keep: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The pairs of a block's ``keep`` words: (head, x), each head an index
-    into the block, head-major with x ascending."""
+def _block_pairs(keep: np.ndarray, n: int, w0: int = 0, w1: Optional[int] = None):
+    """The pairs in words w0 to w1 (default: all) of a block's ``keep``
+    words: (head, x), each head an index into the block, head-major with x
+    ascending."""
+    words = keep[:, w0:w1]
+    width = min(n, 64 * (w0 + words.shape[1])) - 64 * w0  # the words' bits below n
     # Split flat indices into (row, column) without a division.
-    head = np.repeat(np.arange(keep.shape[0]), _popcounts(keep))
-    return head, np.flatnonzero(_bits(keep, n)) - head * n
+    head = np.repeat(np.arange(words.shape[0]), _popcounts(words))
+    return head, np.flatnonzero(_bits(words, width)) - head * width + 64 * w0
 
 
 def _slice_sizes():
@@ -552,15 +578,46 @@ def _first_closed_pair(
     gather from all of g's rows. The ANDs run in slices of _AND_FIRST
     pairs, doubling up to _SCAN_CAP over the stream: a positive stops
     after little work, and a negative keeps its temporaries cache-sized.
+
+    Upper-word tiles (see the module docstring for why the first hit is
+    exact). Without ``exclude``, with W words a row, every block after the
+    first splits its keep words into T = clamp(W // _TILE_WORDS, 1, _TILES)
+    tiles at the words t W // T. The pairs of a tile are unpacked on their
+    own and ANDed from the tile's first word on, gathered from a copy of
+    g's rows from that word, made on first use; the T - 1 copies and the
+    rows hold (T + 1)/2 x the rows' size. A later tile reads only the heads
+    before the one an earlier tile hit, so the hit is the block's smallest
+    (head, x); it is completed from the full rows. The ``exclude`` scan
+    must see every common neighbour, and the first block, where a dense
+    cover scan hits, stays one full-width pass with no copy.
     """
+    n, words = g.n, g._rows.shape[1]
     sizes = _slice_sizes()
+    tiles = 1 if exclude is not None else min(max(words // _TILE_WORDS, 1), _TILES)
     if exclude is not None:
-        exclude = _packed_ids(g.n, exclude)
-    for u, rows, keep in _pair_stream(g, heads, within):
-        head, x = _block_pairs(keep, g.n)
-        j = _first_closed(g._rows, rows, head, x, sizes, exclude)
-        if j is not None:
-            h, x = int(u[head[j]]), int(x[j])
+        exclude = _packed_ids(n, exclude)
+    bounds = [t * words // tiles for t in range(tiles + 1)]
+    suffixes = {0: g._rows}  # word w0 -> g's rows from w0 on
+    for block, (u, rows, keep) in enumerate(_pair_stream(g, heads, within)):
+        hit = None  # (head, x) of the block's first closed pair
+        if block == 0 or tiles == 1:
+            head, x = _block_pairs(keep, n)
+            j = _first_closed(g._rows, rows, head, x, sizes, exclude)
+            if j is not None:
+                hit = head[j], x[j]
+        else:
+            for w0, w1 in zip(bounds, bounds[1:]):
+                # Later tiles read the heads before the hit's only.
+                head, x = _block_pairs(keep[: u.size if hit is None else hit[0]], n, w0, w1)
+                if not x.size:
+                    continue
+                if w0 not in suffixes:
+                    suffixes[w0] = np.ascontiguousarray(g._rows[:, w0:])
+                j = _first_closed(suffixes[w0], rows[:, w0:], head, x, sizes)
+                if j is not None:
+                    hit = head[j], x[j]
+        if hit is not None:
+            h, x = int(u[hit[0]]), int(hit[1])
             return h, x, _first_bit(g._rows[h] & g._rows[x])
     return None
 

@@ -13,6 +13,7 @@ import random
 from multiprocessing.context import SpawnProcess
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -86,6 +87,7 @@ def test_scan_rows_time_every_scan(bench, runs):
         "bipartite": (64, [1, 1, 1, 1]),
         "er:0.5": (64, [1, 1, 0, 1]),
         "isolated": (64, [1, 1, 1, 1]),
+        "c5": (64, [1, 1, 1, 1]),
     }
     assert list(rows[0]["parts"]) == list(bench.SCAN_PARTS)
 
@@ -167,6 +169,15 @@ def test_every_row_carries_the_schema_keys(bench, runs):
         assert row["ms"] > 0 and row["scaled_ms"] > 0 and row["reference_ms"] > 0
         assert all(part.keys() == {"calls", "ms", "scaled_ms"} for part in row["parts"].values())
         int(row["digest"], 16)
+
+
+@pytest.mark.parametrize("n", [64, 200])
+def test_c5_blowup_is_triangle_free_and_not_bipartite(bench, n):
+    g = bench.c5_blowup(n, 0)
+    adj = g.bool_matrix.astype(int)
+    assert not ((adj @ adj) * adj).any()  # no triangle
+    # Odd cycles: some vertex has a closed walk of length 5.
+    assert np.trace(np.linalg.matrix_power(adj, 5)) > 0
 
 
 def _coin(seed):

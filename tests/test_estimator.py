@@ -11,7 +11,7 @@ from triwalk import AlgoParams, Graph, erdos_renyi, random_bipartite
 from triwalk import estimator as estimator_module
 from triwalk import graph as graph_module
 from triwalk import pipeline as pipeline_module
-from triwalk.graph import _SCAN_CAP, _common_counts
+from triwalk.graph import _SCAN_CAP, _apex_column_counts, _common_counts
 from triwalk.estimator import (
     SamplePlan,
     _apex_counts,
@@ -508,6 +508,34 @@ class TestUnreadWorkSkipped:
         assert np.array_equal(apexes[1], np.flatnonzero(counts.refined))
         assert counts.probes == reference_probes(g, surv, plan)
         assert_matches_reference(g, surv, plan)
+
+
+class TestOneDrawGroups:
+    """Stage 3 counts its one-draw groups with no group labels."""
+
+    def test_one_pair_groups_count_as_no_groups(self):
+        g = erdos_renyi(60, 0.4, 2)
+        rng = np.random.default_rng(3)
+        pu, pv = rng.integers(0, 60, 500), rng.integers(0, 60, 500)
+        grouped = _apex_column_counts(g, pu, pv, np.arange(pu.size))
+        assert np.array_equal(grouped, _apex_column_counts(g, pu, pv))
+
+    def test_refining_calls_are_unchanged(self, monkeypatch):
+        g, surv = make_case(48, 0.6, 4, np.arange(16))
+        plan = SamplePlan(48, 6, surv.universe_size, rng=plan_rng(4))
+        counts = _apex_counts(g, surv, plan)
+        assert counts.refined.any()
+        # The same run with each refinement draw labelled as its own group.
+        column_counts = graph_module._apex_column_counts
+
+        def labelled(g, pu, pv, group=None):
+            return column_counts(g, pu, pv, np.arange(pu.size) if group is None else group)
+
+        monkeypatch.setattr(estimator_module, "_apex_column_counts", labelled)
+        grouped = _apex_counts(g, surv, plan)
+        for name in ("outputs", "c1", "c2", "refined"):
+            assert np.array_equal(getattr(counts, name), getattr(grouped, name))
+        assert counts.probes == grouped.probes
 
 
 class TestEstimatorGuarantee:

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from triwalk import (
     AlgoParams,
     FailureInjection,
+    Graph,
     Triangle,
     brute_force_triangle,
     erdos_renyi,
@@ -94,16 +95,29 @@ def reference_brute_force(g):
     return None
 
 
+def c5_blowup(n, seed):
+    """Five parts of a seeded random split, each pair of vertices in
+    consecutive parts (mod 5) an edge with probability 1/2: triangle-free,
+    and not bipartite once every part holds a vertex of a 5-cycle."""
+    rng = np.random.default_rng(seed)
+    part = rng.permutation(np.arange(n) * 5 // n)
+    step = (part[:, None] - part) % 5
+    upper = np.triu(rng.random((n, n)) < 0.5, 1) & ((step == 1) | (step == 4))
+    return Graph(upper | upper.T)
+
+
 @st.composite
 def graphs_and_covers(draw):
     n = draw(st.integers(3, 120))
     seed = draw(st.integers(0, 2**32 - 1))
-    family = draw(st.sampled_from(["er", "bipartite", "planted"]))
+    family = draw(st.sampled_from(["er", "bipartite", "planted", "c5"]))
     if family == "er":
         p = draw(st.sampled_from([0.0, 0.02, 0.05, 0.1, 0.3, 0.5, 0.9, 1.0]))
         g = erdos_renyi(n, p, seed)
     elif family == "bipartite":
         g = random_bipartite(n, seed)
+    elif family == "c5":
+        g = c5_blowup(n, seed)
     else:
         g = planted_instance(n, seed)
     vertex = st.integers(0, n - 1)
@@ -143,13 +157,15 @@ def test_scans_match_full_edge_references(case):
 
 @contextmanager
 def small_blocks():
-    """Up to 120 vertices fit in one head block at the shipped sizes. Here a
-    block holds 1 to 4 heads and the AND slices start at one pair, so a
-    pair stream crosses many blocks and slices."""
+    """Up to 120 vertices fit in one head block at the shipped sizes, and
+    rows under 8 words never tile. Here a block holds 1 to 4 heads, the AND
+    slices start at one pair and tiles are one word wide (up to three), so
+    a pair stream crosses many blocks, slices and upper-word tiles."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(graph, "_BLOCK_FIRST_BITS", 128)
         mp.setattr(graph, "_BLOCK_CAP_BITS", 512)
         mp.setattr(graph, "_AND_FIRST", 1)
+        mp.setattr(graph, "_TILE_WORDS", 1)
         yield
 
 
@@ -158,6 +174,35 @@ def small_blocks():
 def test_scans_match_references_across_head_blocks(case):
     with small_blocks():
         check_against_references(*case)
+
+
+@pytest.mark.parametrize("n", [200, 300])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_scans_match_references_over_three_tiles(n, seed):
+    # Rows of 4 and 5 words split into three one-word-or-wider tiles.
+    rng = np.random.default_rng(seed)
+    cases = [(erdos_renyi(n, 0.03, seed), rng.choice(n, 20)), (c5_blowup(n, seed), rng.choice(n, 9))]
+    with small_blocks():
+        for g, cover in cases:
+            check_against_references(g, cover)
+            free = cover[~_in_triangle(g)[cover]]
+            if free.size:
+                check_pruned_scan(g, free)
+
+
+def test_exclude_scan_rejects_a_pair_closed_below_its_tile():
+    # Pair (10, 150) is closed by 180, in x's tile (words 2-3 of 4), and by
+    # 5, in word 0 and excluded: the exclude scan must reject it, as it
+    # rejects every other pair among the excluded 5, 10 and 150, and return
+    # the triangle (190, 195, 199).
+    edges = [(10, 150), (5, 10), (5, 150), (10, 180), (150, 180), (190, 195), (190, 199), (195, 199)]
+    g = Graph.from_edges(200, edges)
+    cover = np.array([5, 10, 150])
+    assert reference_surviving_edge(g, cover) == (190, 195, 199)
+    with small_blocks():
+        assert _first_surviving_triangle_edge(g, cover) == (190, 195, 199)
+        # Without the exclusion the first closed edge is (5, 10).
+        assert graph._first_closed_pair(g, np.arange(200)) == (5, 10, 150)
 
 
 @pytest.mark.parametrize("n", [1, 2, 700, 1100])
