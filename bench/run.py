@@ -47,7 +47,8 @@ The groups:
   ``isolated`` is the bipartite base with one triangle off the finder's
   cover, built as perfbench's walk-positive workload builds it, so cover
   search misses and the surviving-edge scan finds it; ``c5`` is a C5
-  blow-up (c5_blowup), triangle-free but not bipartite.
+  blow-up (c5_blowup), triangle-free but not bipartite, also run at
+  C5_SIZES.
 - pairs: ``uncovered_pairs`` on the cover ``find_triangle`` draws and the
   block ``search_blocks`` draws when no surviving edge closes a triangle
   (on ``er:0.5`` the finder's cover search ends the run first, so the same
@@ -104,6 +105,8 @@ SEEDS = {"estimator": 5, "scans": 5, "pairs": 3, "graph": 3, "campaigns": 1}
 ESTIMATOR_SIZES = (448, 768, 2048)
 CLOSED = (("er:0.05", 2048), ("er:0.1", 512))
 SCAN_SIZES = (448, 1024, 2048)
+# Extra scans sizes of the c5 family alone, large enough for upper-word tiles to show.
+C5_SIZES = (4096,)
 BLOCK_SIZES = (2048, 4096, 8192)
 SPARSITY_N = 8192
 GRAPH_SIZES = (448, 768, 1024, 2048, 4096)
@@ -295,7 +298,7 @@ def scan_rows(tmp: Path) -> list[Row]:
         _row("scans", family, n, _scan_trial, family, n, parts=SCAN_PARTS)
         for family in FAMILIES
         for n in SCAN_SIZES
-    ]
+    ] + [_row("scans", "c5", n, _scan_trial, "c5", n, parts=SCAN_PARTS) for n in C5_SIZES]
 
 
 def pair_rows(tmp: Path) -> list[Row]:

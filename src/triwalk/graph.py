@@ -98,8 +98,8 @@ _AND_FIRST = 256
 _BLOCK_FIRST_BITS = 1 << 13
 _BLOCK_CAP_BITS = 1 << 18
 # A first-closed-pair scan over rows of W words ANDs the blocks after its
-# first in clamp(W // _TILE_WORDS, 1, _TILES) upper-word tiles: graphs
-# below 512 vertices never tile, and the rows' copies stay at most the
+# first in clamp(W // _TILE_WORDS, 1, _TILES) upper-word tiles: rows under
+# 8 words (n <= 448) never tile, and the rows' copies stay at most the
 # rows' size (_first_closed_pair).
 _TILE_WORDS = 4
 _TILES = 3
@@ -534,7 +534,10 @@ def _block_pairs(keep: np.ndarray, n: int, w0: int = 0, w1: Optional[int] = None
     width = min(n, 64 * (w0 + words.shape[1])) - 64 * w0  # the words' bits below n
     # Split flat indices into (row, column) without a division.
     head = np.repeat(np.arange(words.shape[0]), _popcounts(words))
-    return head, np.flatnonzero(_bits(words, width)) - head * width + 64 * w0
+    x = np.flatnonzero(_bits(words, width)) - head * width
+    if w0:
+        x += 64 * w0
+    return head, x
 
 
 def _slice_sizes():

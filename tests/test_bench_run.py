@@ -26,7 +26,9 @@ def bench():
         # children inherit this sys.path.
         patch.syspath_prepend(str(ROOT))
         run = importlib.import_module("bench.run")
-        for name in ("ESTIMATOR_SIZES", "SCAN_SIZES", "BLOCK_SIZES", "GRAPH_SIZES", "USER_SIZES"):
+        for name in (
+            "ESTIMATOR_SIZES", "SCAN_SIZES", "C5_SIZES", "BLOCK_SIZES", "GRAPH_SIZES", "USER_SIZES"
+        ):
             patch.setattr(run, name, (64,))
         patch.setattr(run, "CLOSED", (("er:0.1", 64),))
         patch.setattr(run, "SPARSITY_N", 64)
@@ -79,16 +81,18 @@ def test_estimator_closed_rows_time_the_harness_calls(runs):
 
 def test_scan_rows_time_every_scan(bench, runs):
     rows = runs("scans")["rows"]
-    calls = {
-        row["name"]: (row["n"], [part["calls"] for part in row["parts"].values()]) for row in rows
-    }
+    calls = [
+        (row["name"], row["n"], [part["calls"] for part in row["parts"].values()]) for row in rows
+    ]
     # find_triangle, then the cover, surviving-edge and brute-force scans.
-    assert calls == {
-        "bipartite": (64, [1, 1, 1, 1]),
-        "er:0.5": (64, [1, 1, 0, 1]),
-        "isolated": (64, [1, 1, 1, 1]),
-        "c5": (64, [1, 1, 1, 1]),
-    }
+    # c5 runs once more at C5_SIZES.
+    assert calls == [
+        ("bipartite", 64, [1, 1, 1, 1]),
+        ("er:0.5", 64, [1, 1, 0, 1]),
+        ("isolated", 64, [1, 1, 1, 1]),
+        ("c5", 64, [1, 1, 1, 1]),
+        ("c5", 64, [1, 1, 1, 1]),
+    ]
     assert list(rows[0]["parts"]) == list(bench.SCAN_PARTS)
 
 
