@@ -39,8 +39,9 @@ has every common neighbour above x: a lower one, y, would close the pair
 So an AND needs only the words from x's on; every earlier pair is open in
 full, so none can look closed. Those scans AND each block after the first
 in T = clamp(W // 4, 1, 3) upper-word tiles, W the words of a row, each
-gathered from a copy of the rows from its first word: the copies and the
-rows hold (T + 1)/2 x the rows' size, and rows under 8 words never tile.
+tile's pairs those whose x lies in its words, gathered from a copy of the
+rows of those x from the tile's first word: the copies hold about
+(T - 1)/(2T) x the rows' size, and rows under 8 words never tile.
 The gated scan with ``exclude`` stays full: it must see every common
 neighbour, since an excluded one below x rejects the pair. So does every
 first block, where a dense cover scan hits after a few hundred pairs.
@@ -99,8 +100,8 @@ _BLOCK_FIRST_BITS = 1 << 13
 _BLOCK_CAP_BITS = 1 << 18
 # A first-closed-pair scan over rows of W words ANDs the blocks after its
 # first in clamp(W // _TILE_WORDS, 1, _TILES) upper-word tiles: rows under
-# 8 words (n <= 448) never tile, and the rows' copies stay at most the
-# rows' size (_first_closed_pair).
+# 8 words (n <= 448) never tile, and the tiles' copies of the rows stay
+# under a third of the rows' size (_first_closed_pair).
 _TILE_WORDS = 4
 _TILES = 3
 # Rows of the random matrix a generator draws and packs at a time; a
@@ -528,16 +529,13 @@ def _pair_stream(g: Graph, heads: np.ndarray, within: Optional[np.ndarray] = Non
 
 def _block_pairs(keep: np.ndarray, n: int, w0: int = 0, w1: Optional[int] = None):
     """The pairs in words w0 to w1 (default: all) of a block's ``keep``
-    words: (head, x), each head an index into the block, head-major with x
-    ascending."""
+    words: (head, x), each head an index into the block and x counted from
+    bit 64 w0, head-major with x ascending."""
     words = keep[:, w0:w1]
     width = min(n, 64 * (w0 + words.shape[1])) - 64 * w0  # the words' bits below n
     # Split flat indices into (row, column) without a division.
     head = np.repeat(np.arange(words.shape[0]), _popcounts(words))
-    x = np.flatnonzero(_bits(words, width)) - head * width
-    if w0:
-        x += 64 * w0
-    return head, x
+    return head, np.flatnonzero(_bits(words, width)) - head * width
 
 
 def _slice_sizes():
@@ -585,40 +583,37 @@ def _first_closed_pair(
     Upper-word tiles (see the module docstring for why the first hit is
     exact). Without ``exclude``, with W words a row, every block after the
     first splits its keep words into T = clamp(W // _TILE_WORDS, 1, _TILES)
-    tiles at the words t W // T. The pairs of a tile are unpacked on their
-    own and ANDed from the tile's first word on, gathered from a copy of
-    g's rows from that word, made on first use; the T - 1 copies and the
-    rows hold (T + 1)/2 x the rows' size. A later tile reads only the heads
-    before the one an earlier tile hit, so the hit is the block's smallest
-    (head, x); it is completed from the full rows. The ``exclude`` scan
-    must see every common neighbour, and the first block, where a dense
-    cover scan hits, stays one full-width pass with no copy.
+    tiles at the words w0 = t W // T. The pairs of a tile, whose x lie in
+    its words, are unpacked on their own and ANDed from w0 on: the heads'
+    side from a copy of the block's rows from w0, the x side from a copy,
+    made on first use, of the rows of the tile's vertices from w0. The
+    copies hold about (T - 1)/(2T) x the rows' size; tile 0 reads g's rows
+    as they are. A later tile reads only the heads before the one an
+    earlier tile hit, so the hit is the block's smallest (head, x); it is
+    completed from the full rows. The ``exclude`` scan must see every
+    common neighbour, and the first block, where a dense cover scan hits,
+    is one tile over all W words, with no copy.
     """
     n, words = g.n, g._rows.shape[1]
     sizes = _slice_sizes()
     tiles = 1 if exclude is not None else min(max(words // _TILE_WORDS, 1), _TILES)
     if exclude is not None:
         exclude = _packed_ids(n, exclude)
-    bounds = [t * words // tiles for t in range(tiles + 1)]
-    suffixes = {0: g._rows}  # word w0 -> g's rows from w0 on
+    tiled = [t * words // tiles for t in range(tiles + 1)]
+    x_rows = {0: g._rows}  # word w0 -> rows of vertices 64 w0 on, from word w0
     for block, (u, rows, keep) in enumerate(_pair_stream(g, heads, within)):
+        bounds = [0, words] if block == 0 else tiled
         hit = None  # (head, x) of the block's first closed pair
-        if block == 0 or tiles == 1:
-            head, x = _block_pairs(keep, n)
-            j = _first_closed(g._rows, rows, head, x, sizes, exclude)
+        for w0, w1 in zip(bounds, bounds[1:]):
+            # Later tiles read the heads before the hit's only.
+            head, x = _block_pairs(keep[: u.size if hit is None else hit[0]], n, w0, w1)
+            if not x.size:
+                continue
+            if w0 not in x_rows:
+                x_rows[w0] = np.ascontiguousarray(g._rows[64 * w0 : 64 * w1, w0:])
+            j = _first_closed(x_rows[w0], np.ascontiguousarray(rows[:, w0:]), head, x, sizes, exclude)
             if j is not None:
-                hit = head[j], x[j]
-        else:
-            for w0, w1 in zip(bounds, bounds[1:]):
-                # Later tiles read the heads before the hit's only.
-                head, x = _block_pairs(keep[: u.size if hit is None else hit[0]], n, w0, w1)
-                if not x.size:
-                    continue
-                if w0 not in suffixes:
-                    suffixes[w0] = np.ascontiguousarray(g._rows[:, w0:])
-                j = _first_closed(suffixes[w0], rows[:, w0:], head, x, sizes)
-                if j is not None:
-                    hit = head[j], x[j]
+                hit = head[j], 64 * w0 + x[j]
         if hit is not None:
             h, x = int(u[hit[0]]), int(hit[1])
             return h, x, _first_bit(g._rows[h] & g._rows[x])
