@@ -53,7 +53,12 @@ The groups:
   block ``search_blocks`` draws when no surviving edge closes a triangle
   (on ``er:0.5`` the finder's cover search ends the run first, so the same
   draws stand in for a dense block); and ``cover_is_sparsifying`` over all
-  of V in a capped child.
+  of V in a capped child. The blocks start at the walk workloads' n = 448
+  and 768. The pair kernel stops a tile once every pair in it is covered:
+  on ``er:0.5`` that is after the first 64 cover vertices; ``bipartite``
+  never covers a pair across its parts, and ``c5`` covers its same-part
+  and two-apart pairs but never an adjacent-part one, so their tiles run
+  every cover word, on two different mixes of covered pairs.
 - graph: the generators (``rng`` is the uniform draw ``erdos_renyi``
   consumes, by itself) and the user-input constructors, each handed
   ``random_bipartite(n, seed)`` in the form it takes. ``--large N``
@@ -107,7 +112,8 @@ CLOSED = (("er:0.05", 2048), ("er:0.1", 512))
 SCAN_SIZES = (448, 1024, 2048)
 # Extra scans sizes of the c5 family alone, large enough for upper-word tiles to show.
 C5_SIZES = (4096,)
-BLOCK_SIZES = (2048, 4096, 8192)
+BLOCK_SIZES = (448, 768, 2048, 4096, 8192)
+BLOCK_FAMILIES = ("bipartite", "c5", "er:0.5")
 SPARSITY_N = 8192
 GRAPH_SIZES = (448, 768, 1024, 2048, 4096)
 USER_SIZES = (768, 2048, 4096)
@@ -305,7 +311,7 @@ def pair_rows(tmp: Path) -> list[Row]:
     rows = [
         _row("pairs", f"block {family}", n, _block, family, n, info=_block_info)
         for n in BLOCK_SIZES
-        for family in ("bipartite", "er:0.5")
+        for family in BLOCK_FAMILIES
     ]
     return rows + [
         _row("pairs", "sparsity er:0.5", SPARSITY_N, _sparsity, SPARSITY_N, seeds=1,

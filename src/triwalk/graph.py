@@ -454,6 +454,23 @@ def _bool_rows(g: Graph, verts) -> np.ndarray:
     return _bits(np.take(g._rows, verts, axis=0), g.n)
 
 
+def _column_words(g: Graph, verts: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """(ceil(cols.size / 64), verts.size) uint64: bit t of word k, entry i,
+    says verts[i] neighbours cols[64k + t]. ``cols`` is sorted; only the
+    row words holding it are unpacked, _BLOCK_CAP_BITS bits at a time."""
+    lo = cols[0] >> 6
+    span = g._rows[:, lo : (cols[-1] >> 6) + 1]
+    width, picked = span.shape[1] * 64, cols - (lo << 6)
+    out = np.empty(((cols.size + 63) // 64, verts.size), dtype=np.uint64)
+    step = max(1, _BLOCK_CAP_BITS // width)
+    for i in range(0, verts.size, step):
+        # The picked columns as rows: a fancy pick along the last axis comes
+        # out Fortran-ordered, which packbits reads about 5x slower.
+        picked_rows = _bits(span[verts[i : i + step]], width).T[picked]
+        out[:, i : i + step] = _pack_bool_columns(picked_rows).T
+    return out
+
+
 def _packed_ids(n: int, ids) -> np.ndarray:
     """The vertex set ``ids`` as one packed row, its pad bits zero."""
     bits = np.zeros((1, n), dtype=bool)

@@ -6,15 +6,14 @@ v (that vertex closes a triangle with any edge on {u, v}, so covered pairs
 are handled by the preliminary search phase). The pairs of a subset Y that
 survive pruning are the working set of everything downstream.
 
-Pruning is one product. Let X hold the rows of Y restricted to the cover's
-columns, as a float32 0/1 matrix; entry (u, v) of X X^T counts the cover
-vertices adjacent to both u and v, so a pair survives exactly where its
-entry is 0. The zero test is exact in any summation order and with any
-BLAS thread count: an entry sums 0/1 products, a float sum of
-non-negative terms is 0 only when every term is, and float32 holds every
-count below 2^24 exactly. X X^T is taken in row tiles of at most
-_PRODUCT_ENTRIES entries, so Y = V never holds an n x n matrix, and each
-tile's upper triangle is read straight into the canonical pair order.
+Pruning ANDs packed words: each vertex of Y packs its cover neighbours 64
+cover vertices to a word, and a pair is covered exactly when its ends'
+words share a bit in some word. Row d - 1 of the (|Y| // 2, |Y|) offset
+table holds the pairs {Y[i], Y[(i + d) mod |Y|]}: every pair, with no
+lower triangle (offset |Y| / 2 twice when |Y| is even), each row a slice
+of a doubled word array. A tile of rows ORs in a word at a time and stops
+once all its pairs are covered, testing after 1, 2, 4, ... words; a dense
+graph stops after the first, and later words are packed only when needed.
 
 The headline property of a random cover of ~n^k log n draws is that, with
 probability at least 1 - 1/n, every surviving pair has at most n^(1-k)
@@ -31,21 +30,21 @@ from functools import lru_cache
 from typing import Optional
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from ._checks import (
     _check_int, _check_real, _check_seed, _check_type, _checked_reals, _checked_vertices,
 )
-from .graph import Graph, _bool_rows, _common_counts
+from .graph import Graph, _column_words, _common_counts
 
 
 # Draw count for the sampled cover: ceil(3 * n^k * ln n), with replacement.
 COVER_DRAW_FACTOR = 3.0
-# Entries in the largest temporary of the cover-column product: a row tile
-# of X X^T (4 MiB of float32), or the unpacked rows X is taken from. Over
-# all of V, 2^20 ran the sparsity check 1.8x faster than 2^22 at n=2048
-# and within 5% of the fastest of 2^19-2^22 at n=8192 (BENCH_pairs.json,
-# "tile_entries").
-_PRODUCT_ENTRIES = 1 << 20
+# Entries in a tile of the pair table; its OR accumulator and AND
+# temporary hold one uint64 an entry, 96 KiB each, under glibc's 128 KiB
+# default mmap threshold, so the campaigns' n = 256 never maps and unmaps
+# them (BENCH_pairs.json, "packed_words").
+_TILE_ENTRIES = 3 << 12
 
 
 @lru_cache(maxsize=64)
@@ -131,38 +130,61 @@ def sample_cover(
 
 
 def _uncovered_tiles(g: Graph, cover: np.ndarray, verts: np.ndarray):
-    """Yield (i, free) over row tiles of X X^T for the pairs of ``verts``.
+    """Yield (d0, free) over row tiles of the offset table of ``verts``' pairs.
 
     ``verts`` is sorted and duplicate-free, and ``cover`` holds checked ids.
-    A tile covers rows i to i + t of X X^T and columns i on: free[r, c]
-    says that no cover vertex is adjacent to both verts[i + r] and
-    verts[i + c]. Its entries with c > r are the tile's pairs; read in
-    row-major order they are the canonical slots of the pairs whose lower
-    end is one of the tile's rows. Tiles grow as the columns shrink, up to
-    _PRODUCT_ENTRIES entries each.
+    With b = verts.size, row d - 1 of the (b // 2, b) table holds the pairs
+    {verts[i], verts[(i + d) mod b]} (see the module docstring). A tile
+    covers rows d0 on: free[r, i] says that no cover vertex is adjacent to
+    both ends of the pair at row d0 + r, column i. Tiles hold up to
+    _TILE_ENTRIES entries.
     """
-    b, n = verts.size, g.n
-    x = np.empty((b, cover.size), dtype=np.float32)
-    step = max(1, _PRODUCT_ENTRIES // n)
-    for i in range(0, b, step):
-        # astype's bool-to-float cast is about 10x faster than assigning the
-        # bools into x.
-        x[i : i + step] = _bool_rows(g, verts[i : i + step])[:, cover].astype(np.float32)
-    i = 0
-    while i < b:
-        w = b - i
-        t = max(1, min(w, _PRODUCT_ENTRIES // w))
-        yield i, x[i : i + t] @ x[i:].T == 0
-        i += t
+    b = verts.size
+    h = b // 2
+    cover = np.sort(cover)
+    # An empty cover packs to one zero word, so every tile has a first word.
+    words = max(1, (cover.size + 63) // 64)
+    x = np.zeros((words, b + h), dtype=np.uint64)
+    # ends[k, d - 1] is x[k, d : d + b]: word k of the far ends of row d - 1.
+    ends = as_strided(x[:, 1:], (words, h, b), (x.strides[0], 8, 8), writeable=False)
+    step = max(1, _TILE_ENTRIES // b)
+    acc = np.empty((min(step, h), b), dtype=np.uint64)
+    tmp = np.empty_like(acc)
+    packed = 0 if cover.size else words
+    for d0 in range(0, h, step):
+        t = min(step, h - d0)
+        for k in range(words):
+            if k == packed:  # the first word by itself, then all the rest
+                packed = words if k else 1
+                x[k:packed, :b] = _column_words(g, verts, cover[64 * k : 64 * packed])
+                x[k:packed, b:] = x[k:packed, :h]
+            np.bitwise_and(ends[k, d0 : d0 + t], x[k, :b], out=(tmp if k else acc)[:t])
+            if k:
+                acc[:t] |= tmp[:t]
+            if k & (k + 1) == 0 or k == words - 1:  # after 1, 2, 4, ... words and the last
+                free = acc[:t] == 0
+                if not free.any():
+                    break
+        yield d0, free
+
+
+@lru_cache(maxsize=64)
+def _offset_slots(size: int) -> np.ndarray:
+    """Per canonical pair slot of ``size`` vertices, its index in the offset table."""
+    iu, jv = (a.astype(np.intp) for a in _tri_indices(size))
+    d = jv - iu
+    slots = np.where(2 * d > size, (size - d - 1) * size + jv, (d - 1) * size + iu)
+    slots.setflags(write=False)
+    return slots
 
 
 def uncovered_pairs(g: Graph, cover, within) -> PairSet:
     """Pairs of ``within`` that no cover vertex prunes.
 
     A pair is pruned exactly when both endpoints are neighbors of some
-    cover vertex: when its entry of the cover-column product X X^T is
-    positive (see the module docstring). The mask is read tile by tile
-    from the product's upper triangle. An empty cover prunes nothing.
+    cover vertex: when its two ends' packed cover words share a bit (see
+    the module docstring). The mask is read from the tiles' offset table
+    in canonical order. An empty cover prunes nothing.
     Either set must be a 1-D list of integer ids in [0, n), else ValueError.
     Emulation-side bookkeeping: nothing is charged here; callers charge
     the quantum cost appropriate to their context.
@@ -173,11 +195,10 @@ def uncovered_pairs(g: Graph, cover, within) -> PairSet:
     b = verts.size
     if cover.size == 0 or b < 2:
         return PairSet(verts, np.ones(b * (b - 1) // 2, dtype=bool))
-    slots = []
-    for _, free in _uncovered_tiles(g, cover, verts):
-        t, w = free.shape
-        slots.append(free[np.arange(w) > np.arange(t)[:, None]])
-    return PairSet(verts, np.concatenate(slots))
+    table = np.empty((b // 2, b), dtype=bool)
+    for d0, free in _uncovered_tiles(g, cover, verts):
+        table[d0 : d0 + free.shape[0]] = free
+    return PairSet(verts, table.ravel()[_offset_slots(b)])
 
 
 def uncovered_pairs_at(g: Graph, cover, within, apex: int) -> PairSet:
@@ -195,19 +216,19 @@ def cover_is_sparsifying(g: Graph, cover, k: float) -> bool:
     neighbors. This is the checkable surrogate for the summed budget over
     all subsets: by a counting argument it implies
     sum_w |surviving pairs of Y at apex w| <= |Y|^2 n^(1-k) for every Y.
-    It walks the tiles of uncovered_pairs' product and counts common
+    It walks the tiles of uncovered_pairs' offset table and counts common
     neighbours only for the pairs that survive, so no V-wide pair set is
     built. k must lie in (0, 1), as for sample_cover.
     """
     _check_type("g", g, Graph)
     _check_real("cover exponent k", k, "(0, 1)")
     cover = _checked_vertices(g.n, cover)
-    limit = g.n ** (1.0 - k)
-    for i, free in _uncovered_tiles(g, cover, np.arange(g.n)):
+    n = g.n
+    limit = n ** (1.0 - k)
+    for d0, free in _uncovered_tiles(g, cover, np.arange(n)):
         # flatnonzero is about 10x faster than a 2-D nonzero.
-        r, c = np.divmod(np.flatnonzero(free), free.shape[1])
-        pair = c > r
-        if (_common_counts(g, i + r[pair], i + c[pair]) > limit).any():
+        r, u = np.divmod(np.flatnonzero(free), n)
+        if (_common_counts(g, u, (u + d0 + r + 1) % n) > limit).any():
             return False
     return True
 

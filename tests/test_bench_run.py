@@ -138,7 +138,7 @@ def test_pair_rows_time_blocks_and_the_sparsity_check(bench, runs):
     assert out["spawned"] == 1
     *blocks, sparsity = out["rows"]
     assert [(row["name"], row["n"]) for row in blocks] == [
-        ("block bipartite", 64), ("block er:0.5", 64)
+        ("block bipartite", 64), ("block c5", 64), ("block er:0.5", 64)
     ]
     assert all(row["info"]["block"] > 1 and row["peak_rss_mib"] is None for row in blocks)
     assert (sparsity["name"], sparsity["n"]) == ("sparsity er:0.5", 64)

@@ -18,7 +18,7 @@ from triwalk import (
     uncovered_pairs,
 )
 from triwalk import pairs
-from triwalk.graph import _common_counts, _packed_ids
+from triwalk.graph import _column_words, _common_counts, _packed_ids
 from triwalk.harness import parse_family
 from triwalk.pairs import cover_draw_count, uncovered_pairs_at
 
@@ -240,13 +240,13 @@ def oracle_cases(n, seed):
 
 
 class TestProductMask:
-    """The cover-column product's mask against a per-pair AND of packed rows."""
+    """The packed-word pair mask against a per-pair AND of packed rows."""
 
     @pytest.mark.parametrize("entries", [None, 7, 300], ids=["one tile", "tiny tiles", "tiles"])
     @pytest.mark.parametrize("n", [13, 70, 130])
     def test_matches_per_pair_and(self, monkeypatch, n, entries):
         if entries is not None:
-            monkeypatch.setattr(pairs, "_PRODUCT_ENTRIES", entries)
+            monkeypatch.setattr(pairs, "_TILE_ENTRIES", entries)
         for name, g, cover, within in oracle_cases(n, seed=n):
             surv = uncovered_pairs(g, cover, within)
             assert np.array_equal(surv.verts, within), name
@@ -256,7 +256,7 @@ class TestProductMask:
     @pytest.mark.parametrize("k", [0.25, 0.5, 0.9])
     def test_sparsity_check_matches_full_count(self, monkeypatch, entries, k):
         if entries is not None:
-            monkeypatch.setattr(pairs, "_PRODUCT_ENTRIES", entries)
+            monkeypatch.setattr(pairs, "_TILE_ENTRIES", entries)
         seen = set()
         for name, g, cover, within in oracle_cases(70, seed=3):
             if within.size == g.n:
@@ -267,7 +267,9 @@ class TestProductMask:
 
     def test_sparsity_check_holds_no_pair_set_of_v(self):
         # Gathering every pair of V took C(n, 2) int64 endpoints twice over,
-        # 16 bytes a pair; the tiled product holds X and one tile at a time.
+        # 16 MiB here. The packed tiles hold V's cover words (13 words of
+        # 3,072 entries, 312 KiB), a tile's two 96 KiB buffers and one
+        # word's unpacked rows: about 0.9 MiB.
         n = 2048
         g = erdos_renyi(n, 0.5, seed=1)
         cover = sample_cover(n, 0.5, seed=2)
@@ -277,7 +279,67 @@ class TestProductMask:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < math.comb(n, 2) * 16 / 2
+        assert peak < 1.5 * 2**20
+
+
+def later_word_graph(with_later_word):
+    """Y = 0..9 on 200 vertices, cover 100..163 and, when asked, 164.
+
+    The first cover word covers every pair of Y but {0, 1}: 100 misses 0
+    and 101 misses 1. Only 164, alone in the cover's second word, is
+    adjacent to both; so are the 55 vertices 10..64 off the cover, which
+    give {0, 1} 56 common neighbours, over n^(1 - 0.25) = 53.2.
+    """
+    edges = [(100, y) for y in range(1, 10)] + [(101, y) for y in range(10) if y != 1]
+    edges += [(v, end) for v in [*range(10, 65), 164] for end in (0, 1)]
+    cover = np.arange(100, 165 if with_later_word else 164)
+    return Graph.from_edges(200, edges), cover
+
+
+class TestPackedWords:
+    """Constructed covers whose pairs are settled in the first word, in a
+    later one, or never."""
+
+    def test_pair_only_a_later_word_covers(self):
+        for with_later_word in (False, True):
+            g, cover = later_word_graph(with_later_word)
+            surv = uncovered_pairs(g, cover, range(10))
+            assert pair_list(surv) == ([] if with_later_word else [(0, 1)])
+            assert cover_is_sparsifying(g, cover, 0.25) == with_later_word
+
+    def test_first_word_covers_every_pair_and_the_rest_stay_unpacked(self, monkeypatch):
+        # 0 and 1 are adjacent to every other vertex, so the first cover
+        # word, which holds 0, 1 and 2, covers every pair of V and each
+        # tile stops after it.
+        n = 200
+        g = Graph.from_edges(n, [(hub, v) for hub in (0, 1) for v in range(hub + 1, n)])
+        packed = []
+
+        def column_words(g, verts, cols):
+            packed.append(cols.size)
+            return _column_words(g, verts, cols)
+
+        monkeypatch.setattr(pairs, "_column_words", column_words)
+        monkeypatch.setattr(pairs, "_TILE_ENTRIES", 300)
+        cover = np.arange(150)  # three words
+        assert len(uncovered_pairs(g, cover, range(n))) == 0
+        assert cover_is_sparsifying(g, cover, 0.5)
+        assert packed == [64, 64]
+
+    @pytest.mark.parametrize("entries", [None, 7], ids=["tiles", "tiny tiles"])
+    @pytest.mark.parametrize("family", ["bipartite", "er:0.5"])
+    def test_cover_past_two_words(self, monkeypatch, family, entries):
+        if entries is not None:
+            monkeypatch.setattr(pairs, "_TILE_ENTRIES", entries)
+        n = 300
+        g = parse_family(family)(n, 4)
+        rng = np.random.default_rng(4)
+        cover = rng.permutation(n)[:200]  # unsorted, four words
+        block = np.sort(rng.choice(n, size=120, replace=False))
+        surv = uncovered_pairs(g, cover, block)
+        assert np.array_equal(surv.mask, ~covered_by_and(g, cover, block))
+        for k in (0.25, 0.5):
+            assert cover_is_sparsifying(g, cover, k) == sparsifying_by_and(g, cover, k)
 
 
 class TestSparsityChecks:
