@@ -66,8 +66,11 @@ The groups:
   back and runs ``find_triangle`` in REPEATS capped children, one row a
   child.
 - campaigns: the five calls perfbench's campaigns workload rotates through
-  (trials 0-4 of its PROFILE at seed 0), then ``verify_subset_cap(128, 16,
-  T)`` for each T in CAP_TRIALS, one child a row.
+  (trials 0-4 of its PROFILE at seed 0), then ``verify_subset_cap(128, r,
+  T, config=C)`` for each (r, T, C) in CAP_CALLS, one child a row. One
+  call runs at r = 40 on er-dense, past the r = 33 up to which the cap's
+  16 r term alone rules out a binding cap; on the shipped configs the
+  cap does not bind at r = 40 either.
 
 Prints one JSON object: ``machine`` (Python, numpy, its BLAS and thread
 count, usable CPUs, the median reference ms) and ``rows``, each holding
@@ -118,7 +121,9 @@ SPARSITY_N = 8192
 GRAPH_SIZES = (448, 768, 1024, 2048, 4096)
 USER_SIZES = (768, 2048, 4096)
 PROFILE = "full"
-CAP_TRIALS = (4000, 20_000, 100_000)
+# (r, trials, config) of the subset-cap rows, all at size_a = 128.
+CAP_CALLS = ((16, 4000, "er-half"), (16, 20_000, "er-half"), (16, 100_000, "er-half"),
+             (40, 20_000, "er-dense"))
 # The address-space cap of the sparsity and large-graph children.
 LIMIT_GIB = 3
 
@@ -280,8 +285,8 @@ def _campaign(profile: str, index: int, seed: int):
     return PROFILES[profile]["campaigns"].trial(index, *trial_seeds(seed, index)).call
 
 
-def _subset_cap(trials: int, seed: int):
-    return lambda: harness.verify_subset_cap(128, 16, trials, config="er-half", seed=seed)
+def _subset_cap(r: int, trials: int, config: str, seed: int):
+    return lambda: harness.verify_subset_cap(128, r, trials, config=config, seed=seed)
 
 
 # -- the row table -----------------------------------------------------------
@@ -351,9 +356,9 @@ def campaign_rows(tmp: Path) -> list[Row]:
         for index in range(5)
     ]
     return rows + [
-        _row("campaigns", f"verify_subset_cap(128, 16, {trials})", None, _subset_cap, trials,
-             child=True)
-        for trials in CAP_TRIALS
+        _row("campaigns", f"verify_subset_cap(128, {r}, {trials}, {config})", None,
+             _subset_cap, r, trials, config, child=True)
+        for r, trials, config in CAP_CALLS
     ]
 
 

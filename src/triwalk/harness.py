@@ -284,6 +284,23 @@ def _subset_cap_setup(config: str, size_a: int, seed: int):
 _CAP_BATCH_KEYS = 1 << 15
 
 
+def _smallest_keys(keys: np.ndarray, r: int) -> np.ndarray:
+    """Per row of ``keys``, a mask of its r smallest keys, as argpartition picks them.
+
+    A row's keys at most its r-th smallest are exactly r unless that key
+    is tied, so one partition picks every untied row; a tied row holds more
+    than r and goes back through argpartition, which breaks the tie.
+    """
+    in_b = keys <= np.partition(keys, r - 1, axis=1)[:, r - 1 : r]
+    # Every row holds at least r, so a total of r a row means no row ties.
+    if np.count_nonzero(in_b) != in_b.shape[0] * r:
+        tied = np.flatnonzero(np.count_nonzero(in_b, axis=1) != r)
+        picked = np.zeros((tied.size, keys.shape[1]), dtype=bool)
+        np.put_along_axis(picked, np.argpartition(keys[tied], r - 1, axis=1)[:, :r], True, axis=1)
+        in_b[tied] = picked
+    return in_b
+
+
 def verify_subset_cap(
     size_a: int,
     r: int,
@@ -299,12 +316,13 @@ def verify_subset_cap(
     bound is (r-1)^2 / (2 |A|^2).
 
     Each trial draws one uniform key per member of A, and B is the r
-    members with the smallest keys, as argpartition picks them row by
-    row. Trials run in batches of at most _CAP_BATCH_KEYS keys, so memory
-    stays fixed whatever ``trials`` is. The batch size never changes a
-    report: ``Generator.random`` takes one 64-bit output per key in C
-    order, so any batching draws the same keys, and each row's pick reads
-    only that row.
+    members with keys at most the row's r-th smallest key, found by one
+    partition of the batch; only a row tied at that key is picked by
+    argpartition (_smallest_keys). Trials run in batches of at most
+    _CAP_BATCH_KEYS keys, so memory stays fixed whatever ``trials`` is.
+    The batch size never changes a report: ``Generator.random`` takes one
+    64-bit output per key in C order, so any batching draws the same keys,
+    and each row's pick reads only that row.
 
     For r <= 33 the cap's 16 r term alone is at least C(r, 2), the most
     apex pairs an r-subset can hold, so the cap never binds and the
@@ -330,9 +348,7 @@ def verify_subset_cap(
     hits = 0
     rows = max(1, _CAP_BATCH_KEYS // size_a)
     for done in range(0, trials, rows):
-        keys = rng.random((min(rows, trials - done), size_a))
-        in_b = np.zeros(keys.shape, dtype=bool)
-        np.put_along_axis(in_b, np.argpartition(keys, r - 1, axis=1)[:, :r], True, axis=1)
+        in_b = _smallest_keys(rng.random((min(rows, trials - done), size_a)), r)
         keeps_pair = in_b[:, v1] & in_b[:, v2]
         d = in_b[:, nbrs].sum(axis=1)
         apex_pairs = d * (d - 1) // 2

@@ -123,10 +123,14 @@ def sample_cover(
         _check_seed(seed)
         rng = np.random.default_rng([seed, 0xC0])
     _check_type("rng", rng, np.random.Generator)
-    draws = rng.integers(0, n, size=cover_draw_count(n, k))
-    # The drawn vertices in order; a count over [0, n) is ~7x faster than
-    # np.unique at a finder's few hundred draws.
-    return np.flatnonzero(np.bincount(draws, minlength=n))
+    return _distinct(n, rng.integers(0, n, size=cover_draw_count(n, k)))
+
+
+def _distinct(n: int, ids: np.ndarray) -> np.ndarray:
+    """The distinct ``ids`` in [0, n), sorted, as int64. A count over
+    [0, n) is 2-8x faster than np.unique at a finder's few hundred ids,
+    and np.unique imports numpy.ma, 0.6-1.6 MiB of RSS, on its first call."""
+    return np.flatnonzero(np.bincount(ids, minlength=n))
 
 
 def _uncovered_tiles(g: Graph, cover: np.ndarray, verts: np.ndarray):
@@ -190,7 +194,7 @@ def uncovered_pairs(g: Graph, cover, within) -> PairSet:
     the quantum cost appropriate to their context.
     """
     _check_type("g", g, Graph)
-    verts = np.unique(_checked_vertices(g.n, within))
+    verts = _distinct(g.n, _checked_vertices(g.n, within))
     cover = _checked_vertices(g.n, cover)
     b = verts.size
     if cover.size == 0 or b < 2:

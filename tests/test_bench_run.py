@@ -36,7 +36,7 @@ def bench():
         # Two repeats, so every row's repeats are compared.
         patch.setattr(run, "REPEATS", 2)
         patch.setattr(run, "PROFILE", "tiny")
-        patch.setattr(run, "CAP_TRIALS", (200,))
+        patch.setattr(run, "CAP_CALLS", ((16, 200, "er-half"), (40, 200, "er-dense")))
         yield run
 
 
@@ -153,7 +153,8 @@ def test_campaign_rows_run_each_call_in_its_own_child(runs):
     assert out["spawned"] == len(rows)
     assert [row["name"] for row in rows] == [
         "verify_cover_sparsity", "verify_estimator_bounds", "verify_subset_cap",
-        "correctness_suite", "scaling_fit", "verify_subset_cap(128, 16, 200)",
+        "correctness_suite", "scaling_fit", "verify_subset_cap(128, 16, 200, er-half)",
+        "verify_subset_cap(128, 40, 200, er-dense)",
     ]
     for row in rows:
         assert len(row["digest"]) == 16

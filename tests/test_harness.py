@@ -276,6 +276,17 @@ class TestSubsetCapCampaign:
             report = verify_subset_cap(size_a, r, trials, config=config, seed=seed)
             assert report.to_json() == default, rows
 
+    @pytest.mark.parametrize("r", [4, 12, 24])
+    def test_tied_keys_are_picked_as_argpartition_picks_them(self, r):
+        # Keys from four values tie at the r-th key in most rows, where one
+        # partition alone would take every tied key; r = 24 takes the row.
+        keys = np.random.default_rng(11).integers(0, 4, (300, 24)) / 4
+        reference = np.zeros(keys.shape, dtype=bool)
+        np.put_along_axis(reference, np.argpartition(keys, r - 1, axis=1)[:, :r], True, axis=1)
+        at_most_rth = keys <= np.partition(keys, r - 1, axis=1)[:, r - 1 : r]
+        assert (at_most_rth.sum(axis=1) > r).any() == (r < keys.shape[1])
+        assert np.array_equal(harness._smallest_keys(keys, r), reference)
+
     def test_memory_is_fixed_whatever_the_trial_count(self):
         # Drawing up to 2^14 trials' keys at once peaked at 50 MiB traced.
         verify_subset_cap(128, 16, 10, config="er-half")  # imports and caches, untraced
